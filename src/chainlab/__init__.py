@@ -14,4 +14,4 @@ Modules:
     cli           experiment runner (`chainlab` command)
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

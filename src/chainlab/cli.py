@@ -41,7 +41,7 @@ def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _parse_range(text: str, integer: bool = False):
+def _parse_range(text: str):
     """'a..b' inclusive range; a bare number is a single-point range."""
     parts = text.split("..")
     try:
@@ -117,7 +117,7 @@ def _run_domino(args) -> int:
     if any(j < 1 for j in js):
         raise ConfigError("domino sites must be >= 1")
     t = _grid(args.t, args.steps)
-    cols = [t] + [np.array([qdomino.flip_probability(j, tv) for tv in t]) for j in js]
+    cols = [t] + [qdomino.flip_probability(j, t) for j in js]
     _write_csv(
         _out_dir(args) / "domino_flip.csv",
         ["quantum domino chain: probability that spin j has flipped by time t",
@@ -133,7 +133,8 @@ def _run_xy(args) -> int:
     t = _grid(args.t, args.steps)
     if args.kappa == 0:
         raise ConfigError("kappa must be nonzero")
-    cols = [t] + [np.array([xychain.occupation(j, tv, args.kappa) if tv > 0 else (1.0 if j <= -1 else 0.0) for tv in t]) for j in js]
+    # t <= 0 keeps the static step profile
+    cols = [t] + [np.where(t > 0, xychain.occupation(j, t, args.kappa), float(j <= -1)) for j in js]
     _write_csv(
         _out_dir(args) / "xy_occupation.csv",
         ["x-y chain site occupations from the half-filled initial state",
@@ -147,8 +148,8 @@ def _run_xy(args) -> int:
 def _run_detector(args) -> int:
     from . import detector as det
 
-    if args.gamma < 0:
-        raise ConfigError("gamma must be >= 0")
+    if not 0 <= args.gamma < np.inf:
+        raise ConfigError("gamma must be finite and >= 0")
     cfg = det.default_config(gamma=args.gamma, dt=args.dt, T=args.T)
     run = det.DetectorRun(cfg)
     run.check_weak_coupling()
@@ -208,10 +209,12 @@ def _run_meanfield(args) -> int:
 
 
 def _run_orbit(args) -> int:
+    if args.lam == 0:
+        raise ConfigError("lam must be nonzero")
     z0 = complex(args.re0, args.im0)
     t = _grid(args.t, args.steps)
-    zq = np.array([projection.quantum_trajectory(z0, args.lam, tv, args.a) for tv in t])
-    zc = np.array([projection.classical_trajectory(z0, args.lam, tv, args.a) for tv in t])
+    zq = projection.quantum_trajectory(z0, args.lam, t, args.a)
+    zc = projection.classical_trajectory(z0, args.lam, t, args.a)
     _write_csv(
         _out_dir(args) / "orbit_circles.csv",
         ["phase-space circles of the projected two-level dynamics",
@@ -231,6 +234,9 @@ def _run_verify(args) -> int:
             numbers = [int(x) for x in args.only.split(",")]
         except ValueError:
             raise ConfigError(f"cannot parse criterion list {args.only!r}")
+        unknown = [k for k in numbers if not 1 <= k <= len(acceptance.CRITERIA)]
+        if unknown:
+            raise ConfigError(f"no criterion numbered {unknown}; valid are 1..{len(acceptance.CRITERIA)}")
     results = acceptance.run_all(numbers)
     all_ok = True
     for r in results:

@@ -17,12 +17,12 @@ convolution transforms into sqrt(2 pi) times the product.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi
 
 import numpy as np
 
-from .packets import MomentumGrid, RadialPacket, default_grid, gaussian_packet, ghat_radial, overlap
+from .packets import MomentumGrid, RadialPacket, default_grid, gaussian_packet, overlap
 from .specfun import bessel_table
 
 __all__ = [
@@ -64,7 +64,6 @@ class DetectorConfig:
     psi: RadialPacket
     dt: float = 0.02
     T: float = 200.0
-    oversample: float = 4.0   # momentum Nyquist safety for the series quadrature
 
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0:
@@ -102,10 +101,36 @@ def amplitude_free(a: RadialPacket, b: RadialPacket, t: float) -> complex:
     return complex(val)
 
 
+# momentum Nyquist safety for the series quadrature
+_OVERSAMPLE = 4.0
+# Neumann series: stop when a term's norm falls below this fraction of |F0|
+_NEUMANN_TOL = 1e-12
+_NEUMANN_MAX_TERMS = 200
+
+
+def _trapezoid_weights(size: int, h: float) -> np.ndarray:
+    """Trapezoid weights for `size` samples spaced by h."""
+    w = np.full(size, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
+
+
+def _two_sided(h: np.ndarray, L: int) -> np.ndarray:
+    """Circular layout of h(t) for t >= 0 and conj(h(-t)) for t < 0, length L."""
+    n = h.size - 1
+    ker = np.zeros(L, dtype=complex)
+    ker[: n + 1] = h
+    ker[-n:] = np.conj(h[1:][::-1])
+    return ker
+
+
 def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float, L: int) -> np.ndarray:
-    """Trapezoid half-line convolution of equal-length series on their grid."""
-    n = a.size
-    c = np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(b, L))[:n] * dt
+    """Trapezoid half-line convolution of equal-length series on their grid.
+
+    Axis 0 is time; trailing columns of `a` and `b` broadcast.
+    """
+    n = a.shape[0]
+    c = np.fft.ifft(np.fft.fft(a, L, axis=0) * np.fft.fft(b, L, axis=0), axis=0)[:n] * dt
     c -= 0.5 * dt * (a * b[0] + a[0] * b)
     return c
 
@@ -121,7 +146,7 @@ class DetectorRun:
         self._cache: dict = {}
         # fine momentum grid resolving the largest phase T p_max^2
         p_max = cfg.phi.grid.p_max
-        n_fine = int(np.ceil(cfg.oversample * cfg.T * p_max**2 / pi)) + 100
+        n_fine = int(np.ceil(_OVERSAMPLE * cfg.T * p_max**2 / pi)) + 100
         self.p_fine = np.linspace(0.0, p_max, n_fine)
 
     # -- elementary series ------------------------------------------------
@@ -132,24 +157,15 @@ class DetectorRun:
         b = b or self.cfg.psi
         key = ("free", id(a), id(b))
         if key not in self._cache:
-            p = self.p_fine
-            dp = p[1] - p[0]
-            c = np.conj(a.amplitude_at(p)) * b.amplitude_at(p) * 4.0 * pi * p**2 * dp
-            out = np.empty(self.n + 1, dtype=complex)
-            p2 = p**2
-            chunk = max(1, int(4e6 // p.size))
-            for i in range(0, self.n + 1, chunk):
-                ts = self.t[i : i + chunk]
-                out[i : i + chunk] = np.exp(-1j * np.outer(ts, p2)) @ c
-            self._cache[key] = out
+            self._cache[key] = self.free_series_multi(a, [b])[:, 0]
         return self._cache[key]
 
     def free_series_multi(self, a: RadialPacket, bs: list) -> np.ndarray:
         """F0 columns for several right packets in one pass over the phase matrix."""
         p = self.p_fine
         dp = p[1] - p[0]
-        pref = np.conj(a.amplitude_at(p)) * 4.0 * pi * p**2 * dp
-        C = np.stack([pref * b.amplitude_at(p) for b in bs], axis=1)
+        pref = np.conj(a.amplitude_at(p))
+        C = np.stack([pref * b.amplitude_at(p) * 4.0 * pi * p**2 * dp for b in bs], axis=1)
         out = np.empty((self.n + 1, len(bs)), dtype=complex)
         p2 = p**2
         chunk = max(1, int(4e6 // p.size))
@@ -179,9 +195,7 @@ class DetectorRun:
 
     def gamma_g_l1(self) -> float:
         """||gamma g||_1 with the t^-3/2 tail bound beyond T, both signs of t."""
-        dt = self.cfg.dt
-        w = np.full(self.n + 1, dt)
-        w[0] = w[-1] = 0.5 * dt
+        w = _trapezoid_weights(self.n + 1, self.cfg.dt)
         val = np.sum(w * np.abs(self.g))
         tail = 2.0 * self.cfg.T * np.abs(self.g[-1])  # int_T^inf |g(T)| (T/t)^1.5 dt
         return self.cfg.gamma * 2.0 * (val + tail)
@@ -207,45 +221,52 @@ class DetectorRun:
             F[n] = F0[n] - g2 * dt * acc
         return F
 
-    def solve_neumann(self, free: np.ndarray | None = None, tol: float = 1e-12, max_terms: int = 200):
+    def solve_neumann(self, free: np.ndarray | None = None):
         F0 = self.free_series() if free is None else free
         g2, dt = self.cfg.gamma**2, self.cfg.dt
         term = F0.copy()
         total = F0.copy()
         scale = np.linalg.norm(F0)
         converged = False
-        for _ in range(max_terms):
+        for _ in range(_NEUMANN_MAX_TERMS):
             term = -g2 * _causal_conv(self.K, term, dt, self.L)
             total += term
-            if np.linalg.norm(term) <= tol * scale:
+            if np.linalg.norm(term) <= _NEUMANN_TOL * scale:
                 converged = True
                 break
         if not converged:
             warnings.warn("Neumann series did not reach tolerance; returning partial sum")
         return total
 
-    def solve_fourier(self, free: np.ndarray | None = None) -> np.ndarray:
-        F0 = self.free_series() if free is None else free
-        g2, dt = self.cfg.gamma**2, self.cfg.dt
-        denom = 1.0 + g2 * dt * np.fft.fft(self.K, self.L)
-        if np.min(np.abs(denom)) < 1e-6:
-            raise ValueError("singular configuration: transform denominator vanishes")
+    def _denominator(self) -> np.ndarray:
+        """1 + gamma^2 dt FFT(K): the discrete transform of the Volterra operator."""
+        if "denom" not in self._cache:
+            g2, dt = self.cfg.gamma**2, self.cfg.dt
+            self._cache["denom"] = 1.0 + g2 * dt * np.fft.fft(self.K, self.L)
+        return self._cache["denom"]
+
+    def _halved_fft(self, F0: np.ndarray) -> np.ndarray:
+        """FFT of F0 with its t = 0 sample halved (the half-line trapezoid end)."""
         mod = F0.copy()
         mod[0] *= 0.5
-        Ft = np.fft.ifft(np.fft.fft(mod, self.L) / denom)[: self.n + 1]
-        F = Ft.copy()
+        return np.fft.fft(mod, self.L)
+
+    def solve_fourier(self, free: np.ndarray | None = None) -> np.ndarray:
+        F0 = self.free_series() if free is None else free
+        denom = self._denominator()
+        if np.min(np.abs(denom)) < 1e-6:
+            raise ValueError("singular configuration: transform denominator vanishes")
+        F = np.fft.ifft(self._halved_fft(F0) / denom)[: self.n + 1].copy()
         F[0] *= 2.0
         return F
 
     def fourier_spectrum(self, free: np.ndarray | None = None):
         """(u, Fhat_+, denominator) in the continuum transform convention."""
         F0 = self.free_series() if free is None else free
-        g2, dt = self.cfg.gamma**2, self.cfg.dt
+        dt = self.cfg.dt
         u = 2.0 * pi * np.fft.fftfreq(self.L, d=dt)
-        denom = 1.0 + g2 * dt * np.fft.fft(self.K, self.L)
-        mod = F0.copy()
-        mod[0] *= 0.5
-        fhat0 = dt / np.sqrt(2.0 * pi) * np.fft.fft(mod, self.L)
+        denom = self._denominator()
+        fhat0 = dt / np.sqrt(2.0 * pi) * self._halved_fft(F0)
         return u, fhat0 / denom, denom
 
     def solution(self) -> np.ndarray:
@@ -257,36 +278,37 @@ class DetectorRun:
 
     def _two_sided_f_fft(self) -> np.ndarray:
         if "ffft" not in self._cache:
-            ker = np.zeros(self.L, dtype=complex)
-            ker[: self.n + 1] = self.f
-            ker[-self.n :] = np.conj(self.f[1:][::-1])
-            self._cache["ffft"] = np.fft.fft(ker)
+            self._cache["ffft"] = np.fft.fft(_two_sided(self.f, self.L))
         return self._cache["ffft"]
 
-    def _conv_two_sided_f(self, F: np.ndarray) -> np.ndarray:
+    def _conv_two_sided_f(self, Fs: np.ndarray) -> np.ndarray:
+        """int_0^T f(t - tau) F(tau) dtau by trapezoid, for each column F of Fs."""
         dt = self.cfg.dt
-        y = np.fft.ifft(self._two_sided_f_fft() * np.fft.fft(F, self.L))[: self.n + 1] * dt
-        # trapezoid ends of int_0^T f(t - tau) F(tau) dtau
-        y -= 0.5 * dt * (self.f * F[0] + np.conj(self.f[::-1]) * F[-1])
+        f = self.f[:, None]
+        y = np.fft.ifft(self._two_sided_f_fft()[:, None] * np.fft.fft(Fs, self.L, axis=0), axis=0)
+        y = y[: self.n + 1] * dt
+        # trapezoid ends of the tau integral
+        y -= 0.5 * dt * (f * Fs[0] + np.conj(f[::-1]) * Fs[-1])
         return y
+
+    def response_form(self, Fs: np.ndarray) -> np.ndarray:
+        """gamma^2 (F_i, F_j * f) over the columns of Fs, as Fs^H diag(w_trap) (f * Fs).
+
+        Its diagonal is the detection probability of each column.
+        """
+        w = _trapezoid_weights(self.n + 1, self.cfg.dt)
+        return self.cfg.gamma**2 * (np.conj(Fs).T @ (w[:, None] * self._conv_two_sided_f(Fs)))
 
     def detection_w(self, F: np.ndarray | None = None) -> float:
         """w = gamma^2 (F_+, F_+ * f), time-domain route."""
         F = self.solution() if F is None else F
-        dt = self.cfg.dt
-        w = np.full(self.n + 1, dt)
-        w[0] = w[-1] = 0.5 * dt
-        val = np.sum(w * np.conj(F) * self._conv_two_sided_f(F))
-        return float(self.cfg.gamma**2 * val.real)
+        return float(self.response_form(F[:, None])[0, 0].real)
 
     def detection_w_spectral(self, free: np.ndarray | None = None) -> float:
         """w from the transform-domain form, consistent discretization."""
         u, fhat_plus, denom = self.fourier_spectrum(free)
         du = 2.0 * pi / (self.L * self.cfg.dt)
-        ker = np.zeros(self.L, dtype=complex)
-        ker[: self.n + 1] = self.f
-        ker[-self.n :] = np.conj(self.f[1:][::-1])
-        fhat = self.cfg.dt / np.sqrt(2.0 * pi) * np.fft.fft(ker)
+        fhat = self.cfg.dt / np.sqrt(2.0 * pi) * self._two_sided_f_fft()
         val = np.sqrt(2.0 * pi) * np.sum(fhat * np.abs(fhat_plus) ** 2) * du
         return float(self.cfg.gamma**2 * val.real)
 
@@ -321,13 +343,9 @@ class DetectorRun:
         F = self.solution()[: n + 1]
         tau = self.t[: n + 1]
         V = (self._f_m_table(m_max, t - tau) * F[None, :]).T  # (n+1, m_max)
-        wt = np.ones(n + 1)
-        wt[0] = wt[-1] = 0.5
+        wt = _trapezoid_weights(n + 1, 1.0)
         Lb = 1 << int(np.ceil(np.log2(2 * (n + 1))))
-        gker = np.zeros(Lb, dtype=complex)
-        gker[: n + 1] = self.g[: n + 1]
-        if n > 0:
-            gker[-n:] = np.conj(self.g[1 : n + 1][::-1])
+        gker = _two_sided(self.g[: n + 1], Lb)
         Y = np.fft.ifft(np.fft.fft(gker)[:, None] * np.fft.fft(wt[:, None] * V, n=Lb, axis=0), axis=0)[: n + 1]
         vals = g2 * dt**2 * np.real(np.einsum("jm,j,jm->m", np.conj(V), wt, Y))
         return vals
@@ -342,26 +360,16 @@ class DetectorRun:
         phi_a = cfg.phi.amplitude
         psi_a = cfg.psi.amplitude
         out = np.zeros(self.n + 1)
-        Ffft = np.fft.fft(F, self.L)
         chunk = 48
         for i in range(0, p.size, chunk):
             ps = p[i : i + chunk]
             ep = np.exp(-1j * np.outer(self.t, ps**2))  # (n+1, c)
-            # C_p = causal conv of e_p with f; Z_p = causal conv of F with C_p
-            Ef = np.fft.fft(ep, n=self.L, axis=0)
-            Cp = np.fft.ifft(Ef * self._two_sided_f_fft_causal()[:, None], axis=0)[: self.n + 1] * dt
-            Cp -= 0.5 * dt * (ep * self.f[0] + self.f[:, None] * ep[0][None, :])
-            Zf = np.fft.fft(Cp, n=self.L, axis=0)
-            Zp = np.fft.ifft(Zf * Ffft[:, None], axis=0)[: self.n + 1] * dt
-            Zp -= 0.5 * dt * (Cp * F[0] + F[:, None] * Cp[0][None, :])
+            # C_p = causal conv of e_p with f; Z_p = causal conv of C_p with F
+            Cp = _causal_conv(ep, self.f[:, None], dt, self.L)
+            Zp = _causal_conv(Cp, F[:, None], dt, self.L)
             chi = ep * psi_a[i : i + chunk][None, :] - g2 * phi_a[i : i + chunk][None, :] * Zp
             out += (np.abs(chi) ** 2) @ (wq[i : i + chunk] * 4.0 * pi * ps**2)
         return out
-
-    def _two_sided_f_fft_causal(self) -> np.ndarray:
-        if "fcfft" not in self._cache:
-            self._cache["fcfft"] = np.fft.fft(self.f, self.L)
-        return self._cache["fcfft"]
 
 
 # -- module-level wrappers -------------------------------------------------
@@ -418,40 +426,21 @@ def occupation_p0_series(cfg: DetectorConfig):
 def povm_matrix(psis: list, gamma: float, phi: RadialPacket | None = None, dt: float = 0.02, T: float = 200.0):
     """Response-operator matrix <psi_i|W_gamma|psi_j> on the packet span.
 
-    Matrix elements by the four-phase polarization of the quadratic form
-    w; returned in an orthonormalized basis of the span, so eigenvalues
-    are those of W_gamma restricted to it.
+    W_ij = gamma^2 (F_i, F_j * f) from the no-flip amplitudes F_i of the
+    packets; returned in an orthonormalized basis of the span, so
+    eigenvalues are those of W_gamma restricted to it.
     """
     if len(psis) < 1:
         raise ValueError("need at least one packet")
-    grid = psis[0].grid
-    phi = phi or gaussian_packet(grid, width=2.0)
-    cfg = DetectorConfig(gamma=max(gamma, 1e-12), phi=phi, psi=psis[0], dt=dt, T=T)
-    run = DetectorRun(cfg)
+    k = len(psis)
     if gamma == 0.0:
-        k = len(psis)
         return np.zeros((k, k)), np.zeros(k)
+    phi = phi or gaussian_packet(psis[0].grid, width=2.0)
+    run = DetectorRun(DetectorConfig(gamma=gamma, phi=phi, psi=psis[0], dt=dt, T=T))
     run.check_weak_coupling()
     F0s = run.free_series_multi(phi, psis)
-    sols = [run.solve_fourier(F0s[:, i]) for i in range(len(psis))]
-    k = len(psis)
-
-    def w_of(F):
-        return run.detection_w(F)
-
-    W = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            if j < i:
-                W[i, j] = np.conj(W[j, i])
-                continue
-            if i == j:
-                W[i, j] = w_of(sols[i])
-                continue
-            acc = 0.0
-            for alpha in (1.0, -1.0, 1.0j, -1.0j):
-                acc += alpha * w_of(alpha * sols[i] + sols[j])
-            W[i, j] = 0.25 * acc
+    Fs = np.stack([run.solve_fourier(F0s[:, i]) for i in range(k)], axis=1)
+    W = run.response_form(Fs)
     S = np.array([[overlap(a, b) for b in psis] for a in psis])
     sw, sv = np.linalg.eigh(S)
     if np.min(sw) < 1e-10:

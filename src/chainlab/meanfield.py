@@ -78,8 +78,8 @@ def su2_constants() -> StructureConstants:
     return StructureConstants(_EPS3.copy())
 
 
-def so3_constants() -> StructureConstants:
-    return StructureConstants(_EPS3.copy())
+# so(3) and su(2) share the structure constants eps_jkl
+so3_constants = su2_constants
 
 
 def berezin_bracket(gradQ1, gradQ2, F, c: StructureConstants | None = None) -> float:

@@ -75,22 +75,28 @@ def green_infinite(n: int, m: int, t: float) -> complex:
     return (-1j) ** d * jd - (-1j) ** s * bessel_j(s, 2.0 * t)
 
 
-def flip_residual(j: int, t: float) -> float:
-    """1 - flip_probability(j, t) = sum_{m=1}^{j-1} [m J_m(2t)/t]^2."""
+def flip_residual(j: int, t):
+    """1 - flip_probability(j, t) = sum_{m=1}^{j-1} [m J_m(2t)/t]^2.
+
+    `t` may be an array (one Bessel table serves every time); a scalar t
+    returns a float.  At t = 0, m J_m(2t)/t -> delta_{m,1}.
+    """
     if j < 1:
         raise ValueError("site index must be >= 1")
-    if j == 1:
-        return 0.0
-    if t == 0.0:
-        # m J_m(2t)/t -> delta_{m,1}
-        return 1.0
+    t = np.asarray(t, dtype=float)
+    zero = t == 0.0
     tab = bessel_table(j - 1, 2.0 * t)
-    m = np.arange(1, j)
-    return float(np.sum((m * tab[1:j] / t) ** 2))
+    m = np.arange(1, j).reshape((-1,) + (1,) * t.ndim)
+    res = np.sum((m * tab[1:j] / np.where(zero, 1.0, t)) ** 2, axis=0)
+    res = np.where(zero, float(j > 1), res)
+    return float(res) if t.ndim == 0 else res
 
 
-def flip_probability(j: int, t: float) -> float:
-    """Probability that site j has flipped up at time t (site 1 initially up)."""
+def flip_probability(j: int, t):
+    """Probability that site j has flipped up at time t (site 1 initially up).
+
+    Scalar or array `t`, as for flip_residual.
+    """
     return 1.0 - flip_residual(j, t)
 
 
@@ -120,11 +126,7 @@ def asymptotic_exponent(j: int, t_grid: np.ndarray) -> float:
     """
     if j < 2:
         raise ValueError("need j >= 2 (site 1 never has a residual)")
-    t_grid = np.asarray(t_grid, dtype=float)
-    m = np.arange(1, j)
-    tab = bessel_table(j - 1, 2.0 * t_grid)
-    res = np.sum((m[:, None] * tab[1:j] / t_grid[None, :]) ** 2, axis=0)
-    return envelope_slope(t_grid, res)
+    return envelope_slope(t_grid, flip_residual(j, t_grid))
 
 
 @dataclass(frozen=True)

@@ -188,9 +188,7 @@ def resolvent_check(
     amp = (prop.modes[m] * np.exp(1j * np.outer(t, prop.energies))) @ (
         prop.modes.conj().T @ en
     )
-    w = np.full(t.size, dt)
-    w[0] = w[-1] = 0.5 * dt
-    rhs = complex(np.sum(w * np.exp(-1j * t * xi) * amp)) / np.sqrt(2.0 * pi)
+    rhs = complex(np.trapezoid(np.exp(-1j * t * xi) * amp, dx=dt)) / np.sqrt(2.0 * pi)
     return lhs, rhs
 
 

@@ -1,9 +1,9 @@
 """Self-contained special functions for the chain models.
 
-Bessel functions of integer order (power series plus normalized backward
-recurrence), Chebyshev polynomials of the second kind, and the finite-chain
-analogue of the Bessel kernel obtained by sampling the integral
-representation on the open-chain eigenphases.
+Bessel functions of integer order (normalized backward recurrence, one
+path for scalars and arrays), Chebyshev polynomials of the second kind,
+and the finite-chain analogue of the Bessel kernel obtained by sampling
+the integral representation on the open-chain eigenphases.
 """
 
 from __future__ import annotations
@@ -18,20 +18,6 @@ __all__ = [
     "chebyshev_u",
     "finite_kernel",
 ]
-
-
-def _bessel_series(n: int, x: float) -> float:
-    # alternating series sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!)
-    half = 0.5 * x
-    term = half**n / math.factorial(n)
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= -(half * half) / (k * (n + k))
-        total += term
-        if abs(term) <= 1e-17 * (abs(total) + 1e-300) and k > 3:
-            return total
 
 
 def bessel_table(n_max: int, x) -> np.ndarray:
@@ -98,8 +84,8 @@ def _miller(n_max: int, x: np.ndarray, start: int) -> np.ndarray:
 def bessel_j(n: int, x: float) -> float:
     """Bessel function J_n(x) for integer n, accurate to about 1e-12.
 
-    Power series below |x| < 2(n + 1), normalized backward recurrence
-    above.  Negative order and argument via parity.
+    Entry n of bessel_table(|n|, |x|); negative order and argument via
+    parity.
     """
     n = int(n)
     x = float(x)
@@ -110,14 +96,7 @@ def bessel_j(n: int, x: float) -> float:
     if x < 0:
         x = -x
         sign *= -1.0 if n % 2 else 1.0
-    if x == 0.0:
-        return sign * (1.0 if n == 0 else 0.0)
-    if x < 2.0 * (n + 1):
-        return sign * _bessel_series(n, x)
-    xmax = x
-    start = n + 20 + int(math.ceil(xmax)) + 20 * int(math.ceil((xmax + 1.0) ** (1.0 / 3.0)))
-    tab = _miller(n, np.array([x]), start)
-    return sign * float(tab[n, 0])
+    return sign * float(bessel_table(n, x)[n])
 
 
 def chebyshev_u(n: int, z: float) -> float:

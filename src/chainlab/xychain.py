@@ -63,39 +63,39 @@ def evolution_coefficient(r: int, t: float, kappa: float) -> complex:
     return (-1j) ** r * bessel_j(r, kappa * t)
 
 
-def _occupation_from_table(j: int, tab: np.ndarray) -> float:
-    # sum_{r>=1} J_{|j+r|}^2 with the tail taken from the normalization
-    # identity: sum_{k>K} J_k^2 = (1 - J_0^2 - 2 sum_{k<=K} J_k^2) / 2
-    K = tab.shape[0] - 1
+def _occupation_from_table(j: int, tab: np.ndarray):
+    """(occupation, half tail) of site j from a table J_k(x), k = 0..K.
+
+    sum_{r>=1} J_{|j+r|}^2 with the tail taken from the normalization
+    identity: sum_{k>K} J_k^2 = (1 - J_0^2 - 2 sum_{k<=K} J_k^2) / 2.
+    Both are summed over axis 0, so trailing axes of `tab` carry through.
+    """
     sq = tab**2
-    half_tail = 0.5 * (1.0 - sq[0] - 2.0 * np.sum(sq[1:]))
+    half_tail = 0.5 * (1.0 - sq[0] - 2.0 * np.sum(sq[1:], axis=0))
     # for j >= 0 the indices |j+r| run j+1, j+2, ...;
     # for j = -q <= -1 they run q-1, ..., 1, 0, 1, 2, ... so the sum is
     # (1 + J_0^2)/2 + sum_{k=1}^{q-1} J_k^2
     if j >= 0:
-        return float(np.sum(sq[j + 1 :]) + half_tail)
-    return float(0.5 * (1.0 + sq[0]) + np.sum(sq[1:-j]))
+        return np.sum(sq[j + 1 :], axis=0) + half_tail, half_tail
+    return 0.5 * (1.0 + sq[0]) + np.sum(sq[1:-j], axis=0), half_tail
 
 
-def occupation(j: int, t: float, kappa: float) -> float:
+def occupation(j: int, t, kappa: float):
     """Site-j occupation at time t from the step initial state.
 
     sum_{r>=1} J_{|j+r|}^2(kappa t), truncated with the exact tail bound
-    from the Bessel normalization identity (tail < 1e-12).
+    from the Bessel normalization identity (tail < 1e-12 at every time).
+    `t` may be an array; a scalar t returns a float.
     """
-    x = kappa * t
-    if x == 0.0:
-        return 1.0 if j <= -1 else 0.0
-    K = abs(j) + int(np.ceil(abs(x))) + 40
+    x = kappa * np.asarray(t, dtype=float)
+    K = abs(j) + int(np.ceil(np.max(np.abs(x), initial=0.0))) + 40
     while True:
-        tab = bessel_table(K, x)
-        sq = tab**2
-        half_tail = 0.5 * (1.0 - sq[0] - 2.0 * np.sum(sq[1:]))
-        if half_tail < _TAIL_TOL:
+        val, half_tail = _occupation_from_table(j, bessel_table(K, x))
+        if np.all(half_tail < _TAIL_TOL):
             break
         K += max(20, K // 2)
-    val = _occupation_from_table(j, tab)
-    return min(max(val, 0.0), 1.0)
+    val = np.clip(val, 0.0, 1.0)
+    return float(val) if x.ndim == 0 else val
 
 
 def measurement_occupation(j: int, t: float, kappa: float, c_plus: complex, c_minus: complex) -> float:

@@ -88,3 +88,18 @@ def test_radiate_csv(tmp_path):
     assert header == ["t", "decay"]
     vals = np.array([[float(x) for x in r.split(",")] for r in rows])
     assert vals[-1, 1] > 0.9
+
+
+def test_verify_unknown_criterion_is_exit_code_one(tmp_path):
+    assert main(["verify", "--only", "99", "--out", str(tmp_path)]) == 1
+    assert main(["verify", "--only", "16,0", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_detector_rejects_nonfinite_gamma(tmp_path, gamma):
+    assert main(["detector", "--gamma", gamma, "--T", "5", "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "detector_amplitude.csv").exists()
+
+
+def test_orbit_zero_lambda_is_exit_code_one(tmp_path):
+    assert main(["orbit", "--lam", "0", "--out", str(tmp_path)]) == 1

@@ -14,7 +14,7 @@ from chainlab.detector import (
     solve_fourier,
     solve_volterra,
 )
-from chainlab.packets import bump_packet, default_grid, gaussian_packet
+from chainlab.packets import bump_packet, default_grid, gaussian_packet, overlap
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +133,26 @@ def test_povm_eigenvalues_and_nonprojection():
     assert np.max(np.abs(W - W.conj().T)) < 1e-12
     assert np.all(ev > 0.0) and np.all(ev < 1.0)
     assert np.linalg.norm(W @ W - W, 2) > 1e-3
+
+
+def test_povm_matrix_matches_polarized_detection_w():
+    # the sesquilinear form behind W, recovered from the quadratic form w alone
+    g = default_grid()
+    psis = [gaussian_packet(g, 0.8), bump_packet(g, 2.0)]
+    W, _ = povm_matrix(psis, 0.5, dt=0.02, T=40.0)
+    phi = gaussian_packet(g, 2.0)
+    run = DetectorRun(DetectorConfig(gamma=0.5, phi=phi, psi=psis[0], dt=0.02, T=40.0))
+    F = [run.solve_fourier(run.free_series(phi, psi)) for psi in psis]
+    raw = np.empty((2, 2), dtype=complex)
+    raw[0, 0] = run.detection_w(F[0])
+    raw[1, 1] = run.detection_w(F[1])
+    raw[0, 1] = 0.25 * sum(a * run.detection_w(a * F[0] + F[1]) for a in (1.0, -1.0, 1.0j, -1.0j))
+    raw[1, 0] = np.conj(raw[0, 1])
+    S = np.array([[overlap(a, b) for b in psis] for a in psis])
+    sw, sv = np.linalg.eigh(S)
+    S_inv_half = sv @ np.diag(sw**-0.5) @ sv.conj().T
+    assert abs(raw[0, 1]) > 1e-3
+    assert np.max(np.abs(S_inv_half @ raw @ S_inv_half - W)) < 1e-12
 
 
 def test_povm_vanishes_without_coupling():

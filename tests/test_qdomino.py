@@ -64,6 +64,17 @@ def test_flip_residual_bessel_sum():
     assert flip_residual(j, t) == pytest.approx(ref, abs=1e-12)
 
 
+def test_flip_functions_accept_time_arrays():
+    t = np.array([0.0, 0.3, 2.0, -1.5, 17.5, 60.0])
+    for j in (1, 2, 5):
+        res = flip_residual(j, t)
+        prob = flip_probability(j, t)
+        assert res.shape == t.shape and prob.shape == t.shape
+        assert np.max(np.abs(res - [flip_residual(j, tv) for tv in t])) <= 1e-15
+        assert np.max(np.abs(prob - [flip_probability(j, tv) for tv in t])) <= 1e-15
+    assert isinstance(flip_residual(3, 2.0), float)
+
+
 def test_envelope_slope_recovers_power_law():
     t = np.linspace(50.0, 500.0, 1500)
     vals = t**-3.0 * (1.1 + np.cos(4.0 * t) ** 2)

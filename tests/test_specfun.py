@@ -18,8 +18,7 @@ def test_bessel_scalar_against_scipy():
 
 
 def test_bessel_series_corner_stays_usable():
-    # the power-series branch just below x = 2(n+1) cancels heavily;
-    # it keeps absolute accuracy only at the 1e-7 level there
+    # just below x = 2(n+1), where a power series in x cancels heavily
     worst = max(abs(bessel_j(n, 30.0) - sp.jv(n, 30.0)) for n in range(15, 40))
     assert worst < 1e-6
 

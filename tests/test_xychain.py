@@ -56,6 +56,16 @@ def test_occupation_initial_state():
     assert occupation(-2, 0.0, 1.0) == pytest.approx(1.0)
 
 
+def test_occupation_accepts_time_arrays():
+    t = np.array([0.0, 0.4, 3.0, 25.0, -6.0])
+    for j in (-4, -1, 0, 2):
+        for kappa in (1.0, 0.6, -1.3):
+            vals = occupation(j, t, kappa)
+            assert vals.shape == t.shape
+            assert np.max(np.abs(vals - [occupation(j, tv, kappa) for tv in t])) <= 1e-15
+    assert isinstance(occupation(1, 2.0, 1.0), float)
+
+
 def test_occupation_long_time_limit():
     for j in range(-3, 4):
         assert abs(occupation(j, 1e3, 1.0) - 0.5) < 1e-3
