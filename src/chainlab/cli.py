@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -42,17 +43,18 @@ def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None
 
 
 def _parse_range(text: str):
-    """'a..b' inclusive range; a bare number is a single-point range."""
+    """'a..b' inclusive range of finite numbers; a bare number is a single-point range."""
     parts = text.split("..")
     try:
-        if len(parts) == 1:
-            v = float(parts[0])
-            return v, v
-        if len(parts) == 2:
-            return float(parts[0]), float(parts[1])
+        bounds = [float(x) for x in parts]
     except ValueError:
-        pass
-    raise ConfigError(f"cannot parse range {text!r}; expected 'a..b'")
+        bounds = []
+    if len(bounds) not in (1, 2):
+        raise ConfigError(f"cannot parse range {text!r}; expected 'a..b'")
+    lo, hi = bounds[0], bounds[-1]
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"range {text!r} must have finite bounds")
+    return lo, hi
 
 
 def _int_points(text: str) -> list[int]:
@@ -148,8 +150,10 @@ def _run_xy(args) -> int:
 def _run_detector(args) -> int:
     from . import detector as det
 
-    if not 0 <= args.gamma < np.inf:
-        raise ConfigError("gamma must be finite and >= 0")
+    if args.gamma < 0:
+        raise ConfigError("gamma must be >= 0")
+    if not 0 < args.dt <= args.T:
+        raise ConfigError("need 0 < dt <= T")
     cfg = det.default_config(gamma=args.gamma, dt=args.dt, T=args.T)
     run = det.DetectorRun(cfg)
     run.check_weak_coupling()
@@ -317,6 +321,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config(args, _load_config(args.config), args._parser)
+        bad = [k for k, v in vars(args).items() if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise ConfigError(f"non-finite value for {', '.join(bad)}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

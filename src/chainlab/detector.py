@@ -23,7 +23,7 @@ from math import pi
 import numpy as np
 
 from .packets import MomentumGrid, RadialPacket, default_grid, gaussian_packet, overlap
-from .specfun import bessel_table
+from .specfun import bessel_table, phase_sum
 
 __all__ = [
     "DetectorConfig",
@@ -68,6 +68,8 @@ class DetectorConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0:
             raise ValueError("dt and T must be positive")
+        if self.T < self.dt:
+            raise ValueError("T must span at least one time step dt")
         self.phi.check_normalized()
         self.psi.check_normalized()
 
@@ -124,12 +126,15 @@ def _two_sided(h: np.ndarray, L: int) -> np.ndarray:
     return ker
 
 
-def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float, L: int) -> np.ndarray:
+def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     """Trapezoid half-line convolution of equal-length series on their grid.
 
-    Axis 0 is time; trailing columns of `a` and `b` broadcast.
+    Axis 0 is time; trailing columns of `a` and `b` broadcast.  The FFT
+    length 2n - 1 (rounded up to a power of two) holds the whole linear
+    convolution, so the first n samples are exact.
     """
     n = a.shape[0]
+    L = 1 << int(np.ceil(np.log2(2 * n - 1)))
     c = np.fft.ifft(np.fft.fft(a, L, axis=0) * np.fft.fft(b, L, axis=0), axis=0)[:n] * dt
     c -= 0.5 * dt * (a * b[0] + a[0] * b)
     return c
@@ -142,6 +147,7 @@ class DetectorRun:
         self.cfg = cfg
         self.n = int(round(cfg.T / cfg.dt))
         self.t = cfg.dt * np.arange(self.n + 1)
+        # circular grid of the Fourier-domain solver and the spectral w route
         self.L = 1 << int(np.ceil(np.log2(4 * (self.n + 1))))
         self._cache: dict = {}
         # fine momentum grid resolving the largest phase T p_max^2
@@ -152,33 +158,35 @@ class DetectorRun:
     # -- elementary series ------------------------------------------------
 
     def free_series(self, a: RadialPacket | None = None, b: RadialPacket | None = None) -> np.ndarray:
-        """F0(t) on the whole grid by fine trapezoid quadrature in p."""
-        a = a or self.cfg.phi
-        b = b or self.cfg.psi
+        """F0(t) on the whole grid by fine trapezoid quadrature in p.
+
+        The configured pairs (phi, psi) and (phi, phi), that is F0 and g,
+        come from one two-column pass.
+        """
+        phi, psi = self.cfg.phi, self.cfg.psi
+        a = a or phi
+        b = b or psi
         key = ("free", id(a), id(b))
         if key not in self._cache:
-            self._cache[key] = self.free_series_multi(a, [b])[:, 0]
+            if a is phi and (b is psi or b is phi):
+                pair = self.free_series_multi(phi, [psi, phi])
+                self._cache["free", id(phi), id(psi)] = pair[:, 0]
+                self._cache["free", id(phi), id(phi)] = pair[:, 1]
+            else:
+                self._cache[key] = self.free_series_multi(a, [b])[:, 0]
         return self._cache[key]
 
     def free_series_multi(self, a: RadialPacket, bs: list) -> np.ndarray:
-        """F0 columns for several right packets in one pass over the phase matrix."""
+        """F0 columns for several right packets in one pass over the time grid."""
         p = self.p_fine
         dp = p[1] - p[0]
         pref = np.conj(a.amplitude_at(p))
         C = np.stack([pref * b.amplitude_at(p) * 4.0 * pi * p**2 * dp for b in bs], axis=1)
-        out = np.empty((self.n + 1, len(bs)), dtype=complex)
-        p2 = p**2
-        chunk = max(1, int(4e6 // p.size))
-        for i in range(0, self.n + 1, chunk):
-            ts = self.t[i : i + chunk]
-            out[i : i + chunk] = np.exp(-1j * np.outer(ts, p2)) @ C
-        return out
+        return phase_sum(C, p**2, self.cfg.dt, self.n + 1)
 
     @property
     def g(self) -> np.ndarray:
-        if "g" not in self._cache:
-            self._cache["g"] = self.free_series(self.cfg.phi, self.cfg.phi)
-        return self._cache["g"]
+        return self.free_series(self.cfg.phi, self.cfg.phi)
 
     @property
     def f(self) -> np.ndarray:
@@ -190,7 +198,7 @@ class DetectorRun:
     def K(self) -> np.ndarray:
         """The composite kernel (g * f)(t) on the half line."""
         if "K" not in self._cache:
-            self._cache["K"] = _causal_conv(self.g, self.f, self.cfg.dt, self.L)
+            self._cache["K"] = _causal_conv(self.g, self.f, self.cfg.dt)
         return self._cache["K"]
 
     def gamma_g_l1(self) -> float:
@@ -229,7 +237,7 @@ class DetectorRun:
         scale = np.linalg.norm(F0)
         converged = False
         for _ in range(_NEUMANN_MAX_TERMS):
-            term = -g2 * _causal_conv(self.K, term, dt, self.L)
+            term = -g2 * _causal_conv(self.K, term, dt)
             total += term
             if np.linalg.norm(term) <= _NEUMANN_TOL * scale:
                 converged = True
@@ -363,10 +371,11 @@ class DetectorRun:
         chunk = 48
         for i in range(0, p.size, chunk):
             ps = p[i : i + chunk]
-            ep = np.exp(-1j * np.outer(self.t, ps**2))  # (n+1, c)
+            # phase matrix e^{-i t p^2}, shape (n+1, c): the phase sum of the identity
+            ep = phase_sum(np.eye(ps.size), ps**2, dt, self.n + 1)
             # C_p = causal conv of e_p with f; Z_p = causal conv of C_p with F
-            Cp = _causal_conv(ep, self.f[:, None], dt, self.L)
-            Zp = _causal_conv(Cp, F[:, None], dt, self.L)
+            Cp = _causal_conv(ep, self.f[:, None], dt)
+            Zp = _causal_conv(Cp, F[:, None], dt)
             chi = ep * psi_a[i : i + chunk][None, :] - g2 * phi_a[i : i + chunk][None, :] * Zp
             out += (np.abs(chi) ** 2) @ (wq[i : i + chunk] * 4.0 * pi * ps**2)
         return out

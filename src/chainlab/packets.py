@@ -123,7 +123,11 @@ def bump_packet(grid: MomentumGrid, R: float = 2.0) -> RadialPacket:
     def prof(p):
         p = np.atleast_1d(np.asarray(p, dtype=float))
         flat = p.reshape(-1)
-        s = np.sqrt(2.0 / pi) * np.sum(r[None, :] * np.sin(flat[:, None] * r[None, :]) * b[None, :], axis=1) * dr
+        s = np.empty(flat.size)
+        # row blocks bound the (points x r) sine temporaries to ~4 MB each
+        for i in range(0, flat.size, 128):
+            rows = flat[i : i + 128, None]
+            s[i : i + 128] = np.sqrt(2.0 / pi) * np.sum(r[None, :] * np.sin(rows * r[None, :]) * b[None, :], axis=1) * dr
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.where(flat == 0.0, np.sqrt(2.0 / pi) * np.sum(r**2 * b) * dr, s / np.where(flat == 0.0, 1.0, flat))
         return out.reshape(p.shape).astype(complex)

@@ -15,6 +15,7 @@ from math import pi
 import numpy as np
 
 from .dense_oracle import DenseOperator, Propagator
+from .specfun import phase_sum
 
 __all__ = [
     "RadiatingParams",
@@ -185,9 +186,8 @@ def resolvent_check(
     lhs = 1j / np.sqrt(2.0 * pi) * complex(em @ sol)
     prop = Propagator(H)
     t = np.arange(0.0, T + 0.5 * dt, dt)
-    amp = (prop.modes[m] * np.exp(1j * np.outer(t, prop.energies))) @ (
-        prop.modes.conj().T @ en
-    )
+    v = prop.modes[m] * (prop.modes.conj().T @ en)
+    amp = phase_sum(v[:, None], -prop.energies, dt, t.size)[:, 0]
     rhs = complex(np.trapezoid(np.exp(-1j * t * xi) * amp, dx=dt)) / np.sqrt(2.0 * pi)
     return lhs, rhs
 

@@ -2,8 +2,9 @@
 
 Bessel functions of integer order (normalized backward recurrence, one
 path for scalars and arrays), Chebyshev polynomials of the second kind,
-and the finite-chain analogue of the Bessel kernel obtained by sampling
-the integral representation on the open-chain eigenphases.
+the finite-chain analogue of the Bessel kernel obtained by sampling
+the integral representation on the open-chain eigenphases, and phase
+sums sum_j C_j e^{-i t x_j} on a uniform time grid.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ __all__ = [
     "bessel_table",
     "chebyshev_u",
     "finite_kernel",
+    "phase_sum",
 ]
+
+# rows of the base phase block in phase_sum: its exp count per node is
+# _PHASE_BLOCK + n / _PHASE_BLOCK, and the block bounds the memory
+_PHASE_BLOCK = 64
 
 
 def bessel_table(n_max: int, x) -> np.ndarray:
@@ -125,3 +131,23 @@ def finite_kernel(n: int, length: int, z: float) -> complex:
     theta = j * np.pi / (length + 1)
     s = np.sum(np.exp(-1j * z * np.cos(theta)) * np.cos(n * theta))
     return complex(1j**n * s / (length + 1))
+
+
+def phase_sum(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarray:
+    """S[k] = sum_j C[j] exp(-i t_k x_j) at t_k = k dt for k = 0..n-1.
+
+    C has shape (len(x), cols); the result has shape (n, cols).  The
+    rows t_i + k dt of a block are one base block exp(-i k dt x), k <
+    _PHASE_BLOCK, times the block phase exp(-i t_i x) folded into C.
+    Both phases are evaluated directly from their times, so no rounding
+    accumulates across blocks and no exp runs over the full
+    (times x nodes) matrix.
+    """
+    x = np.asarray(x, dtype=float)
+    base = np.outer(dt * np.arange(min(_PHASE_BLOCK, n)), x) * -1j
+    np.exp(base, out=base)
+    out = np.empty((n, C.shape[1]), dtype=complex)
+    for i in range(0, n, _PHASE_BLOCK):
+        m = min(_PHASE_BLOCK, n - i)
+        out[i : i + m] = base[:m] @ (np.exp(-1j * (dt * i) * x)[:, None] * C)
+    return out

@@ -103,3 +103,33 @@ def test_detector_rejects_nonfinite_gamma(tmp_path, gamma):
 
 def test_orbit_zero_lambda_is_exit_code_one(tmp_path):
     assert main(["orbit", "--lam", "0", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, csv",
+    [
+        (["orbit", "--lam", "nan", "--steps", "3"], "orbit_circles.csv"),
+        (["orbit", "--re0", "nan", "--steps", "3"], "orbit_circles.csv"),
+        (["xy", "--kappa", "nan", "--steps", "3"], "xy_occupation.csv"),
+        (["radiate", "--v", "nan", "--steps", "3"], "radiate_decay.csv"),
+        (["domino", "--t", "0..nan", "--steps", "3"], "domino_flip.csv"),
+        (["orbit", "--t", "inf", "--steps", "3"], "orbit_circles.csv"),
+    ],
+    ids=["orbit-lam", "orbit-re0", "xy-kappa", "radiate-v", "domino-t", "orbit-t"],
+)
+def test_nonfinite_inputs_are_exit_code_one(tmp_path, argv, csv):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert not (tmp_path / csv).exists()
+
+
+def test_nonfinite_config_value_is_exit_code_one(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lam = nan\n")
+    assert main(["orbit", "--config", str(cfg), "--steps", "3", "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "orbit_circles.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--T", "0.001"], ["--dt", "0"], ["--dt", "-0.02"]])
+def test_detector_needs_a_time_step(tmp_path, flags):
+    assert main(["detector", *flags, "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "detector_amplitude.csv").exists()

@@ -15,6 +15,7 @@ from chainlab.detector import (
     solve_volterra,
 )
 from chainlab.packets import bump_packet, default_grid, gaussian_packet, overlap
+from chainlab.specfun import _PHASE_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,42 @@ def test_free_series_matches_quadrature(short_run):
     for i in (0, 100, 2000):
         ref = amplitude_free(short_run.cfg.phi, short_run.cfg.psi, short_run.t[i])
         assert F0[i] == pytest.approx(ref, abs=1e-8)
+
+
+def test_free_series_matches_direct_phase_matrix(short_run):
+    # block-boundary rows and the final partial block against exp of the full matrix
+    run = short_run
+    p = run.p_fine
+    dp = p[1] - p[0]
+    phi, psi = run.cfg.phi, run.cfg.psi
+    C = np.conj(phi.amplitude_at(p))[:, None] * np.stack([psi.amplitude_at(p), phi.amplitude_at(p)], axis=1)
+    C *= (4.0 * np.pi * p**2 * dp)[:, None]
+    last = (run.n // _PHASE_BLOCK) * _PHASE_BLOCK
+    assert 0 < run.n + 1 - last < _PHASE_BLOCK
+    rows = np.r_[0, _PHASE_BLOCK - 1, _PHASE_BLOCK, 2 * _PHASE_BLOCK, last - 1, last:run.n + 1]
+    ref = np.exp(-1j * np.outer(run.t[rows], p**2)) @ C
+    assert np.max(np.abs(run.free_series()[rows] - ref[:, 0])) <= 1e-13
+    assert np.max(np.abs(run.g[rows] - ref[:, 1])) <= 1e-13
+
+
+def test_g_matches_gaussian_closed_form(short_run):
+    # phi has width 2, so g(t) = (1 + 4 i t)^(-3/2)
+    assert np.max(np.abs(short_run.g - (1.0 + 4.0j * short_run.t) ** -1.5)) <= 1.5e-10
+
+
+def test_free_amplitudes_take_one_quadrature_pass(monkeypatch):
+    calls = []
+    multi = DetectorRun.free_series_multi
+
+    def counted(self, a, bs):
+        calls.append(len(bs))
+        return multi(self, a, bs)
+
+    monkeypatch.setattr(DetectorRun, "free_series_multi", counted)
+    run = DetectorRun(default_config(gamma=0.5, T=5.0))
+    run.solve_fourier()
+    run.K
+    assert calls == [2]
 
 
 def test_weak_coupling_norm(short_run):
@@ -161,6 +198,12 @@ def test_povm_vanishes_without_coupling():
     W, ev = povm_matrix(psis, 0.0, dt=0.02, T=40.0)
     assert np.max(np.abs(W)) == 0.0
     assert np.max(np.abs(ev)) == 0.0
+
+
+def test_config_rejects_T_shorter_than_a_step():
+    packet = gaussian_packet(default_grid(), 1.0)
+    with pytest.raises(ValueError):
+        DetectorConfig(gamma=0.5, phi=packet, psi=packet, dt=0.02, T=0.001)
 
 
 def test_config_validation():
