@@ -15,3 +15,7 @@ Modules:
 """
 
 __version__ = "0.1.0"
+
+
+class DomainError(ValueError):
+    """A model parameter lies outside the model's domain (a configuration error)."""

@@ -2,7 +2,7 @@
 
 Each criterion function recomputes its claim from scratch and returns a
 CriterionResult; run_all drives the whole list.  The checks run in
-seconds each, except the detector defaults (tens of seconds).
+seconds each.
 """
 
 from __future__ import annotations
@@ -75,12 +75,13 @@ def criterion_05() -> CriterionResult:
     return CriterionResult(5, "xy occupation limit and closed form", ok, f"limit dev {lim:.2e}, closed dev {closed:.2e}")
 
 
-def _xy_dense_occupations(n_sites: int, kappa: float, t: float, sites) -> np.ndarray:
+def _xy_dense_occupations(n_sites: int, kappa: float, times, sites) -> np.ndarray:
     """Occupations on a finite chain from the full 2^n spin space.
 
     Nearest-neighbor flip-flop at strength kappa/2; the fermion mapping
     leaves this interaction string-free, so the spin chain is the exact
-    finite-volume counterpart of the hopping model.
+    finite-volume counterpart of the hopping model.  One eigendecomposition
+    serves every time; the result has shape (len(times), len(sites)).
     """
     dim = 2**n_sites
     H = np.zeros((dim, dim))
@@ -93,38 +94,26 @@ def _xy_dense_occupations(n_sites: int, kappa: float, t: float, sites) -> np.nda
     n_half = n_sites // 2
     for s in range(n_sites):
         psi0 = np.kron(psi0, np.array([0.0, 1.0]) if s >= n_half else np.array([1.0, 0.0]))
-    psi_t = dense_oracle.evolve(dense_oracle.DenseOperator(H), psi0, t)
-    out = []
-    for s in sites:
-        out.append(dense_oracle.expectation(psi_t, dense_oracle.site_number_op(n_sites, s)))
-    return np.array(out)
+    psi_t = dense_oracle.Propagator(dense_oracle.DenseOperator(H)).apply(psi0, times)
+    ops = [dense_oracle.site_number_op(n_sites, s) for s in sites]
+    return np.array([[dense_oracle.expectation(psi, op) for op in ops] for psi in psi_t])
 
 
 def criterion_06() -> CriterionResult:
     # reflection maps the right-occupied finite chain onto the infinite
     # left-occupied formula: site s corresponds to j = 4 - s
     kappa = 1.0
+    times = np.array([1.0, 2.0])
+    sites = [4, 5, 6]
+    dense = _xy_dense_occupations(10, kappa, times, sites)
     worst = 0.0
-    for t in (1.0, 2.0):
-        sites = [4, 5, 6]
-        dense = _xy_dense_occupations(10, kappa, t, sites)
-        for s, d in zip(sites, dense):
-            exact = xychain.occupation(4 - s, t, kappa)
-            worst = max(worst, abs(d - exact))
+    for s, d in zip(sites, dense.T):
+        worst = max(worst, float(np.max(np.abs(d - xychain.occupation(4 - s, times, kappa)))))
     return CriterionResult(6, "xy 10-site dense oracle", worst < 1e-3, f"max |diff| = {worst:.3e}")
 
 
-_DET_CACHE: dict = {}
-
-
-def _default_run() -> detector.DetectorRun:
-    if "run" not in _DET_CACHE:
-        _DET_CACHE["run"] = detector.DetectorRun(detector.default_config(gamma=0.5))
-    return _DET_CACHE["run"]
-
-
 def criterion_07() -> CriterionResult:
-    run = _default_run()
+    run = detector.DetectorRun(detector.default_config(gamma=0.5))
     l1 = run.gamma_g_l1()
     Fm = run.solve_marching()
     Fn = run.solve_neumann()
@@ -148,7 +137,7 @@ def criterion_08() -> CriterionResult:
     for t in (2.0, 5.0, 10.0, 20.0):
         n = int(round(t / cfg.dt))
         dev = max(dev, abs(run.occupations_at(t).sum() + p0[n] - 1.0))
-    big = _default_run()
+    big = detector.DetectorRun(detector.default_config(gamma=0.5))
     w = big.detection_w()
     p0_T = big.p0_series()[-1]
     dev_T = abs(p0_T + w - 1.0)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import meanfield, projection, qdomino, radiating, xychain
+from . import DomainError, meanfield, projection, qdomino, radiating, xychain
 
 __all__ = ["main"]
 
@@ -61,6 +61,8 @@ def _int_points(text: str) -> list[int]:
     lo, hi = _parse_range(text)
     if lo != int(lo) or hi != int(hi):
         raise ConfigError(f"range {text!r} must be integer")
+    if lo > hi:
+        raise ConfigError(f"range {text!r} is empty")
     return list(range(int(lo), int(hi) + 1))
 
 
@@ -325,7 +327,7 @@ def main(argv=None) -> int:
         if bad:
             raise ConfigError(f"non-finite value for {', '.join(bad)}")
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -23,7 +23,7 @@ from math import pi
 import numpy as np
 
 from .packets import MomentumGrid, RadialPacket, default_grid, gaussian_packet, overlap
-from .specfun import bessel_table, phase_sum
+from .specfun import bessel_ratio_table, phase_sum
 
 __all__ = [
     "DetectorConfig",
@@ -50,11 +50,7 @@ def semicircle_kernel(u):
 
 def f_kernel(t, g_values):
     """f(t) = g(t) J_1(2t)/t with the t=0 limit 1."""
-    t = np.asarray(t, dtype=float)
-    j1 = bessel_table(1, 2.0 * t)[1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f1 = np.where(t == 0.0, 1.0, j1 / np.where(t == 0.0, 1.0, t))
-    return np.asarray(g_values) * f1
+    return np.asarray(g_values) * bessel_ratio_table(1, t)[0]
 
 
 @dataclass(frozen=True)
@@ -141,7 +137,10 @@ def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
 
 
 class DetectorRun:
-    """Shared state for one detector configuration: grids, kernels, solutions."""
+    """Shared state for one detector configuration: grids, kernels, solutions.
+
+    Everything it caches is a function of `cfg` alone.
+    """
 
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
@@ -161,20 +160,17 @@ class DetectorRun:
         """F0(t) on the whole grid by fine trapezoid quadrature in p.
 
         The configured pairs (phi, psi) and (phi, phi), that is F0 and g,
-        come from one two-column pass.
+        are the two columns of one cached pass; any other pair is
+        computed on each call.
         """
         phi, psi = self.cfg.phi, self.cfg.psi
         a = a or phi
         b = b or psi
-        key = ("free", id(a), id(b))
-        if key not in self._cache:
-            if a is phi and (b is psi or b is phi):
-                pair = self.free_series_multi(phi, [psi, phi])
-                self._cache["free", id(phi), id(psi)] = pair[:, 0]
-                self._cache["free", id(phi), id(phi)] = pair[:, 1]
-            else:
-                self._cache[key] = self.free_series_multi(a, [b])[:, 0]
-        return self._cache[key]
+        if a is not phi or (b is not psi and b is not phi):
+            return self.free_series_multi(a, [b])[:, 0]
+        if "free" not in self._cache:
+            self._cache["free"] = self.free_series_multi(phi, [psi, phi])
+        return self._cache["free"][:, 0 if b is psi else 1]
 
     def free_series_multi(self, a: RadialPacket, bs: list) -> np.ndarray:
         """F0 columns for several right packets in one pass over the time grid."""
@@ -215,8 +211,8 @@ class DetectorRun:
 
     # -- solvers ----------------------------------------------------------
 
-    def solve_marching(self, free: np.ndarray | None = None) -> np.ndarray:
-        F0 = self.free_series() if free is None else free
+    def solve_marching(self) -> np.ndarray:
+        F0 = self.free_series()
         dt, g2 = self.cfg.dt, self.cfg.gamma**2
         K = self.K
         F = np.empty(self.n + 1, dtype=complex)
@@ -229,8 +225,8 @@ class DetectorRun:
             F[n] = F0[n] - g2 * dt * acc
         return F
 
-    def solve_neumann(self, free: np.ndarray | None = None):
-        F0 = self.free_series() if free is None else free
+    def solve_neumann(self):
+        F0 = self.free_series()
         g2, dt = self.cfg.gamma**2, self.cfg.dt
         term = F0.copy()
         total = F0.copy()
@@ -268,9 +264,9 @@ class DetectorRun:
         F[0] *= 2.0
         return F
 
-    def fourier_spectrum(self, free: np.ndarray | None = None):
+    def fourier_spectrum(self):
         """(u, Fhat_+, denominator) in the continuum transform convention."""
-        F0 = self.free_series() if free is None else free
+        F0 = self.free_series()
         dt = self.cfg.dt
         u = 2.0 * pi * np.fft.fftfreq(self.L, d=dt)
         denom = self._denominator()
@@ -312,9 +308,9 @@ class DetectorRun:
         F = self.solution() if F is None else F
         return float(self.response_form(F[:, None])[0, 0].real)
 
-    def detection_w_spectral(self, free: np.ndarray | None = None) -> float:
+    def detection_w_spectral(self) -> float:
         """w from the transform-domain form, consistent discretization."""
-        u, fhat_plus, denom = self.fourier_spectrum(free)
+        u, fhat_plus, denom = self.fourier_spectrum()
         du = 2.0 * pi / (self.L * self.cfg.dt)
         fhat = self.cfg.dt / np.sqrt(2.0 * pi) * self._two_sided_f_fft()
         val = np.sqrt(2.0 * pi) * np.sum(fhat * np.abs(fhat_plus) ** 2) * du
@@ -328,12 +324,8 @@ class DetectorRun:
 
     def _f_m_table(self, m_max: int, s: np.ndarray) -> np.ndarray:
         """f_m(s) = (-i)^(m-1) (m/s) J_m(2s) for m = 1..m_max; shape (m_max, len(s))."""
-        tab = bessel_table(m_max, 2.0 * s)
         m = np.arange(1, m_max + 1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            radial = np.where(s[None, :] == 0.0, 0.0, m[:, None] * tab[1:] / np.where(s == 0.0, 1.0, s)[None, :])
-        radial[0, s == 0.0] = 1.0
-        return (-1j) ** (m[:, None] - 1) * radial
+        return (-1j) ** (m[:, None] - 1) * bessel_ratio_table(m_max, s)
 
     def occupations_at(self, t: float, m_max: int | None = None) -> np.ndarray:
         """omega_t(P_m) for m = 1..m_max (chain sites) at one time.

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DomainError
+
 __all__ = [
     "BCSParams",
     "StructureConstants",
@@ -55,7 +57,7 @@ class BCSParams:
 
     def __post_init__(self):
         if self.eps <= 0 or self.lam <= 0:
-            raise ValueError("eps and lam must be positive")
+            raise DomainError("eps and lam must be positive")
 
 
 @dataclass(frozen=True)
@@ -82,24 +84,20 @@ def su2_constants() -> StructureConstants:
 so3_constants = su2_constants
 
 
-def berezin_bracket(gradQ1, gradQ2, F, c: StructureConstants | None = None) -> float:
-    """Lie-Poisson bracket {Q1, Q2}(F) = -c^j_{km} d_k Q1 d_m Q2 F_j."""
-    if c is None:
-        c = su2_constants()
+def berezin_bracket(gradQ1, gradQ2, F) -> float:
+    """Lie-Poisson bracket {Q1, Q2}(F) = -c^j_{km} d_k Q1 d_m Q2 F_j on su(2)*."""
     g1 = np.asarray(gradQ1, dtype=float)
     g2 = np.asarray(gradQ2, dtype=float)
     F = np.asarray(F, dtype=float)
-    return float(-np.einsum("jkm,k,m,j->", c.c, g1, g2, F))
+    return float(-np.einsum("jkm,k,m,j->", _EPS3, g1, g2, F))
 
 
-def bracket_flow_rhs(gradQ, F, c: StructureConstants | None = None) -> np.ndarray:
+def bracket_flow_rhs(gradQ, F) -> np.ndarray:
     """dF_j/dt = {Q, F_j}(F) for every coordinate function F_j."""
-    if c is None:
-        c = su2_constants()
     g = np.asarray(gradQ, dtype=float)
     F = np.asarray(F, dtype=float)
     # {Q, F_j} = -c^l_{kj} d_k Q F_l
-    return -np.einsum("lkj,k,l->j", c.c, g, F)
+    return -np.einsum("lkj,k,l->j", _EPS3, g, F)
 
 
 def bcs_gradient(F, p: BCSParams) -> np.ndarray:
@@ -116,7 +114,7 @@ def bcs_flow_exact(F0, t: float, p: BCSParams) -> np.ndarray:
     return np.array([fp.real, fp.imag, F0[2]])
 
 
-def flow_rk4(gradQ, F0, t: float, dt: float, c: StructureConstants | None = None) -> np.ndarray:
+def flow_rk4(gradQ, F0, t: float, dt: float) -> np.ndarray:
     """RK4 integration of the Lie-Poisson flow of a Hamiltonian with gradient gradQ."""
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -125,7 +123,7 @@ def flow_rk4(gradQ, F0, t: float, dt: float, c: StructureConstants | None = None
     h = t / n if n else 0.0
 
     def rhs(x):
-        return bracket_flow_rhs(gradQ(x), x, c)
+        return bracket_flow_rhs(gradQ(x), x)
 
     for _ in range(n):
         k1 = rhs(F)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_j, bessel_table, finite_kernel
+from .specfun import bessel_j, bessel_ratio_table, finite_kernel
 
 __all__ = [
     "EigenSystem",
@@ -83,13 +83,8 @@ def flip_residual(j: int, t):
     """
     if j < 1:
         raise ValueError("site index must be >= 1")
-    t = np.asarray(t, dtype=float)
-    zero = t == 0.0
-    tab = bessel_table(j - 1, 2.0 * t)
-    m = np.arange(1, j).reshape((-1,) + (1,) * t.ndim)
-    res = np.sum((m * tab[1:j] / np.where(zero, 1.0, t)) ** 2, axis=0)
-    res = np.where(zero, float(j > 1), res)
-    return float(res) if t.ndim == 0 else res
+    res = np.sum(bessel_ratio_table(j - 1, t) ** 2, axis=0)
+    return float(res) if np.ndim(t) == 0 else res
 
 
 def flip_probability(j: int, t):

@@ -14,6 +14,7 @@ from math import pi
 
 import numpy as np
 
+from . import DomainError
 from .dense_oracle import DenseOperator, Propagator
 from .specfun import phase_sum
 
@@ -61,7 +62,7 @@ class RadiatingParams:
 
     def __post_init__(self):
         if self.N < 1:
-            raise ValueError("chain length must be >= 1")
+            raise DomainError("chain length must be >= 1")
         if self.eps0 <= self.a * self.b**2 + 2.0:
             raise ValueError("level shift must exceed a b^2 + 2")
 
@@ -94,7 +95,7 @@ class ContinuumModes:
 def build_modes(params: RadiatingParams, M: int = 400, lambda_max: float = 14.0, sigma=None) -> ContinuumModes:
     """Gauss-Legendre discretization of the mode continuum on [a b^2, lambda_max]."""
     if M < 2:
-        raise ValueError("need at least 2 modes")
+        raise DomainError("need at least 2 modes")
     lo = params.a * params.b**2
     x, w = np.polynomial.legendre.leggauss(M)
     lam = 0.5 * (lambda_max - lo) * x + 0.5 * (lambda_max + lo)

@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "bessel_j",
     "bessel_table",
+    "bessel_ratio_table",
     "chebyshev_u",
     "finite_kernel",
     "phase_sum",
@@ -55,6 +56,19 @@ def bessel_table(n_max: int, x) -> np.ndarray:
         flat = x[big].ravel()
         out[:, big] = _miller(n_max, flat, start).reshape((n_max + 1,) + x[big].shape)
     return out[:, 0] if scalar else out
+
+
+def bessel_ratio_table(m_max: int, t) -> np.ndarray:
+    """m J_m(2t)/t for m = 1..m_max, vectorized over t.
+
+    One bessel_table(m_max, 2t) serves every row; the t = 0 limit is
+    delta_{m,1}.  Returns an array of shape (m_max,) + shape(t).
+    """
+    t = np.asarray(t, dtype=float)
+    zero = t == 0.0
+    m = np.arange(1, m_max + 1).reshape((-1,) + (1,) * t.ndim)
+    ratio = m * bessel_table(m_max, 2.0 * t)[1:] / np.where(zero, 1.0, t)
+    return np.where(zero, m == 1, ratio)
 
 
 def _miller(n_max: int, x: np.ndarray, start: int) -> np.ndarray:

@@ -133,3 +133,20 @@ def test_nonfinite_config_value_is_exit_code_one(tmp_path):
 def test_detector_needs_a_time_step(tmp_path, flags):
     assert main(["detector", *flags, "--out", str(tmp_path)]) == 1
     assert not (tmp_path / "detector_amplitude.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, csv",
+    [
+        (["radiate", "--N", "0"], "radiate_decay.csv"),
+        (["radiate", "--M", "1"], "radiate_decay.csv"),
+        (["meanfield", "--eps", "-1"], "meanfield_phase.csv"),
+        (["meanfield", "--lambda", "-1"], "meanfield_phase.csv"),
+        (["domino", "--j", "3..2"], "domino_flip.csv"),
+        (["xy", "--j", "1..0"], "xy_occupation.csv"),
+    ],
+    ids=["radiate-N", "radiate-M", "meanfield-eps", "meanfield-lambda", "domino-empty-j", "xy-empty-j"],
+)
+def test_out_of_domain_inputs_are_exit_code_one(tmp_path, argv, csv):
+    assert main(argv + ["--steps", "3", "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / csv).exists()

@@ -90,6 +90,16 @@ def test_free_amplitudes_take_one_quadrature_pass(monkeypatch):
     assert calls == [2]
 
 
+def test_free_series_of_other_packets_is_not_cached():
+    # temporary packets are freed between calls, so their ids get reused
+    cfg = default_config(gamma=0.5, T=5.0)
+    run, fresh = DetectorRun(cfg), DetectorRun(cfg)
+    for width in (0.8, 1.5, 0.6, 1.1):
+        got = run.free_series(cfg.phi, gaussian_packet(cfg.phi.grid, width))
+        ref = fresh.free_series_multi(cfg.phi, [gaussian_packet(cfg.phi.grid, width)])[:, 0]
+        assert np.array_equal(got, ref)
+
+
 def test_weak_coupling_norm(short_run):
     l1 = short_run.gamma_g_l1()
     assert 0.0 < l1 < 2.0

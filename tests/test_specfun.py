@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from chainlab.specfun import bessel_j, bessel_table, chebyshev_u, finite_kernel
+from chainlab.specfun import bessel_j, bessel_ratio_table, bessel_table, chebyshev_u, finite_kernel
 
 
 def test_bessel_scalar_against_scipy():
@@ -40,6 +40,20 @@ def test_bessel_table_large_argument():
     tab = bessel_table(5, x)
     ref = np.array([sp.jv(n, x) for n in range(6)])
     assert np.max(np.abs(tab - ref)) < 1e-12
+
+
+def test_bessel_ratio_table_against_scipy():
+    t = np.array([[0.0, 0.3, 1.0], [4.7, 12.0, 40.0]])
+    tab = bessel_ratio_table(8, t)
+    assert tab.shape == (8, 2, 3)
+    m = np.arange(1, 9)[:, None, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ref = m * sp.jv(m, 2.0 * t) / t
+    ref[:, 0, 0] = np.arange(1, 9) == 1
+    assert np.max(np.abs(tab - ref)) < 1e-12
+    scalar = bessel_ratio_table(3, 2.5)
+    assert scalar.shape == (3,)
+    assert np.max(np.abs(scalar - np.arange(1, 4) * sp.jv(np.arange(1, 4), 5.0) / 2.5)) < 1e-12
 
 
 def test_quadratic_normalization():
