@@ -32,13 +32,13 @@ class CriterionResult:
 
 def criterion_01() -> CriterionResult:
     ts = np.arange(0.5, 10.0 + 1e-9, 0.5)
-    H = dense_oracle.build_island_hamiltonian(8)
-    prop = dense_oracle.Propagator(H)
+    prop = dense_oracle.Propagator(dense_oracle.build_island_hamiltonian(8))
+    # U[k, n, m] = <n|exp(-i ts[k] H)|m>: column m evolves e_m
+    U = np.stack([prop.apply(e_m, ts) for e_m in np.eye(8)], axis=2)
     worst = 0.0
-    for t in ts:
-        U = prop.modes @ np.diag(np.exp(-1j * t * prop.energies)) @ prop.modes.conj().T
+    for t, U_t in zip(ts, U):
         G = np.array([[qdomino.green_finite(n, m, 8, t) for m in range(1, 9)] for n in range(1, 9)])
-        worst = max(worst, float(np.max(np.abs(G - U))))
+        worst = max(worst, float(np.max(np.abs(G - U_t))))
     return CriterionResult(1, "domino Green function vs dense oracle", worst < 1e-10, f"max |diff| = {worst:.3e}")
 
 
@@ -75,40 +75,17 @@ def criterion_05() -> CriterionResult:
     return CriterionResult(5, "xy occupation limit and closed form", ok, f"limit dev {lim:.2e}, closed dev {closed:.2e}")
 
 
-def _xy_dense_occupations(n_sites: int, kappa: float, times, sites) -> np.ndarray:
-    """Occupations on a finite chain from the full 2^n spin space.
-
-    Nearest-neighbor flip-flop at strength kappa/2; the fermion mapping
-    leaves this interaction string-free, so the spin chain is the exact
-    finite-volume counterpart of the hopping model.  One eigendecomposition
-    serves every time; the result has shape (len(times), len(sites)).
-    """
-    dim = 2**n_sites
-    H = np.zeros((dim, dim))
-    for n in range(n_sites - 1):
-        a_n, adag_n = dense_oracle.spin_ops(n_sites, n)
-        a_m, adag_m = dense_oracle.spin_ops(n_sites, n + 1)
-        H += 0.5 * kappa * (adag_n @ a_m + adag_m @ a_n)
-    # right half occupied: indices n_half..n_sites-1 up
-    psi0 = np.array([1.0], dtype=complex)
-    n_half = n_sites // 2
-    for s in range(n_sites):
-        psi0 = np.kron(psi0, np.array([0.0, 1.0]) if s >= n_half else np.array([1.0, 0.0]))
-    psi_t = dense_oracle.Propagator(dense_oracle.DenseOperator(H)).apply(psi0, times)
-    ops = [dense_oracle.site_number_op(n_sites, s) for s in sites]
-    return np.array([[dense_oracle.expectation(psi, op) for op in ops] for psi in psi_t])
-
-
 def criterion_06() -> CriterionResult:
-    # reflection maps the right-occupied finite chain onto the infinite
-    # left-occupied formula: site s corresponds to j = 4 - s
-    kappa = 1.0
+    # right half of the 10-site flip-flop chain occupied; reflection maps
+    # it onto the infinite left-occupied formula: site s is j = 4 - s
     times = np.array([1.0, 2.0])
-    sites = [4, 5, 6]
-    dense = _xy_dense_occupations(10, kappa, times, sites)
+    H = dense_oracle.build_flip_flop_hamiltonian(10)
+    psi_t = dense_oracle.Propagator(H).apply(dense_oracle.basis_state([0] * 5 + [1] * 5), times)
     worst = 0.0
-    for s, d in zip(sites, dense.T):
-        worst = max(worst, float(np.max(np.abs(d - xychain.occupation(4 - s, times, kappa)))))
+    for s in (4, 5, 6):
+        n_op = dense_oracle.site_number_op(10, s)
+        dense = np.array([dense_oracle.expectation(psi, n_op) for psi in psi_t])
+        worst = max(worst, float(np.max(np.abs(dense - xychain.occupation(4 - s, times, 1.0)))))
     return CriterionResult(6, "xy 10-site dense oracle", worst < 1e-3, f"max |diff| = {worst:.3e}")
 
 
@@ -168,7 +145,7 @@ def criterion_10() -> CriterionResult:
     H = radiating.build_minimal_hamiltonian(p, modes)
     psi0 = np.zeros(H.dim, dtype=complex)
     psi0[0] = 1.0
-    psi = dense_oracle.evolve(H, psi0, 0.5 * t_rec)
+    psi = dense_oracle.Propagator(H).apply(psi0, 0.5 * t_rec)
     unit = abs(np.vdot(psi, psi).real - 1.0)
     ok = peak > 0.95 and stab < 1e-3 and unit < 1e-10
     return CriterionResult(10, "radiating chain decay", ok, f"peak {peak:.4f}, M-doubling dev {stab:.2e}, unitarity {unit:.2e}")
@@ -244,10 +221,10 @@ def criterion_15() -> CriterionResult:
     Hf = np.zeros((n_f, n_f))
     Hf[0, 0] = a
     am = np.diag(np.sqrt(np.arange(1.0, n_f)), 1)
-    ev, vec = np.linalg.eigh(Hf)
+    ts = np.array([0.5, 3.0, 8.0])
+    psi_t = dense_oracle.Propagator(dense_oracle.DenseOperator(Hf)).apply(psi, ts / lam**2)
     fock = 0.0
-    for t in (0.5, 3.0, 8.0):
-        psit = vec @ (np.exp(-1j * ev * t / lam**2) * (vec.conj().T @ psi))
+    for t, psit in zip(ts, psi_t):
         z_or = lam * np.sqrt(2.0) * np.conj(psit.conj() @ (am @ psit))
         fock = max(fock, abs(projection.quantum_trajectory(z0, lam, t, a) - z_or))
     # classical circle: uniform rotation at frequency f/lam^2

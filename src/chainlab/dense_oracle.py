@@ -1,9 +1,11 @@
 """Brute-force ground truth on small dense Hilbert spaces.
 
-Builds the tridiagonal one-island Hamiltonian and the full spin-chain
-Hamiltonian as explicit matrices, evolves states by eigendecomposition,
-and evaluates expectation values.  Everything here is deliberately dumb
-and direct; the analytic modules are checked against it.
+Explicit matrices for the one-island hopping Hamiltonian and the spin
+chains, exp(-itH) through one cached eigendecomposition (Propagator), and
+expectation values; the analytic modules are checked against them.
+Spin basis: site s of an n_sites chain is up in basis index i iff bit
+n_sites-1-s of i is set, the np.kron order of spin_ops (site 0 first);
+the builders set their nonzero entries directly from these bits.
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ __all__ = [
     "Propagator",
     "build_island_hamiltonian",
     "build_full_chain_hamiltonian",
+    "build_flip_flop_hamiltonian",
+    "basis_state",
     "spin_ops",
     "site_number_op",
-    "evolve",
     "expectation",
 ]
-
-_HERM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DenseOperator:
@@ -36,8 +36,9 @@ class DenseOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def is_hermitian(self, tol: float = _HERM_TOL) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol * max(1.0, np.max(np.abs(self.mat))))
+    def is_hermitian(self) -> bool:
+        """Hermitian to 1e-12 relative to the largest entry (at least 1)."""
+        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(self.mat))))
 
 
 def build_island_hamiltonian(N: int) -> DenseOperator:
@@ -57,12 +58,11 @@ def build_island_hamiltonian(N: int) -> DenseOperator:
 
 # spin-1/2 site operators; basis |down> = (1,0), |up> = (0,1)
 _A = np.array([[0.0, 1.0], [0.0, 0.0]])       # a  : up -> down
-_ADAG = _A.T.copy()                           # a* : down -> up
 _ID2 = np.eye(2)
 
 
 def spin_ops(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a, a*) acting on `site` (0-based) of an n_sites spin chain."""
+    """(a, a*) on `site` (0-based) of an n_sites chain; the Kronecker reference for the builders."""
     ops = [_ID2] * n_sites
     ops[site] = _A
     a = ops[0]
@@ -71,9 +71,21 @@ def spin_ops(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.T.copy()
 
 
+def _site_bits(n_sites: int, site: int) -> np.ndarray:
+    """1 where `site` is up, 0 where it is down, for every basis index."""
+    return (np.arange(2**n_sites) >> (n_sites - 1 - site)) & 1
+
+
+def basis_state(bits) -> np.ndarray:
+    """Basis vector with site s up iff bits[s] is 1."""
+    psi = np.zeros(2 ** len(bits), dtype=complex)
+    psi[sum(int(b) << (len(bits) - 1 - s) for s, b in enumerate(bits))] = 1.0
+    return psi
+
+
 def site_number_op(n_sites: int, site: int) -> DenseOperator:
-    a, adag = spin_ops(n_sites, site)
-    return DenseOperator(adag @ a)
+    """a*a on `site`: diagonal, 1 where the site is up."""
+    return DenseOperator(np.diag(_site_bits(n_sites, site).astype(float)))
 
 
 def build_full_chain_hamiltonian(n_sites: int) -> DenseOperator:
@@ -84,13 +96,27 @@ def build_full_chain_hamiltonian(n_sites: int) -> DenseOperator:
     """
     if not 3 <= n_sites <= 14:
         raise ValueError("n_sites must be in [3, 14]")
-    dim = 2**n_sites
-    H = np.zeros((dim, dim))
+    H = np.zeros((2**n_sites, 2**n_sites))
     for n in range(n_sites - 2):
-        a_n, adag_n = spin_ops(n_sites, n)
-        a_m, adag_m = spin_ops(n_sites, n + 1)
-        a_k, adag_k = spin_ops(n_sites, n + 2)
-        H += (adag_n @ a_n) @ (adag_m + a_m) @ (a_k @ adag_k)
+        i = np.flatnonzero((_site_bits(n_sites, n) == 1) & (_site_bits(n_sites, n + 2) == 0))
+        H[i ^ (1 << (n_sites - 2 - n)), i] = 1.0
+    return DenseOperator(H)
+
+
+def build_flip_flop_hamiltonian(n_sites: int) -> DenseOperator:
+    """Nearest-neighbor flip-flop chain on the full 2^n_sites spin space.
+
+    Sum over pairs (n, n+1) of (a_n* a_{n+1} + a_{n+1}* a_n) / 2: the x-y
+    chain at kappa = 1 (kappa only rescales time).  The fermion mapping
+    leaves this interaction string-free, so the spin chain is the exact
+    finite-volume counterpart of the free-fermion hopping model.
+    """
+    if not 2 <= n_sites <= 14:
+        raise ValueError("n_sites must be in [2, 14]")
+    H = np.zeros((2**n_sites, 2**n_sites))
+    for n in range(n_sites - 1):
+        i = np.flatnonzero(_site_bits(n_sites, n) != _site_bits(n_sites, n + 1))
+        H[i ^ (3 << (n_sites - 2 - n)), i] = 0.5
     return DenseOperator(H)
 
 
@@ -103,17 +129,12 @@ class Propagator:
         self.energies, self.modes = np.linalg.eigh(H.mat)
 
     def apply(self, psi0: np.ndarray, t) -> np.ndarray:
-        """Evolve psi0; vectorized over t (result shape (len(t), dim))."""
+        """exp(-itH) psi0; vectorized over t (result shape (len(t), dim))."""
         c = self.modes.conj().T @ np.asarray(psi0, dtype=complex)
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
             return self.modes @ (np.exp(-1j * t * self.energies) * c)
         return (self.modes @ (np.exp(-1j * np.outer(t, self.energies)) * c).T).T
-
-
-def evolve(H: DenseOperator, psi0: np.ndarray, t: float) -> np.ndarray:
-    """exp(-itH) psi0 by eigendecomposition."""
-    return Propagator(H).apply(psi0, t)
 
 
 def expectation(psi: np.ndarray, A: DenseOperator):

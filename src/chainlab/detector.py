@@ -22,6 +22,7 @@ from math import pi
 
 import numpy as np
 
+from . import DomainError
 from .packets import MomentumGrid, RadialPacket, default_grid, gaussian_packet, overlap
 from .specfun import bessel_ratio_table, phase_sum
 
@@ -36,7 +37,6 @@ __all__ = [
     "solve_fourier",
     "detection_probability",
     "occupation_series",
-    "occupation_p0_series",
     "povm_matrix",
 ]
 
@@ -104,6 +104,8 @@ _OVERSAMPLE = 4.0
 # Neumann series: stop when a term's norm falls below this fraction of |F0|
 _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
+# bound on (time samples) x (fine momenta), ~17x the default T = 200 run
+_MAX_PHASE_ENTRIES = 2**32
 
 
 def _trapezoid_weights(size: int, h: float) -> np.ndarray:
@@ -145,13 +147,16 @@ class DetectorRun:
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
         self.n = int(round(cfg.T / cfg.dt))
+        # fine momentum grid resolving the largest phase T p_max^2
+        p_max = cfg.phi.grid.p_max
+        n_fine = int(np.ceil(_OVERSAMPLE * cfg.T * p_max**2 / pi)) + 100
+        if (self.n + 1) * n_fine > _MAX_PHASE_ENTRIES:
+            raise DomainError(f"T = {cfg.T:g}, dt = {cfg.dt:g} needs {self.n + 1} times x {n_fine} "
+                              f"momenta > {_MAX_PHASE_ENTRIES} phase entries")
         self.t = cfg.dt * np.arange(self.n + 1)
         # circular grid of the Fourier-domain solver and the spectral w route
         self.L = 1 << int(np.ceil(np.log2(4 * (self.n + 1))))
         self._cache: dict = {}
-        # fine momentum grid resolving the largest phase T p_max^2
-        p_max = cfg.phi.grid.p_max
-        n_fine = int(np.ceil(_OVERSAMPLE * cfg.T * p_max**2 / pi)) + 100
         self.p_fine = np.linspace(0.0, p_max, n_fine)
 
     # -- elementary series ------------------------------------------------
@@ -389,7 +394,7 @@ def solve_fourier(cfg: DetectorConfig) -> np.ndarray:
     return run.solve_fourier()
 
 
-def detection_probability(cfg: DetectorConfig, route: str = "time") -> float:
+def detection_probability(cfg: DetectorConfig) -> float:
     run = DetectorRun(cfg)
     if cfg.gamma == 0.0:
         return 0.0
@@ -397,11 +402,7 @@ def detection_probability(cfg: DetectorConfig, route: str = "time") -> float:
         warnings.warn("free amplitude vanishes on the grid; detector never couples")
         return 0.0
     run.check_weak_coupling()
-    if route == "time":
-        return run.detection_w()
-    if route == "spectral":
-        return run.detection_w_spectral()
-    raise ValueError("route must be 'time' or 'spectral'")
+    return run.detection_w()
 
 
 def occupation_series(cfg: DetectorConfig, m: int, times=None):
@@ -419,24 +420,20 @@ def occupation_series(cfg: DetectorConfig, m: int, times=None):
     return times, out
 
 
-def occupation_p0_series(cfg: DetectorConfig):
-    run = DetectorRun(cfg)
-    return run.t, run.p0_series()
-
-
-def povm_matrix(psis: list, gamma: float, phi: RadialPacket | None = None, dt: float = 0.02, T: float = 200.0):
+def povm_matrix(psis: list, gamma: float, dt: float = 0.02, T: float = 200.0):
     """Response-operator matrix <psi_i|W_gamma|psi_j> on the packet span.
 
     W_ij = gamma^2 (F_i, F_j * f) from the no-flip amplitudes F_i of the
-    packets; returned in an orthonormalized basis of the span, so
-    eigenvalues are those of W_gamma restricted to it.
+    packets, with the default coupling packet phi of width 2; returned
+    in an orthonormalized basis of the span, so eigenvalues are those of
+    W_gamma restricted to it.
     """
     if len(psis) < 1:
         raise ValueError("need at least one packet")
     k = len(psis)
     if gamma == 0.0:
         return np.zeros((k, k)), np.zeros(k)
-    phi = phi or gaussian_packet(psis[0].grid, width=2.0)
+    phi = gaussian_packet(psis[0].grid, width=2.0)
     run = DetectorRun(DetectorConfig(gamma=gamma, phi=phi, psi=psis[0], dt=dt, T=T))
     run.check_weak_coupling()
     F0s = run.free_series_multi(phi, psis)

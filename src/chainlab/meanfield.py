@@ -211,14 +211,14 @@ class GapSolution:
     residual: float           # self-consistency residual in a
 
 
-def solve_gap_equation(p: BCSParams, tol: float = 1e-12) -> list[GapSolution]:
+def solve_gap_equation(p: BCSParams) -> list[GapSolution]:
     """Self-consistent equilibrium points at temperature T.
 
-    Always the normal solution F = (0, 0, tanh(eps/T)/2); for
-    0 < 2 eps < lam and T < T_c additionally the superconducting circle
-    F3 = eps/lam with the gap a solving 2a = lam tanh(a/T) (bisection on
-    (eps, lam/2]).  One representative phase is returned; the rest of the
-    circle follows by gauge rotation about the 3-axis.
+    Always the normal solution F = (0, 0, tanh(eps/T)/2); for 0 < 2 eps <
+    lam and T < T_c also the superconducting circle F3 = eps/lam with the
+    gap a solving 2a = lam tanh(a/T) (bisection on (eps, lam/2] to a
+    bracket of 1e-12).  One representative phase is returned; the rest of
+    the circle follows by gauge rotation about the 3-axis.
     """
     if p.T <= 0:
         raise ValueError("T must be positive")
@@ -232,7 +232,7 @@ def solve_gap_equation(p: BCSParams, tol: float = 1e-12) -> list[GapSolution]:
             return 2.0 * a - p.lam * np.tanh(a / p.T)
 
         # h(eps) < 0 below T_c, h(lam/2) >= 0
-        while hi - lo > tol:
+        while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
             if h(mid) > 0:
                 hi = mid
@@ -258,10 +258,10 @@ class GroundState:
     radius: float      # radius of the F1-F2 circle (0 for the normal point)
 
 
-def ground_states(p: BCSParams, n_circle: int = 8) -> list[GroundState]:
+def ground_states(p: BCSParams) -> list[GroundState]:
     """Zero-temperature equilibrium points with their 2-level vectors.
 
-    Always F = (0, 0, 1/2); when 0 < 2 eps < lam also n_circle samples of
+    Always F = (0, 0, 1/2); when 0 < 2 eps < lam also 8 samples of
     the circle F3 = eps/lam, F1^2 + F2^2 = 1/4 - (eps/lam)^2.  chi(F) is
     the top eigenvector of n(F).sigma.
     """
@@ -270,7 +270,7 @@ def ground_states(p: BCSParams, n_circle: int = 8) -> list[GroundState]:
     out.append(GroundState("normal", Fn, np.array([1.0, 0.0], dtype=complex), 0.0))
     if 2.0 * p.eps < p.lam:
         r = np.sqrt(0.25 - (p.eps / p.lam) ** 2)
-        for phi in np.linspace(0.0, 2.0 * np.pi, n_circle, endpoint=False):
+        for phi in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
             F = np.array([r * np.cos(phi), r * np.sin(phi), p.eps / p.lam])
             n = direction_field(F, p)
             chi = _top_eigvec(n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2])

@@ -40,11 +40,6 @@ class EigenSystem:
     energies: np.ndarray
     amplitudes: np.ndarray
 
-    def green(self, n: int, m: int, t: float) -> complex:
-        """Green function <n|exp(-itH)|m> from the eigen-expansion."""
-        ph = np.exp(-1j * t * self.energies)
-        return complex(np.sum(self.amplitudes[n - 1] * self.amplitudes[m - 1] * ph))
-
 
 def eigensystem(N: int) -> EigenSystem:
     if N < 1:
@@ -90,9 +85,11 @@ def flip_residual(j: int, t):
 def flip_probability(j: int, t):
     """Probability that site j has flipped up at time t (site 1 initially up).
 
-    Scalar or array `t`, as for flip_residual.
+    Scalar or array `t`, as for flip_residual; clipped to [0, 1] against
+    rounding where the residual is within an ulp of 1.
     """
-    return 1.0 - flip_residual(j, t)
+    p = np.clip(1.0 - flip_residual(j, t), 0.0, 1.0)
+    return float(p) if np.ndim(t) == 0 else p
 
 
 def envelope_slope(t: np.ndarray, values: np.ndarray) -> float:

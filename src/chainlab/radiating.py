@@ -34,14 +34,15 @@ __all__ = [
 ]
 
 
-def sigma_profile_default(p, b: float = 0.5, alpha: float = 0.6, scale: float = 2.0):
+def sigma_profile_default(p, b: float = 0.5):
     """Smooth ramp form factor theta(p - b) (p - b)^2 exp(-alpha p^2).
 
     The infrared cutoff b keeps the mode density vanishing below a b^2.
-    The profile is L2-normalized in 3d and then multiplied by `scale`;
-    alpha and scale set how much spectral weight sits under the emission
-    window, which controls the decay rate of the coupled chain.
+    The profile is L2-normalized in 3d and then multiplied by scale;
+    alpha = 0.6 and scale = 2 set how much spectral weight sits under
+    the emission window, which controls the decay rate of the chain.
     """
+    alpha, scale = 0.6, 2.0
     p = np.asarray(p, dtype=float)
     raw = np.where(p > b, (p - b) ** 2 * np.exp(-alpha * p**2), 0.0)
     # normalize int 4 pi p^2 |sigma|^2 dp = 1 on a fixed fine grid
@@ -67,15 +68,13 @@ class RadiatingParams:
             raise ValueError("level shift must exceed a b^2 + 2")
 
 
-def spectral_density(lam, params: RadiatingParams, sigma=None):
-    """Mode density rho(lambda) = (2 pi / a^1.5) sqrt(lambda) |sigma(sqrt(lambda/a))|^2."""
+def spectral_density(lam, params: RadiatingParams):
+    """rho(lambda) = (2 pi / a^1.5) sqrt(lambda) |sigma(sqrt(lambda/a))|^2, sigma = sigma_profile_default."""
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0):
         raise ValueError("lambda must be positive")
-    if sigma is None:
-        sigma = lambda p: sigma_profile_default(p, params.b)
     p = np.sqrt(lam / params.a)
-    return (2.0 * pi / params.a**1.5) * np.sqrt(lam) * np.abs(sigma(p)) ** 2
+    return (2.0 * pi / params.a**1.5) * np.sqrt(lam) * np.abs(sigma_profile_default(p, params.b)) ** 2
 
 
 @dataclass(frozen=True)
@@ -92,15 +91,15 @@ class ContinuumModes:
         return float(np.sum(self.couplings**2))
 
 
-def build_modes(params: RadiatingParams, M: int = 400, lambda_max: float = 14.0, sigma=None) -> ContinuumModes:
-    """Gauss-Legendre discretization of the mode continuum on [a b^2, lambda_max]."""
+def build_modes(params: RadiatingParams, M: int = 400) -> ContinuumModes:
+    """Gauss-Legendre discretization of the mode continuum on [a b^2, 14]."""
     if M < 2:
         raise DomainError("need at least 2 modes")
-    lo = params.a * params.b**2
+    lo, hi = params.a * params.b**2, 14.0
     x, w = np.polynomial.legendre.leggauss(M)
-    lam = 0.5 * (lambda_max - lo) * x + 0.5 * (lambda_max + lo)
-    wts = 0.5 * (lambda_max - lo) * w
-    g = np.sqrt(wts * spectral_density(lam, params, sigma))
+    lam = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    wts = 0.5 * (hi - lo) * w
+    g = np.sqrt(wts * spectral_density(lam, params))
     return ContinuumModes(lam, g)
 
 
@@ -166,14 +165,13 @@ def resolvent_check(
     m: int,
     n: int,
     xi: complex,
-    T: float = 120.0,
-    dt: float = 0.005,
 ) -> tuple[complex, complex]:
     """Resolvent matrix element against the half-line transform of the evolution.
 
     Returns ((i/sqrt(2 pi)) <beta_m|(H - xi)^-1|beta_n>,
              (1/sqrt(2 pi)) int_0^T e^{-i t xi} <beta_m|e^{itH}|beta_n> dt),
-    which agree for Im xi < 0 up to the e^{T Im xi} truncation tail.
+    which agree for Im xi < 0 up to the e^{T Im xi} truncation tail;
+    T = 120, sampled with step dt = 0.005.
     """
     if xi.imag >= 0:
         raise ValueError("need Im xi < 0")
@@ -186,6 +184,7 @@ def resolvent_check(
     sol = np.linalg.solve(H.mat - xi * np.eye(dim), en)
     lhs = 1j / np.sqrt(2.0 * pi) * complex(em @ sol)
     prop = Propagator(H)
+    T, dt = 120.0, 0.005
     t = np.arange(0.0, T + 0.5 * dt, dt)
     v = prop.modes[m] * (prop.modes.conj().T @ en)
     amp = phase_sum(v[:, None], -prop.energies, dt, t.size)[:, 0]

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from . import DomainError
+
 __all__ = [
     "bessel_j",
     "bessel_table",
@@ -25,6 +27,8 @@ __all__ = [
 # rows of the base phase block in phase_sum: its exp count per node is
 # _PHASE_BLOCK + n / _PHASE_BLOCK, and the block bounds the memory
 _PHASE_BLOCK = 64
+# largest Miller start index (Python loop steps); criterion 03 needs ~2.3e3
+_MAX_START = 100_000
 
 
 def bessel_table(n_max: int, x) -> np.ndarray:
@@ -32,7 +36,8 @@ def bessel_table(n_max: int, x) -> np.ndarray:
 
     Backward (Miller) recurrence started well above the Airy transition
     zone, normalized with J_0^2 + 2 sum_k J_k^2 = 1; the sign of the
-    overall constant comes from J_0 + 2 sum_k J_{2k} = 1.
+    overall constant comes from J_0 + 2 sum_k J_{2k} = 1.  A start index
+    above _MAX_START raises DomainError before anything is allocated.
 
     Returns an array of shape (n_max + 1,) + shape(x).
     """
@@ -42,6 +47,9 @@ def bessel_table(n_max: int, x) -> np.ndarray:
     ax = np.abs(x)
     xmax = float(np.max(ax)) if x.size else 0.0
     start = n_max + 20 + int(math.ceil(xmax)) + 20 * int(math.ceil((xmax + 1.0) ** (1.0 / 3.0)))
+    if start > _MAX_START:
+        raise DomainError(f"Bessel table to order {n_max} at |x| = {xmax:.6g} needs recurrence "
+                          f"start index {start} > {_MAX_START}")
 
     out = np.zeros((n_max + 1,) + x.shape)
     small = ax < 1e-8

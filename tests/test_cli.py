@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chainlab import specfun
 from chainlab.cli import main
 
 
@@ -149,4 +150,18 @@ def test_detector_needs_a_time_step(tmp_path, flags):
 )
 def test_out_of_domain_inputs_are_exit_code_one(tmp_path, argv, csv):
     assert main(argv + ["--steps", "3", "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / csv).exists()
+
+
+@pytest.mark.parametrize(
+    "argv, csv",
+    [(["domino", "--t", "0..1e9"], "domino_flip.csv"), (["xy", "--t", "0..1e6", "--steps", "2"], "xy_occupation.csv")],
+    ids=["domino", "xy"],
+)
+def test_oversized_bessel_recurrence_is_exit_code_one(tmp_path, monkeypatch, argv, csv):
+    def must_not_run(*args):
+        raise AssertionError("the Miller recurrence started above its start-index bound")
+
+    monkeypatch.setattr(specfun, "_miller", must_not_run)
+    assert main(argv + ["--out", str(tmp_path)]) == 1
     assert not (tmp_path / csv).exists()

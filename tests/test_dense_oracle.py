@@ -4,9 +4,10 @@ import pytest
 from chainlab.dense_oracle import (
     DenseOperator,
     Propagator,
+    basis_state,
+    build_flip_flop_hamiltonian,
     build_full_chain_hamiltonian,
     build_island_hamiltonian,
-    evolve,
     expectation,
     site_number_op,
     spin_ops,
@@ -56,16 +57,35 @@ def test_spin_ops_algebra():
 def test_full_chain_flip_rule():
     # spin n+1 flips only when the left neighbor is up and the right is down
     H = build_full_chain_hamiltonian(3)
-    basis = lambda bits: np.kron(np.kron(_e(bits[0]), _e(bits[1])), _e(bits[2]))
-    up_down_down = basis((1, 0, 0))
-    out = H.mat @ up_down_down
-    assert np.allclose(out, basis((1, 1, 0)))
+    out = H.mat @ basis_state((1, 0, 0))
+    assert np.allclose(out, basis_state((1, 1, 0)))
     # blocked: rightmost up
-    assert np.max(np.abs(H.mat @ basis((1, 0, 1)))) == 0.0
+    assert np.max(np.abs(H.mat @ basis_state((1, 0, 1)))) == 0.0
 
 
-def _e(bit):
-    return np.array([0.0, 1.0]) if bit else np.array([1.0, 0.0])
+def test_basis_state_matches_spin_ops():
+    # raise each up site of the all-down state with the Kronecker a*
+    for bits in [(1,), (1, 0), (0, 1, 1), (1, 0, 0, 1)]:
+        psi = basis_state([0] * len(bits))
+        for s, b in enumerate(bits):
+            if b:
+                psi = spin_ops(len(bits), s)[1] @ psi
+        assert np.array_equal(basis_state(bits), psi)
+
+
+def test_entry_set_builders_equal_kronecker_sums():
+    for n_sites in range(2, 8):
+        ops = [spin_ops(n_sites, s) for s in range(n_sites)]
+        flip_flop = sum(0.5 * (ops[n][1] @ ops[n + 1][0] + ops[n + 1][1] @ ops[n][0]) for n in range(n_sites - 1))
+        assert np.array_equal(build_flip_flop_hamiltonian(n_sites).mat, flip_flop)
+        for s, (a, adag) in enumerate(ops):
+            assert np.array_equal(site_number_op(n_sites, s).mat, adag @ a)
+        if n_sites >= 3:
+            domino = sum(
+                (ops[n][1] @ ops[n][0]) @ (ops[n + 1][1] + ops[n + 1][0]) @ (ops[n + 2][0] @ ops[n + 2][1])
+                for n in range(n_sites - 2)
+            )
+            assert np.array_equal(build_full_chain_hamiltonian(n_sites).mat, domino)
 
 
 def test_full_chain_size_limits():
@@ -73,12 +93,16 @@ def test_full_chain_size_limits():
         build_full_chain_hamiltonian(2)
     with pytest.raises(ValueError):
         build_full_chain_hamiltonian(15)
+    with pytest.raises(ValueError):
+        build_flip_flop_hamiltonian(1)
+    with pytest.raises(ValueError):
+        build_flip_flop_hamiltonian(15)
 
 
 def test_expectation_and_evolution():
     H = build_island_hamiltonian(3)
     psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    psi = evolve(H, psi0, 0.7)
+    psi = Propagator(H).apply(psi0, 0.7)
     P = DenseOperator(np.diag([1.0, 0.0, 0.0]))
     val = expectation(psi, P)
     assert 0.0 <= val <= 1.0
@@ -92,5 +116,5 @@ def test_expectation_dimension_check():
 
 def test_number_operator_counts():
     n_op = site_number_op(2, 0)
-    up_down = np.kron(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-    assert expectation(up_down.astype(complex), n_op) == pytest.approx(1.0)
+    assert expectation(basis_state((1, 0)), n_op) == pytest.approx(1.0)
+    assert expectation(basis_state((0, 1)), n_op) == pytest.approx(0.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chainlab import DomainError
 from chainlab.detector import (
     DetectorConfig,
     DetectorRun,
@@ -214,6 +215,12 @@ def test_config_rejects_T_shorter_than_a_step():
     packet = gaussian_packet(default_grid(), 1.0)
     with pytest.raises(ValueError):
         DetectorConfig(gamma=0.5, phi=packet, psi=packet, dt=0.02, T=0.001)
+
+
+def test_oversized_run_is_refused_before_allocation():
+    # (n + 1) * len(p_fine) is about 6.4e13 here, far above 2**32
+    with pytest.raises(DomainError):
+        DetectorRun(default_config(T=1e5))
 
 
 def test_config_validation():

@@ -38,23 +38,6 @@ def test_renormalization_decays_with_radius():
     assert renormalization_f(3.0 + 0j, 1.0, 2.0) < renormalization_f(1.0 + 0j, 1.0, 2.0)
 
 
-def test_quantum_circle_against_truncated_fock_oracle():
-    lam, a = 1.0, 1.0
-    z0 = 1.2 - 0.4j
-    alpha = np.conj(z0) / (lam * np.sqrt(2.0))
-    n_f = 40
-    fact = np.array([math.factorial(k) for k in range(n_f)], dtype=float)
-    psi = np.exp(-abs(alpha) ** 2 / 2.0) * alpha ** np.arange(n_f) / np.sqrt(fact)
-    H = np.zeros((n_f, n_f))
-    H[0, 0] = a
-    am = np.diag(np.sqrt(np.arange(1.0, n_f)), 1)
-    ev, vec = np.linalg.eigh(H)
-    for t in (0.5, 3.0, 8.0):
-        psit = vec @ (np.exp(-1j * ev * t / lam**2) * (vec.conj().T @ psi))
-        z_oracle = lam * np.sqrt(2.0) * np.conj(psit.conj() @ (am @ psit))
-        assert abs(quantum_trajectory(z0, lam, t, a) - z_oracle) < 1e-6
-
-
 def test_quantum_circle_closed_form_structure():
     z0, lam, a = 0.9 + 0.2j, 1.3, 0.7
     f = renormalization_f(z0, lam, a)

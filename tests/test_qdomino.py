@@ -23,9 +23,11 @@ def test_eigensystem_energies():
 
 def test_green_finite_against_dense_oracle():
     prop = Propagator(build_island_hamiltonian(8))
+    ts = (0.5, 3.0, 10.0)
+    # U[k, n, m] = <n|exp(-i ts[k] H)|m>: column m evolves e_m
+    U_all = np.stack([prop.apply(e_m, ts) for e_m in np.eye(8)], axis=2)
     worst = 0.0
-    for t in (0.5, 3.0, 10.0):
-        U = prop.modes @ np.diag(np.exp(-1j * t * prop.energies)) @ prop.modes.conj().T
+    for t, U in zip(ts, U_all):
         for n in range(1, 9):
             for m in range(1, 9):
                 worst = max(worst, abs(green_finite(n, m, 8, t) - U[n - 1, m - 1]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainlab.dense_oracle import evolve
+from chainlab.dense_oracle import Propagator
 from chainlab.radiating import (
     RadiatingParams,
     build_minimal_hamiltonian,
@@ -66,7 +66,7 @@ def test_unitarity_of_evolution(setup):
     H = build_minimal_hamiltonian(p, modes)
     psi0 = np.zeros(H.dim, dtype=complex)
     psi0[0] = 1.0
-    psi = evolve(H, psi0, 60.0)
+    psi = Propagator(H).apply(psi0, 60.0)
     assert abs(np.vdot(psi, psi).real - 1.0) < 1e-10
 
 

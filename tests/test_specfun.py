@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from chainlab import DomainError, specfun
+from chainlab.qdomino import flip_probability
 from chainlab.specfun import bessel_j, bessel_ratio_table, bessel_table, chebyshev_u, finite_kernel
+from chainlab.xychain import occupation
 
 
 def test_bessel_scalar_against_scipy():
@@ -84,3 +87,18 @@ def test_finite_kernel_direct_sum():
     th = j * np.pi / (N + 1)
     ref = 1j**n / (N + 1) * np.sum(np.exp(-1j * z * np.cos(th)) * np.cos(n * th))
     assert finite_kernel(n, N, z) == pytest.approx(ref, abs=1e-14)
+
+
+def _miller_must_not_run(*args):
+    raise AssertionError("the Miller recurrence started above its start-index bound")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: bessel_table(3, 1e6), lambda: flip_probability(3, 1e6), lambda: occupation(0, 1e6, 1.0)],
+    ids=["bessel_table", "flip_probability", "xy-occupation"],
+)
+def test_oversized_bessel_recurrence_is_refused_before_it_runs(monkeypatch, call):
+    monkeypatch.setattr(specfun, "_miller", _miller_must_not_run)
+    with pytest.raises(DomainError):
+        call()

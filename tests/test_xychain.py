@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from chainlab import dense_oracle
 from chainlab.xychain import (
     evolution_coefficient,
     macro_observable,
@@ -75,25 +74,6 @@ def test_occupation_explicit_bessel_sum():
     j, t, kappa = 2, 3.0, 0.8
     ref = sum(sp.jv(abs(j + r), kappa * t) ** 2 for r in range(1, 400))
     assert occupation(j, t, kappa) == pytest.approx(ref, abs=1e-12)
-
-
-def test_occupation_against_ten_site_dense_oracle():
-    # nearest-neighbor flip-flop chain on the full 2^10 spin space;
-    # reflection maps finite site s to infinite index j = 4 - s
-    n_sites, kappa, t = 10, 1.0, 2.0
-    dim = 2**n_sites
-    H = np.zeros((dim, dim))
-    for n in range(n_sites - 1):
-        a_n, _ = dense_oracle.spin_ops(n_sites, n)
-        a_m, _ = dense_oracle.spin_ops(n_sites, n + 1)
-        H += 0.5 * kappa * (a_n.T @ a_m + a_m.T @ a_n)
-    psi0 = np.array([1.0], dtype=complex)
-    for s in range(n_sites):
-        psi0 = np.kron(psi0, np.array([0.0, 1.0]) if s >= 5 else np.array([1.0, 0.0]))
-    psi_t = dense_oracle.evolve(dense_oracle.DenseOperator(H), psi0, t)
-    for s in (4, 5, 6):
-        dense = dense_oracle.expectation(psi_t, dense_oracle.site_number_op(n_sites, s))
-        assert abs(dense - occupation(4 - s, t, kappa)) < 1e-3
 
 
 def test_measurement_occupation_mixes_branches():
