@@ -34,12 +34,19 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None:
+    """Format every row, then write; a non-finite number raises ValueError and writes nothing."""
+    lines = []
+    for row in rows:
+        bad = [h for h, x in zip(header, row) if not isinstance(x, str) and not math.isfinite(x)]
+        if bad:
+            raise ValueError(f"non-finite {', '.join(bad)} in {path.name}")
+        lines.append(",".join(_fmt(x) for x in row))
     with open(path, "w", newline="\n") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _parse_range(text: str):
@@ -162,6 +169,9 @@ def _run_detector(args) -> int:
     F = run.solve_fourier()
     w_time = run.detection_w(F)
     w_spec = run.detection_w_spectral()
+    gap = abs(w_time - w_spec)
+    if not gap <= det.W_ROUTE_TOL:  # also catches NaN
+        raise ValueError(f"detection probability routes differ by {gap:.3g} > {det.W_ROUTE_TOL:g}")
     stride = max(1, run.n // max(args.steps - 1, 1))
     idx = np.arange(0, run.n + 1, stride)
     _write_csv(

@@ -1,5 +1,10 @@
 """Nonideal particle detector: amplitudes, Volterra equation, POVM.
 
+`DetectorRun(cfg)` is the entry point: its methods give every detector
+quantity of one configuration (the no-flip amplitude, the detection
+probability w, the chain occupations, P_0), and `povm_matrix` gives the
+response operator on a packet span.
+
 A free particle couples through a packet phi to the head of a
 semi-infinite hopping chain.  The no-flip amplitude F obeys a Volterra
 convolution equation F = F0 - gamma^2 g*f*F on the half line; it is
@@ -33,11 +38,8 @@ __all__ = [
     "amplitude_free",
     "f_kernel",
     "semicircle_kernel",
-    "solve_volterra",
-    "solve_fourier",
-    "detection_probability",
-    "occupation_series",
     "povm_matrix",
+    "W_ROUTE_TOL",
 ]
 
 
@@ -106,6 +108,8 @@ _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
 # bound on (time samples) x (fine momenta), ~17x the default T = 200 run
 _MAX_PHASE_ENTRIES = 2**32
+# largest accepted gap between the time-domain and spectral w routes
+W_ROUTE_TOL = 1e-6
 
 
 def _trapezoid_weights(size: int, h: float) -> np.ndarray:
@@ -138,6 +142,21 @@ def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     return c
 
 
+def _toeplitz_form(h: np.ndarray, X: np.ndarray, dt: float) -> np.ndarray:
+    """X^H W T_h W X over the columns of X, with T_h[i, j] = h(t_i - t_j).
+
+    Entry (i, j) is the trapezoid double integral of
+    conj(x_i(t)) h(t - s) x_j(s) over the grid's square, with
+    h(-t) = conj(h(t)); W holds the trapezoid weights.  A circular
+    convolution of length >= 2 size gives T_h W X exactly.
+    """
+    size = X.shape[0]
+    L = 1 << int(np.ceil(np.log2(2 * size)))
+    WX = _trapezoid_weights(size, dt)[:, None] * X
+    Y = np.fft.ifft(np.fft.fft(_two_sided(h[:size], L))[:, None] * np.fft.fft(WX, L, axis=0), axis=0)
+    return np.conj(WX).T @ Y[:size]
+
+
 class DetectorRun:
     """Shared state for one detector configuration: grids, kernels, solutions.
 
@@ -161,24 +180,19 @@ class DetectorRun:
 
     # -- elementary series ------------------------------------------------
 
-    def free_series(self, a: RadialPacket | None = None, b: RadialPacket | None = None) -> np.ndarray:
+    def free_series(self) -> np.ndarray:
         """F0(t) on the whole grid by fine trapezoid quadrature in p.
 
-        The configured pairs (phi, psi) and (phi, phi), that is F0 and g,
-        are the two columns of one cached pass; any other pair is
-        computed on each call.
+        F0 and g are the two columns of one cached pass over the pairs
+        (phi, psi) and (phi, phi).
         """
-        phi, psi = self.cfg.phi, self.cfg.psi
-        a = a or phi
-        b = b or psi
-        if a is not phi or (b is not psi and b is not phi):
-            return self.free_series_multi(a, [b])[:, 0]
         if "free" not in self._cache:
-            self._cache["free"] = self.free_series_multi(phi, [psi, phi])
-        return self._cache["free"][:, 0 if b is psi else 1]
+            phi = self.cfg.phi
+            self._cache["free"] = self.free_series_multi(phi, [self.cfg.psi, phi])
+        return self._cache["free"][:, 0]
 
     def free_series_multi(self, a: RadialPacket, bs: list) -> np.ndarray:
-        """F0 columns for several right packets in one pass over the time grid."""
+        """F0 columns for several right packets in one pass over the time grid; not cached."""
         p = self.p_fine
         dp = p[1] - p[0]
         pref = np.conj(a.amplitude_at(p))
@@ -187,7 +201,8 @@ class DetectorRun:
 
     @property
     def g(self) -> np.ndarray:
-        return self.free_series(self.cfg.phi, self.cfg.phi)
+        self.free_series()  # fills the cached pass
+        return self._cache["free"][:, 1]
 
     @property
     def f(self) -> np.ndarray:
@@ -269,15 +284,6 @@ class DetectorRun:
         F[0] *= 2.0
         return F
 
-    def fourier_spectrum(self):
-        """(u, Fhat_+, denominator) in the continuum transform convention."""
-        F0 = self.free_series()
-        dt = self.cfg.dt
-        u = 2.0 * pi * np.fft.fftfreq(self.L, d=dt)
-        denom = self._denominator()
-        fhat0 = dt / np.sqrt(2.0 * pi) * self._halved_fft(F0)
-        return u, fhat0 / denom, denom
-
     def solution(self) -> np.ndarray:
         if "F" not in self._cache:
             self._cache["F"] = self.solve_fourier()
@@ -285,28 +291,12 @@ class DetectorRun:
 
     # -- detection probability --------------------------------------------
 
-    def _two_sided_f_fft(self) -> np.ndarray:
-        if "ffft" not in self._cache:
-            self._cache["ffft"] = np.fft.fft(_two_sided(self.f, self.L))
-        return self._cache["ffft"]
-
-    def _conv_two_sided_f(self, Fs: np.ndarray) -> np.ndarray:
-        """int_0^T f(t - tau) F(tau) dtau by trapezoid, for each column F of Fs."""
-        dt = self.cfg.dt
-        f = self.f[:, None]
-        y = np.fft.ifft(self._two_sided_f_fft()[:, None] * np.fft.fft(Fs, self.L, axis=0), axis=0)
-        y = y[: self.n + 1] * dt
-        # trapezoid ends of the tau integral
-        y -= 0.5 * dt * (f * Fs[0] + np.conj(f[::-1]) * Fs[-1])
-        return y
-
     def response_form(self, Fs: np.ndarray) -> np.ndarray:
-        """gamma^2 (F_i, F_j * f) over the columns of Fs, as Fs^H diag(w_trap) (f * Fs).
+        """gamma^2 (F_i, F_j * f) over the columns of Fs, with f two-sided.
 
         Its diagonal is the detection probability of each column.
         """
-        w = _trapezoid_weights(self.n + 1, self.cfg.dt)
-        return self.cfg.gamma**2 * (np.conj(Fs).T @ (w[:, None] * self._conv_two_sided_f(Fs)))
+        return self.cfg.gamma**2 * _toeplitz_form(self.f, Fs, self.cfg.dt)
 
     def detection_w(self, F: np.ndarray | None = None) -> float:
         """w = gamma^2 (F_+, F_+ * f), time-domain route."""
@@ -314,10 +304,14 @@ class DetectorRun:
         return float(self.response_form(F[:, None])[0, 0].real)
 
     def detection_w_spectral(self) -> float:
-        """w from the transform-domain form, consistent discretization."""
-        u, fhat_plus, denom = self.fourier_spectrum()
-        du = 2.0 * pi / (self.L * self.cfg.dt)
-        fhat = self.cfg.dt / np.sqrt(2.0 * pi) * self._two_sided_f_fft()
+        """w from the transform-domain form, consistent discretization.
+
+        Transforms are in the continuum convention on the circular grid L.
+        """
+        dt = self.cfg.dt
+        fhat_plus = dt / np.sqrt(2.0 * pi) * self._halved_fft(self.free_series()) / self._denominator()
+        fhat = dt / np.sqrt(2.0 * pi) * np.fft.fft(_two_sided(self.f, self.L))
+        du = 2.0 * pi / (self.L * dt)
         val = np.sqrt(2.0 * pi) * np.sum(fhat * np.abs(fhat_plus) ** 2) * du
         return float(self.cfg.gamma**2 * val.real)
 
@@ -336,10 +330,9 @@ class DetectorRun:
         """omega_t(P_m) for m = 1..m_max (chain sites) at one time.
 
         Double time integral over [0,t]^2 of
-        conj(F f_m) (x) g-kernel (x) (F f_m), evaluated as a Toeplitz
-        quadratic form through circular convolution.
+        conj(F f_m) (x) g-kernel (x) (F f_m), a Toeplitz quadratic form.
         """
-        g2, dt = self.cfg.gamma**2, self.cfg.dt
+        dt = self.cfg.dt
         n = int(round(t / dt))
         if n == 0:
             return np.zeros(m_max or 1)
@@ -348,12 +341,7 @@ class DetectorRun:
         F = self.solution()[: n + 1]
         tau = self.t[: n + 1]
         V = (self._f_m_table(m_max, t - tau) * F[None, :]).T  # (n+1, m_max)
-        wt = _trapezoid_weights(n + 1, 1.0)
-        Lb = 1 << int(np.ceil(np.log2(2 * (n + 1))))
-        gker = _two_sided(self.g[: n + 1], Lb)
-        Y = np.fft.ifft(np.fft.fft(gker)[:, None] * np.fft.fft(wt[:, None] * V, n=Lb, axis=0), axis=0)[: n + 1]
-        vals = g2 * dt**2 * np.real(np.einsum("jm,j,jm->m", np.conj(V), wt, Y))
-        return vals
+        return self.cfg.gamma**2 * np.real(np.diagonal(_toeplitz_form(self.g, V, dt)))
 
     def p0_series(self) -> np.ndarray:
         """omega_t(P_0) on the whole grid from the momentum-space vector."""
@@ -376,48 +364,6 @@ class DetectorRun:
             chi = ep * psi_a[i : i + chunk][None, :] - g2 * phi_a[i : i + chunk][None, :] * Zp
             out += (np.abs(chi) ** 2) @ (wq[i : i + chunk] * 4.0 * pi * ps**2)
         return out
-
-
-# -- module-level wrappers -------------------------------------------------
-
-
-def solve_volterra(cfg: DetectorConfig):
-    """(marching, Neumann) solutions of the no-flip amplitude equation."""
-    run = DetectorRun(cfg)
-    run.check_weak_coupling()
-    return run.solve_marching(), run.solve_neumann()
-
-
-def solve_fourier(cfg: DetectorConfig) -> np.ndarray:
-    run = DetectorRun(cfg)
-    run.check_weak_coupling()
-    return run.solve_fourier()
-
-
-def detection_probability(cfg: DetectorConfig) -> float:
-    run = DetectorRun(cfg)
-    if cfg.gamma == 0.0:
-        return 0.0
-    if np.max(np.abs(run.free_series())) <= 1e-8:
-        warnings.warn("free amplitude vanishes on the grid; detector never couples")
-        return 0.0
-    run.check_weak_coupling()
-    return run.detection_w()
-
-
-def occupation_series(cfg: DetectorConfig, m: int, times=None):
-    """omega_t(P_m) sampled on `times` (defaults to a coarse subgrid)."""
-    if m < 1:
-        raise ValueError("chain site must be >= 1")
-    run = DetectorRun(cfg)
-    if times is None:
-        times = np.arange(0.0, cfg.T + 1e-9, max(cfg.T / 40.0, cfg.dt))
-    times = np.asarray(times, dtype=float)
-    out = np.empty(times.size)
-    for i, t in enumerate(times):
-        vals = run.occupations_at(t, m_max=max(m, 1))
-        out[i] = vals[m - 1] if t > 0 else 0.0
-    return times, out
 
 
 def povm_matrix(psis: list, gamma: float, dt: float = 0.02, T: float = 200.0):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainlab import specfun
+from chainlab import qdomino, specfun
 from chainlab.cli import main
 
 
@@ -165,3 +165,20 @@ def test_oversized_bessel_recurrence_is_exit_code_one(tmp_path, monkeypatch, arg
     monkeypatch.setattr(specfun, "_miller", must_not_run)
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert not (tmp_path / csv).exists()
+
+
+def test_nonfinite_result_is_exit_code_two_without_a_file(tmp_path, monkeypatch):
+    def flip_with_nan(j, t):
+        p = np.zeros(np.shape(t))
+        p[len(p) // 2] = np.nan
+        return p
+
+    monkeypatch.setattr(qdomino, "flip_probability", flip_with_nan)
+    assert main(["domino", "--j", "2..3", "--t", "0..5", "--steps", "11", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "domino_flip.csv").exists()
+
+
+def test_detector_route_gap_is_exit_code_two(tmp_path):
+    # at T = 0.03 the time and spectral w routes differ by about 1e-4
+    assert main(["detector", "--T", "0.03", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "detector_amplitude.csv").exists()

@@ -1,16 +1,23 @@
 """Property tests: identities that must hold over the whole parameter range.
 
-Each example draws an array of arguments, which one Bessel table serves.
-Arguments are log-uniform, so the small-argument start, the wave front
-and the asymptotic tail get equal weight.
+Each chain-model example draws an array of arguments, which one Bessel
+table serves.  Arguments are log-uniform, so the small-argument start,
+the wave front and the asymptotic tail get equal weight.  The mean-field
+flow and the CLI are swept over their parameters and flags.
 """
+
+import filecmp
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainlab.cli import main
+from chainlab.meanfield import BCSParams, bcs_gradient, flow_rk4
 from chainlab.qdomino import flip_probability
-from chainlab.specfun import bessel_table
+from chainlab.specfun import bessel_j, bessel_table
 from chainlab.xychain import occupation
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -38,6 +45,18 @@ def test_bessel_three_term_recurrence(n, x):
 
 
 @PROPERTY
+@given(n=st.integers(0, 200), x=arrays(1e-3, 500.0))
+def test_bessel_parity(n, x):
+    # J_{-n}(x) = J_n(-x) = (-1)^n J_n(x); the table's recurrence runs on the signed argument
+    sign = (-1.0) ** n
+    assert np.array_equal(bessel_table(n, -x)[n], sign * bessel_table(n, x)[n])
+    x0 = float(x[0])
+    ref = bessel_j(n, x0)
+    assert bessel_j(-n, x0) == sign * ref
+    assert bessel_j(n, -x0) == sign * ref
+
+
+@PROPERTY
 @given(j=st.integers(-40, 40), t=arrays(1e-3, 200.0), kappa=st.floats(-3.0, 3.0))
 def test_xy_particle_hole_symmetry(j, t, kappa):
     assert np.max(np.abs(occupation(j, t, kappa) + occupation(-j - 1, t, kappa) - 1.0)) < 1e-12
@@ -48,3 +67,28 @@ def test_xy_particle_hole_symmetry(j, t, kappa):
 def test_flip_probability_is_a_probability(j, t):
     p = flip_probability(j, t)
     assert np.all((p >= 0.0) & (p <= 1.0))
+
+
+@PROPERTY
+@given(F0=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       eps=st.floats(0.01, 2.0), lam=st.floats(0.01, 2.0))
+def test_flow_conserves_casimir(F0, eps, lam):
+    p = BCSParams(eps=eps, lam=lam)
+    F0 = np.array(F0)
+    Ft = flow_rk4(lambda F: bcs_gradient(F, p), F0, 1.0, 0.004)
+    assert abs(Ft @ Ft - F0 @ F0) < 1e-8
+
+
+@PROPERTY
+@given(command=st.sampled_from(["domino", "xy"]), j0=st.integers(-5, 5), sites=st.integers(1, 4),
+       t_max=st.floats(0.0, 60.0), steps=st.integers(1, 40))
+def test_csv_is_deterministic(command, j0, sites, t_max, steps):
+    if command == "domino":
+        j0 = abs(j0) + 1
+    argv = [command, f"--j={j0}..{j0 + sites - 1}", "--t", f"0..{t_max!r}", "--steps", str(steps)]
+    name = "domino_flip.csv" if command == "domino" else "xy_occupation.csv"
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp, "a"), Path(tmp, "b")
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
+        assert filecmp.cmp(a / name, b / name, shallow=False)
