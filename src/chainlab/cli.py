@@ -159,14 +159,9 @@ def _run_xy(args) -> int:
 def _run_detector(args) -> int:
     from . import detector as det
 
-    if args.gamma < 0:
-        raise ConfigError("gamma must be >= 0")
-    if not 0 < args.dt <= args.T:
-        raise ConfigError("need 0 < dt <= T")
-    cfg = det.default_config(gamma=args.gamma, dt=args.dt, T=args.T)
-    run = det.DetectorRun(cfg)
+    run = det.DetectorRun(det.default_config(gamma=args.gamma, dt=args.dt, T=args.T))
     run.check_weak_coupling()
-    F = run.solve_fourier()
+    F = run.solution()
     w_time = run.detection_w(F)
     w_spec = run.detection_w_spectral()
     gap = abs(w_time - w_spec)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DomainError
+
 __all__ = [
     "DenseOperator",
     "Propagator",
@@ -120,21 +122,32 @@ def build_flip_flop_hamiltonian(n_sites: int) -> DenseOperator:
     return DenseOperator(H)
 
 
+# bound on the Propagator's peak memory, taken as 5 copies of H (the
+# is_hermitian temporaries and the eigh workspace peak at about 4.3 copies);
+# a real H of dimension 2^13 exceeds it
+_MAX_PEAK_BYTES = 2**31
+
+
 class Propagator:
-    """exp(-itH) applied through a cached eigendecomposition."""
+    """exp(-itH) applied through a cached eigendecomposition.
+
+    An H over the memory bound raises DomainError before anything is allocated.
+    """
 
     def __init__(self, H: DenseOperator):
+        peak = 5 * H.mat.nbytes
+        if peak > _MAX_PEAK_BYTES:
+            raise DomainError(f"dimension {H.dim} needs ~{peak / 2**30:.1f} GiB to propagate "
+                              f"> {_MAX_PEAK_BYTES / 2**30:.0f} GiB")
         if not H.is_hermitian():
             raise ValueError("Hamiltonian must be Hermitian")
         self.energies, self.modes = np.linalg.eigh(H.mat)
 
     def apply(self, psi0: np.ndarray, t) -> np.ndarray:
-        """exp(-itH) psi0; vectorized over t (result shape (len(t), dim))."""
+        """exp(-itH) psi0; shape (dim,) for scalar t, (len(t), dim) for an array."""
         c = self.modes.conj().T @ np.asarray(psi0, dtype=complex)
         t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return self.modes @ (np.exp(-1j * t * self.energies) * c)
-        return (self.modes @ (np.exp(-1j * np.outer(t, self.energies)) * c).T).T
+        return (np.exp(-1j * np.multiply.outer(t, self.energies)) * c) @ self.modes.T
 
 
 def expectation(psi: np.ndarray, A: DenseOperator):

@@ -64,10 +64,12 @@ class DetectorConfig:
     T: float = 200.0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
-        if self.T < self.dt:
-            raise ValueError("T must span at least one time step dt")
+        if not self.gamma >= 0:
+            raise DomainError(f"gamma = {self.gamma:g} must be >= 0")
+        if not self.dt > 0:
+            raise DomainError(f"dt = {self.dt:g} must be positive")
+        if not self.T >= self.dt:
+            raise DomainError(f"T = {self.T:g} must span at least one time step dt = {self.dt:g}")
         self.phi.check_normalized()
         self.psi.check_normalized()
 
@@ -157,6 +159,12 @@ def _toeplitz_form(h: np.ndarray, X: np.ndarray, dt: float) -> np.ndarray:
     return np.conj(WX).T @ Y[:size]
 
 
+def _chain_order_cut(t: float) -> int:
+    """Highest chain site m with a non-negligible occupation at time t (m well past 2t)."""
+    x = 2.0 * t
+    return int(np.ceil(x + 12.0 * (x + 1.0) ** (1.0 / 3.0))) + 20
+
+
 class DetectorRun:
     """Shared state for one detector configuration: grids, kernels, solutions.
 
@@ -187,15 +195,14 @@ class DetectorRun:
         (phi, psi) and (phi, phi).
         """
         if "free" not in self._cache:
-            phi = self.cfg.phi
-            self._cache["free"] = self.free_series_multi(phi, [self.cfg.psi, phi])
+            self._cache["free"] = self.free_series_multi([self.cfg.psi, self.cfg.phi])
         return self._cache["free"][:, 0]
 
-    def free_series_multi(self, a: RadialPacket, bs: list) -> np.ndarray:
-        """F0 columns for several right packets in one pass over the time grid; not cached."""
+    def free_series_multi(self, bs: list) -> np.ndarray:
+        """F0 columns of (phi, b) for several packets b in one pass over the time grid; not cached."""
         p = self.p_fine
         dp = p[1] - p[0]
-        pref = np.conj(a.amplitude_at(p))
+        pref = np.conj(self.cfg.phi.amplitude_at(p))
         C = np.stack([pref * b.amplitude_at(p) * 4.0 * pi * p**2 * dp for b in bs], axis=1)
         return phase_sum(C, p**2, self.cfg.dt, self.n + 1)
 
@@ -317,27 +324,22 @@ class DetectorRun:
 
     # -- occupations -------------------------------------------------------
 
-    def _chain_order_cut(self, t: float) -> int:
-        x = 2.0 * t
-        return int(np.ceil(x + 12.0 * (x + 1.0) ** (1.0 / 3.0))) + 20
-
     def _f_m_table(self, m_max: int, s: np.ndarray) -> np.ndarray:
         """f_m(s) = (-i)^(m-1) (m/s) J_m(2s) for m = 1..m_max; shape (m_max, len(s))."""
         m = np.arange(1, m_max + 1)
         return (-1j) ** (m[:, None] - 1) * bessel_ratio_table(m_max, s)
 
-    def occupations_at(self, t: float, m_max: int | None = None) -> np.ndarray:
+    def occupations_at(self, t: float) -> np.ndarray:
         """omega_t(P_m) for m = 1..m_max (chain sites) at one time.
 
-        Double time integral over [0,t]^2 of
+        m_max = _chain_order_cut(t).  Double time integral over [0,t]^2 of
         conj(F f_m) (x) g-kernel (x) (F f_m), a Toeplitz quadratic form.
         """
         dt = self.cfg.dt
         n = int(round(t / dt))
         if n == 0:
-            return np.zeros(m_max or 1)
-        if m_max is None:
-            m_max = self._chain_order_cut(t)
+            return np.zeros(1)
+        m_max = _chain_order_cut(t)
         F = self.solution()[: n + 1]
         tau = self.t[: n + 1]
         V = (self._f_m_table(m_max, t - tau) * F[None, :]).T  # (n+1, m_max)
@@ -382,7 +384,7 @@ def povm_matrix(psis: list, gamma: float, dt: float = 0.02, T: float = 200.0):
     phi = gaussian_packet(psis[0].grid, width=2.0)
     run = DetectorRun(DetectorConfig(gamma=gamma, phi=phi, psi=psis[0], dt=dt, T=T))
     run.check_weak_coupling()
-    F0s = run.free_series_multi(phi, psis)
+    F0s = run.free_series_multi(psis)
     Fs = np.stack([run.solve_fourier(F0s[:, i]) for i in range(k)], axis=1)
     W = run.response_form(Fs)
     S = np.array([[overlap(a, b) for b in psis] for a in psis])

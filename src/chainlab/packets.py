@@ -55,14 +55,14 @@ def default_grid(p_max: float = 10.0, panels: int = 40, order: int = 12) -> Mome
 class RadialPacket:
     """Radial amplitude phi(p) with unit 3d norm: int 4 pi p^2 |phi|^2 dp = 1.
 
-    `profile`, when present, evaluates the unnormalized amplitude at
-    arbitrary p (times `scale` it matches `amplitude`); quadratures finer
-    than the stored grid use it instead of interpolating.
+    `profile` evaluates the unnormalized amplitude at arbitrary p (times
+    `scale` it matches `amplitude`); quadratures finer than the stored
+    grid use it.
     """
 
     grid: MomentumGrid
     amplitude: np.ndarray
-    profile: object = None
+    profile: object
     scale: float = 1.0
 
     def __post_init__(self):
@@ -70,12 +70,7 @@ class RadialPacket:
             raise ValueError("amplitude must be sampled on the grid")
 
     def amplitude_at(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if self.profile is not None:
-            return self.scale * np.asarray(self.profile(p), dtype=complex)
-        re = np.interp(p, self.grid.nodes, self.amplitude.real, right=0.0)
-        im = np.interp(p, self.grid.nodes, self.amplitude.imag, right=0.0)
-        return re + 1j * im
+        return self.scale * np.asarray(self.profile(np.asarray(p, dtype=float)), dtype=complex)
 
     @property
     def density(self) -> np.ndarray:
@@ -89,7 +84,7 @@ class RadialPacket:
             raise ValueError("packet density must integrate to 1")
 
 
-def _normalized(grid: MomentumGrid, amp: np.ndarray, profile=None) -> RadialPacket:
+def _normalized(grid: MomentumGrid, amp: np.ndarray, profile) -> RadialPacket:
     nrm = np.sqrt(np.sum(grid.weights * 4.0 * pi * grid.nodes**2 * np.abs(amp) ** 2))
     return RadialPacket(grid, amp / nrm, profile=profile, scale=1.0 / nrm)
 

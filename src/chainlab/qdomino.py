@@ -66,8 +66,7 @@ def green_infinite(n: int, m: int, t: float) -> complex:
     if n < 1 or m < 1:
         raise ValueError("site indices must be >= 1")
     d, s = n - m, n + m
-    jd = bessel_j(abs(d), 2.0 * t) * (-1.0 if (d < 0 and d % 2) else 1.0)
-    return (-1j) ** d * jd - (-1j) ** s * bessel_j(s, 2.0 * t)
+    return (-1j) ** d * bessel_j(d, 2.0 * t) - (-1j) ** s * bessel_j(s, 2.0 * t)
 
 
 def flip_residual(j: int, t):

@@ -80,13 +80,12 @@ def bessel_ratio_table(m_max: int, t) -> np.ndarray:
 
 
 def _miller(n_max: int, x: np.ndarray, start: int) -> np.ndarray:
+    # start > n_max: bessel_table starts at n_max + 40 or higher
     jp = np.zeros_like(x)
     jc = np.ones_like(x)
     sq = np.zeros_like(x)
     lin = np.zeros_like(x)
     sub = np.zeros((n_max + 1, x.size))
-    if start <= n_max:
-        sub[start] = jc
     for k in range(start, 0, -1):
         # jc == J_k, jp == J_{k+1}; produce J_{k-1}
         jm = (2.0 * k / x) * jc - jp

@@ -23,8 +23,6 @@ __all__ = [
     "macro_observable",
 ]
 
-_TAIL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class HoppingCoefficients:
@@ -63,37 +61,26 @@ def evolution_coefficient(r: int, t: float, kappa: float) -> complex:
     return (-1j) ** r * bessel_j(r, kappa * t)
 
 
-def _occupation_from_table(j: int, tab: np.ndarray):
-    """(occupation, half tail) of site j from a table J_k(x), k = 0..K.
-
-    sum_{r>=1} J_{|j+r|}^2 with the tail taken from the normalization
-    identity: sum_{k>K} J_k^2 = (1 - J_0^2 - 2 sum_{k<=K} J_k^2) / 2.
-    Both are summed over axis 0, so trailing axes of `tab` carry through.
-    """
-    sq = tab**2
-    half_tail = 0.5 * (1.0 - sq[0] - 2.0 * np.sum(sq[1:], axis=0))
-    # for j >= 0 the indices |j+r| run j+1, j+2, ...;
-    # for j = -q <= -1 they run q-1, ..., 1, 0, 1, 2, ... so the sum is
-    # (1 + J_0^2)/2 + sum_{k=1}^{q-1} J_k^2
-    if j >= 0:
-        return np.sum(sq[j + 1 :], axis=0) + half_tail, half_tail
-    return 0.5 * (1.0 + sq[0]) + np.sum(sq[1:-j], axis=0), half_tail
-
-
 def occupation(j: int, t, kappa: float):
     """Site-j occupation at time t from the step initial state.
 
-    sum_{r>=1} J_{|j+r|}^2(kappa t), truncated with the exact tail bound
-    from the Bessel normalization identity (tail < 1e-12 at every time).
+    sum_{r>=1} J_{|j+r|}^2(kappa t) from one table J_k, k = 0..K, with
+    K = |j| + ceil(max |kappa t|) + 40; the tail beyond K is added
+    exactly through the normalization identity
+    sum_{k>K} J_k^2 = (1 - J_0^2 - 2 sum_{k<=K} J_k^2) / 2.
     `t` may be an array; a scalar t returns a float.
     """
     x = kappa * np.asarray(t, dtype=float)
     K = abs(j) + int(np.ceil(np.max(np.abs(x), initial=0.0))) + 40
-    while True:
-        val, half_tail = _occupation_from_table(j, bessel_table(K, x))
-        if np.all(half_tail < _TAIL_TOL):
-            break
-        K += max(20, K // 2)
+    sq = bessel_table(K, x) ** 2
+    # for j >= 0 the indices |j+r| run j+1, j+2, ...;
+    # for j = -q <= -1 they run q-1, ..., 1, 0, 1, 2, ... so the sum is
+    # (1 + J_0^2)/2 + sum_{k=1}^{q-1} J_k^2
+    if j >= 0:
+        half_tail = 0.5 * (1.0 - sq[0] - 2.0 * np.sum(sq[1:], axis=0))
+        val = np.sum(sq[j + 1 :], axis=0) + half_tail
+    else:
+        val = 0.5 * (1.0 + sq[0]) + np.sum(sq[1:-j], axis=0)
     val = np.clip(val, 0.0, 1.0)
     return float(val) if x.ndim == 0 else val
 

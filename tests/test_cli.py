@@ -102,6 +102,11 @@ def test_detector_rejects_nonfinite_gamma(tmp_path, gamma):
     assert not (tmp_path / "detector_amplitude.csv").exists()
 
 
+def test_detector_rejects_negative_gamma(tmp_path):
+    assert main(["detector", "--gamma", "-0.5", "--T", "5", "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "detector_amplitude.csv").exists()
+
+
 def test_orbit_zero_lambda_is_exit_code_one(tmp_path):
     assert main(["orbit", "--lam", "0", "--out", str(tmp_path)]) == 1
 

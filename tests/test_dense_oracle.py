@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chainlab import DomainError
 from chainlab.dense_oracle import (
     DenseOperator,
     Propagator,
@@ -107,6 +108,17 @@ def test_expectation_and_evolution():
     val = expectation(psi, P)
     assert 0.0 <= val <= 1.0
     assert expectation(psi0, P) == pytest.approx(1.0)
+
+
+def test_oversized_propagator_is_refused_before_allocation(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(np.linalg, "eigh", must_not_run)
+    monkeypatch.setattr(DenseOperator, "is_hermitian", must_not_run)
+    # zero strides: a 2^14-dimensional H (2 GiB of nbytes) that allocates nothing
+    with pytest.raises(DomainError):
+        Propagator(DenseOperator(np.broadcast_to(0.0, (2**14, 2**14))))
 
 
 def test_expectation_dimension_check():

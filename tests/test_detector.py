@@ -77,9 +77,9 @@ def test_free_amplitudes_take_one_quadrature_pass(monkeypatch):
     calls = []
     multi = DetectorRun.free_series_multi
 
-    def counted(self, a, bs):
+    def counted(self, bs):
         calls.append(len(bs))
-        return multi(self, a, bs)
+        return multi(self, bs)
 
     monkeypatch.setattr(DetectorRun, "free_series_multi", counted)
     run = DetectorRun(default_config(gamma=0.5, T=5.0))
@@ -151,7 +151,7 @@ def test_povm_matrix_matches_polarized_detection_w():
     W, _ = povm_matrix(psis, 0.5, dt=0.02, T=40.0)
     phi = gaussian_packet(g, 2.0)
     run = DetectorRun(DetectorConfig(gamma=0.5, phi=phi, psi=psis[0], dt=0.02, T=40.0))
-    F0s = run.free_series_multi(phi, psis)
+    F0s = run.free_series_multi(psis)
     F = [run.solve_fourier(F0s[:, i]) for i in range(len(psis))]
     raw = np.empty((2, 2), dtype=complex)
     raw[0, 0] = run.detection_w(F[0])
@@ -183,6 +183,19 @@ def test_oversized_run_is_refused_before_allocation():
     # (n + 1) * len(p_fine) is about 6.4e13 here, far above 2**32
     with pytest.raises(DomainError):
         DetectorRun(default_config(T=1e5))
+
+
+def test_config_rejects_negative_gamma():
+    packet = gaussian_packet(default_grid(), 1.0)
+    with pytest.raises(DomainError):
+        DetectorConfig(gamma=-0.5, phi=packet, psi=packet, dt=0.02, T=5.0)
+
+
+def test_povm_matrix_rejects_negative_gamma():
+    # a negative gamma once made ||gamma g||_1 negative and slipped past the weak-coupling gate
+    g = default_grid()
+    with pytest.raises(DomainError):
+        povm_matrix([gaussian_packet(g, 0.8), gaussian_packet(g, 1.5)], -5.0, T=5.0)
 
 
 def test_config_validation():

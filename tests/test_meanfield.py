@@ -70,6 +70,19 @@ def test_cocycle_transports_orbit():
     assert np.max(np.abs(U @ M0 @ U.conj().T - Mt)) < 1e-6
 
 
+def test_cocycle_matches_rotating_frame_closed_form():
+    # X(F(s)) = exp(i w s sigma3/2) X0 exp(-i w s sigma3/2) with w = 2(eps - lam F3),
+    # so U(t) = exp(i w t sigma3/2) exp(-i t (X0 + w sigma3/2))
+    from scipy.linalg import expm
+
+    F0 = np.array([0.3, -0.1, 0.2])
+    t = 3.0
+    w = 2.0 * (P.eps - P.lam * F0[2])
+    X0 = -P.eps * SIGMA[2] - P.lam * (F0[0] * SIGMA[0] + F0[1] * SIGMA[1])
+    ref = expm(0.5j * w * t * SIGMA[2]) @ expm(-1j * t * (X0 + 0.5 * w * SIGMA[2]))
+    assert np.max(np.abs(cocycle_evolve(F0, t, 0.0005, P) - ref)) <= 1e-13
+
+
 def test_rhs_is_bracket_with_coordinates():
     F = np.array([0.1, 0.4, -0.2])
     rhs = bracket_flow_rhs(bcs_gradient(F, P), F)

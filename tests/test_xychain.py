@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from chainlab import xychain
 from chainlab.xychain import (
     evolution_coefficient,
     macro_observable,
@@ -68,6 +69,20 @@ def test_occupation_accepts_time_arrays():
 def test_occupation_long_time_limit():
     for j in range(-3, 4):
         assert abs(occupation(j, 1e3, 1.0) - 0.5) < 1e-3
+
+
+def test_occupation_uses_one_bessel_table(monkeypatch):
+    # the normalization identity adds the tail exactly, so no larger table is needed
+    calls = []
+    table = xychain.bessel_table
+
+    def counted(n_max, x):
+        calls.append(n_max)
+        return table(n_max, x)
+
+    monkeypatch.setattr(xychain, "bessel_table", counted)
+    occupation(0, 1e3, 1.0)
+    assert len(calls) == 1
 
 
 def test_occupation_explicit_bessel_sum():
