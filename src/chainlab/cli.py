@@ -251,8 +251,7 @@ def _run_verify(args) -> int:
     results = acceptance.run_all(numbers)
     all_ok = True
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"criterion {r.number:02d} {status}  {r.name}: {r.detail}")
+        print(r.line)
         all_ok = all_ok and r.passed
     print("acceptance:", "all criteria passed" if all_ok else "FAILURES present")
     return 0 if all_ok else 2

@@ -151,11 +151,11 @@ class Propagator:
 
 
 def expectation(psi: np.ndarray, A: DenseOperator):
-    """<psi|A|psi>; returns a real number when A is Hermitian."""
+    """<psi|A|psi> for one state (dim,) or each row of a stack (k, dim); real when A is Hermitian."""
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape[0] != A.dim:
+    if psi.shape[-1] != A.dim:
         raise ValueError("dimension mismatch")
-    val = np.vdot(psi, A.mat @ psi)
+    val = np.vecdot(psi, psi @ A.mat.T)  # conjugates psi, as np.vdot does
     if A.is_hermitian():
-        return float(val.real)
-    return complex(val)
+        val = val.real
+    return val.item() if val.ndim == 0 else val

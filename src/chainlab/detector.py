@@ -28,7 +28,7 @@ from math import pi
 import numpy as np
 
 from . import DomainError
-from .packets import MomentumGrid, RadialPacket, default_grid, gaussian_packet, overlap
+from .packets import RadialPacket, default_grid, gaussian_packet, overlap
 from .specfun import bessel_ratio_table, phase_sum
 
 __all__ = [
@@ -74,8 +74,8 @@ class DetectorConfig:
         self.psi.check_normalized()
 
 
-def default_config(gamma: float = 0.5, grid: MomentumGrid | None = None, **kw) -> DetectorConfig:
-    grid = grid or default_grid()
+def default_config(gamma: float = 0.5, **kw) -> DetectorConfig:
+    grid = default_grid()
     return DetectorConfig(
         gamma=gamma,
         phi=gaussian_packet(grid, width=2.0),
@@ -324,26 +324,27 @@ class DetectorRun:
 
     # -- occupations -------------------------------------------------------
 
-    def _f_m_table(self, m_max: int, s: np.ndarray) -> np.ndarray:
-        """f_m(s) = (-i)^(m-1) (m/s) J_m(2s) for m = 1..m_max; shape (m_max, len(s))."""
-        m = np.arange(1, m_max + 1)
-        return (-1j) ** (m[:, None] - 1) * bessel_ratio_table(m_max, s)
+    def occupations_at(self, times) -> np.ndarray:
+        """omega_t(P_m) for m = 1..m_max (chain sites) at each time in [0, T].
 
-    def occupations_at(self, t: float) -> np.ndarray:
-        """omega_t(P_m) for m = 1..m_max (chain sites) at one time.
-
-        m_max = _chain_order_cut(t).  Double time integral over [0,t]^2 of
-        conj(F f_m) (x) g-kernel (x) (F f_m), a Toeplitz quadratic form.
+        m_max = _chain_order_cut(max t); shape (m_max,) for a scalar t,
+        (len(times), m_max) for an array.  Each row is the Toeplitz form over
+        [0,t]^2 of conj(F f_m) (x) g-kernel (x) (F f_m), f_m(s) = (-i)^(m-1)
+        (m/s) J_m(2s); its lags t - tau_k = (n - k) dt index one f_m table.
         """
-        dt = self.cfg.dt
-        n = int(round(t / dt))
-        if n == 0:
-            return np.zeros(1)
-        m_max = _chain_order_cut(t)
-        F = self.solution()[: n + 1]
-        tau = self.t[: n + 1]
-        V = (self._f_m_table(m_max, t - tau) * F[None, :]).T  # (n+1, m_max)
-        return self.cfg.gamma**2 * np.real(np.diagonal(_toeplitz_form(self.g, V, dt)))
+        times = np.asarray(times, dtype=float)
+        steps = np.rint(np.atleast_1d(times) / self.cfg.dt).astype(int)
+        if not (steps.min() >= 0 and steps.max() <= self.n):
+            raise DomainError(f"occupation times must lie in [0, T = {self.cfg.T:g}]")
+        m_max = _chain_order_cut(float(np.max(times)))
+        fm = (-1j) ** np.arange(m_max)[:, None] * bessel_ratio_table(m_max, self.t[: steps.max() + 1])
+        F = self.solution()
+        occ = np.zeros((steps.size, m_max))
+        for i, n in enumerate(steps):
+            if n > 0:
+                V = (fm[:, n::-1] * F[None, : n + 1]).T  # (n+1, m_max)
+                occ[i] = self.cfg.gamma**2 * np.real(np.diagonal(_toeplitz_form(self.g, V, self.cfg.dt)))
+        return occ[0] if times.ndim == 0 else occ
 
     def p0_series(self) -> np.ndarray:
         """omega_t(P_0) on the whole grid from the momentum-space vector."""
@@ -379,10 +380,11 @@ def povm_matrix(psis: list, gamma: float, dt: float = 0.02, T: float = 200.0):
     if len(psis) < 1:
         raise ValueError("need at least one packet")
     k = len(psis)
+    phi = gaussian_packet(psis[0].grid, width=2.0)
+    cfg = DetectorConfig(gamma=gamma, phi=phi, psi=psis[0], dt=dt, T=T)
     if gamma == 0.0:
         return np.zeros((k, k)), np.zeros(k)
-    phi = gaussian_packet(psis[0].grid, width=2.0)
-    run = DetectorRun(DetectorConfig(gamma=gamma, phi=phi, psi=psis[0], dt=dt, T=T))
+    run = DetectorRun(cfg)
     run.check_weak_coupling()
     F0s = run.free_series_multi(psis)
     Fs = np.stack([run.solve_fourier(F0s[:, i]) for i in range(k)], axis=1)

@@ -89,16 +89,16 @@ def _normalized(grid: MomentumGrid, amp: np.ndarray, profile) -> RadialPacket:
     return RadialPacket(grid, amp / nrm, profile=profile, scale=1.0 / nrm)
 
 
-def gaussian_packet(grid: MomentumGrid, width: float, center: float = 0.0) -> RadialPacket:
-    """Radial Gaussian exp(-(p - center)^2 / (2 width^2)), normalized.
+def gaussian_packet(grid: MomentumGrid, width: float) -> RadialPacket:
+    """Radial Gaussian exp(-p^2 / (2 width^2)), normalized.
 
-    width is the momentum-space scale s; for center = 0 the survival
-    amplitude has the closed form (1 + i t s^2)^(-3/2).
+    width is the momentum-space scale s; the survival amplitude has the
+    closed form (1 + i t s^2)^(-3/2).
     """
     if width <= 0:
         raise ValueError("width must be positive")
     def prof(p):
-        return np.exp(-((np.asarray(p, dtype=float) - center) ** 2) / (2.0 * width**2)).astype(complex)
+        return np.exp(-(np.asarray(p, dtype=float) ** 2) / (2.0 * width**2)).astype(complex)
 
     return _normalized(grid, prof(grid.nodes), profile=prof)
 

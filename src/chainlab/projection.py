@@ -13,6 +13,8 @@ from math import pi
 
 import numpy as np
 
+from . import DomainError
+
 __all__ = [
     "SmearingPacket",
     "gaussian_packet",
@@ -48,16 +50,11 @@ def gaussian_packet(width: float, n: int = 2001, span: float = 10.0) -> Smearing
     return SmearingPacket(q, d)
 
 
-def smeared_potential(V, packet: SmearingPacket, q: float, domain: tuple | None = None) -> float:
-    """V_phi(q) = int |phi(q')|^2 V(q + q') dq' by trapezoid quadrature.
-
-    `V` is a callable; `domain`, when given, bounds the arguments V may be
-    evaluated at and shifts outside it raise.
-    """
-    shifted = q + packet.grid
-    if domain is not None and (shifted[0] < domain[0] or shifted[-1] > domain[1]):
-        raise ValueError("packet support exceeds the potential's domain")
-    return float(np.trapezoid(packet.density * V(shifted), packet.grid))
+def smeared_potential(V, packet: SmearingPacket, q):
+    """V_phi(q) = int |phi(q')|^2 V(q + q') dq' by trapezoid quadrature; scalar or array q, vectorized V."""
+    q = np.asarray(q, dtype=float)
+    val = np.trapezoid(packet.density * V(np.add.outer(q, packet.grid)), packet.grid)
+    return float(val) if q.ndim == 0 else val
 
 
 def renormalization_f(z: complex, lam: float, a: float) -> float:
@@ -68,7 +65,7 @@ def renormalization_f(z: complex, lam: float, a: float) -> float:
 def quantum_trajectory(z0: complex, lam: float, t, a: float) -> np.ndarray:
     """Projected quantum motion: circle about (1 - f/a) z0 at frequency a/lam^2."""
     if a == 0:
-        raise ValueError("renormalization constant must be nonzero")
+        raise DomainError("renormalization constant a must be nonzero")
     t = np.asarray(t, dtype=float)
     f = renormalization_f(z0, lam, a)
     return (1.0 - f / a) * z0 + (f / a) * np.exp(-1j * t * a / lam**2) * z0

@@ -52,8 +52,8 @@ def eigensystem(N: int) -> EigenSystem:
     return EigenSystem(N, energies, amplitudes)
 
 
-def green_finite(n: int, m: int, N: int, t: float) -> complex:
-    """<n|exp(-itH_N)|m> for the N-site island, via the finite kernel."""
+def green_finite(n: int, m: int, N: int, t):
+    """<n|exp(-itH_N)|m> for the N-site island, via the finite kernel; scalar or array t."""
     if not (1 <= n <= N and 1 <= m <= N):
         raise ValueError("site indices must lie in 1..N")
     return (-1j) ** (n - m) * finite_kernel(n - m, N, 2.0 * t) - (
@@ -61,8 +61,8 @@ def green_finite(n: int, m: int, N: int, t: float) -> complex:
     ) ** (n + m) * finite_kernel(n + m, N, 2.0 * t)
 
 
-def green_infinite(n: int, m: int, t: float) -> complex:
-    """Semi-infinite chain Green function <n|exp(-itH)|m>."""
+def green_infinite(n: int, m: int, t):
+    """Semi-infinite chain Green function <n|exp(-itH)|m>; scalar or array t."""
     if n < 1 or m < 1:
         raise ValueError("site indices must be >= 1")
     d, s = n - m, n + m

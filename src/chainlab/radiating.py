@@ -26,7 +26,6 @@ __all__ = [
     "spectral_density",
     "build_modes",
     "build_minimal_hamiltonian",
-    "decay_probability",
     "decay_series",
     "recurrence_time",
     "resolvent_check",
@@ -139,10 +138,6 @@ def decay_series(params: RadiatingParams, modes: ContinuumModes, n0: int, t_grid
     psi0[n0] = 1.0
     psi_t = prop.apply(psi0, np.asarray(t_grid, dtype=float))
     return np.sum(np.abs(psi_t[:, params.N :]) ** 2, axis=1)
-
-
-def decay_probability(params: RadiatingParams, modes: ContinuumModes, n0: int, t: float) -> float:
-    return float(decay_series(params, modes, n0, [t])[0])
 
 
 def default_params(N: int = 6, v: float = 0.7, a: float = 1.0, b: float = 0.5, margin: float = 0.25) -> RadiatingParams:

@@ -108,22 +108,16 @@ def _miller(n_max: int, x: np.ndarray, start: int) -> np.ndarray:
     return sub / scale
 
 
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function J_n(x) for integer n, accurate to about 1e-12.
+def bessel_j(n: int, x):
+    """Bessel function J_n(x) for integer n and scalar or array x, accurate to about 1e-12.
 
-    Entry n of bessel_table(|n|, |x|); negative order and argument via
-    parity.
+    Entry |n| of bessel_table(|n|, x), which is odd or even in x; negative order via parity.
     """
-    n = int(n)
-    x = float(x)
-    sign = 1.0
-    if n < 0:
-        n = -n
-        sign *= -1.0 if n % 2 else 1.0
-    if x < 0:
-        x = -x
-        sign *= -1.0 if n % 2 else 1.0
-    return sign * float(bessel_table(n, x)[n])
+    m = abs(int(n))
+    val = bessel_table(m, x)[m]
+    if n < 0 and m % 2:
+        val = -val
+    return float(val) if np.ndim(x) == 0 else val
 
 
 def chebyshev_u(n: int, z: float) -> float:
@@ -138,20 +132,22 @@ def chebyshev_u(n: int, z: float) -> float:
     return uc
 
 
-def finite_kernel(n: int, length: int, z: float) -> complex:
+def finite_kernel(n: int, length: int, z):
     """Finite-chain Bessel kernel of order n for an open chain of `length` sites.
 
     (i^n / (length + 1)) * sum_j exp(-i z cos(j pi / (length + 1)))
                                * cos(n j pi / (length + 1))
 
-    Converges to J_n(z) as length grows (fixed n, z).
+    Converges to J_n(z) as length grows (fixed n, z).  Scalar or array z.
     """
     if length < 1:
         raise ValueError("chain length must be positive")
     j = np.arange(1, length + 1)
     theta = j * np.pi / (length + 1)
-    s = np.sum(np.exp(-1j * z * np.cos(theta)) * np.cos(n * theta))
-    return complex(1j**n * s / (length + 1))
+    z = np.asarray(z, dtype=float)
+    s = np.sum(np.exp(-1j * np.multiply.outer(z, np.cos(theta))) * np.cos(n * theta), axis=-1)
+    val = 1j**n * s / (length + 1)
+    return complex(val) if z.ndim == 0 else val
 
 
 def phase_sum(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarray:

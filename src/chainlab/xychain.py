@@ -55,8 +55,8 @@ def recurrence_coefficients(m_max: int, kappa: float) -> HoppingCoefficients:
     return HoppingCoefficients(kappa=kappa, coeffs=coeffs)
 
 
-def evolution_coefficient(r: int, t: float, kappa: float) -> complex:
-    """One-particle propagator C_t(r) = (-i)^|r| J_|r|(kappa t)."""
+def evolution_coefficient(r: int, t, kappa: float):
+    """One-particle propagator C_t(r) = (-i)^|r| J_|r|(kappa t); scalar or array t."""
     r = abs(int(r))
     return (-1j) ** r * bessel_j(r, kappa * t)
 

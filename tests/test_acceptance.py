@@ -10,6 +10,5 @@ _IDS = [f"criterion_{i:02d}" for i in range(1, len(acceptance.CRITERIA) + 1)]
 @pytest.mark.parametrize("fn", acceptance.CRITERIA, ids=_IDS)
 def test_criterion(fn):
     result = fn()
-    status = "PASS" if result.passed else "FAIL"
-    print(f"criterion {result.number:02d} {status}  {result.name}: {result.detail}")
+    print(result.line)
     assert result.passed, f"criterion {result.number}: {result.name} -- {result.detail}"

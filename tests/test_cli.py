@@ -111,6 +111,11 @@ def test_orbit_zero_lambda_is_exit_code_one(tmp_path):
     assert main(["orbit", "--lam", "0", "--out", str(tmp_path)]) == 1
 
 
+def test_orbit_zero_a_is_exit_code_one(tmp_path):
+    assert main(["orbit", "--a", "0", "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "orbit_circles.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv, csv",
     [

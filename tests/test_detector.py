@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainlab import DomainError
+from chainlab import DomainError, detector
 from chainlab.detector import (
     W_ROUTE_TOL,
     DetectorConfig,
@@ -13,7 +13,7 @@ from chainlab.detector import (
     semicircle_kernel,
 )
 from chainlab.packets import bump_packet, default_grid, gaussian_packet, overlap
-from chainlab.specfun import _PHASE_BLOCK
+from chainlab.specfun import _PHASE_BLOCK, bessel_ratio_table
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +135,37 @@ def test_occupations_sum_to_detection_probability(short_run):
     assert occ.sum() == pytest.approx(short_run.detection_w(), abs=1e-10)
 
 
+def test_occupations_at_array_matches_scalar_calls():
+    run = DetectorRun(default_config(gamma=0.5, T=5.0))
+    ts = np.array([0.0, 1.0, 2.5, 5.0])
+    occ = run.occupations_at(ts)
+    assert occ.shape == (ts.size, run.occupations_at(5.0).size)
+    for t, row in zip(ts, occ):
+        single = run.occupations_at(t)
+        assert np.max(np.abs(row[: single.size] - single)) <= 1e-15
+
+
+def test_occupations_at_builds_one_bessel_table(monkeypatch):
+    run = DetectorRun(default_config(gamma=0.5, T=5.0))
+    run.solution()  # builds the kernel f and its own Bessel table first
+    calls = []
+
+    def counting(m_max, t):
+        calls.append(m_max)
+        return bessel_ratio_table(m_max, t)
+
+    monkeypatch.setattr(detector, "bessel_ratio_table", counting)
+    run.occupations_at(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert len(calls) == 1
+
+
+def test_occupations_at_rejects_times_outside_the_run(short_run):
+    with pytest.raises(DomainError):
+        short_run.occupations_at(np.array([1.0, 41.0]))
+    with pytest.raises(DomainError):
+        short_run.occupations_at(-1.0)
+
+
 def test_povm_eigenvalues_and_nonprojection():
     g = default_grid()
     psis = [gaussian_packet(g, 0.8), gaussian_packet(g, 1.5), bump_packet(g, 2.0)]
@@ -202,3 +233,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(gamma=0.5, phi=gaussian_packet(default_grid(), 1.0),
                        psi=gaussian_packet(default_grid(), 1.0), dt=-0.01)
+
+
+def test_povm_matrix_validates_before_the_zero_coupling_shortcut():
+    with pytest.raises(DomainError):
+        povm_matrix([gaussian_packet(default_grid(), 0.8)], 0.0, dt=-1.0, T=-5.0)

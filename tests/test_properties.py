@@ -14,11 +14,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainlab import dense_oracle, projection
 from chainlab.cli import main
 from chainlab.meanfield import BCSParams, bcs_gradient, flow_rk4
-from chainlab.qdomino import flip_probability
-from chainlab.specfun import bessel_j, bessel_table
-from chainlab.xychain import occupation
+from chainlab.qdomino import flip_probability, green_finite, green_infinite
+from chainlab.specfun import bessel_j, bessel_table, finite_kernel
+from chainlab.xychain import evolution_coefficient, occupation
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -54,6 +55,30 @@ def test_bessel_parity(n, x):
     ref = bessel_j(n, x0)
     assert bessel_j(-n, x0) == sign * ref
     assert bessel_j(n, -x0) == sign * ref
+
+
+_SMEARING = projection.gaussian_packet(0.1)
+_FLIP_FLOP = dense_oracle.Propagator(dense_oracle.build_flip_flop_hamiltonian(4))
+# a Hermitian and a non-Hermitian observable, for the real and the complex form
+_OBSERVABLES = (dense_oracle.site_number_op(4, 1), dense_oracle.DenseOperator(dense_oracle.spin_ops(4, 1)[0]))
+
+
+@PROPERTY
+@given(n=st.integers(1, 8), m=st.integers(1, 8), order=st.integers(-30, 30), t=arrays(1e-3, 50.0))
+def test_array_times_match_scalar_calls(n, m, order, t):
+    def agrees(fn):
+        return np.max(np.abs(fn(t) - np.array([fn(x) for x in t]))) <= 1e-14
+
+    assert agrees(lambda s: green_finite(n, m, 8, s))
+    assert agrees(lambda s: green_infinite(n, m, s))
+    assert agrees(lambda s: evolution_coefficient(order, s, 0.7))
+    assert agrees(lambda s: bessel_j(order, s))
+    assert agrees(lambda s: finite_kernel(order, 8, s))
+    assert agrees(lambda q: projection.smeared_potential(np.cos, _SMEARING, q))
+    psi_t = _FLIP_FLOP.apply(dense_oracle.basis_state([1, 1, 0, 0]), t)
+    for A in _OBSERVABLES:
+        stack = dense_oracle.expectation(psi_t, A)
+        assert np.max(np.abs(stack - np.array([dense_oracle.expectation(psi, A) for psi in psi_t]))) <= 1e-14
 
 
 @PROPERTY

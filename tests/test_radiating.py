@@ -6,7 +6,6 @@ from chainlab.radiating import (
     RadiatingParams,
     build_minimal_hamiltonian,
     build_modes,
-    decay_probability,
     decay_series,
     default_params,
     recurrence_time,
@@ -74,7 +73,7 @@ def test_decay_is_nearly_complete_before_recurrence(setup):
     p, modes = setup
     t_rec = recurrence_time(modes)
     assert t_rec > 100.0
-    assert decay_probability(p, modes, 0, 19.0) > 0.95
+    assert decay_series(p, modes, 0, [19.0])[0] > 0.95
     t = np.linspace(0.0, 0.5 * t_rec, 200)
     assert np.max(decay_series(p, modes, 0, t)) > 0.99
 
