@@ -1,12 +1,16 @@
 """Experiment runner: one subcommand per model, CSV emission, verify driver.
 
-Configuration is flat key=value (file via --config, overridden by
-command-line flags).  CSV files start with `#` comment lines describing
-each column, then a header row; all numbers are printed with %.12g so
-identical configs give byte-identical outputs.
+Configuration is flat key=value (file via --config).  A key is a long
+flag name without `--` (for example `lambda = 1`); each line is read as
+the flag `--key=value` placed before the command-line flags, so an
+explicit flag wins even when it equals its default.  CSV files start
+with `#` comment lines describing each column, then a header row; all
+numbers are printed with %.12g so identical configs give byte-identical
+outputs.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical-invariant
-failure.
+Exit codes: 0 success, 1 configuration error (every malformed command
+line too: an unknown flag or key, an unparsable value, a missing
+subcommand), 2 numerical-invariant failure.
 """
 
 from __future__ import annotations
@@ -23,8 +27,11 @@ from . import DomainError, meanfield, projection, qdomino, radiating, xychain
 __all__ = ["main"]
 
 
-class ConfigError(Exception):
-    pass
+class _Parser(argparse.ArgumentParser):
+    """Raises DomainError (exit 1) where argparse would exit with status 2."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
 
 
 def _fmt(x) -> str:
@@ -57,61 +64,44 @@ def _parse_range(text: str):
     except ValueError:
         bounds = []
     if len(bounds) not in (1, 2):
-        raise ConfigError(f"cannot parse range {text!r}; expected 'a..b'")
+        raise DomainError(f"cannot parse range {text!r}; expected 'a..b'")
     lo, hi = bounds[0], bounds[-1]
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"range {text!r} must have finite bounds")
+        raise DomainError(f"range {text!r} must have finite bounds")
     return lo, hi
 
 
 def _int_points(text: str) -> list[int]:
     lo, hi = _parse_range(text)
     if lo != int(lo) or hi != int(hi):
-        raise ConfigError(f"range {text!r} must be integer")
+        raise DomainError(f"range {text!r} must be integer")
     if lo > hi:
-        raise ConfigError(f"range {text!r} is empty")
+        raise DomainError(f"range {text!r} is empty")
     return list(range(int(lo), int(hi) + 1))
 
 
 def _grid(text: str, steps: int) -> np.ndarray:
     lo, hi = _parse_range(text)
     if steps < 1:
-        raise ConfigError("steps must be >= 1")
+        raise DomainError("steps must be >= 1")
     return np.linspace(lo, hi, steps)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    cfg = {}
+def _config_flags(path: str) -> list[str]:
+    """Each `key = value` line of the file as the flag token `--key=value`."""
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"config file {path} not found")
+        raise DomainError(f"config file {path} not found")
+    flags = []
     for line in p.read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"config line {line!r} is not key=value")
-        k, v = line.split("=", 1)
-        cfg[k.strip().replace("-", "_")] = v.strip()
-    return cfg
-
-
-def _apply_config(args: argparse.Namespace, cfg: dict, parser: argparse.ArgumentParser) -> None:
-    """Config file supplies values only where the command line used defaults."""
-    for k, v in cfg.items():
-        if k == "lambda":
-            k = "lam"
-        if not hasattr(args, k):
-            raise ConfigError(f"unknown config key {k!r}")
-        if getattr(args, k) == parser.get_default(k):
-            cur = parser.get_default(k)
-            cast = type(cur) if cur is not None and not isinstance(cur, str) else str
-            try:
-                setattr(args, k, cast(v))
-            except ValueError as exc:
-                raise ConfigError(f"config key {k!r}: {exc}") from exc
+        k, sep, v = line.partition("=")
+        if not sep or not k.strip():
+            raise DomainError(f"config line {line!r} is not key=value")
+        flags.append(f"--{k.strip()}={v.strip()}")
+    return flags
 
 
 def _out_dir(args) -> Path:
@@ -119,14 +109,12 @@ def _out_dir(args) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"output path {args.out}: {exc}") from exc
+        raise DomainError(f"output path {args.out}: {exc}") from exc
     return out
 
 
 def _run_domino(args) -> int:
     js = _int_points(args.j)
-    if any(j < 1 for j in js):
-        raise ConfigError("domino sites must be >= 1")
     t = _grid(args.t, args.steps)
     cols = [t] + [qdomino.flip_probability(j, t) for j in js]
     _write_csv(
@@ -143,7 +131,7 @@ def _run_xy(args) -> int:
     js = _int_points(args.j)
     t = _grid(args.t, args.steps)
     if args.kappa == 0:
-        raise ConfigError("kappa must be nonzero")
+        raise DomainError("kappa must be nonzero")
     # t <= 0 keeps the static step profile
     cols = [t] + [np.where(t > 0, xychain.occupation(j, t, args.kappa), float(j <= -1)) for j in js]
     _write_csv(
@@ -198,7 +186,7 @@ def _run_radiate(args) -> int:
 
 def _run_meanfield(args) -> int:
     temps = sorted(set(_grid(args.T, args.steps)))
-    p0 = meanfield.BCSParams(eps=args.eps, lam=getattr(args, "lam"), T=1.0)
+    p0 = meanfield.BCSParams(eps=args.eps, lam=args.lam, T=1.0)
     comments = ["BCS mean-field phase diagram: gap and representative equilibrium point",
                 "columns: temperature, phase kind, gap a, F1, F3"]
     try:
@@ -209,8 +197,6 @@ def _run_meanfield(args) -> int:
         tc = None
     rows = []
     for T in temps:
-        if T <= 0:
-            raise ConfigError("temperatures must be positive")
         sols = meanfield.solve_gap_equation(meanfield.BCSParams(eps=args.eps, lam=args.lam, T=T))
         best = sols[-1]
         rows.append((T, best.kind, best.a, best.F[0], best.F[2]))
@@ -220,8 +206,6 @@ def _run_meanfield(args) -> int:
 
 
 def _run_orbit(args) -> int:
-    if args.lam == 0:
-        raise ConfigError("lam must be nonzero")
     z0 = complex(args.re0, args.im0)
     t = _grid(args.t, args.steps)
     zq = projection.quantum_trajectory(z0, args.lam, t, args.a)
@@ -244,10 +228,10 @@ def _run_verify(args) -> int:
         try:
             numbers = [int(x) for x in args.only.split(",")]
         except ValueError:
-            raise ConfigError(f"cannot parse criterion list {args.only!r}")
+            raise DomainError(f"cannot parse criterion list {args.only!r}")
         unknown = [k for k in numbers if not 1 <= k <= len(acceptance.CRITERIA)]
         if unknown:
-            raise ConfigError(f"no criterion numbered {unknown}; valid are 1..{len(acceptance.CRITERIA)}")
+            raise DomainError(f"no criterion numbered {unknown}; valid are 1..{len(acceptance.CRITERIA)}")
     results = acceptance.run_all(numbers)
     all_ok = True
     for r in results:
@@ -258,7 +242,7 @@ def _run_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="chainlab", description=__doc__.splitlines()[0])
+    top = _Parser(prog="chainlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -270,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", default="2..6")
     p.add_argument("--t", default="0..50")
     p.add_argument("--steps", type=int, default=201)
-    p.set_defaults(fn=_run_domino, _parser=p)
+    p.set_defaults(fn=_run_domino)
 
     p = sub.add_parser("xy", help="x-y chain occupations")
     common(p)
@@ -278,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="0..50")
     p.add_argument("--steps", type=int, default=201)
     p.add_argument("--kappa", type=float, default=1.0)
-    p.set_defaults(fn=_run_xy, _parser=p)
+    p.set_defaults(fn=_run_xy)
 
     p = sub.add_parser("detector", help="particle-detector amplitude and probability")
     common(p)
@@ -286,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=0.02)
     p.add_argument("--T", type=float, default=200.0)
     p.add_argument("--steps", type=int, default=401)
-    p.set_defaults(fn=_run_detector, _parser=p)
+    p.set_defaults(fn=_run_detector)
 
     p = sub.add_parser("radiate", help="radiating finite chain decay")
     common(p)
@@ -295,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=float, default=0.7)
     p.add_argument("--t", default="0..90")
     p.add_argument("--steps", type=int, default=301)
-    p.set_defaults(fn=_run_radiate, _parser=p)
+    p.set_defaults(fn=_run_radiate)
 
     p = sub.add_parser("meanfield", help="BCS phase diagram")
     common(p)
@@ -303,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--T", default="0.01..0.6")
     p.add_argument("--steps", type=int, default=60)
-    p.set_defaults(fn=_run_meanfield, _parser=p)
+    p.set_defaults(fn=_run_meanfield)
 
     p = sub.add_parser("orbit", help="projected two-level phase-space circles")
     common(p)
@@ -313,25 +297,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--t", default="0..12.6")
     p.add_argument("--steps", type=int, default=253)
-    p.set_defaults(fn=_run_orbit, _parser=p)
+    p.set_defaults(fn=_run_orbit)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     common(p)
     p.add_argument("--only", default=None, help="comma-separated criterion numbers")
-    p.set_defaults(fn=_run_verify, _parser=p)
+    p.set_defaults(fn=_run_verify)
     return top
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, _load_config(args.config), args._parser)
+        if args.config is not None:
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
         bad = [k for k, v in vars(args).items() if isinstance(v, float) and not math.isfinite(v)]
         if bad:
-            raise ConfigError(f"non-finite value for {', '.join(bad)}")
+            raise DomainError(f"non-finite value for {', '.join(bad)}")
         return args.fn(args)
-    except (ConfigError, DomainError) as exc:
+    except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -93,14 +93,10 @@ def amplitude_free(a: RadialPacket, b: RadialPacket, t: float) -> complex:
     if not np.array_equal(a.grid.nodes, b.grid.nodes):
         raise ValueError("packets must share a grid")
     p_max = a.grid.p_max
-    panels = max(40, int(np.ceil(abs(t) * p_max**2 / (2.0 * pi))))
-    x, w = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(0.0, p_max, panels + 1)
-    h = 0.5 * (edges[1] - edges[0])
-    p = (edges[:-1, None] + h) + h * x[None, :]
+    g = default_grid(p_max, max(40, int(np.ceil(abs(t) * p_max**2 / (2.0 * pi)))), 10)
+    p = g.nodes
     amp = np.conj(a.amplitude_at(p)) * b.amplitude_at(p)
-    val = np.sum(h * w[None, :] * amp * 4.0 * pi * p**2 * np.exp(-1j * t * p**2))
-    return complex(val)
+    return complex(g.integrate(amp * 4.0 * pi * p**2 * np.exp(-1j * t * p**2)))
 
 
 # momentum Nyquist safety for the series quadrature

@@ -196,8 +196,8 @@ def solve_gap_equation(p: BCSParams) -> list[GapSolution]:
     bracket of 1e-12).  One representative phase is returned; the rest of
     the circle follows by gauge rotation about the 3-axis.
     """
-    if p.T <= 0:
-        raise ValueError("T must be positive")
+    if not p.T > 0:
+        raise DomainError(f"temperature T = {p.T:g} must be positive")
     out = []
     Fn = np.array([0.0, 0.0, 0.5 * np.tanh(p.eps / p.T)])
     out.append(GapSolution("normal", Fn, p.eps, 0.0))

@@ -44,11 +44,9 @@ class MomentumGrid:
 def default_grid(p_max: float = 10.0, panels: int = 40, order: int = 12) -> MomentumGrid:
     x, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(0.0, p_max, panels + 1)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * x + 0.5 * (b + a))
-        weights.append(0.5 * (b - a) * w)
-    return MomentumGrid(np.concatenate(nodes), np.concatenate(weights))
+    a, b = edges[:-1, None], edges[1:, None]
+    nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
+    return MomentumGrid(nodes.ravel(), (0.5 * (b - a) * w).ravel())
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,8 @@ class RadialPacket:
     def norm_sq(self) -> float:
         return float(np.real(self.grid.integrate(self.density)))
 
-    def check_normalized(self, tol: float = 1e-8) -> None:
-        if abs(self.norm_sq() - 1.0) > tol:
+    def check_normalized(self) -> None:
+        if abs(self.norm_sq() - 1.0) > 1e-8:
             raise ValueError("packet density must integrate to 1")
 
 
@@ -137,12 +135,13 @@ def overlap(a: RadialPacket, b: RadialPacket) -> complex:
     return complex(a.grid.integrate(np.conj(a.amplitude) * b.amplitude * 4.0 * pi * a.grid.nodes**2))
 
 
-def l1_norm_position(packet: RadialPacket, r_max: float = 40.0, n_r: int = 8001) -> float:
+def l1_norm_position(packet: RadialPacket) -> float:
     """||phi||_1 = int |phi(x)| d^3x via the inverse radial transform.
 
-    phi(r) = sqrt(2/pi) (1/r) int_0^inf p sin(p r) phi(p) dp.
+    phi(r) = sqrt(2/pi) (1/r) int_0^inf p sin(p r) phi(p) dp, sampled at
+    8001 radii up to r = 40.
     """
-    r = np.linspace(1e-6, r_max, n_r)
+    r = np.linspace(1e-6, 40.0, 8001)
     p = packet.grid.nodes
     w = packet.grid.weights
     kern = np.sin(np.outer(r, p))

@@ -42,9 +42,9 @@ class SmearingPacket:
             raise ValueError("packet density must be nonnegative")
 
 
-def gaussian_packet(width: float, n: int = 2001, span: float = 10.0) -> SmearingPacket:
-    """Normalized Gaussian |phi|^2 of standard deviation `width`."""
-    q = np.linspace(-span * width, span * width, n)
+def gaussian_packet(width: float) -> SmearingPacket:
+    """Normalized Gaussian |phi|^2 of standard deviation `width`, on 2001 points over +-10 widths."""
+    q = np.linspace(-10.0 * width, 10.0 * width, 2001)
     d = np.exp(-0.5 * (q / width) ** 2) / (width * np.sqrt(2.0 * pi))
     d /= np.trapezoid(d, q)
     return SmearingPacket(q, d)
@@ -59,6 +59,8 @@ def smeared_potential(V, packet: SmearingPacket, q):
 
 def renormalization_f(z: complex, lam: float, a: float) -> float:
     """f(z) = a exp(-|z|^2 / (2 lam^2)), the projected Hamiltonian value."""
+    if lam == 0:
+        raise DomainError(f"lam = {lam:g} must be nonzero")
     return a * np.exp(-abs(z) ** 2 / (2.0 * lam**2))
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DomainError
 from .specfun import bessel_j, bessel_ratio_table, finite_kernel
 
 __all__ = [
@@ -56,6 +57,7 @@ def green_finite(n: int, m: int, N: int, t):
     """<n|exp(-itH_N)|m> for the N-site island, via the finite kernel; scalar or array t."""
     if not (1 <= n <= N and 1 <= m <= N):
         raise ValueError("site indices must lie in 1..N")
+    t = np.asarray(t, dtype=float)
     return (-1j) ** (n - m) * finite_kernel(n - m, N, 2.0 * t) - (
         -1j
     ) ** (n + m) * finite_kernel(n + m, N, 2.0 * t)
@@ -66,6 +68,7 @@ def green_infinite(n: int, m: int, t):
     if n < 1 or m < 1:
         raise ValueError("site indices must be >= 1")
     d, s = n - m, n + m
+    t = np.asarray(t, dtype=float)
     return (-1j) ** d * bessel_j(d, 2.0 * t) - (-1j) ** s * bessel_j(s, 2.0 * t)
 
 
@@ -76,7 +79,7 @@ def flip_residual(j: int, t):
     returns a float.  At t = 0, m J_m(2t)/t -> delta_{m,1}.
     """
     if j < 1:
-        raise ValueError("site index must be >= 1")
+        raise DomainError(f"site index j = {j} must be >= 1")
     res = np.sum(bessel_ratio_table(j - 1, t) ** 2, axis=0)
     return float(res) if np.ndim(t) == 0 else res
 

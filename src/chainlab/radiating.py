@@ -33,7 +33,11 @@ __all__ = [
 ]
 
 
-def sigma_profile_default(p, b: float = 0.5):
+# infrared cutoff b of the default form factor and of default_params
+_CUTOFF = 0.5
+
+
+def sigma_profile_default(p, b: float = _CUTOFF):
     """Smooth ramp form factor theta(p - b) (p - b)^2 exp(-alpha p^2).
 
     The infrared cutoff b keeps the mode density vanishing below a b^2.
@@ -140,12 +144,13 @@ def decay_series(params: RadiatingParams, modes: ContinuumModes, n0: int, t_grid
     return np.sum(np.abs(psi_t[:, params.N :]) ** 2, axis=1)
 
 
-def default_params(N: int = 6, v: float = 0.7, a: float = 1.0, b: float = 0.5, margin: float = 0.25) -> RadiatingParams:
+def default_params(N: int = 6, v: float = 0.7) -> RadiatingParams:
     """Defaults with the level shift set from the self-energy integral condition.
 
-    eps0 exceeds a b^2 + 2 + 2 v^2 int rho(lambda)/(lambda - a b^2) dlambda
-    by `margin`.
+    a = 1, b = _CUTOFF, and eps0 exceeds
+    a b^2 + 2 + 2 v^2 int rho(lambda)/(lambda - a b^2) dlambda by a margin of 0.25.
     """
+    a, b, margin = 1.0, _CUTOFF, 0.25
     lo = a * b**2
     probe = RadiatingParams(N=N, eps0=lo + 2.0 + 10.0, v=v, a=a, b=b)
     lam = np.linspace(lo + 1e-9, 40.0, 80001)

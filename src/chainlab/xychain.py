@@ -58,7 +58,7 @@ def recurrence_coefficients(m_max: int, kappa: float) -> HoppingCoefficients:
 def evolution_coefficient(r: int, t, kappa: float):
     """One-particle propagator C_t(r) = (-i)^|r| J_|r|(kappa t); scalar or array t."""
     r = abs(int(r))
-    return (-1j) ** r * bessel_j(r, kappa * t)
+    return (-1j) ** r * bessel_j(r, kappa * np.asarray(t, dtype=float))
 
 
 def occupation(j: int, t, kappa: float):

@@ -62,6 +62,11 @@ def test_config_file_and_override(tmp_path):
     header, rows = _read_csv(tmp_path / "domino_flip.csv")
     assert header == ["t", "flip_j2", "flip_j3"]
     assert len(rows) == 4
+    # an explicit flag wins over the file even when it equals its default
+    assert main(["domino", "--config", str(cfg), "--steps", "201", "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "domino_flip.csv")
+    assert header == ["t", "flip_j2", "flip_j3"]
+    assert len(rows) == 201
 
 
 def test_invalid_config_is_exit_code_one(tmp_path):
@@ -72,8 +77,21 @@ def test_invalid_config_is_exit_code_one(tmp_path):
     bad.write_text("nonsense line\n")
     assert main(["domino", "--config", str(bad), "--out", str(tmp_path)]) == 1
     unknown = tmp_path / "unknown.cfg"
-    unknown.write_text("zeta = 3\n")
-    assert main(["domino", "--config", str(unknown), "--out", str(tmp_path)]) == 1
+    for key in ("zeta", "fn", "command", "_parser"):
+        unknown.write_text(f"{key} = 3\n")
+        assert main(["domino", "--config", str(unknown), "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "domino_flip.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["domino", "--steps", "abc"], ["domino", "--bogus", "1"], []],
+    ids=["unparsable-value", "unknown-flag", "no-subcommand"],
+)
+def test_malformed_command_line_is_exit_code_one(tmp_path, argv):
+    # argparse would exit with status 2, the numerical-invariant code
+    assert main(argv + (["--out", str(tmp_path)] if argv else [])) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_outputs_are_deterministic(tmp_path):
@@ -153,10 +171,12 @@ def test_detector_needs_a_time_step(tmp_path, flags):
         (["radiate", "--M", "1"], "radiate_decay.csv"),
         (["meanfield", "--eps", "-1"], "meanfield_phase.csv"),
         (["meanfield", "--lambda", "-1"], "meanfield_phase.csv"),
+        (["meanfield", "--T", "0..0.5"], "meanfield_phase.csv"),
         (["domino", "--j", "3..2"], "domino_flip.csv"),
         (["xy", "--j", "1..0"], "xy_occupation.csv"),
     ],
-    ids=["radiate-N", "radiate-M", "meanfield-eps", "meanfield-lambda", "domino-empty-j", "xy-empty-j"],
+    ids=["radiate-N", "radiate-M", "meanfield-eps", "meanfield-lambda", "meanfield-T", "domino-empty-j",
+         "xy-empty-j"],
 )
 def test_out_of_domain_inputs_are_exit_code_one(tmp_path, argv, csv):
     assert main(argv + ["--steps", "3", "--out", str(tmp_path)]) == 1

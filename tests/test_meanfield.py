@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chainlab import DomainError
 from chainlab.meanfield import (
     SIGMA,
     BCSParams,
@@ -104,6 +105,11 @@ def test_gap_equation_roots():
 def test_gibbs_self_consistency_at_root():
     sc = next(s for s in solve_gap_equation(P) if s.kind == "superconducting")
     assert np.max(np.abs(gibbs_expectations(sc.F, P) - 2.0 * sc.F)) < 1e-10
+
+
+def test_gap_equation_needs_a_positive_temperature():
+    with pytest.raises(DomainError):
+        solve_gap_equation(BCSParams(eps=0.25, lam=1.0, T=0.0))
 
 
 def test_no_superconducting_branch_above_tc():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chainlab import DomainError
 from chainlab.projection import (
     classical_period,
     classical_trajectory,
@@ -53,6 +54,11 @@ def test_classical_circle_uniform_rotation():
         ref = z0 * np.exp(-1j * t * f / lam**2)
         assert classical_trajectory(z0, lam, t, a) == pytest.approx(ref, abs=1e-14)
         assert abs(classical_trajectory(z0, lam, t, a)) == pytest.approx(abs(z0), abs=1e-14)
+
+
+def test_zero_lambda_is_outside_the_domain():
+    with pytest.raises(DomainError):
+        classical_trajectory(1.0 + 0.5j, 0.0, np.linspace(0.0, 1.0, 3), 1.0)
 
 
 def test_periods():

@@ -67,7 +67,9 @@ _OBSERVABLES = (dense_oracle.site_number_op(4, 1), dense_oracle.DenseOperator(de
 @given(n=st.integers(1, 8), m=st.integers(1, 8), order=st.integers(-30, 30), t=arrays(1e-3, 50.0))
 def test_array_times_match_scalar_calls(n, m, order, t):
     def agrees(fn):
-        return np.max(np.abs(fn(t) - np.array([fn(x) for x in t]))) <= 1e-14
+        ref = np.array([fn(x) for x in t])
+        # a list of times is taken like the array
+        return all(np.max(np.abs(fn(times) - ref)) <= 1e-14 for times in (t, list(t)))
 
     assert agrees(lambda s: green_finite(n, m, 8, s))
     assert agrees(lambda s: green_infinite(n, m, s))
@@ -108,12 +110,14 @@ def test_flow_conserves_casimir(F0, eps, lam):
 @given(command=st.sampled_from(["domino", "xy"]), j0=st.integers(-5, 5), sites=st.integers(1, 4),
        t_max=st.floats(0.0, 60.0), steps=st.integers(1, 40))
 def test_csv_is_deterministic(command, j0, sites, t_max, steps):
+    # the second run reads the same values from a config file: a config line is its flag
     if command == "domino":
         j0 = abs(j0) + 1
-    argv = [command, f"--j={j0}..{j0 + sites - 1}", "--t", f"0..{t_max!r}", "--steps", str(steps)]
+    values = {"j": f"{j0}..{j0 + sites - 1}", "t": f"0..{t_max!r}", "steps": str(steps)}
     name = "domino_flip.csv" if command == "domino" else "xy_occupation.csv"
     with tempfile.TemporaryDirectory() as tmp:
-        a, b = Path(tmp, "a"), Path(tmp, "b")
-        assert main(argv + ["--out", str(a)]) == 0
-        assert main(argv + ["--out", str(b)]) == 0
+        a, b, cfg = Path(tmp, "a"), Path(tmp, "b"), Path(tmp, "run.cfg")
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert main([command, *(f"--{k}={v}" for k, v in values.items()), "--out", str(a)]) == 0
+        assert main([command, "--config", str(cfg), "--out", str(b)]) == 0
         assert filecmp.cmp(a / name, b / name, shallow=False)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from chainlab import DomainError
 from chainlab.dense_oracle import Propagator, build_island_hamiltonian
 from chainlab.qdomino import (
     asymptotic_exponent,
@@ -81,6 +82,11 @@ def test_envelope_slope_recovers_power_law():
     t = np.linspace(50.0, 500.0, 1500)
     vals = t**-3.0 * (1.1 + np.cos(4.0 * t) ** 2)
     assert abs(envelope_slope(t, vals) + 3.0) < 0.05
+
+
+def test_flip_probability_rejects_sites_below_one():
+    with pytest.raises(DomainError):
+        flip_probability(0, 1.0)
 
 
 def test_envelope_slope_needs_enough_maxima():
