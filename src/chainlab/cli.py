@@ -98,8 +98,9 @@ def _config_flags(path: str) -> list[str]:
         if not line or line.startswith("#"):
             continue
         k, sep, v = line.partition("=")
-        if not sep or not k.strip():
-            raise DomainError(f"config line {line!r} is not key=value")
+        # an empty key, `config` and every prefix argparse resolves to --config all start "config"
+        if not sep or "config".startswith(k.strip()):
+            raise DomainError(f"config line {line!r} is not key=value with a key other than config")
         flags.append(f"--{k.strip()}={v.strip()}")
     return flags
 
@@ -324,6 +325,3 @@ def main(argv=None) -> int:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -343,25 +343,27 @@ class DetectorRun:
         return occ[0] if times.ndim == 0 else occ
 
     def p0_series(self) -> np.ndarray:
-        """omega_t(P_0) on the whole grid from the momentum-space vector."""
-        cfg = self.cfg
-        dt, g2 = cfg.dt, cfg.gamma**2
-        F = self.solution()
-        p = cfg.phi.grid.nodes
-        wq = cfg.phi.grid.weights
-        phi_a = cfg.phi.amplitude
-        psi_a = cfg.psi.amplitude
+        """omega_t(P_0) on the grid; node p carries e_p psi(p) - gamma^2 phi(p) (e_p * f) * F.
+
+        e_p(t - s) = e_p(t) conj(e_p(s)) turns both trapezoid causal convolutions into e_p(t) times
+        running sums, with q = f * F shared by all nodes: the same discretization as convolving twice.
+        """
+        cfg, dt = self.cfg, self.cfg.dt
+        f, F = self.f, self.solution()
+        L = 1 << int(np.ceil(np.log2(2 * self.n + 1)))  # holds the linear convolution
+        q = np.fft.ifft(np.fft.fft(f, L) * np.fft.fft(F, L))[: self.n + 1]
+        r = (q - 0.5 * f[0] * F)[:, None]
+        grid = cfg.phi.grid
         out = np.zeros(self.n + 1)
         chunk = 48
-        for i in range(0, p.size, chunk):
-            ps = p[i : i + chunk]
+        for i in range(0, grid.nodes.size, chunk):
+            ps = grid.nodes[i : i + chunk]
             # phase matrix e^{-i t p^2}, shape (n+1, c): the phase sum of the identity
             ep = phase_sum(np.eye(ps.size), ps**2, dt, self.n + 1)
-            # C_p = causal conv of e_p with f; Z_p = causal conv of C_p with F
-            Cp = _causal_conv(ep, self.f[:, None], dt)
-            Zp = _causal_conv(Cp, F[:, None], dt)
-            chi = ep * psi_a[i : i + chunk][None, :] - g2 * phi_a[i : i + chunk][None, :] * Zp
-            out += (np.abs(chi) ** 2) @ (wq[i : i + chunk] * 4.0 * pi * ps**2)
+            Cp = dt * (ep * np.cumsum(np.conj(ep) * f[:, None], axis=0) - 0.5 * (ep * f[0] + f[:, None]))
+            Zp = dt * (dt * (ep * np.cumsum(np.conj(ep) * r, axis=0) - 0.5 * q[:, None]) - 0.5 * F[0] * Cp)
+            chi = ep * cfg.psi.amplitude[i : i + chunk] - cfg.gamma**2 * cfg.phi.amplitude[i : i + chunk] * Zp
+            out += (np.abs(chi) ** 2) @ (grid.weights[i : i + chunk] * 4.0 * pi * ps**2)
         return out
 
 

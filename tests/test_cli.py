@@ -1,4 +1,6 @@
 import filecmp
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +82,9 @@ def test_invalid_config_is_exit_code_one(tmp_path):
     for key in ("zeta", "fn", "command", "_parser"):
         unknown.write_text(f"{key} = 3\n")
         assert main(["domino", "--config", str(unknown), "--out", str(tmp_path)]) == 1
+    for key in ("config", "conf"):  # --config and a prefix argparse resolves to it
+        unknown.write_text(f"{key} = {tmp_path / 'other.cfg'}\nsteps = 3\n")
+        assert main(["domino", "--config", str(unknown), "--out", str(tmp_path)]) == 1
     assert not (tmp_path / "domino_flip.csv").exists()
 
 
@@ -92,6 +97,14 @@ def test_malformed_command_line_is_exit_code_one(tmp_path, argv):
     # argparse would exit with status 2, the numerical-invariant code
     assert main(argv + (["--out", str(tmp_path)] if argv else [])) == 1
     assert not list(tmp_path.iterdir())
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["chainlab", "domino", "--steps", "3", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("chainlab", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert len(_read_csv(tmp_path / "domino_flip.csv")[1]) == 3
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_properties import PROPERTY
 
 from chainlab import DomainError, detector
 from chainlab.detector import (
@@ -13,7 +16,7 @@ from chainlab.detector import (
     semicircle_kernel,
 )
 from chainlab.packets import bump_packet, default_grid, gaussian_packet, overlap
-from chainlab.specfun import _PHASE_BLOCK, bessel_ratio_table
+from chainlab.specfun import _PHASE_BLOCK, bessel_ratio_table, phase_sum
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +167,56 @@ def test_occupations_at_rejects_times_outside_the_run(short_run):
         short_run.occupations_at(np.array([1.0, 41.0]))
     with pytest.raises(DomainError):
         short_run.occupations_at(-1.0)
+
+
+def _p0_by_double_convolution(run):
+    """P_0 with both causal convolutions of each node chunk, C_p = e_p * f and Z_p = C_p * F, by FFT."""
+    cfg, dt = run.cfg, run.cfg.dt
+    grid = cfg.phi.grid
+    out = np.zeros(run.n + 1)
+    for i in range(0, grid.nodes.size, 48):
+        ps = grid.nodes[i : i + 48]
+        ep = phase_sum(np.eye(ps.size), ps**2, dt, run.n + 1)
+        Zp = detector._causal_conv(detector._causal_conv(ep, run.f[:, None], dt), run.solution()[:, None], dt)
+        chi = ep * cfg.psi.amplitude[i : i + 48] - cfg.gamma**2 * cfg.phi.amplitude[i : i + 48] * Zp
+        out += (np.abs(chi) ** 2) @ (grid.weights[i : i + 48] * 4.0 * np.pi * ps**2)
+    return out
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.004])
+def test_p0_series_matches_double_convolution(dt):
+    run = DetectorRun(default_config(gamma=0.5, dt=dt, T=5.0))
+    assert np.max(np.abs(run.p0_series() - _p0_by_double_convolution(run))) <= 1e-13
+
+
+@PROPERTY
+@given(gamma=st.floats(0.0, 0.6), T=st.floats(0.5, 10.0))
+def test_p0_series_matches_double_convolution_everywhere(gamma, T):
+    run = DetectorRun(default_config(gamma=gamma, T=T))
+    assert np.max(np.abs(run.p0_series() - _p0_by_double_convolution(run))) <= 1e-13
+
+
+def test_p0_series_takes_no_per_node_convolution(monkeypatch):
+    calls = {"conv": 0, "fft": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(detector, "_causal_conv", counted("conv", detector._causal_conv))
+    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+    ffts = []
+    for panels in (20, 80):  # 240 and 960 momentum nodes
+        grid = default_grid(panels=panels)
+        run = DetectorRun(DetectorConfig(0.5, gaussian_packet(grid, 2.0), gaussian_packet(grid, 1.0), T=5.0))
+        run.solution()
+        calls.update(conv=0, fft=0)
+        run.p0_series()
+        assert calls["conv"] == 0
+        ffts.append(calls["fft"])
+    assert ffts[0] == ffts[1]
 
 
 def test_povm_eigenvalues_and_nonprojection():
