@@ -1,7 +1,7 @@
 """Numerical laboratory for exactly solvable models of quantum measurement.
 
 Modules:
-    specfun       Bessel and Chebyshev evaluation tuned for chain dynamics
+    specfun       Bessel evaluation and phase sums tuned for chain dynamics
     dense_oracle  brute-force dense Hamiltonians used as ground truth
     qdomino       quantum domino chain: Green functions and flip spreading
     xychain       x-y chain occupations from the half-filled step state

@@ -21,7 +21,6 @@ __all__ = [
     "gaussian_packet",
     "bump_packet",
     "overlap",
-    "l1_norm_position",
     "ghat_radial",
 ]
 
@@ -133,20 +132,6 @@ def overlap(a: RadialPacket, b: RadialPacket) -> complex:
     if a.grid is not b.grid and not np.array_equal(a.grid.nodes, b.grid.nodes):
         raise ValueError("packets must share a grid")
     return complex(a.grid.integrate(np.conj(a.amplitude) * b.amplitude * 4.0 * pi * a.grid.nodes**2))
-
-
-def l1_norm_position(packet: RadialPacket) -> float:
-    """||phi||_1 = int |phi(x)| d^3x via the inverse radial transform.
-
-    phi(r) = sqrt(2/pi) (1/r) int_0^inf p sin(p r) phi(p) dp, sampled at
-    8001 radii up to r = 40.
-    """
-    r = np.linspace(1e-6, 40.0, 8001)
-    p = packet.grid.nodes
-    w = packet.grid.weights
-    kern = np.sin(np.outer(r, p))
-    phi_r = np.sqrt(2.0 / pi) * (kern @ (w * p * packet.amplitude)) / r
-    return float(np.trapezoid(4.0 * pi * r**2 * np.abs(phi_r), r))
 
 
 def ghat_radial(packet: RadialPacket, u) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Self-contained special functions for the chain models.
 
 Bessel functions of integer order (normalized backward recurrence, one
-path for scalars and arrays), Chebyshev polynomials of the second kind,
-the finite-chain analogue of the Bessel kernel obtained by sampling
-the integral representation on the open-chain eigenphases, and phase
-sums sum_j C_j e^{-i t x_j} on a uniform time grid.
+path for scalars and arrays), the finite-chain analogue of the Bessel
+kernel obtained by sampling the integral representation on the
+open-chain eigenphases, and phase sums sum_j C_j e^{-i t x_j} on a
+uniform time grid: `phase_sum` evaluates them directly (the exact phase
+matrix, and the oracle of the fast route), `phase_sum_nufft` as a
+type-1 non-uniform FFT in O(n log n + len(x)) work.
 """
 
 from __future__ import annotations
@@ -19,14 +21,19 @@ __all__ = [
     "bessel_j",
     "bessel_table",
     "bessel_ratio_table",
-    "chebyshev_u",
     "finite_kernel",
     "phase_sum",
+    "phase_sum_nufft",
 ]
 
 # rows of the base phase block in phase_sum: its exp count per node is
 # _PHASE_BLOCK + n / _PHASE_BLOCK, and the block bounds the memory
 _PHASE_BLOCK = 64
+# phase_sum_nufft: Gaussian half-width in grid points, and the grid is the
+# power of two >= _NUFFT_OVERSAMPLE * n, so the deconvolution gain
+# e^{(n/2)^2 tau} stays below e^1.1; both chosen by measurement (CHANGES.md)
+_NUFFT_HALF_WIDTH = 18
+_NUFFT_OVERSAMPLE = 4
 # largest Miller start index (Python loop steps); criterion 03 needs ~2.3e3
 _MAX_START = 100_000
 
@@ -120,18 +127,6 @@ def bessel_j(n: int, x):
     return float(val) if np.ndim(x) == 0 else val
 
 
-def chebyshev_u(n: int, z: float) -> float:
-    """Chebyshev polynomial of the second kind U_n(z), forward recurrence."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    um, uc = 1.0, 2.0 * z
-    if n == 0:
-        return um
-    for _ in range(n - 1):
-        um, uc = uc, 2.0 * z * uc - um
-    return uc
-
-
 def finite_kernel(n: int, length: int, z):
     """Finite-chain Bessel kernel of order n for an open chain of `length` sites.
 
@@ -168,3 +163,43 @@ def phase_sum(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarray:
         m = min(_PHASE_BLOCK, n - i)
         out[i : i + m] = base[:m] @ (np.exp(-1j * (dt * i) * x)[:, None] * C)
     return out
+
+
+def phase_sum_nufft(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarray:
+    """phase_sum(C, x, dt, n) as a type-1 non-uniform FFT by Gaussian gridding.
+
+    With theta_j = dt x_j reduced mod 2 pi, S[k] = sum_j C[j] e^{-i k theta_j}.
+    Folding e^{-i h theta_j}, h = n // 2, into C centres the outputs at
+    k' = k - h.  Each node is spread with the Gaussian
+    e^{-(xi - theta_j)^2 / 4 tau} onto its 2H nearest points xi_m =
+    2 pi m / M of a periodic grid; one FFT gives the smoothed Fourier
+    coefficients, and dividing by the Gaussian's transform
+    sqrt(tau / pi) e^{-k'^2 tau} restores S (Greengard & Lee, SIAM Rev.
+    46 (2004) 443: tau = pi H / (n^2 R (R - 1/2)), R = M / n).  Nodes
+    are spread one kernel offset at a time, so temporaries stay
+    O(len(x) + M) and not O(len(x) H).
+    """
+    x = np.asarray(x, dtype=float)
+    H = _NUFFT_HALF_WIDTH
+    M = 1 << math.ceil(math.log2(_NUFFT_OVERSAMPLE * n))
+    R = M / n
+    tau = math.pi * H / (n * n * R * (R - 0.5))
+    step = 2.0 * math.pi / M
+    theta = dt * x
+    theta -= 2.0 * math.pi * np.rint(theta / (2.0 * math.pi))  # in [-pi, pi]: exact for small |dt x|
+    m0 = np.floor(theta / step).astype(np.int64)
+    d = theta - m0 * step  # offset from the grid point below
+    h = n // 2
+    # h theta = 2 pi (h m0 mod M) / M + h d: the integer reduction keeps the phase below 2 pi + pi / 4
+    Ch = C * np.exp(-1j * (step * ((h * m0) % M) + h * d))[:, None]
+    parts = np.concatenate([Ch.real, Ch.imag], axis=1).T.copy()  # one real row per column and part
+    grid = np.zeros((parts.shape[0], M))
+    for offset in range(1 - H, H + 1):
+        idx = (m0 + offset) & (M - 1)
+        v = parts * np.exp(-((d - offset * step) ** 2) / (4.0 * tau))
+        for row, weights in zip(grid, v):
+            row += np.bincount(idx, weights, M)
+    cols = C.shape[1]
+    k = np.arange(n) - h
+    S = np.fft.fft(grid[:cols] + 1j * grid[cols:], axis=1)[:, k % M]
+    return (S * (math.sqrt(math.pi / tau) / M * np.exp(k * k * tau))).T

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,14 +17,27 @@ from chainlab.detector import (
     povm_matrix,
     semicircle_kernel,
 )
-from chainlab.packets import bump_packet, default_grid, gaussian_packet, overlap
-from chainlab.specfun import _PHASE_BLOCK, bessel_ratio_table, phase_sum
+from chainlab.packets import bump_packet, default_grid, gaussian_packet, ghat_radial, overlap
+from chainlab.specfun import _PHASE_BLOCK, bessel_ratio_table, phase_sum, phase_sum_nufft
 
 
 @pytest.fixture(scope="module")
 def short_run():
     # T = 40 keeps the free-series quadrature cheap; physics is unchanged
     return DetectorRun(default_config(gamma=0.5, T=40.0))
+
+
+@pytest.fixture(scope="module")
+def default_run():
+    return DetectorRun(default_config(gamma=0.5))
+
+
+def _free_coefficients(run):
+    """Trapezoid coefficients of the free pass over p_fine: columns (phi, psi) and (phi, phi)."""
+    p = run.p_fine
+    phi, psi = run.cfg.phi, run.cfg.psi
+    C = np.conj(phi.amplitude_at(p))[:, None] * np.stack([psi.amplitude_at(p), phi.amplitude_at(p)], axis=1)
+    return C * (4.0 * np.pi * p**2 * (p[1] - p[0]))[:, None]
 
 
 def test_semicircle_kernel_shape():
@@ -34,6 +49,19 @@ def test_semicircle_kernel_shape():
     fine = np.linspace(-2.0, 2.0, 200001)
     # trapezoid loses accuracy at the sqrt endpoints; O(h^1.5) residual
     assert np.trapezoid(semicircle_kernel(fine), fine) / np.sqrt(2.0 * np.pi) == pytest.approx(1.0, abs=1e-7)
+
+
+def test_spectral_fhat_matches_continuum_convolution(short_run):
+    # f = g J_1(2t)/t, so fhat = (2 pi)^(-1/2) ghat * semicircle; fhat >= 0 makes W_gamma positive
+    run = short_run
+    dt = run.cfg.dt
+    fhat = dt / np.sqrt(2.0 * np.pi) * np.fft.fft(detector._two_sided(run.f, run.L))
+    du = 2.0 * np.pi / (run.L * dt)
+    for u in (-20.0, -5.0, -1.0, 0.0, 1.5):
+        j = int(round(u / du))
+        v = np.linspace(j * du - 2.0, j * du + 2.0, 200001)  # the semicircle's support
+        ref = np.trapezoid(ghat_radial(run.cfg.phi, v) * semicircle_kernel(j * du - v), v) / np.sqrt(2.0 * np.pi)
+        assert abs(fhat[j % run.L] - ref) <= 2e-5
 
 
 def test_f_kernel_limit_at_zero():
@@ -56,19 +84,39 @@ def test_free_series_matches_quadrature(short_run):
 
 
 def test_free_series_matches_direct_phase_matrix(short_run):
-    # block-boundary rows and the final partial block against exp of the full matrix
+    # phase_sum's block-boundary rows and final partial block, and free_series, against exp of the full matrix
     run = short_run
     p = run.p_fine
-    dp = p[1] - p[0]
-    phi, psi = run.cfg.phi, run.cfg.psi
-    C = np.conj(phi.amplitude_at(p))[:, None] * np.stack([psi.amplitude_at(p), phi.amplitude_at(p)], axis=1)
-    C *= (4.0 * np.pi * p**2 * dp)[:, None]
+    C = _free_coefficients(run)
     last = (run.n // _PHASE_BLOCK) * _PHASE_BLOCK
     assert 0 < run.n + 1 - last < _PHASE_BLOCK
     rows = np.r_[0, _PHASE_BLOCK - 1, _PHASE_BLOCK, 2 * _PHASE_BLOCK, last - 1, last:run.n + 1]
     ref = np.exp(-1j * np.outer(run.t[rows], p**2)) @ C
+    assert np.max(np.abs(phase_sum(C, p**2, run.cfg.dt, run.n + 1)[rows] - ref)) <= 1e-13
     assert np.max(np.abs(run.free_series()[rows] - ref[:, 0])) <= 1e-13
     assert np.max(np.abs(run.g[rows] - ref[:, 1])) <= 1e-13
+
+
+@pytest.mark.parametrize("which", ["short_run", "default_run"])
+def test_free_series_nufft_matches_direct_phase_sum(which, request):
+    # T = 40 and T = 200: the free pass's own coefficients, NUFFT against the direct sum
+    run = request.getfixturevalue(which)
+    C = _free_coefficients(run)
+    direct = phase_sum(C, run.p_fine**2, run.cfg.dt, run.n + 1)
+    assert np.max(np.abs(phase_sum_nufft(C, run.p_fine**2, run.cfg.dt, run.n + 1) - direct)) <= 1e-13
+    assert np.max(np.abs(run.free_series() - direct[:, 0])) <= 1e-13
+
+
+def test_free_pass_memory_stays_below_the_direct_sum(default_run):
+    # the direct (times x momenta) sum peaks near 38 MB here; spreading one kernel offset at a time stays far below
+    run = default_run
+    tracemalloc.start()
+    try:
+        run.free_series_multi([run.cfg.psi, run.cfg.phi])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_g_matches_gaussian_closed_form(short_run):

@@ -6,7 +6,6 @@ from chainlab.packets import (
     default_grid,
     gaussian_packet,
     ghat_radial,
-    l1_norm_position,
     overlap,
 )
 
@@ -41,13 +40,6 @@ def test_profile_matches_sampled_amplitude():
     g = default_grid()
     for pk in (gaussian_packet(g, 1.3), bump_packet(g, 2.0)):
         assert np.max(np.abs(pk.amplitude_at(g.nodes) - pk.amplitude)) < 1e-12
-
-
-def test_gaussian_position_l1_norm_closed_form():
-    # |phi(x)| is Gaussian of width 1/s up to phase: ||phi||_1 = (2 sqrt(pi)/s)^(3/2) / pi^(3/4)
-    s = 1.0
-    ref = (4.0 * np.pi / s**2) ** 0.75
-    assert l1_norm_position(gaussian_packet(default_grid(), s)) == pytest.approx(ref, rel=1e-3)
 
 
 def test_ghat_support_and_total_weight():

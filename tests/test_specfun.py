@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import example, given
+from hypothesis import strategies as st
+from test_properties import PROPERTY
 
 from chainlab import DomainError, specfun
 from chainlab.qdomino import flip_probability
-from chainlab.specfun import bessel_j, bessel_ratio_table, bessel_table, chebyshev_u, finite_kernel
+from chainlab.specfun import bessel_j, bessel_ratio_table, bessel_table, finite_kernel, phase_sum, phase_sum_nufft
 from chainlab.xychain import occupation
 
 
@@ -66,12 +69,6 @@ def test_quadratic_normalization():
         assert abs(tab[0] ** 2 + 2.0 * np.sum(tab[1:] ** 2) - 1.0) < 1e-12
 
 
-def test_chebyshev_u_against_scipy():
-    for n in range(0, 12):
-        for x in (-0.9, -0.3, 0.0, 0.45, 0.99):
-            assert chebyshev_u(n, x) == pytest.approx(sp.eval_chebyu(n, x), abs=1e-12)
-
-
 def test_finite_kernel_reduces_to_infinite_for_large_chain():
     # J_n^(N) -> J_n as the chain grows; the missing-endpoint error is O(1/N)
     for n in (0, 1, 3):
@@ -87,6 +84,21 @@ def test_finite_kernel_direct_sum():
     th = j * np.pi / (N + 1)
     ref = 1j**n / (N + 1) * np.sum(np.exp(-1j * z * np.cos(th)) * np.cos(n * th))
     assert finite_kernel(n, N, z) == pytest.approx(ref, abs=1e-14)
+
+
+@PROPERTY
+@given(n=st.integers(2, 4000), dt=st.floats(1e-3, 1.0), span=st.floats(-2.0, np.log10(300.0)),
+       nodes=st.integers(1, 64), cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(n=2, dt=0.02, span=np.log10(300.0), nodes=64, cols=2, seed=0)  # T = dt, |dt x| up to 300
+def test_phase_sum_nufft_matches_direct_sum(n, dt, span, nodes, cols, seed):
+    # nodes of both signs with largest phase (n - 1) dt |x| = 10^span; both routes round t x to about
+    # 1e-16 |t x|, so beyond a few hundred radians the comparison would measure that rounding instead
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, nodes) * 10.0**span / ((n - 1) * dt)
+    C = rng.normal(size=(nodes, cols)) + 1j * rng.normal(size=(nodes, cols))
+    S = phase_sum_nufft(C, x, dt, n)
+    assert S.shape == (n, cols)
+    assert np.all(np.abs(S - phase_sum(C, x, dt, n)) <= 1e-13 * np.abs(C).sum(axis=0))
 
 
 def _miller_must_not_run(*args):
