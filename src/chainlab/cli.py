@@ -301,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_run_orbit)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    common(p)
+    p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--only", default=None, help="comma-separated criterion numbers")
     p.set_defaults(fn=_run_verify)
     return top

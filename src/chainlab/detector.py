@@ -104,10 +104,10 @@ _OVERSAMPLE = 4.0
 # Neumann series: stop when a term's norm falls below this fraction of |F0|
 _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
-# bound on (time samples) x (fine momenta), ~17x the default T = 200 run: the
-# size of the direct phase sum, kept as the run's up-front cost gate although
-# the free pass now takes the NUFFT, whose cost grows like times log(times) + momenta
-_MAX_PHASE_ENTRIES = 2**32
+# bytes of the largest array a run may allocate: a p0_series chunk of (n + 1) x _P0_CHUNK complex
+# phases, the free pass's two complex columns over the fine momenta, or the occupations_at Bessel table
+_MAX_ARRAY_BYTES = 2**28
+_P0_CHUNK = 48
 # largest accepted gap between the time-domain and spectral w routes
 W_ROUTE_TOL = 1e-6
 
@@ -128,16 +128,16 @@ def _two_sided(h: np.ndarray, L: int) -> np.ndarray:
     return ker
 
 
-def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid half-line convolution of equal-length series on their grid.
-
-    Axis 0 is time; trailing columns of `a` and `b` broadcast.  The FFT
-    length 2n - 1 (rounded up to a power of two) holds the whole linear
-    convolution, so the first n samples are exact.
-    """
+def _linear_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First n samples of the linear convolution along axis 0 of equal-length series, by one FFT of length >= 2n - 1."""
     n = a.shape[0]
     L = 1 << int(np.ceil(np.log2(2 * n - 1)))
-    c = np.fft.ifft(np.fft.fft(a, L, axis=0) * np.fft.fft(b, L, axis=0), axis=0)[:n] * dt
+    return np.fft.ifft(np.fft.fft(a, L, axis=0) * np.fft.fft(b, L, axis=0), axis=0)[:n]
+
+
+def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid half-line convolution of equal-length series on their grid: the end-corrected `_linear_conv`."""
+    c = _linear_conv(a, b) * dt
     c -= 0.5 * dt * (a * b[0] + a[0] * b)
     return c
 
@@ -175,9 +175,9 @@ class DetectorRun:
         # fine momentum grid resolving the largest phase T p_max^2
         p_max = cfg.phi.grid.p_max
         n_fine = int(np.ceil(_OVERSAMPLE * cfg.T * p_max**2 / pi)) + 100
-        if (self.n + 1) * n_fine > _MAX_PHASE_ENTRIES:
-            raise DomainError(f"T = {cfg.T:g}, dt = {cfg.dt:g} needs {self.n + 1} times x {n_fine} "
-                              f"momenta > {_MAX_PHASE_ENTRIES} phase entries")
+        largest = 16 * max(_P0_CHUNK * (self.n + 1), 2 * n_fine)
+        if largest > _MAX_ARRAY_BYTES:
+            raise DomainError(f"T = {cfg.T:g}, dt = {cfg.dt:g} needs a {largest}-byte array > {_MAX_ARRAY_BYTES} bytes")
         self.t = cfg.dt * np.arange(self.n + 1)
         # circular grid of the Fourier-domain solver and the spectral w route
         self.L = 1 << int(np.ceil(np.log2(4 * (self.n + 1))))
@@ -340,6 +340,8 @@ class DetectorRun:
         if not (steps.min() >= 0 and steps.max() <= self.n):
             raise DomainError(f"occupation times must lie in [0, T = {self.cfg.T:g}]")
         m_max = _chain_order_cut(float(np.max(times)))
+        if 16 * m_max * (steps.max() + 1) > _MAX_ARRAY_BYTES:
+            raise DomainError(f"a {m_max} x {steps.max() + 1} occupation Bessel table exceeds {_MAX_ARRAY_BYTES} bytes")
         fm = (-1j) ** np.arange(m_max)[:, None] * bessel_ratio_table(m_max, self.t[: steps.max() + 1])
         F = self.solution()
         occ = np.zeros((steps.size, m_max))
@@ -357,12 +359,11 @@ class DetectorRun:
         """
         cfg, dt = self.cfg, self.cfg.dt
         f, F = self.f, self.solution()
-        L = 1 << int(np.ceil(np.log2(2 * self.n + 1)))  # holds the linear convolution
-        q = np.fft.ifft(np.fft.fft(f, L) * np.fft.fft(F, L))[: self.n + 1]
+        q = _linear_conv(f, F)
         r = (q - 0.5 * f[0] * F)[:, None]
         grid = cfg.phi.grid
         out = np.zeros(self.n + 1)
-        chunk = 48
+        chunk = _P0_CHUNK
         for i in range(0, grid.nodes.size, chunk):
             ps = grid.nodes[i : i + chunk]
             # phase matrix e^{-i t p^2}, shape (n+1, c): the phase sum of the identity

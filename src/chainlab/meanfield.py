@@ -106,39 +106,48 @@ def bcs_gradient(F, p: BCSParams) -> np.ndarray:
     return np.array([-2.0 * p.lam * F[0], -2.0 * p.lam * F[1], -2.0 * p.eps])
 
 
-def bcs_flow_exact(F0, t: float, p: BCSParams) -> np.ndarray:
-    """Closed-form BCS flow: F3 constant, F+- rotating at 2(eps - lam F3)."""
+def bcs_flow_exact(F0, t, p: BCSParams) -> np.ndarray:
+    """Closed-form BCS flow: F3 constant, F+- rotating at 2(eps - lam F3); rows stack a 1-d array t."""
     F0 = np.asarray(F0, dtype=float)
     omega = 2.0 * (p.eps - p.lam * F0[2])
-    fp = (F0[0] + 1j * F0[1]) * np.exp(-1j * omega * t)
-    return np.array([fp.real, fp.imag, F0[2]])
+    fp = (F0[0] + 1j * F0[1]) * np.exp(-1j * omega * np.asarray(t, dtype=float))
+    return np.array([fp.real, fp.imag, F0[2] + 0.0 * fp.real]).T  # F3 takes the shape of t
 
 
-def _rk4(rhs, y0, t: float, dt: float):
-    """Classical RK4 for dy/ds = rhs(s, y) from s = 0 to t in round(t/dt) equal steps."""
+def _rk4(rhs, y0, t, dt: float):
+    """Classical RK4 for dy/ds = rhs(s, y) from s = 0, sampled at the nondecreasing times t >= 0.
+
+    Each interval between times takes round(length/dt) equal steps; an array t stacks its states on axis 0.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    y = y0
-    n = int(round(t / dt))
-    h = t / n if n else 0.0
-    for k in range(n):
-        s = k * h
-        k1 = rhs(s, y)
-        k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(s + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+    times = np.asarray(t, dtype=float)
+    if not np.all(np.diff(times.ravel(), prepend=0.0) >= 0):  # also catches NaN
+        raise DomainError("times must be >= 0 and nondecreasing")
+    y, s0, out = y0, 0.0, []
+    for t1 in times.ravel().tolist():
+        n = int(round((t1 - s0) / dt))
+        h = (t1 - s0) / n if n else 0.0
+        for k in range(n):
+            s = s0 + k * h
+            k1 = rhs(s, y)
+            k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(s + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(y)
+        s0 = t1
+    return out[0] if times.ndim == 0 else np.stack(out)
 
 
-def flow_rk4(gradQ, F0, t: float, dt: float) -> np.ndarray:
-    """RK4 integration of the Lie-Poisson flow of a Hamiltonian with gradient gradQ."""
+def flow_rk4(gradQ, F0, t, dt: float) -> np.ndarray:
+    """RK4 integration of the Lie-Poisson flow of a Hamiltonian with gradient gradQ, at a time or times t."""
     F0 = np.asarray(F0, dtype=float)
     return _rk4(lambda s, F: bracket_flow_rhs(gradQ(F), F), F0, t, dt)
 
 
-def cocycle_evolve(F0, t: float, dt: float, p: BCSParams) -> np.ndarray:
-    """SU(2) cocycle solving i dU/dt = X(F(t)) U, U(0) = 1.
+def cocycle_evolve(F0, t, dt: float, p: BCSParams) -> np.ndarray:
+    """SU(2) cocycle solving i dU/dt = X(F(t)) U, U(0) = 1, at a time or times t.
 
     X(F) = -eps sigma3 - lam (F1 sigma1 + F2 sigma2) along the exact
     classical flow through F0; plain RK4, whose unitarity defect stays

@@ -312,9 +312,23 @@ def test_config_rejects_T_shorter_than_a_step():
 
 
 def test_oversized_run_is_refused_before_allocation():
-    # (n + 1) * len(p_fine) is about 6.4e13 here, far above 2**32
+    # a p0_series chunk of 5e6 times x 48 nodes is 3.8 GB here, far above 2**28 bytes
     with pytest.raises(DomainError):
         DetectorRun(default_config(T=1e5))
+
+
+def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_any_solve(monkeypatch):
+    # T = 1000 needs 38 MB per p0_series chunk, but occupations up to t = 1000 a 2172 x 50001
+    # complex Bessel table (1.7 GB)
+    run = DetectorRun(default_config(T=1000.0))
+
+    def must_not_run(*args):
+        raise AssertionError("occupations_at built its table or solved before the size check")
+
+    monkeypatch.setattr(detector, "bessel_ratio_table", must_not_run)
+    monkeypatch.setattr(DetectorRun, "solve_fourier", must_not_run)
+    with pytest.raises(DomainError):
+        run.occupations_at(1000.0)
 
 
 def test_config_rejects_negative_gamma():

@@ -62,13 +62,6 @@ def test_bessel_ratio_table_against_scipy():
     assert np.max(np.abs(scalar - np.arange(1, 4) * sp.jv(np.arange(1, 4), 5.0) / 2.5)) < 1e-12
 
 
-def test_quadratic_normalization():
-    # J_0^2 + 2 sum J_k^2 = 1
-    for x in (1.0, 5.0, 10.0, 25.0, 50.0):
-        tab = bessel_table(int(2 * x) + 60, x)
-        assert abs(tab[0] ** 2 + 2.0 * np.sum(tab[1:] ** 2) - 1.0) < 1e-12
-
-
 def test_finite_kernel_reduces_to_infinite_for_large_chain():
     # J_n^(N) -> J_n as the chain grows; the missing-endpoint error is O(1/N)
     for n in (0, 1, 3):

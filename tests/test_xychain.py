@@ -66,11 +66,6 @@ def test_occupation_accepts_time_arrays():
     assert isinstance(occupation(1, 2.0, 1.0), float)
 
 
-def test_occupation_long_time_limit():
-    for j in range(-3, 4):
-        assert abs(occupation(j, 1e3, 1.0) - 0.5) < 1e-3
-
-
 def test_occupation_uses_one_bessel_table(monkeypatch):
     # the normalization identity adds the tail exactly, so no larger table is needed
     calls = []
