@@ -5,7 +5,10 @@ chains, exp(-itH) through one cached eigendecomposition (Propagator), and
 expectation values; the analytic modules are checked against them.
 Spin basis: site s of an n_sites chain is up in basis index i iff bit
 n_sites-1-s of i is set, the np.kron order of spin_ops (site 0 first);
-the builders set their nonzero entries directly from these bits.
+the builders set their nonzero entries directly from these bits.  An
+operator that conserves the number of up spins also has a sector form:
+given n_up, it acts on the full-space indices with n_up set bits, in
+increasing order (sector_indices).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "build_full_chain_hamiltonian",
     "build_flip_flop_hamiltonian",
     "basis_state",
+    "sector_indices",
     "spin_ops",
     "site_number_op",
     "expectation",
@@ -73,21 +77,35 @@ def spin_ops(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.T.copy()
 
 
-def _site_bits(n_sites: int, site: int) -> np.ndarray:
-    """1 where `site` is up, 0 where it is down, for every basis index."""
-    return (np.arange(2**n_sites) >> (n_sites - 1 - site)) & 1
+def sector_indices(n_sites: int, n_up: int | None = None) -> np.ndarray:
+    """Full-space basis indices with n_up up spins, increasing; every index when n_up is None."""
+    idx = np.arange(2**n_sites)
+    if n_up is None:
+        return idx
+    if not 0 <= n_up <= n_sites:
+        raise ValueError("n_up must be in [0, n_sites]")
+    return idx[np.bitwise_count(idx) == n_up]
 
 
-def basis_state(bits) -> np.ndarray:
-    """Basis vector with site s up iff bits[s] is 1."""
-    psi = np.zeros(2 ** len(bits), dtype=complex)
-    psi[sum(int(b) << (len(bits) - 1 - s) for s, b in enumerate(bits))] = 1.0
+def _site_bits(idx: np.ndarray, n_sites: int, site: int) -> np.ndarray:
+    """1 where `site` is up, 0 where it is down, for each basis index in idx."""
+    return (idx >> (n_sites - 1 - site)) & 1
+
+
+def basis_state(bits, n_up: int | None = None) -> np.ndarray:
+    """Basis vector with site s up iff bits[s] is 1; in the n_up sector when n_up is given."""
+    n_sites = len(bits)
+    if n_up is not None and sum(int(b) for b in bits) != n_up:
+        raise ValueError("bits must have n_up up spins")
+    idx = sector_indices(n_sites, n_up)
+    psi = np.zeros(idx.size, dtype=complex)
+    psi[np.searchsorted(idx, sum(int(b) << (n_sites - 1 - s) for s, b in enumerate(bits)))] = 1.0
     return psi
 
 
-def site_number_op(n_sites: int, site: int) -> DenseOperator:
-    """a*a on `site`: diagonal, 1 where the site is up."""
-    return DenseOperator(np.diag(_site_bits(n_sites, site).astype(float)))
+def site_number_op(n_sites: int, site: int, n_up: int | None = None) -> DenseOperator:
+    """a*a on `site`: diagonal, 1 where the site is up; in the n_up sector when n_up is given."""
+    return DenseOperator(np.diag(_site_bits(sector_indices(n_sites, n_up), n_sites, site).astype(float)))
 
 
 def build_full_chain_hamiltonian(n_sites: int) -> DenseOperator:
@@ -98,27 +116,31 @@ def build_full_chain_hamiltonian(n_sites: int) -> DenseOperator:
     """
     if not 3 <= n_sites <= 14:
         raise ValueError("n_sites must be in [3, 14]")
-    H = np.zeros((2**n_sites, 2**n_sites))
+    idx = sector_indices(n_sites)
+    H = np.zeros((idx.size, idx.size))
     for n in range(n_sites - 2):
-        i = np.flatnonzero((_site_bits(n_sites, n) == 1) & (_site_bits(n_sites, n + 2) == 0))
+        i = np.flatnonzero((_site_bits(idx, n_sites, n) == 1) & (_site_bits(idx, n_sites, n + 2) == 0))
         H[i ^ (1 << (n_sites - 2 - n)), i] = 1.0
     return DenseOperator(H)
 
 
-def build_flip_flop_hamiltonian(n_sites: int) -> DenseOperator:
-    """Nearest-neighbor flip-flop chain on the full 2^n_sites spin space.
+def build_flip_flop_hamiltonian(n_sites: int, n_up: int | None = None) -> DenseOperator:
+    """Nearest-neighbor flip-flop chain on the full 2^n_sites spin space, or its n_up sector.
 
     Sum over pairs (n, n+1) of (a_n* a_{n+1} + a_{n+1}* a_n) / 2: the x-y
     chain at kappa = 1 (kappa only rescales time).  The fermion mapping
     leaves this interaction string-free, so the spin chain is the exact
-    finite-volume counterpart of the free-fermion hopping model.
+    finite-volume counterpart of the free-fermion hopping model.  A flip-flop
+    conserves the number of up spins, so the n_up sector is closed; its
+    block equals the full H restricted to sector_indices(n_sites, n_up).
     """
     if not 2 <= n_sites <= 14:
         raise ValueError("n_sites must be in [2, 14]")
-    H = np.zeros((2**n_sites, 2**n_sites))
+    idx = sector_indices(n_sites, n_up)
+    H = np.zeros((idx.size, idx.size))
     for n in range(n_sites - 1):
-        i = np.flatnonzero(_site_bits(n_sites, n) != _site_bits(n_sites, n + 1))
-        H[i ^ (3 << (n_sites - 2 - n)), i] = 0.5
+        i = np.flatnonzero(_site_bits(idx, n_sites, n) != _site_bits(idx, n_sites, n + 1))
+        H[np.searchsorted(idx, idx[i] ^ (3 << (n_sites - 2 - n))), i] = 0.5
     return DenseOperator(H)
 
 

@@ -105,7 +105,8 @@ _OVERSAMPLE = 4.0
 _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
 # bytes of the largest array a run may allocate: a p0_series chunk of (n + 1) x _P0_CHUNK complex
-# phases, the free pass's two complex columns over the fine momenta, or the occupations_at Bessel table
+# phases, the free pass's two complex columns over the fine momenta, or the (L, m_max) complex
+# transforms of occupations_at's Toeplitz form
 _MAX_ARRAY_BYTES = 2**28
 _P0_CHUNK = 48
 # largest accepted gap between the time-domain and spectral w routes
@@ -142,6 +143,11 @@ def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     return c
 
 
+def _toeplitz_length(size: int) -> int:
+    """Circular length of `_toeplitz_form` over `size` samples: the power of two >= 2 size."""
+    return 1 << int(np.ceil(np.log2(2 * size)))
+
+
 def _toeplitz_form(h: np.ndarray, X: np.ndarray, dt: float) -> np.ndarray:
     """X^H W T_h W X over the columns of X, with T_h[i, j] = h(t_i - t_j).
 
@@ -151,7 +157,7 @@ def _toeplitz_form(h: np.ndarray, X: np.ndarray, dt: float) -> np.ndarray:
     convolution of length >= 2 size gives T_h W X exactly.
     """
     size = X.shape[0]
-    L = 1 << int(np.ceil(np.log2(2 * size)))
+    L = _toeplitz_length(size)
     WX = _trapezoid_weights(size, dt)[:, None] * X
     Y = np.fft.ifft(np.fft.fft(_two_sided(h[:size], L))[:, None] * np.fft.fft(WX, L, axis=0), axis=0)
     return np.conj(WX).T @ Y[:size]
@@ -340,8 +346,9 @@ class DetectorRun:
         if not (steps.min() >= 0 and steps.max() <= self.n):
             raise DomainError(f"occupation times must lie in [0, T = {self.cfg.T:g}]")
         m_max = _chain_order_cut(float(np.max(times)))
-        if 16 * m_max * (steps.max() + 1) > _MAX_ARRAY_BYTES:
-            raise DomainError(f"a {m_max} x {steps.max() + 1} occupation Bessel table exceeds {_MAX_ARRAY_BYTES} bytes")
+        L = _toeplitz_length(steps.max() + 1)
+        if 16 * L * m_max > _MAX_ARRAY_BYTES:
+            raise DomainError(f"a {L} x {m_max} occupation transform exceeds {_MAX_ARRAY_BYTES} bytes")
         fm = (-1j) ** np.arange(m_max)[:, None] * bessel_ratio_table(m_max, self.t[: steps.max() + 1])
         F = self.solution()
         occ = np.zeros((steps.size, m_max))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainlab import DomainError
+from chainlab import DomainError, acceptance, dense_oracle
 from chainlab.dense_oracle import (
     DenseOperator,
     Propagator,
@@ -10,6 +10,7 @@ from chainlab.dense_oracle import (
     build_full_chain_hamiltonian,
     build_island_hamiltonian,
     expectation,
+    sector_indices,
     site_number_op,
     spin_ops,
 )
@@ -75,7 +76,21 @@ def test_basis_state_matches_spin_ops():
 
 
 def test_entry_set_builders_equal_kronecker_sums():
-    for n_sites in range(2, 8):
+    for n_sites in range(2, 11):
+        # sector forms: the full-space forms restricted to the sector's indices
+        full_h = build_flip_flop_hamiltonian(n_sites).mat
+        full_n = [site_number_op(n_sites, s).mat for s in range(n_sites)]
+        for n_up in range(n_sites + 1):
+            idx = sector_indices(n_sites, n_up)
+            sub = np.ix_(idx, idx)
+            assert np.array_equal(build_flip_flop_hamiltonian(n_sites, n_up).mat, full_h[sub])
+            for s in range(n_sites):
+                assert np.array_equal(site_number_op(n_sites, s, n_up).mat, full_n[s][sub])
+            for i in idx:
+                bits = [(int(i) >> (n_sites - 1 - s)) & 1 for s in range(n_sites)]
+                assert np.array_equal(basis_state(bits, n_up), basis_state(bits)[idx])
+        if n_sites > 7:
+            continue  # the Kronecker sums below take seconds past 7 sites
         ops = [spin_ops(n_sites, s) for s in range(n_sites)]
         flip_flop = sum(0.5 * (ops[n][1] @ ops[n + 1][0] + ops[n + 1][1] @ ops[n][0]) for n in range(n_sites - 1))
         assert np.array_equal(build_flip_flop_hamiltonian(n_sites).mat, flip_flop)
@@ -98,6 +113,10 @@ def test_full_chain_size_limits():
         build_flip_flop_hamiltonian(1)
     with pytest.raises(ValueError):
         build_flip_flop_hamiltonian(15)
+    with pytest.raises(ValueError):
+        build_flip_flop_hamiltonian(4, n_up=5)
+    with pytest.raises(ValueError):
+        basis_state((1, 0, 1), n_up=1)
 
 
 def test_expectation_and_evolution():
@@ -119,6 +138,32 @@ def test_oversized_propagator_is_refused_before_allocation(monkeypatch):
     # zero strides: a 2^14-dimensional H (2 GiB of nbytes) that allocates nothing
     with pytest.raises(DomainError):
         Propagator(DenseOperator(np.broadcast_to(0.0, (2**14, 2**14))))
+    # a sector H is held to the same bound
+    H = build_flip_flop_hamiltonian(10, n_up=5)
+    monkeypatch.setattr(dense_oracle, "_MAX_PEAK_BYTES", 5 * H.mat.nbytes - 1)
+    with pytest.raises(DomainError):
+        Propagator(H)
+
+
+def test_criterion_06_diagonalizes_only_its_sector(monkeypatch):
+    eigh_shapes, dims = [], []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        eigh_shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    class Recorded(DenseOperator):
+        def __init__(self, mat):
+            super().__init__(mat)
+            dims.append(self.dim)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(dense_oracle, "DenseOperator", Recorded)
+    assert acceptance.criterion_06().passed
+    # the half-filled 10-site state lives in C(10, 5) = 252 of 1024 dimensions
+    assert eigh_shapes == [(252, 252)]
+    assert max(dims) == 252
 
 
 def test_expectation_dimension_check():

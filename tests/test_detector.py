@@ -318,8 +318,8 @@ def test_oversized_run_is_refused_before_allocation():
 
 
 def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_any_solve(monkeypatch):
-    # T = 1000 needs 38 MB per p0_series chunk, but occupations up to t = 1000 a 2172 x 50001
-    # complex Bessel table (1.7 GB)
+    # T = 1000 needs 38 MB per p0_series chunk, but occupations up to t = 1000 need
+    # 131072 x 2172 complex Toeplitz transforms (4.6 GB)
     run = DetectorRun(default_config(T=1000.0))
 
     def must_not_run(*args):
@@ -329,6 +329,12 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     monkeypatch.setattr(DetectorRun, "solve_fourier", must_not_run)
     with pytest.raises(DomainError):
         run.occupations_at(1000.0)
+    # the bound covers the Toeplitz transforms, not just the table: at t = 60 the table is
+    # 200 x 3001 (9.6 MB) but the transforms are 8192 x 200 (26.2 MB)
+    run = DetectorRun(default_config(T=60.0))
+    monkeypatch.setattr(detector, "_MAX_ARRAY_BYTES", 2**24)
+    with pytest.raises(DomainError):
+        run.occupations_at(60.0)
 
 
 def test_config_rejects_negative_gamma():
