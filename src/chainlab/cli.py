@@ -82,8 +82,6 @@ def _int_points(text: str) -> list[int]:
 
 def _grid(text: str, steps: int) -> np.ndarray:
     lo, hi = _parse_range(text)
-    if steps < 1:
-        raise DomainError("steps must be >= 1")
     return np.linspace(lo, hi, steps)
 
 
@@ -225,7 +223,7 @@ def _run_verify(args) -> int:
     from . import acceptance
 
     numbers = None
-    if args.only:
+    if args.only is not None:
         try:
             numbers = [int(x) for x in args.only.split(",")]
         except ValueError:
@@ -317,6 +315,8 @@ def main(argv=None) -> int:
         bad = [k for k, v in vars(args).items() if isinstance(v, float) and not math.isfinite(v)]
         if bad:
             raise DomainError(f"non-finite value for {', '.join(bad)}")
+        if getattr(args, "steps", 1) < 1:
+            raise DomainError("steps must be >= 1")
         return args.fn(args)
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

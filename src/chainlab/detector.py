@@ -29,7 +29,7 @@ import numpy as np
 
 from . import DomainError
 from .packets import RadialPacket, default_grid, gaussian_packet, overlap
-from .specfun import bessel_ratio_table, phase_sum, phase_sum_nufft
+from .specfun import bessel_ratio_table, phase_sum, phase_sum_nufft, pow2_at_least
 
 __all__ = [
     "DetectorConfig",
@@ -104,11 +104,14 @@ _OVERSAMPLE = 4.0
 # Neumann series: stop when a term's norm falls below this fraction of |F0|
 _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
-# bytes of the largest array a run may allocate: a p0_series chunk of (n + 1) x _P0_CHUNK complex
-# phases, the free pass's two complex columns over the fine momenta, or the (L, m_max) complex
-# transforms of occupations_at's Toeplitz form
-_MAX_ARRAY_BYTES = 2**28
+# bytes a run may hold at once, counted before allocating: the free pass's two complex columns
+# over the fine momenta, what occupations_at holds (its f_m table, V, W V and the (L, m_max)
+# transform) and what a p0_series chunk holds (_P0_HELD complex (n + 1) x _P0_CHUNK arrays)
+_MAX_HELD_BYTES = 2**28
 _P0_CHUNK = 48
+# a chunk's phases, C_p, Z_p and chi, the previous chunk's until rebound, and expression
+# temporaries: 7.1 chunks at the peak under tracemalloc
+_P0_HELD = 8
 # largest accepted gap between the time-domain and spectral w routes
 W_ROUTE_TOL = 1e-6
 
@@ -132,7 +135,7 @@ def _two_sided(h: np.ndarray, L: int) -> np.ndarray:
 def _linear_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """First n samples of the linear convolution along axis 0 of equal-length series, by one FFT of length >= 2n - 1."""
     n = a.shape[0]
-    L = 1 << int(np.ceil(np.log2(2 * n - 1)))
+    L = pow2_at_least(2 * n - 1)
     return np.fft.ifft(np.fft.fft(a, L, axis=0) * np.fft.fft(b, L, axis=0), axis=0)[:n]
 
 
@@ -143,24 +146,22 @@ def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     return c
 
 
-def _toeplitz_length(size: int) -> int:
-    """Circular length of `_toeplitz_form` over `size` samples: the power of two >= 2 size."""
-    return 1 << int(np.ceil(np.log2(2 * size)))
-
-
 def _toeplitz_form(h: np.ndarray, X: np.ndarray, dt: float) -> np.ndarray:
     """X^H W T_h W X over the columns of X, with T_h[i, j] = h(t_i - t_j).
 
     Entry (i, j) is the trapezoid double integral of
     conj(x_i(t)) h(t - s) x_j(s) over the grid's square, with
     h(-t) = conj(h(t)); W holds the trapezoid weights.  A circular
-    convolution of length >= 2 size gives T_h W X exactly.
+    convolution of length >= 2 size gives T_h W X exactly; it is transformed
+    in place, so the form holds one (L, columns) array besides W X.
     """
     size = X.shape[0]
-    L = _toeplitz_length(size)
+    L = pow2_at_least(2 * size)
     WX = _trapezoid_weights(size, dt)[:, None] * X
-    Y = np.fft.ifft(np.fft.fft(_two_sided(h[:size], L))[:, None] * np.fft.fft(WX, L, axis=0), axis=0)
-    return np.conj(WX).T @ Y[:size]
+    Y = np.fft.fft(WX, L, axis=0)
+    Y *= np.fft.fft(_two_sided(h[:size], L))[:, None]
+    np.fft.ifft(Y, axis=0, out=Y)
+    return np.conj(WX, out=WX).T @ Y[:size]
 
 
 def _chain_order_cut(t: float) -> int:
@@ -181,12 +182,11 @@ class DetectorRun:
         # fine momentum grid resolving the largest phase T p_max^2
         p_max = cfg.phi.grid.p_max
         n_fine = int(np.ceil(_OVERSAMPLE * cfg.T * p_max**2 / pi)) + 100
-        largest = 16 * max(_P0_CHUNK * (self.n + 1), 2 * n_fine)
-        if largest > _MAX_ARRAY_BYTES:
-            raise DomainError(f"T = {cfg.T:g}, dt = {cfg.dt:g} needs a {largest}-byte array > {_MAX_ARRAY_BYTES} bytes")
+        if 32 * n_fine > _MAX_HELD_BYTES:
+            raise DomainError(f"T = {cfg.T:g} needs {32 * n_fine}-byte free-pass columns > {_MAX_HELD_BYTES} bytes")
         self.t = cfg.dt * np.arange(self.n + 1)
         # circular grid of the Fourier-domain solver and the spectral w route
-        self.L = 1 << int(np.ceil(np.log2(4 * (self.n + 1))))
+        self.L = pow2_at_least(4 * (self.n + 1))
         self._cache: dict = {}
         self.p_fine = np.linspace(0.0, p_max, n_fine)
 
@@ -346,10 +346,13 @@ class DetectorRun:
         if not (steps.min() >= 0 and steps.max() <= self.n):
             raise DomainError(f"occupation times must lie in [0, T = {self.cfg.T:g}]")
         m_max = _chain_order_cut(float(np.max(times)))
-        L = _toeplitz_length(steps.max() + 1)
-        if 16 * L * m_max > _MAX_ARRAY_BYTES:
-            raise DomainError(f"a {L} x {m_max} occupation transform exceeds {_MAX_ARRAY_BYTES} bytes")
-        fm = (-1j) ** np.arange(m_max)[:, None] * bessel_ratio_table(m_max, self.t[: steps.max() + 1])
+        size = int(steps.max()) + 1
+        # the (L, m_max) transform, the f_m table, V, W V and one more (size, m_max) for the
+        # (m_max, m_max) form and the Bessel recurrence's work arrays
+        held = 16 * m_max * (pow2_at_least(2 * size) + 4 * size)
+        if held > _MAX_HELD_BYTES:
+            raise DomainError(f"occupations up to t = {np.max(times):g} hold {held} bytes > {_MAX_HELD_BYTES} bytes")
+        fm = (-1j) ** np.arange(m_max)[:, None] * bessel_ratio_table(m_max, self.t[:size])
         F = self.solution()
         occ = np.zeros((steps.size, m_max))
         for i, n in enumerate(steps):
@@ -364,6 +367,9 @@ class DetectorRun:
         e_p(t - s) = e_p(t) conj(e_p(s)) turns both trapezoid causal convolutions into e_p(t) times
         running sums, with q = f * F shared by all nodes: the same discretization as convolving twice.
         """
+        held = 16 * _P0_HELD * _P0_CHUNK * (self.n + 1)
+        if held > _MAX_HELD_BYTES:
+            raise DomainError(f"P_0 over {self.n + 1} times holds {held} bytes > {_MAX_HELD_BYTES} bytes")
         cfg, dt = self.cfg, self.cfg.dt
         f, F = self.f, self.solution()
         q = _linear_conv(f, F)

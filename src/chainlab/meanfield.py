@@ -16,9 +16,6 @@ from . import DomainError
 
 __all__ = [
     "BCSParams",
-    "StructureConstants",
-    "su2_constants",
-    "so3_constants",
     "berezin_bracket",
     "bracket_flow_rhs",
     "bcs_gradient",
@@ -43,11 +40,6 @@ SIGMA = np.array(
     dtype=complex,
 )
 
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS3[_i, _j, _k] = 1.0
-    _EPS3[_i, _k, _j] = -1.0
-
 
 @dataclass(frozen=True)
 class BCSParams:
@@ -60,44 +52,21 @@ class BCSParams:
             raise DomainError("eps and lam must be positive")
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """c[j, k, l] = c^j_{kl} with [xi_k, xi_l] = c^j_{kl} xi_j."""
-
-    c: np.ndarray
-
-    def jacobi_residual(self) -> float:
-        c = self.c
-        r = (
-            np.einsum("mjk,lmi->lijk", c, c)
-            + np.einsum("mki,lmj->lijk", c, c)
-            + np.einsum("mij,lmk->lijk", c, c)
-        )
-        return float(np.max(np.abs(r)))
-
-
-def su2_constants() -> StructureConstants:
-    return StructureConstants(_EPS3.copy())
-
-
-# so(3) and su(2) share the structure constants eps_jkl
-so3_constants = su2_constants
+def _cross(a, b) -> np.ndarray:
+    """a x b of two 3-vectors, by components (np.cross costs more per call on 3-vectors)."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
 
 
 def berezin_bracket(gradQ1, gradQ2, F) -> float:
-    """Lie-Poisson bracket {Q1, Q2}(F) = -c^j_{km} d_k Q1 d_m Q2 F_j on su(2)*."""
+    """Lie-Poisson bracket {Q1, Q2}(F) = -F . (grad Q1 x grad Q2) on su(2)* = so(3)*."""
     g1 = np.asarray(gradQ1, dtype=float)
     g2 = np.asarray(gradQ2, dtype=float)
-    F = np.asarray(F, dtype=float)
-    return float(-np.einsum("jkm,k,m,j->", _EPS3, g1, g2, F))
+    return float(-np.dot(np.asarray(F, dtype=float), _cross(g1, g2)))
 
 
 def bracket_flow_rhs(gradQ, F) -> np.ndarray:
-    """dF_j/dt = {Q, F_j}(F) for every coordinate function F_j."""
-    g = np.asarray(gradQ, dtype=float)
-    F = np.asarray(F, dtype=float)
-    # {Q, F_j} = -c^l_{kj} d_k Q F_l
-    return -np.einsum("lkj,k,l->j", _EPS3, g, F)
+    """dF_j/dt = {Q, F_j}(F) for every coordinate function F_j: grad Q x F."""
+    return _cross(np.asarray(gradQ, dtype=float), np.asarray(F, dtype=float))
 
 
 def bcs_gradient(F, p: BCSParams) -> np.ndarray:

@@ -16,9 +16,7 @@ from . import DomainError
 from .specfun import bessel_j, bessel_ratio_table, finite_kernel
 
 __all__ = [
-    "EigenSystem",
     "MacroMixture",
-    "eigensystem",
     "green_finite",
     "green_infinite",
     "flip_probability",
@@ -27,30 +25,6 @@ __all__ = [
     "asymptotic_exponent",
     "measurement_mixture",
 ]
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectral data of the N-site island Hamiltonian.
-
-    energies[j] = 2 cos((j+1) pi / (N+1)),
-    amplitudes[m, j] = sqrt(2/(N+1)) sin((j+1)(m+1) pi / (N+1)).
-    """
-
-    N: int
-    energies: np.ndarray
-    amplitudes: np.ndarray
-
-
-def eigensystem(N: int) -> EigenSystem:
-    if N < 1:
-        raise ValueError("chain length must be >= 1")
-    j = np.arange(1, N + 1)
-    theta = j * np.pi / (N + 1)
-    energies = 2.0 * np.cos(theta)
-    m = np.arange(1, N + 1)[:, None]
-    amplitudes = np.sqrt(2.0 / (N + 1)) * np.sin(m * theta[None, :])
-    return EigenSystem(N, energies, amplitudes)
 
 
 def green_finite(n: int, m: int, N: int, t):

@@ -15,7 +15,7 @@ from math import pi
 import numpy as np
 
 from . import DomainError
-from .dense_oracle import DenseOperator, Propagator
+from .dense_oracle import DenseOperator, Propagator, build_island_hamiltonian
 from .specfun import phase_sum
 
 __all__ = [
@@ -116,9 +116,7 @@ def build_minimal_hamiltonian(params: RadiatingParams, modes: ContinuumModes) ->
     N, M = params.N, modes.count
     dim = N + M
     H = np.zeros((dim, dim))
-    i = np.arange(N - 1)
-    H[i, i + 1] = 1.0
-    H[i + 1, i] = 1.0
+    H[:N, :N] = build_island_hamiltonian(N).mat
     k = np.arange(M)
     H[N + k, N + k] = -params.eps0 + modes.energies
     H[N - 1, N + k] = params.v**2 * modes.couplings

@@ -24,6 +24,7 @@ __all__ = [
     "finite_kernel",
     "phase_sum",
     "phase_sum_nufft",
+    "pow2_at_least",
 ]
 
 # rows of the base phase block in phase_sum: its exp count per node is
@@ -36,6 +37,11 @@ _NUFFT_HALF_WIDTH = 18
 _NUFFT_OVERSAMPLE = 4
 # largest Miller start index (Python loop steps); criterion 03 needs ~2.3e3
 _MAX_START = 100_000
+
+
+def pow2_at_least(m: int) -> int:
+    """The least power of two >= m (m >= 1): the FFT lengths of the package."""
+    return 1 << (m - 1).bit_length()
 
 
 def bessel_table(n_max: int, x) -> np.ndarray:
@@ -181,7 +187,7 @@ def phase_sum_nufft(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarr
     """
     x = np.asarray(x, dtype=float)
     H = _NUFFT_HALF_WIDTH
-    M = 1 << math.ceil(math.log2(_NUFFT_OVERSAMPLE * n))
+    M = pow2_at_least(_NUFFT_OVERSAMPLE * n)
     R = M / n
     tau = math.pi * H / (n * n * R * (R - 0.5))
     step = 2.0 * math.pi / M

@@ -125,6 +125,7 @@ def test_radiate_csv(tmp_path):
 def test_verify_unknown_criterion_is_exit_code_one(tmp_path):
     assert main(["verify", "--only", "99"]) == 1
     assert main(["verify", "--only", "16,0"]) == 1
+    assert main(["verify", "--only", ""]) == 1
     assert main(["verify", "--out", str(tmp_path)]) == 1  # verify has no --out: it writes no files
 
 
@@ -172,7 +173,9 @@ def test_nonfinite_config_value_is_exit_code_one(tmp_path):
     assert not (tmp_path / "orbit_circles.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [["--T", "0.001"], ["--dt", "0"], ["--dt", "-0.02"]])
+@pytest.mark.parametrize(
+    "flags", [["--T", "0.001"], ["--dt", "0"], ["--dt", "-0.02"], ["--steps", "0"], ["--steps", "-3"]]
+)
 def test_detector_needs_a_time_step(tmp_path, flags):
     assert main(["detector", *flags, "--out", str(tmp_path)]) == 1
     assert not (tmp_path / "detector_amplitude.csv").exists()

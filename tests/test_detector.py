@@ -312,14 +312,14 @@ def test_config_rejects_T_shorter_than_a_step():
 
 
 def test_oversized_run_is_refused_before_allocation():
-    # a p0_series chunk of 5e6 times x 48 nodes is 3.8 GB here, far above 2**28 bytes
+    # the free pass's two columns over 12.7e6 fine momenta are 407 MB here, above 2**28 bytes
     with pytest.raises(DomainError):
         DetectorRun(default_config(T=1e5))
 
 
 def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_any_solve(monkeypatch):
-    # T = 1000 needs 38 MB per p0_series chunk, but occupations up to t = 1000 need
-    # 131072 x 2172 complex Toeplitz transforms (4.6 GB)
+    # T = 1000 constructs, but occupations up to t = 1000 need
+    # 131072 x 2172 complex Toeplitz transforms (4.6 GB), and P_0 is refused too
     run = DetectorRun(default_config(T=1000.0))
 
     def must_not_run(*args):
@@ -329,12 +329,35 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     monkeypatch.setattr(DetectorRun, "solve_fourier", must_not_run)
     with pytest.raises(DomainError):
         run.occupations_at(1000.0)
+    with pytest.raises(DomainError):  # 8 x 48 x 50001 complex P_0 chunk arrays (307 MB)
+        run.p0_series()
     # the bound covers the Toeplitz transforms, not just the table: at t = 60 the table is
     # 200 x 3001 (9.6 MB) but the transforms are 8192 x 200 (26.2 MB)
     run = DetectorRun(default_config(T=60.0))
-    monkeypatch.setattr(detector, "_MAX_ARRAY_BYTES", 2**24)
+    monkeypatch.setattr(detector, "_MAX_HELD_BYTES", 2**24)
     with pytest.raises(DomainError):
         run.occupations_at(60.0)
+
+
+@pytest.mark.parametrize(
+    "kw, call",
+    [({"T": 60.0}, lambda run: run.occupations_at(60.0)), ({"T": 20.0, "dt": 0.004}, DetectorRun.p0_series)],
+    ids=["occupations_at", "p0_series"],
+)
+def test_memory_gates_count_what_each_call_holds(monkeypatch, kw, call):
+    # the peak of the call stays within the bytes its gate counts: one byte less of budget refuses it
+    run = DetectorRun(default_config(**kw))
+    run.solution()  # solved and cached before the call, as in verify
+    run.f
+    tracemalloc.start()
+    try:
+        call(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(detector, "_MAX_HELD_BYTES", peak - 1)
+    with pytest.raises(DomainError):
+        call(run)
 
 
 def test_config_rejects_negative_gamma():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_properties import PROPERTY
 
 from chainlab import DomainError
 from chainlab.meanfield import (
@@ -17,18 +20,31 @@ from chainlab.meanfield import (
     flow_rk4,
     gap_value,
     ground_states,
-    so3_constants,
     so3_rotate,
     solve_gap_equation,
-    su2_constants,
 )
 
 P = BCSParams(eps=0.25, lam=1.0, T=0.2)
 
 
-def test_structure_constants_satisfy_jacobi():
-    assert np.max(np.abs(su2_constants().jacobi_residual())) < 1e-14
-    assert np.max(np.abs(so3_constants().jacobi_residual())) < 1e-14
+# su(2) structure constants c^j_{kl} = eps_{jkl}: the reference form of the bracket
+EPS3 = np.zeros((3, 3, 3))
+for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    EPS3[i, j, k] = 1.0
+    EPS3[i, k, j] = -1.0
+
+vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array)
+
+
+@PROPERTY
+@given(a=vectors, b=vectors, c=vectors, F=vectors)
+def test_bracket_is_the_structure_constant_form_and_satisfies_jacobi(a, b, c, F):
+    # {Q, F_j} = -c^l_{kj} d_k Q F_l, summed over the eps tensor
+    assert np.array_equal(bracket_flow_rhs(a, F), -np.einsum("lkj,k,l->j", EPS3, a, F))
+    assert berezin_bracket(b, c, F) == -berezin_bracket(c, b, F)
+    # for linear Q_b(F) = b.F, {Q_b, Q_c} is linear with gradient -(b x c)
+    cyclic = sum(berezin_bracket(x, -np.cross(y, z), F) for x, y, z in ((a, b, c), (b, c, a), (c, a, b)))
+    assert abs(cyclic) < 1e-14
 
 
 def test_bracket_antisymmetry():

@@ -5,7 +5,6 @@ import scipy.special as sp
 from chainlab import DomainError
 from chainlab.dense_oracle import Propagator, build_island_hamiltonian
 from chainlab.qdomino import (
-    eigensystem,
     envelope_slope,
     flip_probability,
     flip_residual,
@@ -13,12 +12,6 @@ from chainlab.qdomino import (
     green_infinite,
     measurement_mixture,
 )
-
-
-def test_eigensystem_energies():
-    es = eigensystem(6)
-    ref = 2.0 * np.cos(np.arange(1, 7) * np.pi / 7)
-    assert np.allclose(np.sort(es.energies), np.sort(ref), atol=1e-13)
 
 
 def test_green_finite_against_dense_oracle():
