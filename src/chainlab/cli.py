@@ -244,58 +244,53 @@ def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="chainlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, steps):
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--steps", type=int, default=steps)
 
     p = sub.add_parser("domino", help="quantum domino flip probabilities")
-    common(p)
+    common(p, 201)
     p.add_argument("--j", default="2..6")
     p.add_argument("--t", default="0..50")
-    p.add_argument("--steps", type=int, default=201)
     p.set_defaults(fn=_run_domino)
 
     p = sub.add_parser("xy", help="x-y chain occupations")
-    common(p)
+    common(p, 201)
     p.add_argument("--j", default="-3..3")
     p.add_argument("--t", default="0..50")
-    p.add_argument("--steps", type=int, default=201)
     p.add_argument("--kappa", type=float, default=1.0)
     p.set_defaults(fn=_run_xy)
 
     p = sub.add_parser("detector", help="particle-detector amplitude and probability")
-    common(p)
+    common(p, 401)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--dt", type=float, default=0.02)
     p.add_argument("--T", type=float, default=200.0)
-    p.add_argument("--steps", type=int, default=401)
     p.set_defaults(fn=_run_detector)
 
     p = sub.add_parser("radiate", help="radiating finite chain decay")
-    common(p)
+    common(p, 301)
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--M", type=int, default=400)
     p.add_argument("--v", type=float, default=0.7)
     p.add_argument("--t", default="0..90")
-    p.add_argument("--steps", type=int, default=301)
     p.set_defaults(fn=_run_radiate)
 
     p = sub.add_parser("meanfield", help="BCS phase diagram")
-    common(p)
+    common(p, 60)
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--T", default="0.01..0.6")
-    p.add_argument("--steps", type=int, default=60)
     p.set_defaults(fn=_run_meanfield)
 
     p = sub.add_parser("orbit", help="projected two-level phase-space circles")
-    common(p)
+    common(p, 253)
     p.add_argument("--re0", type=float, default=1.0)
     p.add_argument("--im0", type=float, default=0.5)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--t", default="0..12.6")
-    p.add_argument("--steps", type=int, default=253)
     p.set_defaults(fn=_run_orbit)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

@@ -104,9 +104,9 @@ _OVERSAMPLE = 4.0
 # Neumann series: stop when a term's norm falls below this fraction of |F0|
 _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
-# bytes a run may hold at once, counted before allocating: the free pass's two complex columns
-# over the fine momenta, what occupations_at holds (its f_m table, V, W V and the (L, m_max)
-# transform) and what a p0_series chunk holds (_P0_HELD complex (n + 1) x _P0_CHUNK arrays)
+# bytes a run may hold at once, counted before allocating: a free pass (_check_free_pass), what
+# occupations_at holds (its f_m table, V, W V and the (L, m_max) transform) and what a p0_series
+# chunk holds (_P0_HELD complex (n + 1) x _P0_CHUNK arrays)
 _MAX_HELD_BYTES = 2**28
 _P0_CHUNK = 48
 # a chunk's phases, C_p, Z_p and chi, the previous chunk's until rebound, and expression
@@ -121,6 +121,16 @@ def _trapezoid_weights(size: int, h: float) -> np.ndarray:
     w = np.full(size, h)
     w[0] = w[-1] = 0.5 * h
     return w
+
+
+def _check_free_pass(L: int, n_fine: int, cols: int) -> None:
+    """Refuse a free pass over `cols` packet columns that would hold more than _MAX_HELD_BYTES."""
+    # per column the NUFFT grid, its transform and their sum (length L) and 4 arrays over the fine
+    # momenta; shared, 4 more over the momenta and 2 of length L for FFT plans and the solver that
+    # follows: 8 L + 12 n_fine complex at two columns, where tracemalloc peaks at 6.3 L + 12 n_fine
+    held = 16 * ((3 * cols + 2) * L + 4 * (cols + 1) * n_fine)
+    if held > _MAX_HELD_BYTES:
+        raise DomainError(f"a free pass over {cols} columns and a {L}-point grid holds {held} bytes > {_MAX_HELD_BYTES} bytes")
 
 
 def _two_sided(h: np.ndarray, L: int) -> np.ndarray:
@@ -146,6 +156,11 @@ def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     return c
 
 
+def _toeplitz_length(size: int) -> int:
+    """Circular length of `_toeplitz_form` over `size` samples: the power of two >= 2 size."""
+    return pow2_at_least(2 * size)
+
+
 def _toeplitz_form(h: np.ndarray, X: np.ndarray, dt: float) -> np.ndarray:
     """X^H W T_h W X over the columns of X, with T_h[i, j] = h(t_i - t_j).
 
@@ -156,7 +171,7 @@ def _toeplitz_form(h: np.ndarray, X: np.ndarray, dt: float) -> np.ndarray:
     in place, so the form holds one (L, columns) array besides W X.
     """
     size = X.shape[0]
-    L = pow2_at_least(2 * size)
+    L = _toeplitz_length(size)
     WX = _trapezoid_weights(size, dt)[:, None] * X
     Y = np.fft.fft(WX, L, axis=0)
     Y *= np.fft.fft(_two_sided(h[:size], L))[:, None]
@@ -182,11 +197,11 @@ class DetectorRun:
         # fine momentum grid resolving the largest phase T p_max^2
         p_max = cfg.phi.grid.p_max
         n_fine = int(np.ceil(_OVERSAMPLE * cfg.T * p_max**2 / pi)) + 100
-        if 32 * n_fine > _MAX_HELD_BYTES:
-            raise DomainError(f"T = {cfg.T:g} needs {32 * n_fine}-byte free-pass columns > {_MAX_HELD_BYTES} bytes")
-        self.t = cfg.dt * np.arange(self.n + 1)
-        # circular grid of the Fourier-domain solver and the spectral w route
+        # circular grid of the Fourier-domain solver and the spectral w route; the free pass's
+        # NUFFT grid over n + 1 times has the same length
         self.L = pow2_at_least(4 * (self.n + 1))
+        _check_free_pass(self.L, n_fine, 2)
+        self.t = cfg.dt * np.arange(self.n + 1)
         self._cache: dict = {}
         self.p_fine = np.linspace(0.0, p_max, n_fine)
 
@@ -210,6 +225,7 @@ class DetectorRun:
         type-1 non-uniform FFT (nodes dt p^2) that agrees with the direct `phase_sum` to rounding.
         """
         p = self.p_fine
+        _check_free_pass(self.L, p.size, len(bs))
         dp = p[1] - p[0]
         pref = np.conj(self.cfg.phi.amplitude_at(p))
         C = np.stack([pref * b.amplitude_at(p) * 4.0 * pi * p**2 * dp for b in bs], axis=1)
@@ -349,7 +365,7 @@ class DetectorRun:
         size = int(steps.max()) + 1
         # the (L, m_max) transform, the f_m table, V, W V and one more (size, m_max) for the
         # (m_max, m_max) form and the Bessel recurrence's work arrays
-        held = 16 * m_max * (pow2_at_least(2 * size) + 4 * size)
+        held = 16 * m_max * (_toeplitz_length(size) + 4 * size)
         if held > _MAX_HELD_BYTES:
             raise DomainError(f"occupations up to t = {np.max(times):g} hold {held} bytes > {_MAX_HELD_BYTES} bytes")
         fm = (-1j) ** np.arange(m_max)[:, None] * bessel_ratio_table(m_max, self.t[:size])

@@ -199,11 +199,6 @@ def solve_gap_equation(p: BCSParams) -> list[GapSolution]:
     return out
 
 
-def _top_eigvec(M: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(M)
-    return v[:, -1]
-
-
 @dataclass(frozen=True)
 class GroundState:
     kind: str          # "normal" | "superconducting"
@@ -227,7 +222,7 @@ def ground_states(p: BCSParams) -> list[GroundState]:
         for phi in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
             F = np.array([r * np.cos(phi), r * np.sin(phi), p.eps / p.lam])
             n = direction_field(F, p)
-            chi = _top_eigvec(n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2])
+            chi = np.linalg.eigh(n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2])[1][:, -1]
             out.append(GroundState("superconducting", F, chi, r))
     return out
 
@@ -238,5 +233,4 @@ def so3_rotate(y, tau, t: float) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
     if abs(np.linalg.norm(tau) - 1.0) > 1e-12:
         raise ValueError("tau must be a unit vector")
-    cross = np.cross(tau, y)
-    return y * np.cos(t) + cross * np.sin(t) + 2.0 * tau * np.dot(tau, y) * np.sin(0.5 * t) ** 2
+    return y * np.cos(t) + _cross(tau, y) * np.sin(t) + 2.0 * tau * np.dot(tau, y) * np.sin(0.5 * t) ** 2

@@ -12,6 +12,7 @@ type-1 non-uniform FFT in O(n log n + len(x)) work.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -40,8 +41,8 @@ _MAX_START = 100_000
 
 
 def pow2_at_least(m: int) -> int:
-    """The least power of two >= m (m >= 1): the FFT lengths of the package."""
-    return 1 << (m - 1).bit_length()
+    """The least power of two >= m (m >= 1, a Python or numpy integer): the FFT lengths of the package."""
+    return 1 << (operator.index(m) - 1).bit_length()
 
 
 def bessel_table(n_max: int, x) -> np.ndarray:

@@ -181,6 +181,13 @@ def test_detector_needs_a_time_step(tmp_path, flags):
     assert not (tmp_path / "detector_amplitude.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [["--T", "1e5"], ["--dt", "1e-5"]], ids=["long", "fine-step"])
+def test_oversized_detector_run_is_exit_code_one(tmp_path, flags):
+    # the free pass would hold gigabytes: refused before the time grid is allocated
+    assert main(["detector", *flags, "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "detector_amplitude.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv, csv",
     [

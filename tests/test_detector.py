@@ -312,9 +312,18 @@ def test_config_rejects_T_shorter_than_a_step():
 
 
 def test_oversized_run_is_refused_before_allocation():
-    # the free pass's two columns over 12.7e6 fine momenta are 407 MB here, above 2**28 bytes
-    with pytest.raises(DomainError):
-        DetectorRun(default_config(T=1e5))
+    # T = 1e5 needs 12.7e6 fine momenta; dt = 1e-5 at T = 200 needs 2e7 times, a 2^27-point NUFFT
+    # grid and solver transforms: either free pass would hold gigabytes, above 2**28 bytes
+    cfgs = [default_config(T=1e5), default_config(dt=1e-5)]
+    tracemalloc.start()
+    try:
+        for cfg in cfgs:
+            with pytest.raises(DomainError):
+                DetectorRun(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_any_solve(monkeypatch):
@@ -341,8 +350,13 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
 
 @pytest.mark.parametrize(
     "kw, call",
-    [({"T": 60.0}, lambda run: run.occupations_at(60.0)), ({"T": 20.0, "dt": 0.004}, DetectorRun.p0_series)],
-    ids=["occupations_at", "p0_series"],
+    [
+        ({"T": 60.0}, lambda run: run.occupations_at(60.0)),
+        ({"T": 20.0, "dt": 0.004}, DetectorRun.p0_series),
+        ({"T": 60.0}, lambda run: run.free_series_multi([run.cfg.psi] * 4)),
+        ({"T": 60.0}, lambda run: DetectorRun(run.cfg).detection_w_spectral()),  # __init__'s gate
+    ],
+    ids=["occupations_at", "p0_series", "free_series_multi", "run"],
 )
 def test_memory_gates_count_what_each_call_holds(monkeypatch, kw, call):
     # the peak of the call stays within the bytes its gate counts: one byte less of budget refuses it

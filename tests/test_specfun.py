@@ -92,6 +92,7 @@ def test_phase_sum_nufft_matches_direct_sum(n, dt, span, nodes, cols, seed):
     S = phase_sum_nufft(C, x, dt, n)
     assert S.shape == (n, cols)
     assert np.all(np.abs(S - phase_sum(C, x, dt, n)) <= 1e-13 * np.abs(C).sum(axis=0))
+    np.testing.assert_array_equal(phase_sum_nufft(C, x, dt, np.int64(n)), S)  # a numpy integer count
 
 
 def _miller_must_not_run(*args):
