@@ -26,6 +26,9 @@ from . import DomainError, meanfield, projection, qdomino, radiating, xychain
 
 __all__ = ["main"]
 
+# largest --steps: a time grid and its CSV rows stay a few hundred MB at most
+_MAX_STEPS = 10**6
+
 
 class _Parser(argparse.ArgumentParser):
     """Raises DomainError (exit 1) where argparse would exit with status 2."""
@@ -310,8 +313,8 @@ def main(argv=None) -> int:
         bad = [k for k, v in vars(args).items() if isinstance(v, float) and not math.isfinite(v)]
         if bad:
             raise DomainError(f"non-finite value for {', '.join(bad)}")
-        if getattr(args, "steps", 1) < 1:
-            raise DomainError("steps must be >= 1")
+        if not 1 <= getattr(args, "steps", 1) <= _MAX_STEPS:
+            raise DomainError(f"steps must lie in 1..{_MAX_STEPS}")
         return args.fn(args)
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

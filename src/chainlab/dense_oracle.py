@@ -26,6 +26,7 @@ __all__ = [
     "build_full_chain_hamiltonian",
     "build_flip_flop_hamiltonian",
     "basis_state",
+    "check_dense_dimension",
     "sector_indices",
     "spin_ops",
     "site_number_op",
@@ -150,6 +151,14 @@ def build_flip_flop_hamiltonian(n_sites: int, n_up: int | None = None) -> DenseO
 _MAX_PEAK_BYTES = 2**31
 
 
+def check_dense_dimension(dim: int, itemsize: int = 8) -> None:
+    """Refuse a dense dim x dim matrix whose propagation (5 copies) would exceed _MAX_PEAK_BYTES."""
+    peak = 5 * itemsize * dim * dim
+    if peak > _MAX_PEAK_BYTES:
+        raise DomainError(f"dimension {dim} needs ~{peak / 2**30:.1f} GiB to propagate "
+                          f"> {_MAX_PEAK_BYTES / 2**30:.0f} GiB")
+
+
 class Propagator:
     """exp(-itH) applied through a cached eigendecomposition.
 
@@ -157,10 +166,7 @@ class Propagator:
     """
 
     def __init__(self, H: DenseOperator):
-        peak = 5 * H.mat.nbytes
-        if peak > _MAX_PEAK_BYTES:
-            raise DomainError(f"dimension {H.dim} needs ~{peak / 2**30:.1f} GiB to propagate "
-                              f"> {_MAX_PEAK_BYTES / 2**30:.0f} GiB")
+        check_dense_dimension(H.dim, H.mat.itemsize)
         if not H.is_hermitian():
             raise ValueError("Hamiltonian must be Hermitian")
         self.energies, self.modes = np.linalg.eigh(H.mat)
@@ -178,6 +184,4 @@ def expectation(psi: np.ndarray, A: DenseOperator):
     if psi.shape[-1] != A.dim:
         raise ValueError("dimension mismatch")
     val = np.vecdot(psi, psi @ A.mat.T)  # conjugates psi, as np.vdot does
-    if A.is_hermitian():
-        val = val.real
-    return val.item() if val.ndim == 0 else val
+    return val.real if A.is_hermitian() else val

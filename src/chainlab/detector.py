@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
 from . import DomainError
 from .packets import RadialPacket, default_grid, gaussian_packet, overlap
-from .specfun import bessel_ratio_table, phase_sum, phase_sum_nufft, pow2_at_least
+from .specfun import _MAX_HELD_BYTES, bessel_ratio_table, nufft_length, phase_sum, phase_sum_nufft, pow2_at_least
 
 __all__ = [
     "DetectorConfig",
@@ -70,33 +70,42 @@ class DetectorConfig:
             raise DomainError(f"dt = {self.dt:g} must be positive")
         if not self.T >= self.dt:
             raise DomainError(f"T = {self.T:g} must span at least one time step dt = {self.dt:g}")
+        if not isfinite(float(self.T) / float(self.dt)):
+            raise DomainError(f"T / dt = {self.T:g} / {self.dt:g} is not a finite step count")
         self.phi.check_normalized()
         self.psi.check_normalized()
+
+
+def _coupling_packet(grid) -> RadialPacket:
+    """The coupling packet phi of the default detector and of povm_matrix: a Gaussian of width 2."""
+    return gaussian_packet(grid, width=2.0)
 
 
 def default_config(gamma: float = 0.5, **kw) -> DetectorConfig:
     grid = default_grid()
     return DetectorConfig(
         gamma=gamma,
-        phi=gaussian_packet(grid, width=2.0),
+        phi=_coupling_packet(grid),
         psi=gaussian_packet(grid, width=1.0),
         **kw,
     )
 
 
-def amplitude_free(a: RadialPacket, b: RadialPacket, t: float) -> complex:
-    """Free survival amplitude int conj(a) b e^{-i t p^2} 4 pi p^2 dp.
+def amplitude_free(a: RadialPacket, b: RadialPacket, t):
+    """Free survival amplitude int conj(a) b e^{-i t p^2} 4 pi p^2 dp at a time or an array of times.
 
-    Composite Gauss-Legendre with the panel count scaled to the phase
-    t p_max^2 so the oscillation stays resolved at any t.
+    Composite Gauss-Legendre with the panel count scaled to the largest
+    phase max|t| p_max^2, so the oscillation stays resolved at every t;
+    one grid serves all times.
     """
     if not np.array_equal(a.grid.nodes, b.grid.nodes):
         raise ValueError("packets must share a grid")
+    t = np.asarray(t, dtype=float)
     p_max = a.grid.p_max
-    g = default_grid(p_max, max(40, int(np.ceil(abs(t) * p_max**2 / (2.0 * pi)))), 10)
+    g = default_grid(p_max, max(40, int(np.ceil(np.max(np.abs(t), initial=0.0) * p_max**2 / (2.0 * pi)))), 10)
     p = g.nodes
     amp = np.conj(a.amplitude_at(p)) * b.amplitude_at(p)
-    return complex(g.integrate(amp * 4.0 * pi * p**2 * np.exp(-1j * t * p**2)))
+    return g.integrate(amp * 4.0 * pi * p**2 * np.exp(-1j * np.multiply.outer(t, p**2)))
 
 
 # momentum Nyquist safety for the series quadrature
@@ -104,10 +113,9 @@ _OVERSAMPLE = 4.0
 # Neumann series: stop when a term's norm falls below this fraction of |F0|
 _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
-# bytes a run may hold at once, counted before allocating: a free pass (_check_free_pass), what
+# a run's gates count, against _MAX_HELD_BYTES, what a free pass holds (_check_free_pass), what
 # occupations_at holds (its f_m table, V, W V and the (L, m_max) transform) and what a p0_series
 # chunk holds (_P0_HELD complex (n + 1) x _P0_CHUNK arrays)
-_MAX_HELD_BYTES = 2**28
 _P0_CHUNK = 48
 # a chunk's phases, C_p, Z_p and chi, the previous chunk's until rebound, and expression
 # temporaries: 7.1 chunks at the peak under tracemalloc
@@ -123,12 +131,12 @@ def _trapezoid_weights(size: int, h: float) -> np.ndarray:
     return w
 
 
-def _check_free_pass(L: int, n_fine: int, cols: int) -> None:
-    """Refuse a free pass over `cols` packet columns that would hold more than _MAX_HELD_BYTES."""
-    # per column the NUFFT grid, its transform and their sum (length L) and 4 arrays over the fine
-    # momenta; shared, 4 more over the momenta and 2 of length L for FFT plans and the solver that
-    # follows: 8 L + 12 n_fine complex at two columns, where tracemalloc peaks at 6.3 L + 12 n_fine
-    held = 16 * ((3 * cols + 2) * L + 4 * (cols + 1) * n_fine)
+def _check_free_pass(times: int, L: int, n_fine: int, cols: int) -> None:
+    """Refuse a free pass over `cols` columns at `times` times, then a length-L solve, holding over _MAX_HELD_BYTES."""
+    # per column the NUFFT grid, its transform and their sum (length M) and 4 arrays over the fine
+    # momenta; shared, 4 more over the momenta and 2 of length L for FFT plans and the solver: with
+    # M = L, 8 L + 12 n_fine complex at two columns, where tracemalloc peaks at 6.3 L + 12 n_fine
+    held = 16 * (3 * cols * nufft_length(times) + 2 * L + 4 * (cols + 1) * n_fine)
     if held > _MAX_HELD_BYTES:
         raise DomainError(f"a free pass over {cols} columns and a {L}-point grid holds {held} bytes > {_MAX_HELD_BYTES} bytes")
 
@@ -197,10 +205,9 @@ class DetectorRun:
         # fine momentum grid resolving the largest phase T p_max^2
         p_max = cfg.phi.grid.p_max
         n_fine = int(np.ceil(_OVERSAMPLE * cfg.T * p_max**2 / pi)) + 100
-        # circular grid of the Fourier-domain solver and the spectral w route; the free pass's
-        # NUFFT grid over n + 1 times has the same length
+        # circular grid of the Fourier-domain solver and the spectral w route
         self.L = pow2_at_least(4 * (self.n + 1))
-        _check_free_pass(self.L, n_fine, 2)
+        _check_free_pass(self.n + 1, self.L, n_fine, 2)
         self.t = cfg.dt * np.arange(self.n + 1)
         self._cache: dict = {}
         self.p_fine = np.linspace(0.0, p_max, n_fine)
@@ -225,7 +232,7 @@ class DetectorRun:
         type-1 non-uniform FFT (nodes dt p^2) that agrees with the direct `phase_sum` to rounding.
         """
         p = self.p_fine
-        _check_free_pass(self.L, p.size, len(bs))
+        _check_free_pass(self.n + 1, self.L, p.size, len(bs))
         dp = p[1] - p[0]
         pref = np.conj(self.cfg.phi.amplitude_at(p))
         C = np.stack([pref * b.amplitude_at(p) * 4.0 * pi * p**2 * dp for b in bs], axis=1)
@@ -302,17 +309,18 @@ class DetectorRun:
         return self._cache["denom"]
 
     def _halved_fft(self, F0: np.ndarray) -> np.ndarray:
-        """FFT of F0 with its t = 0 sample halved (the half-line trapezoid end)."""
+        """FFT along axis 0 of F0 with its t = 0 sample halved (the half-line trapezoid end)."""
         mod = F0.copy()
         mod[0] *= 0.5
-        return np.fft.fft(mod, self.L)
+        return np.fft.fft(mod, self.L, axis=0)
 
     def solve_fourier(self, free: np.ndarray | None = None) -> np.ndarray:
+        """F from F0 (default free_series) by one FFT pair along axis 0; F0 may be an (n + 1, k) block."""
         F0 = self.free_series() if free is None else free
         denom = self._denominator()
         if np.min(np.abs(denom)) < 1e-6:
             raise ValueError("singular configuration: transform denominator vanishes")
-        F = np.fft.ifft(self._halved_fft(F0) / denom)[: self.n + 1].copy()
+        F = np.fft.ifft((self._halved_fft(F0).T / denom).T, axis=0)[: self.n + 1].copy()
         F[0] *= 2.0
         return F
 
@@ -352,13 +360,13 @@ class DetectorRun:
     def occupations_at(self, times) -> np.ndarray:
         """omega_t(P_m) for m = 1..m_max (chain sites) at each time in [0, T].
 
-        m_max = _chain_order_cut(max t); shape (m_max,) for a scalar t,
-        (len(times), m_max) for an array.  Each row is the Toeplitz form over
-        [0,t]^2 of conj(F f_m) (x) g-kernel (x) (F f_m), f_m(s) = (-i)^(m-1)
-        (m/s) J_m(2s); its lags t - tau_k = (n - k) dt index one f_m table.
+        m_max = _chain_order_cut(max t); the shape is shape(times) + (m_max,).
+        Each row is the Toeplitz form over [0,t]^2 of conj(F f_m) (x) g-kernel
+        (x) (F f_m), f_m(s) = (-i)^(m-1) (m/s) J_m(2s); its lags t - tau_k =
+        (n - k) dt index one f_m table.
         """
         times = np.asarray(times, dtype=float)
-        steps = np.rint(np.atleast_1d(times) / self.cfg.dt).astype(int)
+        steps = np.rint(times / self.cfg.dt).astype(int)
         if not (steps.min() >= 0 and steps.max() <= self.n):
             raise DomainError(f"occupation times must lie in [0, T = {self.cfg.T:g}]")
         m_max = _chain_order_cut(float(np.max(times)))
@@ -371,11 +379,11 @@ class DetectorRun:
         fm = (-1j) ** np.arange(m_max)[:, None] * bessel_ratio_table(m_max, self.t[:size])
         F = self.solution()
         occ = np.zeros((steps.size, m_max))
-        for i, n in enumerate(steps):
+        for i, n in enumerate(steps.ravel()):
             if n > 0:
                 V = (fm[:, n::-1] * F[None, : n + 1]).T  # (n+1, m_max)
                 occ[i] = self.cfg.gamma**2 * np.real(np.diagonal(_toeplitz_form(self.g, V, self.cfg.dt)))
-        return occ[0] if times.ndim == 0 else occ
+        return occ.reshape(times.shape + (m_max,))
 
     def p0_series(self) -> np.ndarray:
         """omega_t(P_0) on the grid; node p carries e_p psi(p) - gamma^2 phi(p) (e_p * f) * F.
@@ -415,15 +423,12 @@ def povm_matrix(psis: list, gamma: float, dt: float = 0.02, T: float = 200.0):
     if len(psis) < 1:
         raise ValueError("need at least one packet")
     k = len(psis)
-    phi = gaussian_packet(psis[0].grid, width=2.0)
-    cfg = DetectorConfig(gamma=gamma, phi=phi, psi=psis[0], dt=dt, T=T)
+    cfg = DetectorConfig(gamma=gamma, phi=_coupling_packet(psis[0].grid), psi=psis[0], dt=dt, T=T)
     if gamma == 0.0:
         return np.zeros((k, k)), np.zeros(k)
     run = DetectorRun(cfg)
     run.check_weak_coupling()
-    F0s = run.free_series_multi(psis)
-    Fs = np.stack([run.solve_fourier(F0s[:, i]) for i in range(k)], axis=1)
-    W = run.response_form(Fs)
+    W = run.response_form(run.solve_fourier(run.free_series_multi(psis)))
     S = np.array([[overlap(a, b) for b in psis] for a in psis])
     sw, sv = np.linalg.eigh(S)
     if np.min(sw) < 1e-10:

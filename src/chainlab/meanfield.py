@@ -106,7 +106,7 @@ def _rk4(rhs, y0, t, dt: float):
             y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out.append(y)
         s0 = t1
-    return out[0] if times.ndim == 0 else np.stack(out)
+    return np.stack(out).reshape(times.shape + np.shape(y0))
 
 
 def flow_rk4(gradQ, F0, t, dt: float) -> np.ndarray:

@@ -36,8 +36,9 @@ class MomentumGrid:
     def p_max(self) -> float:
         return float(self.nodes[-1])
 
-    def integrate(self, values) -> complex:
-        return np.sum(self.weights * values)
+    def integrate(self, values):
+        """Quadrature over the nodes, along the last axis of values."""
+        return np.sum(self.weights * values, axis=-1)
 
 
 def default_grid(p_max: float = 10.0, panels: int = 40, order: int = 12) -> MomentumGrid:

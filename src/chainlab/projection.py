@@ -53,8 +53,7 @@ def gaussian_packet(width: float) -> SmearingPacket:
 def smeared_potential(V, packet: SmearingPacket, q):
     """V_phi(q) = int |phi(q')|^2 V(q + q') dq' by trapezoid quadrature; scalar or array q, vectorized V."""
     q = np.asarray(q, dtype=float)
-    val = np.trapezoid(packet.density * V(np.add.outer(q, packet.grid)), packet.grid)
-    return float(val) if q.ndim == 0 else val
+    return np.trapezoid(packet.density * V(np.add.outer(q, packet.grid)), packet.grid)
 
 
 def renormalization_f(z: complex, lam: float, a: float) -> float:

@@ -54,8 +54,7 @@ def flip_residual(j: int, t):
     """
     if j < 1:
         raise DomainError(f"site index j = {j} must be >= 1")
-    res = np.sum(bessel_ratio_table(j - 1, t) ** 2, axis=0)
-    return float(res) if np.ndim(t) == 0 else res
+    return np.sum(bessel_ratio_table(j - 1, t) ** 2, axis=0)
 
 
 def flip_probability(j: int, t):
@@ -64,8 +63,7 @@ def flip_probability(j: int, t):
     Scalar or array `t`, as for flip_residual; clipped to [0, 1] against
     rounding where the residual is within an ulp of 1.
     """
-    p = np.clip(1.0 - flip_residual(j, t), 0.0, 1.0)
-    return float(p) if np.ndim(t) == 0 else p
+    return np.clip(1.0 - flip_residual(j, t), 0.0, 1.0)
 
 
 def envelope_slope(t: np.ndarray, values: np.ndarray) -> float:

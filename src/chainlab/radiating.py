@@ -15,7 +15,7 @@ from math import pi
 import numpy as np
 
 from . import DomainError
-from .dense_oracle import DenseOperator, Propagator, build_island_hamiltonian
+from .dense_oracle import DenseOperator, Propagator, build_island_hamiltonian, check_dense_dimension
 from .specfun import phase_sum
 
 __all__ = [
@@ -95,9 +95,13 @@ class ContinuumModes:
 
 
 def build_modes(params: RadiatingParams, M: int = 400) -> ContinuumModes:
-    """Gauss-Legendre discretization of the mode continuum on [a b^2, 14]."""
+    """Gauss-Legendre discretization of the mode continuum on [a b^2, 14].
+
+    An N + M too large to propagate is refused before leggauss's dense M x M eigenproblem.
+    """
     if M < 2:
         raise DomainError("need at least 2 modes")
+    check_dense_dimension(params.N + M)
     lo, hi = params.a * params.b**2, 14.0
     x, w = np.polynomial.legendre.leggauss(M)
     lam = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
@@ -115,6 +119,7 @@ def build_minimal_hamiltonian(params: RadiatingParams, modes: ContinuumModes) ->
     """
     N, M = params.N, modes.count
     dim = N + M
+    check_dense_dimension(dim)
     H = np.zeros((dim, dim))
     H[:N, :N] = build_island_hamiltonian(N).mat
     k = np.arange(M)

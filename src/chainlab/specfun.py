@@ -25,6 +25,7 @@ __all__ = [
     "finite_kernel",
     "phase_sum",
     "phase_sum_nufft",
+    "nufft_length",
     "pow2_at_least",
 ]
 
@@ -38,11 +39,19 @@ _NUFFT_HALF_WIDTH = 18
 _NUFFT_OVERSAMPLE = 4
 # largest Miller start index (Python loop steps); criterion 03 needs ~2.3e3
 _MAX_START = 100_000
+# bytes a call may hold at once, counted before allocating: a Bessel table with its work arrays
+# here, and each memory gate of the detector
+_MAX_HELD_BYTES = 2**28
 
 
 def pow2_at_least(m: int) -> int:
     """The least power of two >= m (m >= 1, a Python or numpy integer): the FFT lengths of the package."""
     return 1 << (operator.index(m) - 1).bit_length()
+
+
+def nufft_length(n: int) -> int:
+    """Periodic grid length of phase_sum_nufft over n times: the power of two >= _NUFFT_OVERSAMPLE n."""
+    return pow2_at_least(_NUFFT_OVERSAMPLE * n)
 
 
 def bessel_table(n_max: int, x) -> np.ndarray:
@@ -51,19 +60,24 @@ def bessel_table(n_max: int, x) -> np.ndarray:
     Backward (Miller) recurrence started well above the Airy transition
     zone, normalized with J_0^2 + 2 sum_k J_k^2 = 1; the sign of the
     overall constant comes from J_0 + 2 sum_k J_{2k} = 1.  A start index
-    above _MAX_START raises DomainError before anything is allocated.
+    above _MAX_START, or a table with its work arrays over _MAX_HELD_BYTES,
+    raises DomainError before anything is allocated.
 
     Returns an array of shape (n_max + 1,) + shape(x).
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     ax = np.abs(x)
     xmax = float(np.max(ax)) if x.size else 0.0
     start = n_max + 20 + int(math.ceil(xmax)) + 20 * int(math.ceil((xmax + 1.0) ** (1.0 / 3.0)))
     if start > _MAX_START:
         raise DomainError(f"Bessel table to order {n_max} at |x| = {xmax:.6g} needs recurrence "
                           f"start index {start} > {_MAX_START}")
+    # out, the Miller recurrence's sub and then sub / scale or the copy that rescaling sub[:, over]
+    # makes, and the recurrence's state and temporaries: 12 arrays over x at most
+    held = 8 * (3 * (n_max + 1) + 12) * x.size
+    if held > _MAX_HELD_BYTES:
+        raise DomainError(f"Bessel table to order {n_max} over {x.size} arguments holds {held} bytes "
+                          f"> {_MAX_HELD_BYTES} bytes")
 
     out = np.zeros((n_max + 1,) + x.shape)
     small = ax < 1e-8
@@ -77,7 +91,7 @@ def bessel_table(n_max: int, x) -> np.ndarray:
     if np.any(big):
         flat = x[big].ravel()
         out[:, big] = _miller(n_max, flat, start).reshape((n_max + 1,) + x[big].shape)
-    return out[:, 0] if scalar else out
+    return out
 
 
 def bessel_ratio_table(m_max: int, t) -> np.ndarray:
@@ -129,9 +143,7 @@ def bessel_j(n: int, x):
     """
     m = abs(int(n))
     val = bessel_table(m, x)[m]
-    if n < 0 and m % 2:
-        val = -val
-    return float(val) if np.ndim(x) == 0 else val
+    return -val if n < 0 and m % 2 else val
 
 
 def finite_kernel(n: int, length: int, z):
@@ -148,8 +160,7 @@ def finite_kernel(n: int, length: int, z):
     theta = j * np.pi / (length + 1)
     z = np.asarray(z, dtype=float)
     s = np.sum(np.exp(-1j * np.multiply.outer(z, np.cos(theta))) * np.cos(n * theta), axis=-1)
-    val = 1j**n * s / (length + 1)
-    return complex(val) if z.ndim == 0 else val
+    return 1j**n * s / (length + 1)
 
 
 def phase_sum(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarray:
@@ -188,7 +199,7 @@ def phase_sum_nufft(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarr
     """
     x = np.asarray(x, dtype=float)
     H = _NUFFT_HALF_WIDTH
-    M = pow2_at_least(_NUFFT_OVERSAMPLE * n)
+    M = nufft_length(n)
     R = M / n
     tau = math.pi * H / (n * n * R * (R - 0.5))
     step = 2.0 * math.pi / M

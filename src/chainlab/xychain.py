@@ -81,8 +81,7 @@ def occupation(j: int, t, kappa: float):
         val = np.sum(sq[j + 1 :], axis=0) + half_tail
     else:
         val = 0.5 * (1.0 + sq[0]) + np.sum(sq[1:-j], axis=0)
-    val = np.clip(val, 0.0, 1.0)
-    return float(val) if x.ndim == 0 else val
+    return np.clip(val, 0.0, 1.0)
 
 
 def measurement_occupation(j: int, t: float, kappa: float, c_plus: complex, c_minus: complex) -> float:

@@ -1,6 +1,7 @@
 import filecmp
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -181,11 +182,43 @@ def test_detector_needs_a_time_step(tmp_path, flags):
     assert not (tmp_path / "detector_amplitude.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [["--T", "1e5"], ["--dt", "1e-5"]], ids=["long", "fine-step"])
-def test_oversized_detector_run_is_exit_code_one(tmp_path, flags):
-    # the free pass would hold gigabytes: refused before the time grid is allocated
+@pytest.mark.parametrize(
+    "flags", [["--T", "1e5"], ["--dt", "1e-5"], ["--T", "1e300", "--dt", "1e-300"]],
+    ids=["long", "fine-step", "overflowing-step-count"],
+)
+def test_oversized_detector_run_is_exit_code_one(tmp_path, capsys, flags):
+    # the free pass would hold gigabytes, or T / dt is no finite step count: refused before the
+    # time grid is allocated, with the configuration-error line
     assert main(["detector", *flags, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (tmp_path / "detector_amplitude.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, allocating, bound",
+    [
+        (["radiate", "--M", "20000"], (np.polynomial.legendre, "leggauss"), 2**23),
+        (["radiate", "--N", "100000"], (np.polynomial.legendre, "leggauss"), 2**23),
+        (["domino", "--steps", "100000000"], (np, "linspace"), 2**20),
+    ],
+    ids=["radiate-M", "radiate-N", "domino-steps"],
+)
+def test_oversized_grid_is_refused_before_allocation(tmp_path, monkeypatch, argv, allocating, bound):
+    # leggauss would build a 3.2 GB companion matrix and the Hamiltonian would need 3.2 or 80 GB;
+    # linspace would take 0.8 GB.  radiate's peak is default_params's fixed 80001-point integral.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(*allocating, must_not_run)
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < bound
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -209,8 +242,12 @@ def test_out_of_domain_inputs_are_exit_code_one(tmp_path, argv, csv):
 
 @pytest.mark.parametrize(
     "argv, csv",
-    [(["domino", "--t", "0..1e9"], "domino_flip.csv"), (["xy", "--t", "0..1e6", "--steps", "2"], "xy_occupation.csv")],
-    ids=["domino", "xy"],
+    [
+        (["domino", "--t", "0..1e9"], "domino_flip.csv"),
+        (["xy", "--t", "0..1e6", "--steps", "2"], "xy_occupation.csv"),
+        (["xy", "--steps", "1000000"], "xy_occupation.csv"),  # 94 orders x 1e6 times: 1.5 GB
+    ],
+    ids=["domino", "xy", "xy-table-bytes"],
 )
 def test_oversized_bessel_recurrence_is_exit_code_one(tmp_path, monkeypatch, argv, csv):
     def must_not_run(*args):

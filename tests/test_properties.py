@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from chainlab import dense_oracle, projection
 from chainlab.cli import main
 from chainlab.meanfield import BCSParams, bcs_gradient, flow_rk4
-from chainlab.qdomino import flip_probability, green_finite, green_infinite
+from chainlab.qdomino import flip_probability, flip_residual, green_finite, green_infinite
 from chainlab.specfun import bessel_j, bessel_table, finite_kernel
 from chainlab.xychain import evolution_coefficient, occupation
 
@@ -67,20 +67,27 @@ _OBSERVABLES = (dense_oracle.site_number_op(4, 1), dense_oracle.DenseOperator(de
 @given(n=st.integers(1, 8), m=st.integers(1, 8), order=st.integers(-30, 30), t=arrays(1e-3, 50.0))
 def test_array_times_match_scalar_calls(n, m, order, t):
     def agrees(fn):
-        ref = np.array([fn(x) for x in t])
+        scalars = [fn(float(x)) for x in t]
+        # a scalar time gives a Python number (numpy's float64 and complex128 are float and complex)
+        assert all(isinstance(v, (float, complex)) for v in scalars)
         # a list of times is taken like the array
-        return all(np.max(np.abs(fn(times) - ref)) <= 1e-14 for times in (t, list(t)))
+        return all(np.max(np.abs(fn(times) - np.array(scalars))) <= 1e-14 for times in (t, list(t)))
 
     assert agrees(lambda s: green_finite(n, m, 8, s))
     assert agrees(lambda s: green_infinite(n, m, s))
     assert agrees(lambda s: evolution_coefficient(order, s, 0.7))
     assert agrees(lambda s: bessel_j(order, s))
     assert agrees(lambda s: finite_kernel(order, 8, s))
+    assert agrees(lambda s: flip_residual(abs(order) + 1, s))
+    assert agrees(lambda s: flip_probability(abs(order) + 1, s))
+    assert agrees(lambda s: occupation(order, s, 0.7))
     assert agrees(lambda q: projection.smeared_potential(np.cos, _SMEARING, q))
     psi_t = _FLIP_FLOP.apply(dense_oracle.basis_state([1, 1, 0, 0]), t)
     for A in _OBSERVABLES:
         stack = dense_oracle.expectation(psi_t, A)
-        assert np.max(np.abs(stack - np.array([dense_oracle.expectation(psi, A) for psi in psi_t]))) <= 1e-14
+        singles = [dense_oracle.expectation(psi, A) for psi in psi_t]
+        assert all(isinstance(v, (float, complex)) for v in singles)
+        assert np.max(np.abs(stack - np.array(singles))) <= 1e-14
 
 
 @PROPERTY

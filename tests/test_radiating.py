@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from chainlab import DomainError
 from chainlab.dense_oracle import Propagator
 from chainlab.radiating import (
+    ContinuumModes,
     RadiatingParams,
     build_minimal_hamiltonian,
     build_modes,
@@ -58,6 +60,19 @@ def test_hamiltonian_is_hermitian_and_coupled(setup):
     assert H.dim == p.N + modes.count
     assert np.max(np.abs(H.mat[p.N - 1, p.N:])) > 0.0
     assert np.max(np.abs(H.mat[: p.N - 1, p.N:])) == 0.0
+
+
+def test_oversized_hamiltonian_is_refused_before_allocation(setup, monkeypatch):
+    # 6 chain states and 8000 modes: 5 copies of the dense H exceed the Propagator's bound
+    p, _ = setup
+    modes = ContinuumModes(np.linspace(1.0, 2.0, 8000), np.ones(8000))
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(np, "zeros", must_not_run)
+    with pytest.raises(DomainError):
+        build_minimal_hamiltonian(p, modes)
 
 
 def test_unitarity_of_evolution(setup):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -101,10 +103,32 @@ def _miller_must_not_run(*args):
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: bessel_table(3, 1e6), lambda: flip_probability(3, 1e6), lambda: occupation(0, 1e6, 1.0)],
-    ids=["bessel_table", "flip_probability", "xy-occupation"],
+    [
+        lambda: bessel_table(3, 1e6),
+        lambda: flip_probability(3, 1e6),
+        lambda: occupation(0, 1e6, 1.0),
+        lambda: bessel_table(20_000, np.ones(1000)),  # three 160 MB tables at once > 2**28 bytes
+    ],
+    ids=["bessel_table", "flip_probability", "xy-occupation", "table-bytes"],
 )
 def test_oversized_bessel_recurrence_is_refused_before_it_runs(monkeypatch, call):
     monkeypatch.setattr(specfun, "_miller", _miller_must_not_run)
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize(
+    "n_max, x", [(1000, np.full(3000, 50.0)), (10, np.linspace(1e-3, 100.0, 100_000))], ids=["orders", "arguments"]
+)
+def test_bessel_table_gate_counts_what_it_holds(monkeypatch, n_max, x):
+    # equal arguments rescale together, so sub[:, over] copies the whole work table; few orders
+    # over many arguments peak in the recurrence's per-argument state
+    tracemalloc.start()
+    try:
+        bessel_table(n_max, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", peak - 1)
+    with pytest.raises(DomainError):
+        bessel_table(n_max, x)
