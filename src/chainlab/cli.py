@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import DomainError, meanfield, projection, qdomino, radiating, xychain
+from .dense_oracle import check_dense_dimension
 
 __all__ = ["main"]
 
@@ -171,6 +172,7 @@ def _run_detector(args) -> int:
 
 
 def _run_radiate(args) -> int:
+    check_dense_dimension(args.N + args.M)  # before default_params's self-energy integral
     p = radiating.default_params(N=args.N, v=args.v)
     modes = radiating.build_modes(p, M=args.M)
     t = _grid(args.t, args.steps)

@@ -21,7 +21,6 @@ convolution transforms into sqrt(2 pi) times the product.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import isfinite, pi
 
@@ -117,9 +116,9 @@ _NEUMANN_MAX_TERMS = 200
 # occupations_at holds (its f_m table, V, W V and the (L, m_max) transform) and what a p0_series
 # chunk holds (_P0_HELD complex (n + 1) x _P0_CHUNK arrays)
 _P0_CHUNK = 48
-# a chunk's phases, C_p, Z_p and chi, the previous chunk's until rebound, and expression
-# temporaries: 7.1 chunks at the peak under tracemalloc
-_P0_HELD = 8
+# a chunk's phases, C_p, Z_p and chi, and expression temporaries (the previous chunk's are freed
+# before the next is built): 5.1 chunks at the peak under tracemalloc
+_P0_HELD = 6
 # largest accepted gap between the time-domain and spectral w routes
 W_ROUTE_TOL = 1e-6
 
@@ -285,21 +284,18 @@ class DetectorRun:
         return F
 
     def solve_neumann(self):
+        """F as the Neumann series in the Volterra operator; ValueError when _NEUMANN_MAX_TERMS terms miss tolerance."""
         F0 = self.free_series()
         g2, dt = self.cfg.gamma**2, self.cfg.dt
         term = F0.copy()
         total = F0.copy()
         scale = np.linalg.norm(F0)
-        converged = False
         for _ in range(_NEUMANN_MAX_TERMS):
             term = -g2 * _causal_conv(self.K, term, dt)
             total += term
             if np.linalg.norm(term) <= _NEUMANN_TOL * scale:
-                converged = True
-                break
-        if not converged:
-            warnings.warn("Neumann series did not reach tolerance; returning partial sum")
-        return total
+                return total
+        raise ValueError(f"Neumann series did not reach tolerance in {_NEUMANN_MAX_TERMS} terms")
 
     def _denominator(self) -> np.ndarray:
         """1 + gamma^2 dt FFT(K): the discrete transform of the Volterra operator."""
@@ -399,16 +395,20 @@ class DetectorRun:
         q = _linear_conv(f, F)
         r = (q - 0.5 * f[0] * F)[:, None]
         grid = cfg.phi.grid
-        out = np.zeros(self.n + 1)
-        chunk = _P0_CHUNK
-        for i in range(0, grid.nodes.size, chunk):
-            ps = grid.nodes[i : i + chunk]
+
+        def chunk_weight(sl: slice) -> np.ndarray:
+            # a helper, so that a chunk's arrays are freed before the next chunk is built
+            ps = grid.nodes[sl]
             # phase matrix e^{-i t p^2}, shape (n+1, c): the phase sum of the identity
             ep = phase_sum(np.eye(ps.size), ps**2, dt, self.n + 1)
             Cp = dt * (ep * np.cumsum(np.conj(ep) * f[:, None], axis=0) - 0.5 * (ep * f[0] + f[:, None]))
             Zp = dt * (dt * (ep * np.cumsum(np.conj(ep) * r, axis=0) - 0.5 * q[:, None]) - 0.5 * F[0] * Cp)
-            chi = ep * cfg.psi.amplitude[i : i + chunk] - cfg.gamma**2 * cfg.phi.amplitude[i : i + chunk] * Zp
-            out += (np.abs(chi) ** 2) @ (grid.weights[i : i + chunk] * 4.0 * pi * ps**2)
+            chi = ep * cfg.psi.amplitude[sl] - cfg.gamma**2 * cfg.phi.amplitude[sl] * Zp
+            return (np.abs(chi) ** 2) @ (grid.weights[sl] * 4.0 * pi * ps**2)
+
+        out = np.zeros(self.n + 1)
+        for i in range(0, grid.nodes.size, _P0_CHUNK):
+            out += chunk_weight(slice(i, i + _P0_CHUNK))
         return out
 
 

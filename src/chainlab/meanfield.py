@@ -2,8 +2,7 @@
 
 Lie-Poisson (Berezin) brackets, the exactly solvable BCS classical flow
 and its SU(2) cocycle, Gibbs expectations, gap equation, critical
-temperature, ground-state classification, and the closed-form SO(3)
-rotation of a classical spin.
+temperature, and ground-state classification.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "solve_gap_equation",
     "critical_temperature",
     "ground_states",
-    "so3_rotate",
 ]
 
 SIGMA = np.array(
@@ -225,12 +223,3 @@ def ground_states(p: BCSParams) -> list[GroundState]:
             chi = np.linalg.eigh(n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2])[1][:, -1]
             out.append(GroundState("superconducting", F, chi, r))
     return out
-
-
-def so3_rotate(y, tau, t: float) -> np.ndarray:
-    """Rotation of y about the unit axis tau by angle t, closed form."""
-    y = np.asarray(y, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if abs(np.linalg.norm(tau) - 1.0) > 1e-12:
-        raise ValueError("tau must be a unit vector")
-    return y * np.cos(t) + _cross(tau, y) * np.sin(t) + 2.0 * tau * np.dot(tau, y) * np.sin(0.5 * t) ** 2

@@ -22,8 +22,6 @@ __all__ = [
     "renormalization_f",
     "quantum_trajectory",
     "classical_trajectory",
-    "quantum_period",
-    "classical_period",
 ]
 
 
@@ -77,11 +75,3 @@ def classical_trajectory(z0: complex, lam: float, t, a: float) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     f = renormalization_f(z0, lam, a)
     return np.exp(-1j * t * f / lam**2) * z0
-
-
-def quantum_period(lam: float, a: float) -> float:
-    return 2.0 * pi * lam**2 / a
-
-
-def classical_period(z0: complex, lam: float, a: float) -> float:
-    return 2.0 * pi * lam**2 / renormalization_f(z0, lam, a)

@@ -1,14 +1,11 @@
 """Closed-form Quantum Domino dynamics.
 
 Single-island Green functions for the finite and the semi-infinite chain,
-flip probabilities at the measured site, the t^-3 envelope asymptotics of
-the residual, and the ideal-measurement mixture with its macroscopic
-pointer value.
+flip probabilities at the measured site, and the t^-3 envelope asymptotics
+of the residual.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,14 +13,12 @@ from . import DomainError
 from .specfun import bessel_j, bessel_ratio_table, finite_kernel
 
 __all__ = [
-    "MacroMixture",
     "green_finite",
     "green_infinite",
     "flip_probability",
     "flip_residual",
     "envelope_slope",
     "asymptotic_exponent",
-    "measurement_mixture",
 ]
 
 
@@ -93,28 +88,3 @@ def asymptotic_exponent(j: int, t_grid: np.ndarray) -> float:
     if j < 2:
         raise ValueError("need j >= 2 (site 1 never has a residual)")
     return envelope_slope(t_grid, flip_residual(j, t_grid))
-
-
-@dataclass(frozen=True)
-class MacroMixture:
-    """Ideal-measurement mixture and pointer (mean half-chain occupation) values."""
-
-    p_down: float
-    p_up: float
-    gamma_down: float
-    gamma_up: float
-
-
-def measurement_mixture(c_down: complex, c_up: complex, two_sided: bool = False) -> MacroMixture:
-    """Post-measurement mixture for the measured spin state c_down|v> + c_up|^>.
-
-    The pointer observable is the mean occupation of the flipped half-chain
-    (values 0/1); with two_sided=True it is averaged over both directions
-    (values 0/1/2).
-    """
-    p_down = abs(c_down) ** 2
-    p_up = abs(c_up) ** 2
-    if abs(p_down + p_up - 1.0) > 1e-10:
-        raise ValueError("input amplitudes must be normalized")
-    gamma_up = 0.5 if two_sided else 1.0
-    return MacroMixture(p_down=p_down, p_up=p_up, gamma_down=0.0, gamma_up=gamma_up)

@@ -1,58 +1,39 @@
 """X-Y chain as a measuring device.
 
 One-particle hopping evolution of the infinite X-Y chain in the
-free-fermion picture, site occupation dynamics starting from the
-half-filled step state (spins up at j <= -1, down at j >= 0), and the
-incoherent measurement mixture with its macroscopic occupation value.
+free-fermion picture, with the Taylor coefficients of its propagator, and
+site occupation dynamics starting from the half-filled step state (spins
+up at j <= -1, down at j >= 0).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .specfun import bessel_j, bessel_table
 
 __all__ = [
-    "HoppingCoefficients",
     "recurrence_coefficients",
     "evolution_coefficient",
     "occupation",
-    "measurement_occupation",
-    "macro_observable",
 ]
 
 
-@dataclass(frozen=True)
-class HoppingCoefficients:
-    """Taylor coefficients c^(m)(p) of the one-particle hopping evolution.
+def recurrence_coefficients(m_max: int, kappa: float) -> np.ndarray:
+    """Taylor coefficients c^(m)(p) of the hopping propagator, as c[m, p + m_max] for m = 0..m_max.
 
-    coeffs[m] is an array over p = -m..m (length 2m + 1).
+    c^(0)(p) = delta_{0p}; c^(m+1)(p) = -(kappa/2)(c^(m)(p-1) + c^(m)(p+1)), so c^(m) vanishes
+    outside |p| <= m.
     """
-
-    kappa: float
-    coeffs: list = field(default_factory=list)
-
-    def value(self, m: int, p: int) -> float:
-        if m >= len(self.coeffs) or abs(p) > m:
-            return 0.0
-        return float(self.coeffs[m][p + m])
-
-
-def recurrence_coefficients(m_max: int, kappa: float) -> HoppingCoefficients:
-    """c^(0)(p) = delta_{0p}; c^(m+1)(p) = -(kappa/2)(c^(m)(p-1) + c^(m)(p+1))."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    coeffs = [np.array([1.0])]
+    c = np.zeros((m_max + 1, 2 * m_max + 1))
+    c[0, m_max] = 1.0
     for m in range(m_max):
-        prev = coeffs[m]
-        nxt = np.zeros(2 * (m + 1) + 1)
-        # shift prev (support -m..m) into slots p-1 and p+1 of -m-1..m+1
-        nxt[:-2] += prev
-        nxt[2:] += prev
-        coeffs.append(-0.5 * kappa * nxt)
-    return HoppingCoefficients(kappa=kappa, coeffs=coeffs)
+        c[m + 1, 1:] = c[m, :-1]
+        c[m + 1, :-1] += c[m, 1:]
+        c[m + 1] *= -0.5 * kappa
+    return c
 
 
 def evolution_coefficient(r: int, t, kappa: float):
@@ -82,30 +63,3 @@ def occupation(j: int, t, kappa: float):
     else:
         val = 0.5 * (1.0 + sq[0]) + np.sum(sq[1:-j], axis=0)
     return np.clip(val, 0.0, 1.0)
-
-
-def measurement_occupation(j: int, t: float, kappa: float, c_plus: complex, c_minus: complex) -> float:
-    """Occupation under the post-measurement mixture.
-
-    |c_+|^2 branches switch the detector coupling on (dynamical profile);
-    |c_-|^2 branches keep the static step profile.
-    """
-    w_plus = abs(c_plus) ** 2
-    w_minus = abs(c_minus) ** 2
-    if abs(w_plus + w_minus - 1.0) > 1e-10:
-        raise ValueError("input amplitudes must be normalized")
-    static = 1.0 if j <= -1 else 0.0
-    return w_plus * occupation(j, t, kappa) + w_minus * static
-
-
-def macro_observable(state: str, c_plus: complex = 1.0) -> float:
-    """Macroscopic mean-occupation pointer value.
-
-    'initial' -> 0; 'final' -> |c_+|^2 * 1/2 (the relaxed profile carries
-    mean occupation 1/2, the static one 0).
-    """
-    if state == "initial":
-        return 0.0
-    if state == "final":
-        return 0.5 * abs(c_plus) ** 2
-    raise ValueError("state must be 'initial' or 'final'")

@@ -197,15 +197,15 @@ def test_oversized_detector_run_is_exit_code_one(tmp_path, capsys, flags):
 @pytest.mark.parametrize(
     "argv, allocating, bound",
     [
-        (["radiate", "--M", "20000"], (np.polynomial.legendre, "leggauss"), 2**23),
-        (["radiate", "--N", "100000"], (np.polynomial.legendre, "leggauss"), 2**23),
+        (["radiate", "--M", "20000"], (np.polynomial.legendre, "leggauss"), 2**20),
+        (["radiate", "--N", "100000"], (np.polynomial.legendre, "leggauss"), 2**20),
         (["domino", "--steps", "100000000"], (np, "linspace"), 2**20),
     ],
     ids=["radiate-M", "radiate-N", "domino-steps"],
 )
 def test_oversized_grid_is_refused_before_allocation(tmp_path, monkeypatch, argv, allocating, bound):
     # leggauss would build a 3.2 GB companion matrix and the Hamiltonian would need 3.2 or 80 GB;
-    # linspace would take 0.8 GB.  radiate's peak is default_params's fixed 80001-point integral.
+    # linspace would take 0.8 GB.  radiate refuses N + M before default_params's 80001-point integral.
     def must_not_run(*args, **kwargs):
         raise AssertionError("allocated before the size check")
 

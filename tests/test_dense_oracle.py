@@ -14,6 +14,7 @@ from chainlab.dense_oracle import (
     site_number_op,
     spin_ops,
 )
+from chainlab.qdomino import green_finite
 
 
 def test_island_spectrum_closed_form():
@@ -102,6 +103,17 @@ def test_entry_set_builders_equal_kronecker_sums():
                 for n in range(n_sites - 2)
             )
             assert np.array_equal(build_full_chain_hamiltonian(n_sites).mat, domino)
+
+
+def test_many_body_domino_matches_island_green_function():
+    # from 1 0^8 only the domino states 1^k 0^(9-k), k = 1..8, are reached, and H hops between
+    # neighbouring k with amplitude 1: site s is up while k > s, with the 8-site island's weight
+    ts = (0.5, 1.0, 3.0, 10.0, 40.0)
+    psi = Propagator(build_full_chain_hamiltonian(9)).apply(basis_state((1,) + (0,) * 8), ts)
+    island = np.array([[abs(green_finite(k, 1, 8, t)) ** 2 for k in range(1, 9)] for t in ts])
+    for s in range(9):
+        ref = np.sum(island[:, s:], axis=1)  # k = s + 1..8
+        assert np.max(np.abs(expectation(psi, site_number_op(9, s)) - ref)) <= 1e-12
 
 
 def test_full_chain_size_limits():

@@ -156,6 +156,13 @@ def test_solvers_agree_pairwise(short_run):
         assert np.sqrt(dt * np.sum(np.abs(a - b) ** 2)) < 1e-10
 
 
+def test_unconverged_neumann_series_raises(short_run, monkeypatch):
+    # a partial sum is not returned: the CLI maps the ValueError to exit 2
+    monkeypatch.setattr(detector, "_NEUMANN_MAX_TERMS", 1)
+    with pytest.raises(ValueError, match="Neumann series"):
+        short_run.solve_neumann()
+
+
 def test_gamma_zero_reduces_to_free(short_run):
     cfg = default_config(gamma=0.0, T=40.0)
     run = DetectorRun(cfg)
@@ -335,7 +342,7 @@ def test_oversized_run_is_refused_before_allocation():
 
 def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_any_solve(monkeypatch):
     # T = 1000 constructs, but occupations up to t = 1000 need
-    # 131072 x 2172 complex Toeplitz transforms (4.6 GB), and P_0 is refused too
+    # 131072 x 2172 complex Toeplitz transforms (4.6 GB); P_0 is refused above T = 1165
     run = DetectorRun(default_config(T=1000.0))
 
     def must_not_run(*args):
@@ -345,8 +352,9 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     monkeypatch.setattr(DetectorRun, "solve_fourier", must_not_run)
     with pytest.raises(DomainError):
         run.occupations_at(1000.0)
-    with pytest.raises(DomainError):  # 8 x 48 x 50001 complex P_0 chunk arrays (307 MB)
-        run.p0_series()
+    # 6 x 48 x 50001 complex P_0 chunk arrays (230 MB) fit 2^28 bytes at T = 1000; 6 x 48 x 60001 (276 MB) do not
+    with pytest.raises(DomainError):
+        DetectorRun(default_config(T=1200.0)).p0_series()
     # the bound covers the Toeplitz transforms, not just the table: at t = 60 the table is
     # 200 x 3001 (9.6 MB) but the transforms are 8192 x 200 (26.2 MB)
     run = DetectorRun(default_config(T=60.0))

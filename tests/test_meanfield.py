@@ -20,7 +20,6 @@ from chainlab.meanfield import (
     flow_rk4,
     gap_value,
     ground_states,
-    so3_rotate,
     solve_gap_equation,
 )
 
@@ -156,13 +155,3 @@ def test_ground_circle_has_constant_gap():
     for st in ground_states(P):
         if st.kind == "superconducting":
             assert gap_value(st.F, P) == pytest.approx(0.5 * P.lam, abs=1e-12)
-
-
-def test_so3_rotation_closed_form():
-    y = np.array([0.2, -0.7, 0.4])
-    tau = np.array([0.0, 0.0, 1.0])
-    out = so3_rotate(y, tau, np.pi / 2.0)
-    assert np.allclose(out, [0.7, 0.2, 0.4], atol=1e-12)
-    assert np.linalg.norm(so3_rotate(y, tau, 1.234)) == pytest.approx(np.linalg.norm(y), abs=1e-13)
-    with pytest.raises(ValueError):
-        so3_rotate(y, 2.0 * tau, 0.5)

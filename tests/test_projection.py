@@ -5,10 +5,8 @@ import pytest
 
 from chainlab import DomainError
 from chainlab.projection import (
-    classical_period,
     classical_trajectory,
     gaussian_packet,
-    quantum_period,
     quantum_trajectory,
     renormalization_f,
     smeared_potential,
@@ -62,11 +60,7 @@ def test_zero_lambda_is_outside_the_domain():
 
 
 def test_periods():
-    lam, a = 1.3, 0.7
-    z0 = 0.9 + 0.2j
-    assert quantum_period(lam, a) == pytest.approx(2.0 * math.pi * lam**2 / a)
-    f = renormalization_f(z0, lam, a)
-    assert classical_period(abs(z0), lam, a) == pytest.approx(2.0 * math.pi * lam**2 / f)
-    # the classical orbit closes after its own period
-    T = classical_period(abs(z0), lam, a)
+    # the classical orbit closes after its period 2 pi lam^2 / f(z0)
+    z0, lam, a = 0.9 + 0.2j, 1.3, 0.7
+    T = 2.0 * math.pi * lam**2 / renormalization_f(z0, lam, a)
     assert classical_trajectory(z0, lam, T, a) == pytest.approx(z0, abs=1e-12)

@@ -10,7 +10,6 @@ from chainlab.qdomino import (
     flip_residual,
     green_finite,
     green_infinite,
-    measurement_mixture,
 )
 
 
@@ -85,23 +84,3 @@ def test_envelope_slope_needs_enough_maxima():
     t = np.linspace(1.0, 2.0, 30)
     with pytest.raises(ValueError):
         envelope_slope(t, t**-3.0)
-
-
-def test_measurement_mixture_weights():
-    c_down, c_up = 0.6, 0.8
-    mix = measurement_mixture(c_down, c_up)
-    assert mix.p_down == pytest.approx(abs(c_down) ** 2)
-    assert mix.p_up == pytest.approx(abs(c_up) ** 2)
-    assert mix.p_down + mix.p_up == pytest.approx(1.0)
-
-
-def test_measurement_mixture_propagation_rate():
-    one_sided = measurement_mixture(0.6, 0.8)
-    two_sided = measurement_mixture(0.6, 0.8, two_sided=True)
-    assert one_sided.gamma_up == pytest.approx(1.0)
-    assert two_sided.gamma_up == pytest.approx(0.5)
-
-
-def test_measurement_mixture_requires_normalized_state():
-    with pytest.raises(ValueError):
-        measurement_mixture(1.0, 1.0)

@@ -5,13 +5,7 @@ import pytest
 import scipy.special as sp
 
 from chainlab import xychain
-from chainlab.xychain import (
-    evolution_coefficient,
-    macro_observable,
-    measurement_occupation,
-    occupation,
-    recurrence_coefficients,
-)
+from chainlab.xychain import evolution_coefficient, occupation, recurrence_coefficients
 
 
 def test_recurrence_sums_to_propagator():
@@ -19,18 +13,20 @@ def test_recurrence_sums_to_propagator():
     kappa, t = 1.3, 1.1
     c = recurrence_coefficients(45, kappa)
     for r in (0, 1, -2, 4):
-        s = sum((1j * t) ** m / math.factorial(m) * c.value(m, r) for m in range(46))
+        s = sum((1j * t) ** m / math.factorial(m) * c[m, r + 45] for m in range(46))
         assert s == pytest.approx(evolution_coefficient(r, t, kappa), abs=1e-12)
 
 
 def test_recurrence_support_and_parity():
-    c = recurrence_coefficients(10, 0.7)
-    assert c.value(3, 5) == 0.0
+    c = recurrence_coefficients(10, 0.7)  # c[m, p + 10]
+    assert c.shape == (11, 21)
+    assert np.array_equal(c, c[:, ::-1])
     for m in range(11):
-        for p in range(-m, m + 1):
-            assert c.value(m, p) == c.value(m, -p)
-            if (m + p) % 2 == 1:
-                assert c.value(m, p) == 0.0
+        for p in range(-10, 11):
+            if abs(p) > m or (m + p) % 2 == 1:
+                assert c[m, p + 10] == 0.0
+            else:
+                assert c[m, p + 10] != 0.0
 
 
 def test_evolution_coefficient_unitarity():
@@ -84,20 +80,3 @@ def test_occupation_explicit_bessel_sum():
     j, t, kappa = 2, 3.0, 0.8
     ref = sum(sp.jv(abs(j + r), kappa * t) ** 2 for r in range(1, 400))
     assert occupation(j, t, kappa) == pytest.approx(ref, abs=1e-12)
-
-
-def test_measurement_occupation_mixes_branches():
-    j, t, kappa = 1, 2.5, 1.0
-    c_plus, c_minus = 0.6, 0.8
-    val = measurement_occupation(j, t, kappa, c_plus, c_minus)
-    plus = measurement_occupation(j, t, kappa, 1.0, 0.0)
-    minus = measurement_occupation(j, t, kappa, 0.0, 1.0)
-    assert val == pytest.approx(abs(c_plus) ** 2 * plus + abs(c_minus) ** 2 * minus, abs=1e-12)
-
-
-def test_macro_observable_pointer_values():
-    assert macro_observable("initial") == 0.0
-    assert macro_observable("final", 1.0) == pytest.approx(0.5)
-    assert macro_observable("final", 0.6) == pytest.approx(0.18)
-    with pytest.raises(ValueError):
-        macro_observable("halfway")
