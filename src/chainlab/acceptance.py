@@ -124,10 +124,10 @@ def criterion_08() -> CriterionResult:
 
 def criterion_09() -> CriterionResult:
     g = default_grid()
-    psis = [gaussian_packet(g, 0.6), gaussian_packet(g, 1.0), gaussian_packet(g, 1.6), bump_packet(g, 2.0)]
-    W, ev = detector.povm_matrix(psis, 0.5, dt=0.02, T=60.0)
+    psis = [gaussian_packet(g, 0.6), gaussian_packet(g, 1.0), gaussian_packet(g, 1.6), bump_packet(g)]
+    W, ev = detector.povm_matrix(psis, 0.5, T=60.0)
     nonproj = float(np.linalg.norm(W @ W - W, 2))
-    _, ev0 = detector.povm_matrix(psis, 0.0, dt=0.02, T=60.0)
+    _, ev0 = detector.povm_matrix(psis, 0.0, T=60.0)
     ok = bool(np.all(ev > 0.0) and np.all(ev < 1.0) and nonproj > 1e-3 and np.max(np.abs(ev0)) == 0.0)
     return CriterionResult(9, "POVM element nonprojection", ok, f"eigs [{ev.min():.2e}, {ev.max():.2e}], ||W^2-W|| = {nonproj:.3f}")
 
@@ -137,10 +137,10 @@ def criterion_10() -> CriterionResult:
     modes = radiating.build_modes(p, M=400)
     t_rec = radiating.recurrence_time(modes)
     t_grid = np.linspace(0.0, 0.5 * t_rec, 400)
-    series = radiating.decay_series(p, modes, 0, t_grid)
+    series = radiating.decay_series(p, modes, t_grid)
     peak = float(np.max(series))
     modes2 = radiating.build_modes(p, M=800)
-    series2 = radiating.decay_series(p, modes2, 0, t_grid)
+    series2 = radiating.decay_series(p, modes2, t_grid)
     stab = float(np.max(np.abs(series - series2)))
     H = radiating.build_minimal_hamiltonian(p, modes)
     psi0 = np.zeros(H.dim, dtype=complex)
@@ -154,7 +154,7 @@ def criterion_10() -> CriterionResult:
 def criterion_11() -> CriterionResult:
     p = radiating.default_params()
     modes = radiating.build_modes(p)
-    lhs, rhs = radiating.resolvent_check(p, modes, 0, 0, 1.0 - 0.2j)
+    lhs, rhs = radiating.resolvent_check(p, modes, 1.0 - 0.2j)
     dev = abs(lhs - rhs)
     res = radiating.resolvent_equation_residual(p, modes, 1.0 - 0.2j)
     ok = dev < 1e-4 and res < 1e-8

@@ -176,7 +176,7 @@ def _run_radiate(args) -> int:
     p = radiating.default_params(N=args.N, v=args.v)
     modes = radiating.build_modes(p, M=args.M)
     t = _grid(args.t, args.steps)
-    series = radiating.decay_series(p, modes, 0, t)
+    series = radiating.decay_series(p, modes, t)
     _write_csv(
         _out_dir(args) / "radiate_decay.csv",
         ["finite chain radiating into a discretized continuum",

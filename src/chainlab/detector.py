@@ -22,6 +22,7 @@ convolution transforms into sqrt(2 pi) times the product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite, pi
 
 import numpy as np
@@ -56,8 +57,12 @@ def f_kernel(t, g_values):
 
 @dataclass(frozen=True)
 class DetectorConfig:
+    """One detector run: the particle's packet psi coupled with strength gamma, sampled at dt up to T.
+
+    The coupling packet phi is the width-2 Gaussian on psi's grid, so both packets share every node.
+    """
+
     gamma: float
-    phi: RadialPacket
     psi: RadialPacket
     dt: float = 0.02
     T: float = 200.0
@@ -71,23 +76,16 @@ class DetectorConfig:
             raise DomainError(f"T = {self.T:g} must span at least one time step dt = {self.dt:g}")
         if not isfinite(float(self.T) / float(self.dt)):
             raise DomainError(f"T / dt = {self.T:g} / {self.dt:g} is not a finite step count")
-        self.phi.check_normalized()
         self.psi.check_normalized()
 
-
-def _coupling_packet(grid) -> RadialPacket:
-    """The coupling packet phi of the default detector and of povm_matrix: a Gaussian of width 2."""
-    return gaussian_packet(grid, width=2.0)
+    @cached_property
+    def phi(self) -> RadialPacket:
+        """The coupling packet: a Gaussian of width 2 on psi's grid, normalized by construction."""
+        return gaussian_packet(self.psi.grid, width=2.0)
 
 
 def default_config(gamma: float = 0.5, **kw) -> DetectorConfig:
-    grid = default_grid()
-    return DetectorConfig(
-        gamma=gamma,
-        phi=_coupling_packet(grid),
-        psi=gaussian_packet(grid, width=1.0),
-        **kw,
-    )
+    return DetectorConfig(gamma=gamma, psi=gaussian_packet(default_grid(), width=1.0), **kw)
 
 
 def amplitude_free(a: RadialPacket, b: RadialPacket, t):
@@ -412,18 +410,18 @@ class DetectorRun:
         return out
 
 
-def povm_matrix(psis: list, gamma: float, dt: float = 0.02, T: float = 200.0):
+def povm_matrix(psis: list, gamma: float, T: float = 200.0):
     """Response-operator matrix <psi_i|W_gamma|psi_j> on the packet span.
 
     W_ij = gamma^2 (F_i, F_j * f) from the no-flip amplitudes F_i of the
-    packets, with the default coupling packet phi of width 2; returned
-    in an orthonormalized basis of the span, so eigenvalues are those of
-    W_gamma restricted to it.
+    packets, with the coupling packet phi of width 2 and time step 0.02;
+    returned in an orthonormalized basis of the span, so eigenvalues are
+    those of W_gamma restricted to it.
     """
     if len(psis) < 1:
         raise ValueError("need at least one packet")
     k = len(psis)
-    cfg = DetectorConfig(gamma=gamma, phi=_coupling_packet(psis[0].grid), psi=psis[0], dt=dt, T=T)
+    cfg = DetectorConfig(gamma=gamma, psi=psis[0], T=T)
     if gamma == 0.0:
         return np.zeros((k, k)), np.zeros(k)
     run = DetectorRun(cfg)

@@ -101,14 +101,13 @@ def gaussian_packet(grid: MomentumGrid, width: float) -> RadialPacket:
     return _normalized(grid, prof(grid.nodes), profile=prof)
 
 
-def bump_packet(grid: MomentumGrid, R: float = 2.0) -> RadialPacket:
-    """Packet whose position profile is the compact bump exp(-1/(1 - |x|^2/R^2)).
+def bump_packet(grid: MomentumGrid) -> RadialPacket:
+    """Packet whose position profile is the compact bump exp(-1/(1 - |x|^2/R^2)) of radius R = 2.
 
     The radial momentum amplitude is the numerical sine transform
     phi(p) = sqrt(2/pi) (1/p) int_0^R r sin(p r) b(r) dr, then normalized.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
+    R = 2.0
     r = np.linspace(0.0, R, 4001)[:-1] + R / 8000.0  # cell midpoints, open at R
     dr = R / 4000.0
     with np.errstate(divide="ignore", over="ignore"):

@@ -33,19 +33,19 @@ __all__ = [
 ]
 
 
-# infrared cutoff b of the default form factor and of default_params
+# infrared cutoff b of the form factor; with the dispersion lambda = p^2 the continuum starts at b^2
 _CUTOFF = 0.5
 
 
-def sigma_profile_default(p, b: float = _CUTOFF):
-    """Smooth ramp form factor theta(p - b) (p - b)^2 exp(-alpha p^2).
+def sigma_profile_default(p):
+    """Smooth ramp form factor theta(p - b) (p - b)^2 exp(-alpha p^2), b = _CUTOFF.
 
-    The infrared cutoff b keeps the mode density vanishing below a b^2.
+    The infrared cutoff b keeps the mode density vanishing below b^2.
     The profile is L2-normalized in 3d and then multiplied by scale;
     alpha = 0.6 and scale = 2 set how much spectral weight sits under
     the emission window, which controls the decay rate of the chain.
     """
-    alpha, scale = 0.6, 2.0
+    alpha, scale, b = 0.6, 2.0, _CUTOFF
     p = np.asarray(p, dtype=float)
     raw = np.where(p > b, (p - b) ** 2 * np.exp(-alpha * p**2), 0.0)
     # normalize int 4 pi p^2 |sigma|^2 dp = 1 on a fixed fine grid
@@ -61,23 +61,20 @@ class RadiatingParams:
     N: int
     eps0: float
     v: float
-    a: float
-    b: float
 
     def __post_init__(self):
         if self.N < 1:
             raise DomainError("chain length must be >= 1")
-        if self.eps0 <= self.a * self.b**2 + 2.0:
-            raise ValueError("level shift must exceed a b^2 + 2")
+        if self.eps0 <= _CUTOFF**2 + 2.0:
+            raise ValueError("level shift must exceed b^2 + 2")
 
 
-def spectral_density(lam, params: RadiatingParams):
-    """rho(lambda) = (2 pi / a^1.5) sqrt(lambda) |sigma(sqrt(lambda/a))|^2, sigma = sigma_profile_default."""
+def spectral_density(lam):
+    """rho(lambda) = 2 pi sqrt(lambda) |sigma(sqrt(lambda))|^2 for the dispersion lambda = p^2, sigma = sigma_profile_default."""
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0):
         raise ValueError("lambda must be positive")
-    p = np.sqrt(lam / params.a)
-    return (2.0 * pi / params.a**1.5) * np.sqrt(lam) * np.abs(sigma_profile_default(p, params.b)) ** 2
+    return 2.0 * pi * np.sqrt(lam) * np.abs(sigma_profile_default(np.sqrt(lam))) ** 2
 
 
 @dataclass(frozen=True)
@@ -95,18 +92,18 @@ class ContinuumModes:
 
 
 def build_modes(params: RadiatingParams, M: int = 400) -> ContinuumModes:
-    """Gauss-Legendre discretization of the mode continuum on [a b^2, 14].
+    """Gauss-Legendre discretization of the mode continuum on [b^2, 14], b = _CUTOFF.
 
     An N + M too large to propagate is refused before leggauss's dense M x M eigenproblem.
     """
     if M < 2:
         raise DomainError("need at least 2 modes")
     check_dense_dimension(params.N + M)
-    lo, hi = params.a * params.b**2, 14.0
+    lo, hi = _CUTOFF**2, 14.0
     x, w = np.polynomial.legendre.leggauss(M)
     lam = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     wts = 0.5 * (hi - lo) * w
-    g = np.sqrt(wts * spectral_density(lam, params))
+    g = np.sqrt(wts * spectral_density(lam))
     return ContinuumModes(lam, g)
 
 
@@ -135,14 +132,12 @@ def recurrence_time(modes: ContinuumModes) -> float:
     return 2.0 * pi / float(np.mean(dl))
 
 
-def decay_series(params: RadiatingParams, modes: ContinuumModes, n0: int, t_grid) -> np.ndarray:
-    """Radiated-sector weight at each t for the chain started in state n0."""
-    if not 0 <= n0 < params.N:
-        raise ValueError("initial index must lie in 0..N-1")
+def decay_series(params: RadiatingParams, modes: ContinuumModes, t_grid) -> np.ndarray:
+    """Radiated-sector weight at each t for the chain started in its first state."""
     H = build_minimal_hamiltonian(params, modes)
     prop = Propagator(H)
     psi0 = np.zeros(H.dim, dtype=complex)
-    psi0[n0] = 1.0
+    psi0[0] = 1.0
     psi_t = prop.apply(psi0, np.asarray(t_grid, dtype=float))
     return np.sum(np.abs(psi_t[:, params.N :]) ** 2, axis=1)
 
@@ -150,29 +145,20 @@ def decay_series(params: RadiatingParams, modes: ContinuumModes, n0: int, t_grid
 def default_params(N: int = 6, v: float = 0.7) -> RadiatingParams:
     """Defaults with the level shift set from the self-energy integral condition.
 
-    a = 1, b = _CUTOFF, and eps0 exceeds
-    a b^2 + 2 + 2 v^2 int rho(lambda)/(lambda - a b^2) dlambda by a margin of 0.25.
+    With b = _CUTOFF, eps0 exceeds
+    b^2 + 2 + 2 v^2 int rho(lambda)/(lambda - b^2) dlambda by a margin of 0.25.
     """
-    a, b, margin = 1.0, _CUTOFF, 0.25
-    lo = a * b**2
-    probe = RadiatingParams(N=N, eps0=lo + 2.0 + 10.0, v=v, a=a, b=b)
+    lo, margin = _CUTOFF**2, 0.25
     lam = np.linspace(lo + 1e-9, 40.0, 80001)
-    rho = spectral_density(lam, probe)
-    integ = np.trapezoid(rho / (lam - lo), lam)
-    return RadiatingParams(N=N, eps0=lo + 2.0 + 2.0 * v**2 * integ + margin, v=v, a=a, b=b)
+    integ = np.trapezoid(spectral_density(lam) / (lam - lo), lam)
+    return RadiatingParams(N=N, eps0=lo + 2.0 + 2.0 * v**2 * integ + margin, v=v)
 
 
-def resolvent_check(
-    params: RadiatingParams,
-    modes: ContinuumModes,
-    m: int,
-    n: int,
-    xi: complex,
-) -> tuple[complex, complex]:
-    """Resolvent matrix element against the half-line transform of the evolution.
+def resolvent_check(params: RadiatingParams, modes: ContinuumModes, xi: complex) -> tuple[complex, complex]:
+    """Resolvent matrix element of the first chain state against the half-line transform of the evolution.
 
-    Returns ((i/sqrt(2 pi)) <beta_m|(H - xi)^-1|beta_n>,
-             (1/sqrt(2 pi)) int_0^T e^{-i t xi} <beta_m|e^{itH}|beta_n> dt),
+    Returns ((i/sqrt(2 pi)) <beta_0|(H - xi)^-1|beta_0>,
+             (1/sqrt(2 pi)) int_0^T e^{-i t xi} <beta_0|e^{itH}|beta_0> dt),
     which agree for Im xi < 0 up to the e^{T Im xi} truncation tail;
     T = 120, sampled with step dt = 0.005.
     """
@@ -180,16 +166,14 @@ def resolvent_check(
         raise ValueError("need Im xi < 0")
     H = build_minimal_hamiltonian(params, modes)
     dim = H.dim
-    en = np.zeros(dim, dtype=complex)
-    en[n] = 1.0
-    em = np.zeros(dim, dtype=complex)
-    em[m] = 1.0
-    sol = np.linalg.solve(H.mat - xi * np.eye(dim), en)
-    lhs = 1j / np.sqrt(2.0 * pi) * complex(em @ sol)
+    e0 = np.zeros(dim, dtype=complex)
+    e0[0] = 1.0
+    sol = np.linalg.solve(H.mat - xi * np.eye(dim), e0)
+    lhs = 1j / np.sqrt(2.0 * pi) * complex(sol[0])
     prop = Propagator(H)
     T, dt = 120.0, 0.005
     t = np.arange(0.0, T + 0.5 * dt, dt)
-    v = prop.modes[m] * (prop.modes.conj().T @ en)
+    v = prop.modes[0] * (prop.modes.conj().T @ e0)
     amp = phase_sum(v[:, None], -prop.energies, dt, t.size)[:, 0]
     rhs = complex(np.trapezoid(np.exp(-1j * t * xi) * amp, dx=dt)) / np.sqrt(2.0 * pi)
     return lhs, rhs

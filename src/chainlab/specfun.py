@@ -72,9 +72,9 @@ def bessel_table(n_max: int, x) -> np.ndarray:
     if start > _MAX_START:
         raise DomainError(f"Bessel table to order {n_max} at |x| = {xmax:.6g} needs recurrence "
                           f"start index {start} > {_MAX_START}")
-    # out, the Miller recurrence's sub and then sub / scale or the copy that rescaling sub[:, over]
-    # makes, and the recurrence's state and temporaries: 12 arrays over x at most
-    held = 8 * (3 * (n_max + 1) + 12) * x.size
+    # out and the Miller recurrence's sub, which it rescales and normalizes in place, and the
+    # recurrence's state and temporaries: 12 arrays over x at most
+    held = 8 * (2 * (n_max + 1) + 12) * x.size
     if held > _MAX_HELD_BYTES:
         raise DomainError(f"Bessel table to order {n_max} over {x.size} arguments holds {held} bytes "
                           f"> {_MAX_HELD_BYTES} bytes")
@@ -129,11 +129,14 @@ def _miller(n_max: int, x: np.ndarray, start: int) -> np.ndarray:
             jp[over] *= 1e-100
             sq[over] *= 1e-200
             lin[over] *= 1e-100
-            sub[:, over] *= 1e-100
+            # only the rows written so far hold values; rescaling them in place copies no table
+            done = sub[k - 1 :]
+            np.multiply(done, 1e-100, out=done, where=over)
     sq_total = jc * jc + 2.0 * sq
     lin_total = jc + 2.0 * lin
     scale = np.sign(lin_total) * np.sqrt(sq_total)
-    return sub / scale
+    sub /= scale
+    return sub
 
 
 def bessel_j(n: int, x):

@@ -250,6 +250,13 @@ def test_p0_series_matches_double_convolution_everywhere(gamma, T):
     assert np.max(np.abs(run.p0_series() - _p0_by_double_convolution(run))) <= 1e-13
 
 
+def test_coupling_packet_lives_on_the_grid_of_psi():
+    # P_0 weights psi's nodes with phi's amplitudes: a phi on another grid once gave P_0(0) = 8
+    cfg = DetectorConfig(0.5, gaussian_packet(default_grid(panels=80), 1.0), T=5.0)
+    assert cfg.phi.grid is cfg.psi.grid
+    assert abs(DetectorRun(cfg).p0_series()[0] - 1.0) <= 1e-12
+
+
 def test_p0_series_takes_no_per_node_convolution(monkeypatch):
     calls = {"conv": 0, "fft": 0}
 
@@ -264,7 +271,7 @@ def test_p0_series_takes_no_per_node_convolution(monkeypatch):
     ffts = []
     for panels in (20, 80):  # 240 and 960 momentum nodes
         grid = default_grid(panels=panels)
-        run = DetectorRun(DetectorConfig(0.5, gaussian_packet(grid, 2.0), gaussian_packet(grid, 1.0), T=5.0))
+        run = DetectorRun(DetectorConfig(0.5, gaussian_packet(grid, 1.0), T=5.0))
         run.solution()
         calls.update(conv=0, fft=0)
         run.p0_series()
@@ -275,7 +282,7 @@ def test_p0_series_takes_no_per_node_convolution(monkeypatch):
 
 def test_solve_fourier_block_equals_its_column_solves(short_run):
     g = default_grid()
-    psis = [gaussian_packet(g, 0.6), gaussian_packet(g, 1.0), gaussian_packet(g, 1.6), bump_packet(g, 2.0)]
+    psis = [gaussian_packet(g, 0.6), gaussian_packet(g, 1.0), gaussian_packet(g, 1.6), bump_packet(g)]
     F0s = short_run.free_series_multi(psis)
     columns = np.stack([short_run.solve_fourier(F0s[:, i]) for i in range(len(psis))], axis=1)
     assert np.array_equal(short_run.solve_fourier(F0s), columns)
@@ -283,8 +290,8 @@ def test_solve_fourier_block_equals_its_column_solves(short_run):
 
 def test_povm_eigenvalues_and_nonprojection():
     g = default_grid()
-    psis = [gaussian_packet(g, 0.8), gaussian_packet(g, 1.5), bump_packet(g, 2.0)]
-    W, ev = povm_matrix(psis, 0.5, dt=0.02, T=40.0)
+    psis = [gaussian_packet(g, 0.8), gaussian_packet(g, 1.5), bump_packet(g)]
+    W, ev = povm_matrix(psis, 0.5, T=40.0)
     assert np.max(np.abs(W - W.conj().T)) < 1e-12
     assert np.all(ev > 0.0) and np.all(ev < 1.0)
     assert np.linalg.norm(W @ W - W, 2) > 1e-3
@@ -293,10 +300,9 @@ def test_povm_eigenvalues_and_nonprojection():
 def test_povm_matrix_matches_polarized_detection_w():
     # the sesquilinear form behind W, recovered from the quadratic form w alone
     g = default_grid()
-    psis = [gaussian_packet(g, 0.8), bump_packet(g, 2.0)]
-    W, _ = povm_matrix(psis, 0.5, dt=0.02, T=40.0)
-    phi = gaussian_packet(g, 2.0)
-    run = DetectorRun(DetectorConfig(gamma=0.5, phi=phi, psi=psis[0], dt=0.02, T=40.0))
+    psis = [gaussian_packet(g, 0.8), bump_packet(g)]
+    W, _ = povm_matrix(psis, 0.5, T=40.0)
+    run = DetectorRun(DetectorConfig(gamma=0.5, psi=psis[0], T=40.0))
     F0s = run.free_series_multi(psis)
     F = [run.solve_fourier(F0s[:, i]) for i in range(len(psis))]
     raw = np.empty((2, 2), dtype=complex)
@@ -314,7 +320,7 @@ def test_povm_matrix_matches_polarized_detection_w():
 def test_povm_vanishes_without_coupling():
     g = default_grid()
     psis = [gaussian_packet(g, 0.8), gaussian_packet(g, 1.5)]
-    W, ev = povm_matrix(psis, 0.0, dt=0.02, T=40.0)
+    W, ev = povm_matrix(psis, 0.0, T=40.0)
     assert np.max(np.abs(W)) == 0.0
     assert np.max(np.abs(ev)) == 0.0
 
@@ -322,7 +328,7 @@ def test_povm_vanishes_without_coupling():
 def test_config_rejects_T_shorter_than_a_step():
     packet = gaussian_packet(default_grid(), 1.0)
     with pytest.raises(ValueError):
-        DetectorConfig(gamma=0.5, phi=packet, psi=packet, dt=0.02, T=0.001)
+        DetectorConfig(gamma=0.5, psi=packet, T=0.001)
 
 
 def test_oversized_run_is_refused_before_allocation():
@@ -392,7 +398,7 @@ def test_memory_gates_count_what_each_call_holds(monkeypatch, kw, call):
 def test_config_rejects_negative_gamma():
     packet = gaussian_packet(default_grid(), 1.0)
     with pytest.raises(DomainError):
-        DetectorConfig(gamma=-0.5, phi=packet, psi=packet, dt=0.02, T=5.0)
+        DetectorConfig(gamma=-0.5, psi=packet, T=5.0)
 
 
 def test_povm_matrix_rejects_negative_gamma():
@@ -404,10 +410,9 @@ def test_povm_matrix_rejects_negative_gamma():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DetectorConfig(gamma=0.5, phi=gaussian_packet(default_grid(), 1.0),
-                       psi=gaussian_packet(default_grid(), 1.0), dt=-0.01)
+        DetectorConfig(gamma=0.5, psi=gaussian_packet(default_grid(), 1.0), dt=-0.01)
 
 
 def test_povm_matrix_validates_before_the_zero_coupling_shortcut():
     with pytest.raises(DomainError):
-        povm_matrix([gaussian_packet(default_grid(), 0.8)], 0.0, dt=-1.0, T=-5.0)
+        povm_matrix([gaussian_packet(default_grid(), 0.8)], 0.0, T=-5.0)

@@ -1,6 +1,6 @@
+import ast
 import importlib
 import pkgutil
-import re
 from pathlib import Path
 
 import chainlab
@@ -15,6 +15,7 @@ ORACLES = {
     "xychain.evolution_coefficient",
     "xychain.recurrence_coefficients",
     "dense_oracle.build_full_chain_hamiltonian",
+    "dense_oracle.spin_ops",
 }
 
 
@@ -28,14 +29,14 @@ def test_every_exported_name_resolves():
 
 
 def test_every_exported_name_has_a_library_caller_or_is_an_oracle():
-    # any mention in the package's source counts, except the name's def/class line and its __all__ entry
-    lines = [line.strip() for path in Path(chainlab.__file__).parent.glob("*.py") for line in path.read_text().splitlines()]
+    # a use in the package's code counts: a name or an attribute, not a docstring, a comment or an __all__ string
+    used = set()
+    for path in Path(chainlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
     exported = {f"{m.__name__.removeprefix('chainlab.')}.{name}": name
                 for m in _modules() for name in getattr(m, "__all__", ())}
-
-    def referenced(name):
-        own = re.compile(rf'(def|class) {name}\b|"{name}",$')
-        word = re.compile(rf"\b{name}\b")
-        return any(word.search(line) and not own.match(line) for line in lines)
-
-    assert sorted(key for key, name in exported.items() if not referenced(name)) == sorted(ORACLES)
+    assert sorted(key for key, name in exported.items() if name not in used) == sorted(ORACLES)

@@ -20,7 +20,7 @@ def test_grid_integrates_polynomials_exactly():
 
 def test_packets_are_normalized():
     g = default_grid()
-    for pk in (gaussian_packet(g, 0.7), gaussian_packet(g, 2.0), bump_packet(g, 2.0)):
+    for pk in (gaussian_packet(g, 0.7), gaussian_packet(g, 2.0), bump_packet(g)):
         assert pk.norm_sq() == pytest.approx(1.0, abs=1e-10)
         pk.check_normalized()
 
@@ -41,7 +41,7 @@ def test_overlap_is_hermitian_and_bounded():
 
 def test_profile_matches_sampled_amplitude():
     g = default_grid()
-    for pk in (gaussian_packet(g, 1.3), bump_packet(g, 2.0)):
+    for pk in (gaussian_packet(g, 1.3), bump_packet(g)):
         assert np.max(np.abs(pk.amplitude_at(g.nodes) - pk.amplitude)) < 1e-12
 
 
@@ -61,7 +61,7 @@ def _bump_sine_sum(p: np.ndarray, R: float) -> np.ndarray:
 
 def test_bump_profile_matches_direct_sine_sum():
     g = default_grid()
-    profile = bump_packet(g, 2.0).profile
+    profile = bump_packet(g).profile
     fine = DetectorRun(default_config(T=60.0)).p_fine
     rng = np.random.default_rng(3)
     scattered = np.concatenate([[0.0, 12.0, 40.0], rng.uniform(0.0, 2.0 * g.p_max, 200)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainlab import DomainError
+from chainlab import DomainError, radiating
 from chainlab.dense_oracle import Propagator
 from chainlab.radiating import (
     ContinuumModes,
@@ -26,12 +26,12 @@ def setup():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        RadiatingParams(N=6, eps0=1.0, v=0.7, a=1.0, b=0.5)  # level shift too small
+        RadiatingParams(N=6, eps0=1.0, v=0.7)  # level shift too small
 
 
 def test_default_level_shift_clears_chain_band(setup):
     p, _ = setup
-    assert p.eps0 > p.a * p.b**2 + 2.0
+    assert p.eps0 > radiating._CUTOFF**2 + 2.0
 
 
 def test_profile_infrared_cutoff():
@@ -39,10 +39,9 @@ def test_profile_infrared_cutoff():
     assert sigma_profile_default(np.array([1.0]))[0] > 0.0
 
 
-def test_spectral_density_support(setup):
-    p, _ = setup
-    lam = np.array([0.1, p.a * p.b**2, 1.0, 5.0])
-    rho = spectral_density(lam, p)
+def test_spectral_density_support():
+    lam = np.array([0.1, radiating._CUTOFF**2, 1.0, 5.0])
+    rho = spectral_density(lam)
     assert rho[0] == 0.0 and rho[1] == 0.0
     assert np.all(rho[2:] > 0.0)
 
@@ -88,30 +87,24 @@ def test_decay_is_nearly_complete_before_recurrence(setup):
     p, modes = setup
     t_rec = recurrence_time(modes)
     assert t_rec > 100.0
-    assert decay_series(p, modes, 0, [19.0])[0] > 0.95
+    assert decay_series(p, modes, [19.0])[0] > 0.95
     t = np.linspace(0.0, 0.5 * t_rec, 200)
-    assert np.max(decay_series(p, modes, 0, t)) > 0.99
+    assert np.max(decay_series(p, modes, t)) > 0.99
 
 
 def test_decay_stable_under_mode_doubling(setup):
     p, modes = setup
     t = np.linspace(0.0, 0.5 * recurrence_time(modes), 150)
-    a = decay_series(p, modes, 0, t)
-    b = decay_series(p, build_modes(p, M=800), 0, t)
+    a = decay_series(p, modes, t)
+    b = decay_series(p, build_modes(p, M=800), t)
     assert np.max(np.abs(a - b)) < 1e-3
-
-
-def test_decay_series_validates_initial_index(setup):
-    p, modes = setup
-    with pytest.raises(ValueError):
-        decay_series(p, modes, p.N, [1.0])
 
 
 def test_resolvent_transform_pair(setup):
     # the pair itself at xi = 1 - 0.2j is acceptance criterion 11
     p, modes = setup
     with pytest.raises(ValueError):
-        resolvent_check(p, modes, 0, 0, 1.0 + 0.2j)
+        resolvent_check(p, modes, 1.0 + 0.2j)
 
 
 def test_second_resolvent_equation(setup):
