@@ -1,8 +1,8 @@
 """Acceptance suite: one check per numbered criterion.
 
-Each criterion function recomputes its claim from scratch and returns a
-CriterionResult; run_all drives the whole list.  The checks run in
-seconds each.
+Each criterion function recomputes its claim from scratch and returns
+(name, passed, detail); run_all numbers it by its position in CRITERIA and
+builds its CriterionResult.  The checks run in seconds each.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class CriterionResult:
         return f"criterion {self.number:02d} {status}  {self.name}: {self.detail}"
 
 
-def criterion_01() -> CriterionResult:
+def criterion_01() -> tuple[str, bool, str]:
     ts = np.arange(0.5, 10.0 + 1e-9, 0.5)
     prop = dense_oracle.Propagator(dense_oracle.build_island_hamiltonian(8))
     # U[k, n, m] = <n|exp(-i ts[k] H)|m>: column m evolves e_m
@@ -43,40 +43,40 @@ def criterion_01() -> CriterionResult:
     # G[n, m, k] = green_finite(n + 1, m + 1, 8, ts[k])
     G = np.array([[qdomino.green_finite(n, m, 8, ts) for m in range(1, 9)] for n in range(1, 9)])
     worst = float(np.max(np.abs(np.moveaxis(G, 2, 0) - U)))
-    return CriterionResult(1, "domino Green function vs dense oracle", worst < 1e-10, f"max |diff| = {worst:.3e}")
+    return "domino Green function vs dense oracle", worst < 1e-10, f"max |diff| = {worst:.3e}"
 
 
-def criterion_02() -> CriterionResult:
+def criterion_02() -> tuple[str, bool, str]:
     t = np.linspace(50.0, 500.0, 2000)
     slopes = [qdomino.asymptotic_exponent(j, t) for j in (2, 3, 5)]
     ok = all(abs(s + 3.0) < 0.2 for s in slopes)
-    return CriterionResult(2, "domino envelope decay exponent -3", ok, "slopes " + ", ".join(f"{s:.3f}" for s in slopes))
+    return "domino envelope decay exponent -3", ok, "slopes " + ", ".join(f"{s:.3f}" for s in slopes)
 
 
-def criterion_03() -> CriterionResult:
+def criterion_03() -> tuple[str, bool, str]:
     vals = [qdomino.flip_probability(j, 1e3) for j in range(1, 6)]
     ok = all(v > 0.999 for v in vals)
-    return CriterionResult(3, "domino flip probability -> 1", ok, "min = " + f"{min(vals):.6f}")
+    return "domino flip probability -> 1", ok, "min = " + f"{min(vals):.6f}"
 
 
-def criterion_04() -> CriterionResult:
+def criterion_04() -> tuple[str, bool, str]:
     worst = 0.0
     for x in (1.0, 5.0, 10.0, 25.0, 50.0):
         n_max = int(2 * x) + 60
         tab = bessel_table(n_max, x)
         worst = max(worst, abs(tab[0] ** 2 + 2.0 * np.sum(tab[1:] ** 2) - 1.0))
-    return CriterionResult(4, "Bessel quadratic normalization", worst < 1e-12, f"max residual = {worst:.3e}")
+    return "Bessel quadratic normalization", worst < 1e-12, f"max residual = {worst:.3e}"
 
 
-def criterion_05() -> CriterionResult:
+def criterion_05() -> tuple[str, bool, str]:
     lim = max(abs(xychain.occupation(j, 1e3, 1.0) - 0.5) for j in range(-3, 4))
     ts = np.array([1.0, 5.0, 10.0, 37.0])
     closed = float(np.max(np.abs(xychain.occupation(0, ts, 1.0) - 0.5 * (1.0 - bessel_table(0, ts)[0] ** 2))))
     ok = lim < 1e-3 and closed < 1e-10
-    return CriterionResult(5, "xy occupation limit and closed form", ok, f"limit dev {lim:.2e}, closed dev {closed:.2e}")
+    return "xy occupation limit and closed form", ok, f"limit dev {lim:.2e}, closed dev {closed:.2e}"
 
 
-def criterion_06() -> CriterionResult:
+def criterion_06() -> tuple[str, bool, str]:
     # right half of the 10-site flip-flop chain occupied; reflection maps
     # it onto the infinite left-occupied formula: site s is j = 4 - s.  The
     # flip-flop conserves the 5 up spins, so the oracle runs in that sector.
@@ -88,11 +88,11 @@ def criterion_06() -> CriterionResult:
         n_op = dense_oracle.site_number_op(10, s, n_up=5)
         dense = dense_oracle.expectation(psi_t, n_op)
         worst = max(worst, float(np.max(np.abs(dense - xychain.occupation(4 - s, times, 1.0)))))
-    return CriterionResult(6, "xy 10-site dense oracle", worst < 1e-3, f"max |diff| = {worst:.3e}")
+    return "xy 10-site dense oracle", worst < 1e-3, f"max |diff| = {worst:.3e}"
 
 
-def criterion_07() -> CriterionResult:
-    run = detector.DetectorRun(detector.default_config(gamma=0.5))
+def criterion_07() -> tuple[str, bool, str]:
+    run = detector.DetectorRun(detector.DetectorConfig(gamma=0.5))
     l1 = run.gamma_g_l1()
     Fm = run.solve_marching()
     Fn = run.solve_neumann()
@@ -104,35 +104,35 @@ def criterion_07() -> CriterionResult:
 
     dev = max(l2(Fm, Fn), l2(Fm, Ff), l2(Fn, Ff))
     ok = dev < 1e-5 and l1 < 2.0
-    return CriterionResult(7, "detector solver equivalence", ok, f"max L2 dev {dev:.3e}, ||gamma g||_1 = {l1:.3f}")
+    return "detector solver equivalence", ok, f"max L2 dev {dev:.3e}, ||gamma g||_1 = {l1:.3f}"
 
 
-def criterion_08() -> CriterionResult:
+def criterion_08() -> tuple[str, bool, str]:
     # fine grid for the tight bound: conservation error is O(dt^2)
-    cfg = detector.default_config(gamma=0.5, dt=0.004, T=20.0)
+    cfg = detector.DetectorConfig(gamma=0.5, dt=0.004, T=20.0)
     run = detector.DetectorRun(cfg)
     ts = np.array([2.0, 5.0, 10.0, 20.0])
     p0 = run.p0_series()[np.rint(ts / cfg.dt).astype(int)]
     dev = float(np.max(np.abs(run.occupations_at(ts).sum(axis=1) + p0 - 1.0)))
-    big = detector.DetectorRun(detector.default_config(gamma=0.5))
+    big = detector.DetectorRun(detector.DetectorConfig(gamma=0.5))
     w = big.detection_w()
     p0_T = big.p0_series()[-1]
     dev_T = abs(p0_T + w - 1.0)
     ok = dev < 1e-6 and dev_T < 1e-3
-    return CriterionResult(8, "detector probability conservation", ok, f"sampled dev {dev:.3e}, T=200 dev {dev_T:.3e}")
+    return "detector probability conservation", ok, f"sampled dev {dev:.3e}, T=200 dev {dev_T:.3e}"
 
 
-def criterion_09() -> CriterionResult:
+def criterion_09() -> tuple[str, bool, str]:
     g = default_grid()
     psis = [gaussian_packet(g, 0.6), gaussian_packet(g, 1.0), gaussian_packet(g, 1.6), bump_packet(g)]
     W, ev = detector.povm_matrix(psis, 0.5, T=60.0)
     nonproj = float(np.linalg.norm(W @ W - W, 2))
     _, ev0 = detector.povm_matrix(psis, 0.0, T=60.0)
     ok = bool(np.all(ev > 0.0) and np.all(ev < 1.0) and nonproj > 1e-3 and np.max(np.abs(ev0)) == 0.0)
-    return CriterionResult(9, "POVM element nonprojection", ok, f"eigs [{ev.min():.2e}, {ev.max():.2e}], ||W^2-W|| = {nonproj:.3f}")
+    return "POVM element nonprojection", ok, f"eigs [{ev.min():.2e}, {ev.max():.2e}], ||W^2-W|| = {nonproj:.3f}"
 
 
-def criterion_10() -> CriterionResult:
+def criterion_10() -> tuple[str, bool, str]:
     p = radiating.default_params()
     modes = radiating.build_modes(p, M=400)
     t_rec = radiating.recurrence_time(modes)
@@ -148,20 +148,20 @@ def criterion_10() -> CriterionResult:
     psi = dense_oracle.Propagator(H).apply(psi0, 0.5 * t_rec)
     unit = abs(np.vdot(psi, psi).real - 1.0)
     ok = peak > 0.95 and stab < 1e-3 and unit < 1e-10
-    return CriterionResult(10, "radiating chain decay", ok, f"peak {peak:.4f}, M-doubling dev {stab:.2e}, unitarity {unit:.2e}")
+    return "radiating chain decay", ok, f"peak {peak:.4f}, M-doubling dev {stab:.2e}, unitarity {unit:.2e}"
 
 
-def criterion_11() -> CriterionResult:
+def criterion_11() -> tuple[str, bool, str]:
     p = radiating.default_params()
     modes = radiating.build_modes(p)
     lhs, rhs = radiating.resolvent_check(p, modes, 1.0 - 0.2j)
     dev = abs(lhs - rhs)
     res = radiating.resolvent_equation_residual(p, modes, 1.0 - 0.2j)
     ok = dev < 1e-4 and res < 1e-8
-    return CriterionResult(11, "resolvent identities", ok, f"transform pair dev {dev:.2e}, operator residual {res:.2e}")
+    return "resolvent identities", ok, f"transform pair dev {dev:.2e}, operator residual {res:.2e}"
 
 
-def criterion_12() -> CriterionResult:
+def criterion_12() -> tuple[str, bool, str]:
     p = meanfield.BCSParams(eps=0.25, lam=1.0, T=0.2)
     sols = meanfield.solve_gap_equation(p)
     sc = [s for s in sols if s.kind == "superconducting"]
@@ -175,10 +175,10 @@ def criterion_12() -> CriterionResult:
     warm = meanfield.solve_gap_equation(meanfield.BCSParams(eps=0.25, lam=1.0, T=0.6))
     no_branch = all(s.kind == "normal" for s in warm)
     ok = bool(sc) and res < 1e-10 and gib < 1e-10 and abs(tc - tc_ref) < 1e-6 and no_branch
-    return CriterionResult(12, "BCS gap self-consistency", ok, f"residual {res:.2e}, gibbs dev {gib:.2e}, T_c = {tc:.7f}")
+    return "BCS gap self-consistency", ok, f"residual {res:.2e}, gibbs dev {gib:.2e}, T_c = {tc:.7f}"
 
 
-def criterion_13() -> CriterionResult:
+def criterion_13() -> tuple[str, bool, str]:
     p = meanfield.BCSParams(eps=0.25, lam=1.0, T=0.2)
     F0 = np.array([0.3, -0.1, 0.2])
 
@@ -194,10 +194,10 @@ def criterion_13() -> CriterionResult:
     coc = float(np.max(np.abs(U @ M0 @ U.conj().T - Mt)))
     rk = float(np.max(np.abs(F3 - exact)))
     ok = drift < 1e-8 and coc < 1e-6 and rk < 1e-6
-    return CriterionResult(13, "mean-field flow geometry", ok, f"Casimir drift {drift:.2e}, cocycle dev {coc:.2e}, transport dev {rk:.2e}")
+    return "mean-field flow geometry", ok, f"Casimir drift {drift:.2e}, cocycle dev {coc:.2e}, transport dev {rk:.2e}"
 
 
-def criterion_14() -> CriterionResult:
+def criterion_14() -> tuple[str, bool, str]:
     p = meanfield.BCSParams(eps=0.25, lam=1.0, T=0.2)
     states = meanfield.ground_states(p)
     dev = 0.0
@@ -207,10 +207,10 @@ def criterion_14() -> CriterionResult:
             dev = max(dev, abs(val - st.F[j]))
     radius = max(st.radius for st in states)
     ok = dev < 1e-12 and abs(radius - math.sqrt(3.0) / 4.0) < 1e-12
-    return CriterionResult(14, "ground-state circle", ok, f"expectation dev {dev:.2e}, radius {radius:.12f}")
+    return "ground-state circle", ok, f"expectation dev {dev:.2e}, radius {radius:.12f}"
 
 
-def criterion_15() -> CriterionResult:
+def criterion_15() -> tuple[str, bool, str]:
     lam, a = 1.0, 1.0
     z0 = 1.2 - 0.4j
     # truncated-Fock oracle for the quantum circle
@@ -232,21 +232,21 @@ def criterion_15() -> CriterionResult:
     pk = projection.gaussian_packet(1e-2)
     sm = float(np.max(np.abs(projection.smeared_potential(np.cos, pk, qs) - np.cos(qs))))
     ok = fock < 1e-6 and cl < 1e-12 and sm < 1e-3
-    return CriterionResult(15, "classical projection circles", ok, f"Fock dev {fock:.2e}, classical dev {cl:.2e}, smearing dev {sm:.2e}")
+    return "classical projection circles", ok, f"Fock dev {fock:.2e}, classical dev {cl:.2e}, smearing dev {sm:.2e}"
 
 
-def criterion_16() -> CriterionResult:
+def criterion_16() -> tuple[str, bool, str]:
     from .cli import main
 
     with tempfile.TemporaryDirectory() as d1, tempfile.TemporaryDirectory() as d2:
         for d in (d1, d2):
             code = main(["domino", "--j", "2..4", "--t", "0..10", "--steps", "21", "--out", d])
             if code != 0:
-                return CriterionResult(16, "deterministic CSV output", False, f"runner exit code {code}")
+                return "deterministic CSV output", False, f"runner exit code {code}"
         f1 = sorted(Path(d1).glob("*.csv"))
         f2 = sorted(Path(d2).glob("*.csv"))
         same = len(f1) == len(f2) and all(filecmp.cmp(a, b, shallow=False) for a, b in zip(f1, f2))
-    return CriterionResult(16, "deterministic CSV output", same, f"{len(f1)} file(s) byte-compared")
+    return "deterministic CSV output", same, f"{len(f1)} file(s) byte-compared"
 
 
 CRITERIA = [
@@ -258,9 +258,9 @@ CRITERIA = [
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
-    wanted = set(numbers) if numbers else None
     out = []
     for i, fn in enumerate(CRITERIA, start=1):
-        if wanted is None or i in wanted:
-            out.append(fn())
+        if not numbers or i in numbers:
+            name, passed, detail = fn()
+            out.append(CriterionResult(i, name, bool(passed), detail))
     return out

@@ -150,9 +150,9 @@ def _run_xy(args) -> int:
 def _run_detector(args) -> int:
     from . import detector as det
 
-    run = det.DetectorRun(det.default_config(gamma=args.gamma, dt=args.dt, T=args.T))
+    run = det.DetectorRun(det.DetectorConfig(gamma=args.gamma, dt=args.dt, T=args.T))
     run.check_weak_coupling()
-    F = run.solution()
+    F = run.solution
     w_time = run.detection_w(F)
     w_spec = run.detection_w_spectral()
     gap = abs(w_time - w_spec)
@@ -198,7 +198,7 @@ def _run_meanfield(args) -> int:
         temps = sorted(set(temps) | {tc})
         comments.insert(1, f"critical temperature (closed form) {_fmt(tc)}")
     except ValueError:
-        tc = None
+        pass  # no superconducting phase, so no T_c to add
     rows = []
     for T in temps:
         sols = meanfield.solve_gap_equation(meanfield.BCSParams(eps=args.eps, lam=args.lam, T=T))

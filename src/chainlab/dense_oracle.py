@@ -2,13 +2,14 @@
 
 Explicit matrices for the one-island hopping Hamiltonian and the spin
 chains, exp(-itH) through one cached eigendecomposition (Propagator), and
-expectation values; the analytic modules are checked against them.
-Spin basis: site s of an n_sites chain is up in basis index i iff bit
-n_sites-1-s of i is set, the np.kron order of spin_ops (site 0 first);
-the builders set their nonzero entries directly from these bits.  An
-operator that conserves the number of up spins also has a sector form:
-given n_up, it acts on the full-space indices with n_up set bits, in
-increasing order (sector_indices).
+expectation values; the analytic modules are checked against them.  The
+spin-chain matrices refuse a dimension over check_dense_dimension before
+they allocate.  Spin basis: site s of an n_sites chain is up in basis
+index i iff bit n_sites-1-s of i is set, the np.kron order of spin_ops
+(site 0 first); the builders set their nonzero entries directly from
+these bits.  An operator that conserves the number of up spins also has a
+sector form: given n_up, it acts on the full-space indices with n_up set
+bits, in increasing order (sector_indices).
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ _ID2 = np.eye(2)
 
 def spin_ops(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray]:
     """(a, a*) on `site` (0-based) of an n_sites chain; the Kronecker reference for the builders."""
+    check_dense_dimension(2**n_sites)
     ops = [_ID2] * n_sites
     ops[site] = _A
     a = ops[0]
@@ -106,7 +108,9 @@ def basis_state(bits, n_up: int | None = None) -> np.ndarray:
 
 def site_number_op(n_sites: int, site: int, n_up: int | None = None) -> DenseOperator:
     """a*a on `site`: diagonal, 1 where the site is up; in the n_up sector when n_up is given."""
-    return DenseOperator(np.diag(_site_bits(sector_indices(n_sites, n_up), n_sites, site).astype(float)))
+    idx = sector_indices(n_sites, n_up)
+    check_dense_dimension(idx.size)
+    return DenseOperator(np.diag(_site_bits(idx, n_sites, site).astype(float)))
 
 
 def build_full_chain_hamiltonian(n_sites: int) -> DenseOperator:
@@ -118,6 +122,7 @@ def build_full_chain_hamiltonian(n_sites: int) -> DenseOperator:
     if not 3 <= n_sites <= 14:
         raise ValueError("n_sites must be in [3, 14]")
     idx = sector_indices(n_sites)
+    check_dense_dimension(idx.size)
     H = np.zeros((idx.size, idx.size))
     for n in range(n_sites - 2):
         i = np.flatnonzero((_site_bits(idx, n_sites, n) == 1) & (_site_bits(idx, n_sites, n + 2) == 0))
@@ -138,6 +143,7 @@ def build_flip_flop_hamiltonian(n_sites: int, n_up: int | None = None) -> DenseO
     if not 2 <= n_sites <= 14:
         raise ValueError("n_sites must be in [2, 14]")
     idx = sector_indices(n_sites, n_up)
+    check_dense_dimension(idx.size)
     H = np.zeros((idx.size, idx.size))
     for n in range(n_sites - 1):
         i = np.flatnonzero(_site_bits(idx, n_sites, n) != _site_bits(idx, n_sites, n + 1))

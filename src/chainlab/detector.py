@@ -21,7 +21,7 @@ convolution transforms into sqrt(2 pi) times the product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite, pi
 
@@ -29,12 +29,11 @@ import numpy as np
 
 from . import DomainError
 from .packets import RadialPacket, default_grid, gaussian_packet, overlap
-from .specfun import _MAX_HELD_BYTES, bessel_ratio_table, nufft_length, phase_sum, phase_sum_nufft, pow2_at_least
+from .specfun import bessel_ratio_table, check_held, nufft_length, phase_sum, phase_sum_nufft, pow2_at_least
 
 __all__ = [
     "DetectorConfig",
     "DetectorRun",
-    "default_config",
     "amplitude_free",
     "f_kernel",
     "semicircle_kernel",
@@ -59,11 +58,12 @@ def f_kernel(t, g_values):
 class DetectorConfig:
     """One detector run: the particle's packet psi coupled with strength gamma, sampled at dt up to T.
 
-    The coupling packet phi is the width-2 Gaussian on psi's grid, so both packets share every node.
+    By default psi is the width-1 Gaussian on default_grid() and gamma = 0.5.  The coupling packet
+    phi is the width-2 Gaussian on psi's grid, so both packets share every node.
     """
 
-    gamma: float
-    psi: RadialPacket
+    gamma: float = 0.5
+    psi: RadialPacket = field(default_factory=lambda: gaussian_packet(default_grid(), width=1.0))
     dt: float = 0.02
     T: float = 200.0
 
@@ -82,10 +82,6 @@ class DetectorConfig:
     def phi(self) -> RadialPacket:
         """The coupling packet: a Gaussian of width 2 on psi's grid, normalized by construction."""
         return gaussian_packet(self.psi.grid, width=2.0)
-
-
-def default_config(gamma: float = 0.5, **kw) -> DetectorConfig:
-    return DetectorConfig(gamma=gamma, psi=gaussian_packet(default_grid(), width=1.0), **kw)
 
 
 def amplitude_free(a: RadialPacket, b: RadialPacket, t):
@@ -110,9 +106,9 @@ _OVERSAMPLE = 4.0
 # Neumann series: stop when a term's norm falls below this fraction of |F0|
 _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
-# a run's gates count, against _MAX_HELD_BYTES, what a free pass holds (_check_free_pass), what
-# occupations_at holds (its f_m table, V, W V and the (L, m_max) transform) and what a p0_series
-# chunk holds (_P0_HELD complex (n + 1) x _P0_CHUNK arrays)
+# a run's gates pass to check_held what a free pass holds (_check_free_pass), what occupations_at
+# holds (its f_m table, V, W V and the (L, m_max) transform) and what a p0_series chunk holds
+# (_P0_HELD complex (n + 1) x _P0_CHUNK arrays)
 _P0_CHUNK = 48
 # a chunk's phases, C_p, Z_p and chi, and expression temporaries (the previous chunk's are freed
 # before the next is built): 5.1 chunks at the peak under tracemalloc
@@ -129,13 +125,12 @@ def _trapezoid_weights(size: int, h: float) -> np.ndarray:
 
 
 def _check_free_pass(times: int, L: int, n_fine: int, cols: int) -> None:
-    """Refuse a free pass over `cols` columns at `times` times, then a length-L solve, holding over _MAX_HELD_BYTES."""
+    """Refuse a free pass over `cols` columns at `times` times, then a length-L solve, over the byte budget."""
     # per column the NUFFT grid, its transform and their sum (length M) and 4 arrays over the fine
     # momenta; shared, 4 more over the momenta and 2 of length L for FFT plans and the solver: with
     # M = L, 8 L + 12 n_fine complex at two columns, where tracemalloc peaks at 6.3 L + 12 n_fine
     held = 16 * (3 * cols * nufft_length(times) + 2 * L + 4 * (cols + 1) * n_fine)
-    if held > _MAX_HELD_BYTES:
-        raise DomainError(f"a free pass over {cols} columns and a {L}-point grid holds {held} bytes > {_MAX_HELD_BYTES} bytes")
+    check_held(held, f"a free pass over {cols} columns and a {L}-point grid")
 
 
 def _two_sided(h: np.ndarray, L: int) -> np.ndarray:
@@ -206,10 +201,14 @@ class DetectorRun:
         self.L = pow2_at_least(4 * (self.n + 1))
         _check_free_pass(self.n + 1, self.L, n_fine, 2)
         self.t = cfg.dt * np.arange(self.n + 1)
-        self._cache: dict = {}
         self.p_fine = np.linspace(0.0, p_max, n_fine)
 
     # -- elementary series ------------------------------------------------
+
+    @cached_property
+    def _free(self) -> np.ndarray:
+        """The columns F0 and g of one free pass over the pairs (phi, psi) and (phi, phi)."""
+        return self.free_series_multi([self.cfg.psi, self.cfg.phi])
 
     def free_series(self) -> np.ndarray:
         """F0(t) on the whole grid by fine trapezoid quadrature in p.
@@ -218,9 +217,7 @@ class DetectorRun:
         (phi, psi) and (phi, phi).  The quadrature sum over the fine
         momenta is evaluated at every time at once by `phase_sum_nufft`.
         """
-        if "free" not in self._cache:
-            self._cache["free"] = self.free_series_multi([self.cfg.psi, self.cfg.phi])
-        return self._cache["free"][:, 0]
+        return self._free[:, 0]
 
     def free_series_multi(self, bs: list) -> np.ndarray:
         """F0 columns of (phi, b) for several packets b in one pass over the time grid; not cached.
@@ -237,21 +234,16 @@ class DetectorRun:
 
     @property
     def g(self) -> np.ndarray:
-        self.free_series()  # fills the cached pass
-        return self._cache["free"][:, 1]
+        return self._free[:, 1]
 
-    @property
+    @cached_property
     def f(self) -> np.ndarray:
-        if "f" not in self._cache:
-            self._cache["f"] = f_kernel(self.t, self.g)
-        return self._cache["f"]
+        return f_kernel(self.t, self.g)
 
     @property
     def K(self) -> np.ndarray:
-        """The composite kernel (g * f)(t) on the half line."""
-        if "K" not in self._cache:
-            self._cache["K"] = _causal_conv(self.g, self.f, self.cfg.dt)
-        return self._cache["K"]
+        """The composite kernel (g * f)(t) on the half line, computed on each access."""
+        return _causal_conv(self.g, self.f, self.cfg.dt)
 
     def gamma_g_l1(self) -> float:
         """||gamma g||_1 with the t^-3/2 tail bound beyond T, both signs of t."""
@@ -285,22 +277,22 @@ class DetectorRun:
         """F as the Neumann series in the Volterra operator; ValueError when _NEUMANN_MAX_TERMS terms miss tolerance."""
         F0 = self.free_series()
         g2, dt = self.cfg.gamma**2, self.cfg.dt
+        K = self.K
         term = F0.copy()
         total = F0.copy()
         scale = np.linalg.norm(F0)
         for _ in range(_NEUMANN_MAX_TERMS):
-            term = -g2 * _causal_conv(self.K, term, dt)
+            term = -g2 * _causal_conv(K, term, dt)
             total += term
             if np.linalg.norm(term) <= _NEUMANN_TOL * scale:
                 return total
         raise ValueError(f"Neumann series did not reach tolerance in {_NEUMANN_MAX_TERMS} terms")
 
+    @cached_property
     def _denominator(self) -> np.ndarray:
         """1 + gamma^2 dt FFT(K): the discrete transform of the Volterra operator."""
-        if "denom" not in self._cache:
-            g2, dt = self.cfg.gamma**2, self.cfg.dt
-            self._cache["denom"] = 1.0 + g2 * dt * np.fft.fft(self.K, self.L)
-        return self._cache["denom"]
+        g2, dt = self.cfg.gamma**2, self.cfg.dt
+        return 1.0 + g2 * dt * np.fft.fft(self.K, self.L)
 
     def _halved_fft(self, F0: np.ndarray) -> np.ndarray:
         """FFT along axis 0 of F0 with its t = 0 sample halved (the half-line trapezoid end)."""
@@ -311,17 +303,17 @@ class DetectorRun:
     def solve_fourier(self, free: np.ndarray | None = None) -> np.ndarray:
         """F from F0 (default free_series) by one FFT pair along axis 0; F0 may be an (n + 1, k) block."""
         F0 = self.free_series() if free is None else free
-        denom = self._denominator()
+        denom = self._denominator
         if np.min(np.abs(denom)) < 1e-6:
             raise ValueError("singular configuration: transform denominator vanishes")
         F = np.fft.ifft((self._halved_fft(F0).T / denom).T, axis=0)[: self.n + 1].copy()
         F[0] *= 2.0
         return F
 
+    @cached_property
     def solution(self) -> np.ndarray:
-        if "F" not in self._cache:
-            self._cache["F"] = self.solve_fourier()
-        return self._cache["F"]
+        """F by solve_fourier, solved once per run."""
+        return self.solve_fourier()
 
     # -- detection probability --------------------------------------------
 
@@ -334,7 +326,7 @@ class DetectorRun:
 
     def detection_w(self, F: np.ndarray | None = None) -> float:
         """w = gamma^2 (F_+, F_+ * f), time-domain route."""
-        F = self.solution() if F is None else F
+        F = self.solution if F is None else F
         return float(self.response_form(F[:, None])[0, 0].real)
 
     def detection_w_spectral(self) -> float:
@@ -343,7 +335,7 @@ class DetectorRun:
         Transforms are in the continuum convention on the circular grid L.
         """
         dt = self.cfg.dt
-        fhat_plus = dt / np.sqrt(2.0 * pi) * self._halved_fft(self.free_series()) / self._denominator()
+        fhat_plus = dt / np.sqrt(2.0 * pi) * self._halved_fft(self.free_series()) / self._denominator
         fhat = dt / np.sqrt(2.0 * pi) * np.fft.fft(_two_sided(self.f, self.L))
         du = 2.0 * pi / (self.L * dt)
         val = np.sqrt(2.0 * pi) * np.sum(fhat * np.abs(fhat_plus) ** 2) * du
@@ -367,11 +359,9 @@ class DetectorRun:
         size = int(steps.max()) + 1
         # the (L, m_max) transform, the f_m table, V, W V and one more (size, m_max) for the
         # (m_max, m_max) form and the Bessel recurrence's work arrays
-        held = 16 * m_max * (_toeplitz_length(size) + 4 * size)
-        if held > _MAX_HELD_BYTES:
-            raise DomainError(f"occupations up to t = {np.max(times):g} hold {held} bytes > {_MAX_HELD_BYTES} bytes")
+        check_held(16 * m_max * (_toeplitz_length(size) + 4 * size), f"occupations up to t = {np.max(times):g}")
         fm = (-1j) ** np.arange(m_max)[:, None] * bessel_ratio_table(m_max, self.t[:size])
-        F = self.solution()
+        F = self.solution
         occ = np.zeros((steps.size, m_max))
         for i, n in enumerate(steps.ravel()):
             if n > 0:
@@ -385,11 +375,9 @@ class DetectorRun:
         e_p(t - s) = e_p(t) conj(e_p(s)) turns both trapezoid causal convolutions into e_p(t) times
         running sums, with q = f * F shared by all nodes: the same discretization as convolving twice.
         """
-        held = 16 * _P0_HELD * _P0_CHUNK * (self.n + 1)
-        if held > _MAX_HELD_BYTES:
-            raise DomainError(f"P_0 over {self.n + 1} times holds {held} bytes > {_MAX_HELD_BYTES} bytes")
+        check_held(16 * _P0_HELD * _P0_CHUNK * (self.n + 1), f"P_0 over {self.n + 1} times")
         cfg, dt = self.cfg, self.cfg.dt
-        f, F = self.f, self.solution()
+        f, F = self.f, self.solution
         q = _linear_conv(f, F)
         r = (q - 0.5 * f[0] * F)[:, None]
         grid = cfg.phi.grid

@@ -86,10 +86,6 @@ class ContinuumModes:
     def count(self) -> int:
         return self.energies.size
 
-    def weight(self) -> float:
-        """sum g_k^2, the quadrature value of int rho dlambda."""
-        return float(np.sum(self.couplings**2))
-
 
 def build_modes(params: RadiatingParams, M: int = 400) -> ContinuumModes:
     """Gauss-Legendre discretization of the mode continuum on [b^2, 14], b = _CUTOFF.

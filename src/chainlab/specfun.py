@@ -27,6 +27,7 @@ __all__ = [
     "phase_sum_nufft",
     "nufft_length",
     "pow2_at_least",
+    "check_held",
 ]
 
 # rows of the base phase block in phase_sum: its exp count per node is
@@ -39,9 +40,17 @@ _NUFFT_HALF_WIDTH = 18
 _NUFFT_OVERSAMPLE = 4
 # largest Miller start index (Python loop steps); criterion 03 needs ~2.3e3
 _MAX_START = 100_000
-# bytes a call may hold at once, counted before allocating: a Bessel table with its work arrays
-# here, and each memory gate of the detector
+# bytes a call may hold at once, counted before allocating (check_held): a Bessel table with its
+# work arrays here, and each memory gate of the detector; every count adds _FIXED_WORK_BYTES of
+# numpy work buffers that do not scale with the input (a small table peaks 56 KB over its count)
 _MAX_HELD_BYTES = 2**28
+_FIXED_WORK_BYTES = 2**17
+
+
+def check_held(held: int, what: str) -> None:
+    """Refuse the call `what`, which holds `held` bytes besides the fixed work buffers, over _MAX_HELD_BYTES."""
+    if held + _FIXED_WORK_BYTES > _MAX_HELD_BYTES:
+        raise DomainError(f"{what} holds {held + _FIXED_WORK_BYTES} bytes > {_MAX_HELD_BYTES} bytes")
 
 
 def pow2_at_least(m: int) -> int:
@@ -74,10 +83,7 @@ def bessel_table(n_max: int, x) -> np.ndarray:
                           f"start index {start} > {_MAX_START}")
     # out and the Miller recurrence's sub, which it rescales and normalizes in place, and the
     # recurrence's state and temporaries: 12 arrays over x at most
-    held = 8 * (2 * (n_max + 1) + 12) * x.size
-    if held > _MAX_HELD_BYTES:
-        raise DomainError(f"Bessel table to order {n_max} over {x.size} arguments holds {held} bytes "
-                          f"> {_MAX_HELD_BYTES} bytes")
+    check_held(8 * (2 * (n_max + 1) + 12) * x.size, f"Bessel table to order {n_max} over {x.size} arguments")
 
     out = np.zeros((n_max + 1,) + x.shape)
     small = ax < 1e-8

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,33 @@ def test_oversized_propagator_is_refused_before_allocation(monkeypatch):
         Propagator(H)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_full_chain_hamiltonian,
+        build_flip_flop_hamiltonian,
+        lambda n_sites: site_number_op(n_sites, 0),
+        lambda n_sites: spin_ops(n_sites, 0),
+    ],
+    ids=["full_chain", "flip_flop", "site_number_op", "spin_ops"],
+)
+def test_oversized_builder_is_refused_before_allocation(monkeypatch, build):
+    # 13 sites: a 2^13-dimensional dense matrix is 512 MiB, and 5 copies of it exceed the dense bound
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    for name in ("zeros", "diag", "kron"):
+        monkeypatch.setattr(np, name, must_not_run)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            build(13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_criterion_06_diagonalizes_only_its_sector(monkeypatch):
     eigh_shapes, dims = [], []
     eigh = np.linalg.eigh
@@ -172,7 +201,7 @@ def test_criterion_06_diagonalizes_only_its_sector(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(dense_oracle, "DenseOperator", Recorded)
-    assert acceptance.criterion_06().passed
+    assert acceptance.run_all([6])[0].passed
     # the half-filled 10-site state lives in C(10, 5) = 252 of 1024 dimensions
     assert eigh_shapes == [(252, 252)]
     assert max(dims) == 252

@@ -6,13 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_properties import PROPERTY
 
-from chainlab import DomainError, detector
+from chainlab import DomainError, detector, specfun
 from chainlab.detector import (
     W_ROUTE_TOL,
     DetectorConfig,
     DetectorRun,
     amplitude_free,
-    default_config,
     f_kernel,
     povm_matrix,
     semicircle_kernel,
@@ -24,12 +23,12 @@ from chainlab.specfun import _PHASE_BLOCK, bessel_ratio_table, phase_sum, phase_
 @pytest.fixture(scope="module")
 def short_run():
     # T = 40 keeps the free-series quadrature cheap; physics is unchanged
-    return DetectorRun(default_config(gamma=0.5, T=40.0))
+    return DetectorRun(DetectorConfig(gamma=0.5, T=40.0))
 
 
 @pytest.fixture(scope="module")
 def default_run():
-    return DetectorRun(default_config(gamma=0.5))
+    return DetectorRun(DetectorConfig(gamma=0.5))
 
 
 def _free_coefficients(run):
@@ -132,7 +131,7 @@ def test_free_amplitudes_take_one_quadrature_pass(monkeypatch):
         return multi(self, bs)
 
     monkeypatch.setattr(DetectorRun, "free_series_multi", counted)
-    run = DetectorRun(default_config(gamma=0.5, T=5.0))
+    run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
     run.solve_fourier()
     run.K
     assert calls == [2]
@@ -164,7 +163,7 @@ def test_unconverged_neumann_series_raises(short_run, monkeypatch):
 
 
 def test_gamma_zero_reduces_to_free(short_run):
-    cfg = default_config(gamma=0.0, T=40.0)
+    cfg = DetectorConfig(gamma=0.0, T=40.0)
     run = DetectorRun(cfg)
     assert np.max(np.abs(run.solve_fourier() - run.free_series())) < 1e-12
 
@@ -182,7 +181,7 @@ def test_detection_probability_frozen_value(short_run):
 
 
 def test_detection_probability_zero_coupling():
-    assert DetectorRun(default_config(gamma=0.0, T=5.0)).detection_w() == 0.0
+    assert DetectorRun(DetectorConfig(gamma=0.0, T=5.0)).detection_w() == 0.0
 
 
 def test_occupations_sum_to_detection_probability(short_run):
@@ -193,7 +192,7 @@ def test_occupations_sum_to_detection_probability(short_run):
 
 
 def test_occupations_at_array_matches_scalar_calls():
-    run = DetectorRun(default_config(gamma=0.5, T=5.0))
+    run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
     ts = np.array([0.0, 1.0, 2.5, 5.0])
     occ = run.occupations_at(ts)
     assert occ.shape == (ts.size, run.occupations_at(5.0).size)
@@ -203,8 +202,8 @@ def test_occupations_at_array_matches_scalar_calls():
 
 
 def test_occupations_at_builds_one_bessel_table(monkeypatch):
-    run = DetectorRun(default_config(gamma=0.5, T=5.0))
-    run.solution()  # builds the kernel f and its own Bessel table first
+    run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
+    run.solution  # builds the kernel f and its own Bessel table first
     calls = []
 
     def counting(m_max, t):
@@ -231,7 +230,7 @@ def _p0_by_double_convolution(run):
     for i in range(0, grid.nodes.size, 48):
         ps = grid.nodes[i : i + 48]
         ep = phase_sum(np.eye(ps.size), ps**2, dt, run.n + 1)
-        Zp = detector._causal_conv(detector._causal_conv(ep, run.f[:, None], dt), run.solution()[:, None], dt)
+        Zp = detector._causal_conv(detector._causal_conv(ep, run.f[:, None], dt), run.solution[:, None], dt)
         chi = ep * cfg.psi.amplitude[i : i + 48] - cfg.gamma**2 * cfg.phi.amplitude[i : i + 48] * Zp
         out += (np.abs(chi) ** 2) @ (grid.weights[i : i + 48] * 4.0 * np.pi * ps**2)
     return out
@@ -239,14 +238,14 @@ def _p0_by_double_convolution(run):
 
 @pytest.mark.parametrize("dt", [0.02, 0.004])
 def test_p0_series_matches_double_convolution(dt):
-    run = DetectorRun(default_config(gamma=0.5, dt=dt, T=5.0))
+    run = DetectorRun(DetectorConfig(gamma=0.5, dt=dt, T=5.0))
     assert np.max(np.abs(run.p0_series() - _p0_by_double_convolution(run))) <= 1e-13
 
 
 @PROPERTY
 @given(gamma=st.floats(0.0, 0.6), T=st.floats(0.5, 10.0))
 def test_p0_series_matches_double_convolution_everywhere(gamma, T):
-    run = DetectorRun(default_config(gamma=gamma, T=T))
+    run = DetectorRun(DetectorConfig(gamma=gamma, T=T))
     assert np.max(np.abs(run.p0_series() - _p0_by_double_convolution(run))) <= 1e-13
 
 
@@ -272,7 +271,7 @@ def test_p0_series_takes_no_per_node_convolution(monkeypatch):
     for panels in (20, 80):  # 240 and 960 momentum nodes
         grid = default_grid(panels=panels)
         run = DetectorRun(DetectorConfig(0.5, gaussian_packet(grid, 1.0), T=5.0))
-        run.solution()
+        run.solution
         calls.update(conv=0, fft=0)
         run.p0_series()
         assert calls["conv"] == 0
@@ -334,7 +333,7 @@ def test_config_rejects_T_shorter_than_a_step():
 def test_oversized_run_is_refused_before_allocation():
     # T = 1e5 needs 12.7e6 fine momenta; dt = 1e-5 at T = 200 needs 2e7 times, a 2^27-point NUFFT
     # grid and solver transforms: either free pass would hold gigabytes, above 2**28 bytes
-    cfgs = [default_config(T=1e5), default_config(dt=1e-5)]
+    cfgs = [DetectorConfig(T=1e5), DetectorConfig(dt=1e-5)]
     tracemalloc.start()
     try:
         for cfg in cfgs:
@@ -348,8 +347,8 @@ def test_oversized_run_is_refused_before_allocation():
 
 def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_any_solve(monkeypatch):
     # T = 1000 constructs, but occupations up to t = 1000 need
-    # 131072 x 2172 complex Toeplitz transforms (4.6 GB); P_0 is refused above T = 1165
-    run = DetectorRun(default_config(T=1000.0))
+    # 131072 x 2172 complex Toeplitz transforms (4.6 GB); P_0 is refused from T = 1164.5 on
+    run = DetectorRun(DetectorConfig(T=1000.0))
 
     def must_not_run(*args):
         raise AssertionError("occupations_at built its table or solved before the size check")
@@ -360,11 +359,11 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
         run.occupations_at(1000.0)
     # 6 x 48 x 50001 complex P_0 chunk arrays (230 MB) fit 2^28 bytes at T = 1000; 6 x 48 x 60001 (276 MB) do not
     with pytest.raises(DomainError):
-        DetectorRun(default_config(T=1200.0)).p0_series()
+        DetectorRun(DetectorConfig(T=1200.0)).p0_series()
     # the bound covers the Toeplitz transforms, not just the table: at t = 60 the table is
     # 200 x 3001 (9.6 MB) but the transforms are 8192 x 200 (26.2 MB)
-    run = DetectorRun(default_config(T=60.0))
-    monkeypatch.setattr(detector, "_MAX_HELD_BYTES", 2**24)
+    run = DetectorRun(DetectorConfig(T=60.0))
+    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 2**24)
     with pytest.raises(DomainError):
         run.occupations_at(60.0)
 
@@ -381,8 +380,8 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
 )
 def test_memory_gates_count_what_each_call_holds(monkeypatch, kw, call):
     # the peak of the call stays within the bytes its gate counts: one byte less of budget refuses it
-    run = DetectorRun(default_config(**kw))
-    run.solution()  # solved and cached before the call, as in verify
+    run = DetectorRun(DetectorConfig(**kw))
+    run.solution  # solved and cached before the call, as in verify
     run.f
     tracemalloc.start()
     try:
@@ -390,7 +389,7 @@ def test_memory_gates_count_what_each_call_holds(monkeypatch, kw, call):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr(detector, "_MAX_HELD_BYTES", peak - 1)
+    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", peak - 1)
     with pytest.raises(DomainError):
         call(run)
 

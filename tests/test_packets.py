@@ -3,7 +3,7 @@ from math import pi
 import numpy as np
 import pytest
 
-from chainlab.detector import DetectorRun, default_config
+from chainlab.detector import DetectorConfig, DetectorRun
 from chainlab.packets import (
     bump_packet,
     default_grid,
@@ -62,7 +62,7 @@ def _bump_sine_sum(p: np.ndarray, R: float) -> np.ndarray:
 def test_bump_profile_matches_direct_sine_sum():
     g = default_grid()
     profile = bump_packet(g).profile
-    fine = DetectorRun(default_config(T=60.0)).p_fine
+    fine = DetectorRun(DetectorConfig(T=60.0)).p_fine
     rng = np.random.default_rng(3)
     scattered = np.concatenate([[0.0, 12.0, 40.0], rng.uniform(0.0, 2.0 * g.p_max, 200)])
     for p in (g.nodes, fine, scattered):

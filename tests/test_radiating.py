@@ -49,7 +49,7 @@ def test_spectral_density_support():
 def test_mode_weight_equals_profile_norm(setup):
     p, modes = setup
     # sum g_k^2 = int rho = ||sigma||^2 (the profile carries weight 4)
-    assert modes.weight() == pytest.approx(4.0, abs=1e-3)
+    assert np.sum(modes.couplings**2) == pytest.approx(4.0, abs=1e-3)
 
 
 def test_hamiltonian_is_hermitian_and_coupled(setup):
