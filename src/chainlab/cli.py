@@ -10,7 +10,7 @@ outputs.
 
 Exit codes: 0 success, 1 configuration error (every malformed command
 line too: an unknown flag or key, an unparsable value, a missing
-subcommand), 2 numerical-invariant failure.
+subcommand), 2 numerical-invariant failure (an arithmetic error too).
 """
 
 from __future__ import annotations
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 2
 

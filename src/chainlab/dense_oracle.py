@@ -3,22 +3,23 @@
 Explicit matrices for the one-island hopping Hamiltonian and the spin
 chains, exp(-itH) through one cached eigendecomposition (Propagator), and
 expectation values; the analytic modules are checked against them.  The
-spin-chain matrices refuse a dimension over check_dense_dimension before
-they allocate.  Spin basis: site s of an n_sites chain is up in basis
-index i iff bit n_sites-1-s of i is set, the np.kron order of spin_ops
-(site 0 first); the builders set their nonzero entries directly from
-these bits.  An operator that conserves the number of up spins also has a
+spin basis and every dense matrix are held to the package's one byte
+budget, specfun.check_held, before they allocate.  Spin basis: site s of
+an n_sites chain is up in basis index i iff bit n_sites-1-s of i is set,
+the np.kron order of spin_ops (site 0 first); the builders set their
+nonzero entries directly from these bits.  An operator that conserves the number of up spins also has a
 sector form: given n_up, it acts on the full-space indices with n_up set
 bits, in increasing order (sector_indices).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import DomainError
+from .specfun import check_held
 
 __all__ = [
     "DenseOperator",
@@ -82,11 +83,14 @@ def spin_ops(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray]:
 
 def sector_indices(n_sites: int, n_up: int | None = None) -> np.ndarray:
     """Full-space basis indices with n_up up spins, increasing; every index when n_up is None."""
+    if n_up is not None and not 0 <= n_up <= n_sites:
+        raise ValueError("n_up must be in [0, n_sites]")
+    # the enumeration; a sector adds its bit counts and their mask (a byte each per index) and its indices
+    held = 8 * 2**n_sites if n_up is None else 10 * 2**n_sites + 8 * math.comb(n_sites, n_up)
+    check_held(held, f"spin basis of {n_sites} sites")
     idx = np.arange(2**n_sites)
     if n_up is None:
         return idx
-    if not 0 <= n_up <= n_sites:
-        raise ValueError("n_up must be in [0, n_sites]")
     return idx[np.bitwise_count(idx) == n_up]
 
 
@@ -119,8 +123,8 @@ def build_full_chain_hamiltonian(n_sites: int) -> DenseOperator:
     Sum over triples (n, n+1, n+2) of a_n* a_n (a_{n+1}* + a_{n+1})
     a_{n+2} a_{n+2}*: spin n+1 flips iff spin n is up and spin n+2 down.
     """
-    if not 3 <= n_sites <= 14:
-        raise ValueError("n_sites must be in [3, 14]")
+    if n_sites < 3:
+        raise ValueError("n_sites must be >= 3")
     idx = sector_indices(n_sites)
     check_dense_dimension(idx.size)
     H = np.zeros((idx.size, idx.size))
@@ -140,8 +144,8 @@ def build_flip_flop_hamiltonian(n_sites: int, n_up: int | None = None) -> DenseO
     conserves the number of up spins, so the n_up sector is closed; its
     block equals the full H restricted to sector_indices(n_sites, n_up).
     """
-    if not 2 <= n_sites <= 14:
-        raise ValueError("n_sites must be in [2, 14]")
+    if n_sites < 2:
+        raise ValueError("n_sites must be >= 2")
     idx = sector_indices(n_sites, n_up)
     check_dense_dimension(idx.size)
     H = np.zeros((idx.size, idx.size))
@@ -151,18 +155,12 @@ def build_flip_flop_hamiltonian(n_sites: int, n_up: int | None = None) -> DenseO
     return DenseOperator(H)
 
 
-# bound on the Propagator's peak memory, taken as 5 copies of H (the
-# is_hermitian temporaries and the eigh workspace peak at about 4.3 copies);
-# a real H of dimension 2^13 exceeds it
-_MAX_PEAK_BYTES = 2**31
-
-
 def check_dense_dimension(dim: int, itemsize: int = 8) -> None:
-    """Refuse a dense dim x dim matrix whose propagation (5 copies) would exceed _MAX_PEAK_BYTES."""
-    peak = 5 * itemsize * dim * dim
-    if peak > _MAX_PEAK_BYTES:
-        raise DomainError(f"dimension {dim} needs ~{peak / 2**30:.1f} GiB to propagate "
-                          f"> {_MAX_PEAK_BYTES / 2**30:.0f} GiB")
+    """Refuse a dense dim x dim matrix whose propagation, counted as 5 copies of it, would exceed check_held's budget.
+
+    The is_hermitian temporaries and the eigh workspace of the Propagator peak at about 4.3 copies.
+    """
+    check_held(5 * itemsize * dim * dim, f"propagation at dimension {dim}")
 
 
 class Propagator:

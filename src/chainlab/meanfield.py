@@ -107,10 +107,10 @@ def _rk4(rhs, y0, t, dt: float):
     return np.stack(out).reshape(times.shape + np.shape(y0))
 
 
-def flow_rk4(gradQ, F0, t, dt: float) -> np.ndarray:
-    """RK4 integration of the Lie-Poisson flow of a Hamiltonian with gradient gradQ, at a time or times t."""
+def flow_rk4(F0, t, dt: float, p: BCSParams) -> np.ndarray:
+    """RK4 integration of the Lie-Poisson flow of the mean-field Hamiltonian of p, at a time or times t."""
     F0 = np.asarray(F0, dtype=float)
-    return _rk4(lambda s, F: bracket_flow_rhs(gradQ(F), F), F0, t, dt)
+    return _rk4(lambda s, F: bracket_flow_rhs(bcs_gradient(F, p), F), F0, t, dt)
 
 
 def cocycle_evolve(F0, t, dt: float, p: BCSParams) -> np.ndarray:

@@ -199,13 +199,15 @@ def test_oversized_detector_run_is_exit_code_one(tmp_path, capsys, flags):
     [
         (["radiate", "--M", "20000"], (np.polynomial.legendre, "leggauss"), 2**20),
         (["radiate", "--N", "100000"], (np.polynomial.legendre, "leggauss"), 2**20),
+        (["radiate", "--N", "1" + "0" * 160], (np.polynomial.legendre, "leggauss"), 2**20),
         (["domino", "--steps", "100000000"], (np, "linspace"), 2**20),
     ],
-    ids=["radiate-M", "radiate-N", "domino-steps"],
+    ids=["radiate-M", "radiate-N", "radiate-N-1e160", "domino-steps"],
 )
-def test_oversized_grid_is_refused_before_allocation(tmp_path, monkeypatch, argv, allocating, bound):
+def test_oversized_grid_is_refused_before_allocation(tmp_path, monkeypatch, capsys, argv, allocating, bound):
     # leggauss would build a 3.2 GB companion matrix and the Hamiltonian would need 3.2 or 80 GB;
-    # linspace would take 0.8 GB.  radiate refuses N + M before default_params's 80001-point integral.
+    # linspace would take 0.8 GB.  radiate refuses N + M before default_params's 80001-point integral,
+    # also when its byte count (N = 10^160) is an integer no float can hold.
     def must_not_run(*args, **kwargs):
         raise AssertionError("allocated before the size check")
 
@@ -217,6 +219,7 @@ def test_oversized_grid_is_refused_before_allocation(tmp_path, monkeypatch, argv
     finally:
         tracemalloc.stop()
     assert code == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
     assert peak < bound
     assert not any(tmp_path.iterdir())
 
@@ -255,6 +258,23 @@ def test_oversized_bessel_recurrence_is_exit_code_one(tmp_path, monkeypatch, arg
 
     monkeypatch.setattr(specfun, "_miller", must_not_run)
     assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert not (tmp_path / csv).exists()
+
+
+@pytest.mark.parametrize(
+    "argv, csv",
+    [
+        (["radiate", "--v", "1e200"], "radiate_decay.csv"),  # v**2 overflows in default_params
+        (["orbit", "--lam", "1e-200"], "orbit_circles.csv"),  # lam**2 underflows to 0, then divides
+        (["orbit", "--re0", "1e200"], "orbit_circles.csv"),  # abs(z)**2 overflows
+    ],
+    ids=["radiate-v", "orbit-lam", "orbit-re0"],
+)
+def test_arithmetic_error_is_exit_code_two_without_a_file(tmp_path, capsys, argv, csv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical invariant violated: ")
+    assert "Traceback" not in err
     assert not (tmp_path / csv).exists()
 
 

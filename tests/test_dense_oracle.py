@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chainlab import DomainError, acceptance, dense_oracle
+from chainlab import DomainError, acceptance, dense_oracle, specfun
 from chainlab.dense_oracle import (
     DenseOperator,
     Propagator,
@@ -11,6 +11,7 @@ from chainlab.dense_oracle import (
     build_flip_flop_hamiltonian,
     build_full_chain_hamiltonian,
     build_island_hamiltonian,
+    check_dense_dimension,
     expectation,
     sector_indices,
     site_number_op,
@@ -152,11 +153,57 @@ def test_oversized_propagator_is_refused_before_allocation(monkeypatch):
     # zero strides: a 2^14-dimensional H (2 GiB of nbytes) that allocates nothing
     with pytest.raises(DomainError):
         Propagator(DenseOperator(np.broadcast_to(0.0, (2**14, 2**14))))
-    # a sector H is held to the same bound
+    # a sector H is held to the same bound: 5 copies and check_held's fixed work bytes
     H = build_flip_flop_hamiltonian(10, n_up=5)
-    monkeypatch.setattr(dense_oracle, "_MAX_PEAK_BYTES", 5 * H.mat.nbytes - 1)
+    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 5 * H.mat.nbytes + 2**17 - 1)
     with pytest.raises(DomainError):
         Propagator(H)
+
+
+def test_dense_budget_edges():
+    # 5 copies of the matrix and check_held's 2^17 fixed work bytes within 2^28 bytes
+    check_dense_dimension(2589)
+    with pytest.raises(DomainError):
+        check_dense_dimension(2590)
+    check_dense_dimension(1831, itemsize=16)
+    with pytest.raises(DomainError):
+        check_dense_dimension(1832, itemsize=16)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: basis_state([0] * 40),
+        lambda: site_number_op(40, 0, n_up=1),
+        lambda: spin_ops(600, 0),
+        lambda: check_dense_dimension(10**160),
+    ],
+    ids=["basis_state", "site_number_op-sector", "spin_ops-600-sites", "dimension-1e160"],
+)
+def test_oversized_spin_basis_is_refused_before_allocation(call):
+    # 2^40 basis indices would take 8 TiB; the last two byte counts no float can hold
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n_up", [None, 0, 9, 18], ids=["full", "empty", "half", "filled"])
+def test_spin_basis_gate_counts_what_it_holds(monkeypatch, n_up):
+    # the peak of the enumeration stays within the bytes its gate counts: one byte less of budget refuses it
+    tracemalloc.start()
+    try:
+        sector_indices(18, n_up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", peak - 1)
+    with pytest.raises(DomainError):
+        sector_indices(18, n_up)
 
 
 @pytest.mark.parametrize(
@@ -170,7 +217,7 @@ def test_oversized_propagator_is_refused_before_allocation(monkeypatch):
     ids=["full_chain", "flip_flop", "site_number_op", "spin_ops"],
 )
 def test_oversized_builder_is_refused_before_allocation(monkeypatch, build):
-    # 13 sites: a 2^13-dimensional dense matrix is 512 MiB, and 5 copies of it exceed the dense bound
+    # 13 sites: a 2^13-dimensional dense matrix is 512 MiB, and 5 copies of it exceed the byte budget
     def must_not_run(*args, **kwargs):
         raise AssertionError("allocated before the size check")
 

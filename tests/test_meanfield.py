@@ -58,20 +58,16 @@ def test_rk4_matches_exact_flow():
     # one integration sampled at both times; each row is the scalar call to the bit
     F0 = np.array([0.3, -0.1, 0.2])
     ts = np.array([1.0, 3.0])
-
-    def grad(F):
-        return bcs_gradient(F, P)
-
-    num = flow_rk4(grad, F0, ts, 0.001)
+    num = flow_rk4(F0, ts, 0.001, P)
     assert num.shape == (2, 3)
     assert np.max(np.abs(num - bcs_flow_exact(F0, ts, P))) < 1e-6
     U = cocycle_evolve(F0, ts, 0.0005, P)
     for t, F, Ut in zip(ts, num, U):
-        assert np.array_equal(F, flow_rk4(grad, F0, t, 0.001))
+        assert np.array_equal(F, flow_rk4(F0, t, 0.001, P))
         assert np.array_equal(Ut, cocycle_evolve(F0, t, 0.0005, P))
     for bad in ([3.0, 1.0], -1.0, [-0.5, 1.0]):
         with pytest.raises(DomainError):
-            flow_rk4(grad, F0, bad, 0.001)
+            flow_rk4(F0, bad, 0.001, P)
         with pytest.raises(DomainError):
             cocycle_evolve(F0, bad, 0.0005, P)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from chainlab import dense_oracle, projection
 from chainlab.cli import main
-from chainlab.meanfield import BCSParams, bcs_gradient, flow_rk4
+from chainlab.meanfield import BCSParams, flow_rk4
 from chainlab.qdomino import flip_probability, flip_residual, green_finite, green_infinite
 from chainlab.specfun import bessel_j, bessel_table, finite_kernel
 from chainlab.xychain import evolution_coefficient, occupation
@@ -109,7 +109,7 @@ def test_flip_probability_is_a_probability(j, t):
 def test_flow_conserves_casimir(F0, eps, lam):
     p = BCSParams(eps=eps, lam=lam)
     F0 = np.array(F0)
-    Ft = flow_rk4(lambda F: bcs_gradient(F, p), F0, 1.0, 0.004)
+    Ft = flow_rk4(F0, 1.0, 0.004, p)
     assert abs(Ft @ Ft - F0 @ F0) < 1e-8
 
 
