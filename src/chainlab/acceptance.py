@@ -126,11 +126,11 @@ def criterion_08() -> tuple[str, bool, str]:
     cfg = detector.DetectorConfig(gamma=0.5, dt=0.004, T=20.0)
     run = detector.DetectorRun(cfg)
     ts = np.array([2.0, 5.0, 10.0, 20.0])
-    p0 = run.p0_series()[np.rint(ts / cfg.dt).astype(int)]
+    p0 = run.p0_series(ts)
     dev = float(np.max(np.abs(run.occupations_at(ts).sum(axis=1) + p0 - 1.0)))
     big = detector.DetectorRun(detector.DetectorConfig(gamma=0.5))
     w = big.detection_w()
-    p0_T = big.p0_series()[-1]
+    p0_T = big.p0_series(big.cfg.T)
     dev_T = abs(p0_T + w - 1.0)
     ok = dev < 1e-6 and dev_T < 1e-3
     return "detector probability conservation", ok, f"sampled dev {dev:.3e}, T=200 dev {dev_T:.3e}"

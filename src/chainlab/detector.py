@@ -108,11 +108,10 @@ _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
 # a run's gates pass to check_held what a free pass holds (_check_free_pass), what occupations_at
 # holds (its f_m table, V, W V and the (L, m_max) transform) and what a p0_series chunk holds
-# (_P0_HELD complex (n + 1) x _P0_CHUNK arrays)
 _P0_CHUNK = 48
-# a chunk's phases, C_p, Z_p and chi, and expression temporaries (the previous chunk's are freed
-# before the next is built): 5.1 chunks at the peak under tracemalloc
-_P0_HELD = 6
+# complex (requested times) x _P0_CHUNK arrays a p0_series chunk holds at once: the running sums,
+# the requested phases, C_p, Z_p and expression temporaries (6.1 at the peak under tracemalloc)
+_P0_HELD = 7
 # largest accepted gap between the time-domain and spectral w routes
 W_ROUTE_TOL = 1e-6
 
@@ -343,6 +342,13 @@ class DetectorRun:
 
     # -- occupations -------------------------------------------------------
 
+    def _steps(self, times) -> np.ndarray:
+        """Grid steps of times in [0, T]; DomainError outside (NaN included) before anything is built."""
+        steps = np.rint(np.asarray(times, dtype=float) / self.cfg.dt)
+        if not np.all((steps >= 0) & (steps <= self.n)):
+            raise DomainError(f"times must lie in [0, T = {self.cfg.T:g}]")
+        return steps.astype(int)
+
     def occupations_at(self, times) -> np.ndarray:
         """omega_t(P_m) for m = 1..m_max (chain sites) at each time in [0, T].
 
@@ -352,9 +358,7 @@ class DetectorRun:
         (n - k) dt index one f_m table.
         """
         times = np.asarray(times, dtype=float)
-        steps = np.rint(times / self.cfg.dt).astype(int)
-        if not (steps.min() >= 0 and steps.max() <= self.n):
-            raise DomainError(f"occupation times must lie in [0, T = {self.cfg.T:g}]")
+        steps = self._steps(times)
         m_max = _chain_order_cut(float(np.max(times)))
         size = int(steps.max()) + 1
         # the (L, m_max) transform, the f_m table, V, W V and one more (size, m_max) for the
@@ -369,33 +373,52 @@ class DetectorRun:
                 occ[i] = self.cfg.gamma**2 * np.real(np.diagonal(_toeplitz_form(self.g, V, self.cfg.dt)))
         return occ.reshape(times.shape + (m_max,))
 
-    def p0_series(self) -> np.ndarray:
-        """omega_t(P_0) on the grid; node p carries e_p psi(p) - gamma^2 phi(p) (e_p * f) * F.
+    def p0_series(self, times) -> np.ndarray:
+        """omega_t(P_0) at each time in [0, T], shaped like times; p0_series(run.t) is the whole grid.
 
-        e_p(t - s) = e_p(t) conj(e_p(s)) turns both trapezoid causal convolutions into e_p(t) times
-        running sums, with q = f * F shared by all nodes: the same discretization as convolving twice.
+        Node p carries e_p psi(p) - gamma^2 phi(p) (e_p * f) * F.  e_p(t - s) = e_p(t) conj(e_p(s))
+        turns both trapezoid causal convolutions into e_p(t) times running sums of conj(e_p) f and
+        conj(e_p) r, with q = f * F shared by all nodes: the same discretization as convolving twice.
+        The sums are formed only at the requested steps, each from the last by one matrix product
+        over the segment between them, and the phases only up to the largest step.
         """
-        check_held(16 * _P0_HELD * _P0_CHUNK * (self.n + 1), f"P_0 over {self.n + 1} times")
+        req, where = np.unique(self._steps(times), return_inverse=True)
+        size = int(req[-1]) + 1
+        # a chunk's phases up to the largest requested step, q (on its transform buffer, < 4 size)
+        # and the two weight columns; _P0_HELD arrays over the requested steps; phase_sum's base
+        # block, block phases and identity, under 128 rows of phases (the previous chunk's arrays
+        # are freed before the next is built)
+        held = 16 * ((_P0_CHUNK + 6) * size + _P0_CHUNK * (_P0_HELD * req.size + 128))
+        check_held(held, f"P_0 at {req.size} times up to t = {self.t[size - 1]:g}")
         cfg, dt = self.cfg, self.cfg.dt
-        f, F = self.f, self.solution
+        f, F = self.f[:size], self.solution[:size]
         q = _linear_conv(f, F)
-        r = (q - 0.5 * f[0] * F)[:, None]
+        # conj(f) and conj(r), r = q - f0 F / 2: the weights of the two running sums
+        w = np.conj(np.stack([f, q - 0.5 * f[0] * F], axis=1))
+        wT, bounds = w.T, np.r_[0, req + 1].tolist()
         grid = cfg.phi.grid
 
         def chunk_weight(sl: slice) -> np.ndarray:
             # a helper, so that a chunk's arrays are freed before the next chunk is built
             ps = grid.nodes[sl]
-            # phase matrix e^{-i t p^2}, shape (n+1, c): the phase sum of the identity
-            ep = phase_sum(np.eye(ps.size), ps**2, dt, self.n + 1)
-            Cp = dt * (ep * np.cumsum(np.conj(ep) * f[:, None], axis=0) - 0.5 * (ep * f[0] + f[:, None]))
-            Zp = dt * (dt * (ep * np.cumsum(np.conj(ep) * r, axis=0) - 0.5 * q[:, None]) - 0.5 * F[0] * Cp)
-            chi = ep * cfg.psi.amplitude[sl] - cfg.gamma**2 * cfg.phi.amplitude[sl] * Zp
+            # phase matrix e^{-i t p^2}, shape (size, c): the phase sum of the identity
+            ep = phase_sum(np.eye(ps.size), ps**2, dt, size)
+            sums = np.empty((req.size, 2, ps.size), dtype=complex)
+            # the sums at the requested steps: one product per segment between them, then a running sum
+            for row, a, b in zip(sums, bounds, bounds[1:]):
+                np.matmul(wT[:, a:b], ep[a:b], out=row)
+            np.conj(np.cumsum(sums, axis=0, out=sums), out=sums)
+            E = ep[req]
+            del ep  # the rows below need only the requested phases
+            Cp = dt * (E * sums[:, 0] - 0.5 * (E * f[0] + f[req, None]))
+            Zp = dt * (dt * (E * sums[:, 1] - 0.5 * q[req, None]) - 0.5 * F[0] * Cp)
+            chi = E * cfg.psi.amplitude[sl] - cfg.gamma**2 * cfg.phi.amplitude[sl] * Zp
             return (np.abs(chi) ** 2) @ (grid.weights[sl] * 4.0 * pi * ps**2)
 
-        out = np.zeros(self.n + 1)
+        out = np.zeros(req.size)
         for i in range(0, grid.nodes.size, _P0_CHUNK):
             out += chunk_weight(slice(i, i + _P0_CHUNK))
-        return out
+        return out[where].reshape(np.shape(times))
 
 
 def povm_matrix(psis: list, gamma: float, T: float = 200.0):

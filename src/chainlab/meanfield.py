@@ -81,10 +81,12 @@ def bcs_flow_exact(F0, t, p: BCSParams) -> np.ndarray:
     return np.array([fp.real, fp.imag, F0[2] + 0.0 * fp.real]).T  # F3 takes the shape of t
 
 
-def _rk4(rhs, y0, t, dt: float):
-    """Classical RK4 for dy/ds = rhs(s, y) from s = 0, sampled at the nondecreasing times t >= 0.
+def _rk4(rhs, y0, t, dt: float, coef=None):
+    """Classical RK4 for dy/ds = rhs(c, y) from s = 0, sampled at the nondecreasing times t >= 0.
 
     Each interval between times takes round(length/dt) equal steps; an array t stacks its states on axis 0.
+    The stage coefficient c is the stage time s, or coef(S)[k, j] when coef maps the interval's (steps, 3)
+    array S of stage times s, s + h/2, s + h in one call.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -95,12 +97,13 @@ def _rk4(rhs, y0, t, dt: float):
     for t1 in times.ravel().tolist():
         n = int(round((t1 - s0) / dt))
         h = (t1 - s0) / n if n else 0.0
+        stages = (s0 + np.arange(n) * h)[:, None] + np.array([0.0, 0.5 * h, h])
+        c = stages if coef is None else coef(stages)
         for k in range(n):
-            s = s0 + k * h
-            k1 = rhs(s, y)
-            k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(s + h, y + h * k3)
+            k1 = rhs(c[k, 0], y)
+            k2 = rhs(c[k, 1], y + 0.5 * h * k1)
+            k3 = rhs(c[k, 1], y + 0.5 * h * k2)
+            k4 = rhs(c[k, 2], y + h * k3)
             y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out.append(y)
         s0 = t1
@@ -118,14 +121,17 @@ def cocycle_evolve(F0, t, dt: float, p: BCSParams) -> np.ndarray:
 
     X(F) = -eps sigma3 - lam (F1 sigma1 + F2 sigma2) along the exact
     classical flow through F0; plain RK4, whose unitarity defect stays
-    at rounding level for the step sizes used here.
+    at rounding level for the step sizes used here.  The flow is taken
+    at all stage times of an interval in one `bcs_flow_exact` call.
     """
 
-    def X(s):
-        F = bcs_flow_exact(F0, s, p)
-        return -p.eps * SIGMA[2] - p.lam * (F[0] * SIGMA[0] + F[1] * SIGMA[1])
+    def F12(stages):
+        return bcs_flow_exact(F0, stages.ravel(), p)[:, :2].reshape(stages.shape + (2,))
 
-    return _rk4(lambda s, U: -1j * (X(s) @ U), np.eye(2, dtype=complex), t, dt)
+    def rhs(F, U):
+        return -1j * ((-p.eps * SIGMA[2] - p.lam * (F[0] * SIGMA[0] + F[1] * SIGMA[1])) @ U)
+
+    return _rk4(rhs, np.eye(2, dtype=complex), t, dt, F12)
 
 
 def gap_value(F, p: BCSParams) -> float:

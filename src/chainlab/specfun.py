@@ -49,8 +49,11 @@ _FIXED_WORK_BYTES = 2**17
 
 def check_held(held: int, what: str) -> None:
     """Refuse the call `what`, which holds `held` bytes besides the fixed work buffers, over _MAX_HELD_BYTES."""
-    if held + _FIXED_WORK_BYTES > _MAX_HELD_BYTES:
-        raise DomainError(f"{what} holds {held + _FIXED_WORK_BYTES} bytes > {_MAX_HELD_BYTES} bytes")
+    total = operator.index(held) + _FIXED_WORK_BYTES
+    if total > _MAX_HELD_BYTES:
+        # Python refuses to write an int of more than 4300 digits in decimal; a power of two is enough
+        count = str(total) if total.bit_length() <= 64 else f"over 2^{total.bit_length() - 1}"
+        raise DomainError(f"{what} holds {count} bytes > {_MAX_HELD_BYTES} bytes")
 
 
 def pow2_at_least(m: int) -> int:

@@ -200,14 +200,16 @@ def test_oversized_detector_run_is_exit_code_one(tmp_path, capsys, flags):
         (["radiate", "--M", "20000"], (np.polynomial.legendre, "leggauss"), 2**20),
         (["radiate", "--N", "100000"], (np.polynomial.legendre, "leggauss"), 2**20),
         (["radiate", "--N", "1" + "0" * 160], (np.polynomial.legendre, "leggauss"), 2**20),
+        (["radiate", "--N", "1" + "0" * 2200], (np.polynomial.legendre, "leggauss"), 2**20),
         (["domino", "--steps", "100000000"], (np, "linspace"), 2**20),
     ],
-    ids=["radiate-M", "radiate-N", "radiate-N-1e160", "domino-steps"],
+    ids=["radiate-M", "radiate-N", "radiate-N-1e160", "radiate-N-1e2200", "domino-steps"],
 )
 def test_oversized_grid_is_refused_before_allocation(tmp_path, monkeypatch, capsys, argv, allocating, bound):
     # leggauss would build a 3.2 GB companion matrix and the Hamiltonian would need 3.2 or 80 GB;
     # linspace would take 0.8 GB.  radiate refuses N + M before default_params's 80001-point integral,
-    # also when its byte count (N = 10^160) is an integer no float can hold.
+    # also when its byte count is an integer no float can hold (N = 10^160) or of more digits than
+    # Python writes in decimal (N = 10^2200).
     def must_not_run(*args, **kwargs):
         raise AssertionError("allocated before the size check")
 
@@ -219,7 +221,8 @@ def test_oversized_grid_is_refused_before_allocation(tmp_path, monkeypatch, caps
     finally:
         tracemalloc.stop()
     assert code == 1
-    assert capsys.readouterr().err.startswith("configuration error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err
     assert peak < bound
     assert not any(tmp_path.iterdir())
 

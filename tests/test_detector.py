@@ -239,21 +239,44 @@ def _p0_by_double_convolution(run):
 @pytest.mark.parametrize("dt", [0.02, 0.004])
 def test_p0_series_matches_double_convolution(dt):
     run = DetectorRun(DetectorConfig(gamma=0.5, dt=dt, T=5.0))
-    assert np.max(np.abs(run.p0_series() - _p0_by_double_convolution(run))) <= 1e-13
+    assert np.max(np.abs(run.p0_series(run.t) - _p0_by_double_convolution(run))) <= 1e-13
 
 
 @PROPERTY
 @given(gamma=st.floats(0.0, 0.6), T=st.floats(0.5, 10.0))
 def test_p0_series_matches_double_convolution_everywhere(gamma, T):
     run = DetectorRun(DetectorConfig(gamma=gamma, T=T))
-    assert np.max(np.abs(run.p0_series() - _p0_by_double_convolution(run))) <= 1e-13
+    assert np.max(np.abs(run.p0_series(run.t) - _p0_by_double_convolution(run))) <= 1e-13
+
+
+def test_p0_series_at_times_matches_the_whole_grid(short_run):
+    # any order, repeats and a 2-d shape; each row is the whole-grid series at its step
+    whole = short_run.p0_series(short_run.t)
+    times = np.array([[33.3, 0.0, 7.01], [40.0, 0.02, 33.3]])
+    rows = short_run.p0_series(times)
+    assert rows.shape == times.shape
+    assert np.max(np.abs(rows - whole[np.rint(times / 0.02).astype(int)])) <= 1e-15
+    assert np.shape(short_run.p0_series(12.5)) == ()
+    assert short_run.p0_series([5.0, 12.5]).shape == (2,)
+
+
+def test_p0_series_refuses_times_outside_the_run_before_allocating(short_run):
+    tracemalloc.start()
+    try:
+        for bad in (40.1, -1.0, [1.0, np.nan], [np.inf]):
+            with pytest.raises(DomainError):
+                short_run.p0_series(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_coupling_packet_lives_on_the_grid_of_psi():
     # P_0 weights psi's nodes with phi's amplitudes: a phi on another grid once gave P_0(0) = 8
     cfg = DetectorConfig(0.5, gaussian_packet(default_grid(panels=80), 1.0), T=5.0)
     assert cfg.phi.grid is cfg.psi.grid
-    assert abs(DetectorRun(cfg).p0_series()[0] - 1.0) <= 1e-12
+    assert abs(DetectorRun(cfg).p0_series(0.0) - 1.0) <= 1e-12
 
 
 def test_p0_series_takes_no_per_node_convolution(monkeypatch):
@@ -273,7 +296,7 @@ def test_p0_series_takes_no_per_node_convolution(monkeypatch):
         run = DetectorRun(DetectorConfig(0.5, gaussian_packet(grid, 1.0), T=5.0))
         run.solution
         calls.update(conv=0, fft=0)
-        run.p0_series()
+        run.p0_series(run.t)
         assert calls["conv"] == 0
         ffts.append(calls["fft"])
     assert ffts[0] == ffts[1]
@@ -347,19 +370,36 @@ def test_oversized_run_is_refused_before_allocation():
 
 def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_any_solve(monkeypatch):
     # T = 1000 constructs, but occupations up to t = 1000 need
-    # 131072 x 2172 complex Toeplitz transforms (4.6 GB); P_0 is refused from T = 1164.5 on
+    # 131072 x 2172 complex Toeplitz transforms (4.6 GB)
     run = DetectorRun(DetectorConfig(T=1000.0))
 
     def must_not_run(*args):
         raise AssertionError("occupations_at built its table or solved before the size check")
 
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted  # the first computation after p0_series's gate
+
     monkeypatch.setattr(detector, "bessel_ratio_table", must_not_run)
     monkeypatch.setattr(DetectorRun, "solve_fourier", must_not_run)
+    monkeypatch.setattr(DetectorRun, "free_series_multi", admitted)
     with pytest.raises(DomainError):
         run.occupations_at(1000.0)
-    # 6 x 48 x 50001 complex P_0 chunk arrays (230 MB) fit 2^28 bytes at T = 1000; 6 x 48 x 60001 (276 MB) do not
+    # P_0 over the whole grid counts 7 complex arrays per step and node of a 48-node chunk
+    # (312 MB at T = 1000): over 2^28 bytes from T = 859.61 on.  At one time only the chunk's
+    # phases grow with the step, 43 MB at T = 1000, so every run that constructs admits it.
     with pytest.raises(DomainError):
-        DetectorRun(DetectorConfig(T=1200.0)).p0_series()
+        run.p0_series(run.t)
+    with pytest.raises(Admitted):
+        run.p0_series(1000.0)
+    edge = DetectorRun(DetectorConfig(T=859.62))
+    with pytest.raises(DomainError):
+        edge.p0_series(edge.t)
+    below = DetectorRun(DetectorConfig(T=859.6))
+    with pytest.raises(Admitted):
+        below.p0_series(below.t)
     # the bound covers the Toeplitz transforms, not just the table: at t = 60 the table is
     # 200 x 3001 (9.6 MB) but the transforms are 8192 x 200 (26.2 MB)
     run = DetectorRun(DetectorConfig(T=60.0))
@@ -372,11 +412,13 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     "kw, call",
     [
         ({"T": 60.0}, lambda run: run.occupations_at(60.0)),
-        ({"T": 20.0, "dt": 0.004}, DetectorRun.p0_series),
+        ({"T": 20.0, "dt": 0.004}, lambda run: run.p0_series(run.t)),
+        ({"T": 20.0, "dt": 0.004}, lambda run: run.p0_series(20.0)),
+        ({"T": 5.0}, lambda run: run.p0_series([0.0, 2.6])),
         ({"T": 60.0}, lambda run: run.free_series_multi([run.cfg.psi] * 4)),
         ({"T": 60.0}, lambda run: DetectorRun(run.cfg).detection_w_spectral()),  # __init__'s gate
     ],
-    ids=["occupations_at", "p0_series", "free_series_multi", "run"],
+    ids=["occupations_at", "p0_series", "p0_series-at-T", "p0_series-early", "free_series_multi", "run"],
 )
 def test_memory_gates_count_what_each_call_holds(monkeypatch, kw, call):
     # the peak of the call stays within the bytes its gate counts: one byte less of budget refuses it
