@@ -107,11 +107,17 @@ _OVERSAMPLE = 4.0
 _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
 # a run's gates pass to check_held what a free pass holds (_check_free_pass), what occupations_at
-# holds (its f_m table, V, W V and the (L, m_max) transform) and what a p0_series chunk holds
+# holds (its f_m table, V and one column block's W V_b and (L, _OCC_BLOCK) transform) and what a
+# p0_series chunk holds
 _P0_CHUNK = 48
 # complex (requested times) x _P0_CHUNK arrays a p0_series chunk holds at once: the running sums,
 # the requested phases, C_p, Z_p and expression temporaries (6.1 at the peak under tracemalloc)
 _P0_HELD = 7
+# chain sites per column block of occupations_at's Toeplitz transforms.  occupations_at(60.0) on a
+# T = 60 run (m_max = 200, 8192-point transforms) peaks under tracemalloc at 20.1, 20.8, 22.2,
+# 25.1 and 30.8 MB for 2, 4, 8, 16 and 32 columns (55.2 MB as one block); best of 3 takes
+# 0.07-0.1 s at every width (one BLAS thread, 2-core Xeon VM)
+_OCC_BLOCK = 8
 # largest accepted gap between the time-domain and spectral w routes
 W_ROUTE_TOL = 1e-6
 
@@ -142,15 +148,19 @@ def _two_sided(h: np.ndarray, L: int) -> np.ndarray:
 
 
 def _linear_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First n samples of the linear convolution along axis 0 of equal-length series, by one FFT of length >= 2n - 1."""
+    """First n samples of the linear convolution along axis 0 of equal-length series, by one FFT of length >= 2n - 1.
+
+    A copy: a view would keep the whole length-L transform alive (up to 4 n).
+    """
     n = a.shape[0]
     L = pow2_at_least(2 * n - 1)
-    return np.fft.ifft(np.fft.fft(a, L, axis=0) * np.fft.fft(b, L, axis=0), axis=0)[:n]
+    return np.fft.ifft(np.fft.fft(a, L, axis=0) * np.fft.fft(b, L, axis=0), axis=0)[:n].copy()
 
 
 def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     """Trapezoid half-line convolution of equal-length series on their grid: the end-corrected `_linear_conv`."""
-    c = _linear_conv(a, b) * dt
+    c = _linear_conv(a, b)
+    c *= dt
     c -= 0.5 * dt * (a * b[0] + a[0] * b)
     return c
 
@@ -160,22 +170,32 @@ def _toeplitz_length(size: int) -> int:
     return pow2_at_least(2 * size)
 
 
-def _toeplitz_form(h: np.ndarray, X: np.ndarray, dt: float) -> np.ndarray:
-    """X^H W T_h W X over the columns of X, with T_h[i, j] = h(t_i - t_j).
+def _toeplitz_blocks(h: np.ndarray, X: np.ndarray, dt: float, width: int):
+    """Yield (W X_b, T_h W X_b) for each block X_b of `width` columns of X, with T_h[i, j] = h(t_i - t_j).
 
-    Entry (i, j) is the trapezoid double integral of
+    conj(W X)^T T_h W X is the trapezoid double integral of
     conj(x_i(t)) h(t - s) x_j(s) over the grid's square, with
     h(-t) = conj(h(t)); W holds the trapezoid weights.  A circular
-    convolution of length >= 2 size gives T_h W X exactly; it is transformed
-    in place, so the form holds one (L, columns) array besides W X.
+    convolution of length >= 2 size gives T_h W X_b exactly; it is
+    transformed in place, so a block holds one (L, width) array besides
+    W X_b, and h's transform is taken once for all blocks.
     """
     size = X.shape[0]
     L = _toeplitz_length(size)
-    WX = _trapezoid_weights(size, dt)[:, None] * X
-    Y = np.fft.fft(WX, L, axis=0)
-    Y *= np.fft.fft(_two_sided(h[:size], L))[:, None]
-    np.fft.ifft(Y, axis=0, out=Y)
-    return np.conj(WX, out=WX).T @ Y[:size]
+    w = _trapezoid_weights(size, dt)[:, None]
+    h_hat = np.fft.fft(_two_sided(h[:size], L))[:, None]
+    for j in range(0, X.shape[1], width):
+        WX = w * X[:, j : j + width]
+        Y = np.fft.fft(WX, L, axis=0)
+        Y *= h_hat
+        np.fft.ifft(Y, axis=0, out=Y)
+        yield WX, Y[:size]
+
+
+def _toeplitz_form(h: np.ndarray, X: np.ndarray, dt: float) -> np.ndarray:
+    """X^H W T_h W X over the columns of X, taken as one block of `_toeplitz_blocks`."""
+    ((WX, Y),) = _toeplitz_blocks(h, X, dt, X.shape[1])
+    return np.conj(WX, out=WX).T @ Y
 
 
 def _chain_order_cut(t: float) -> int:
@@ -343,8 +363,10 @@ class DetectorRun:
     # -- occupations -------------------------------------------------------
 
     def _steps(self, times) -> np.ndarray:
-        """Grid steps of times in [0, T]; DomainError outside (NaN included) before anything is built."""
+        """Grid steps of times in [0, T]; DomainError when empty or outside (NaN included) before anything is built."""
         steps = np.rint(np.asarray(times, dtype=float) / self.cfg.dt)
+        if steps.size == 0:
+            raise DomainError("times must not be empty")
         if not np.all((steps >= 0) & (steps <= self.n)):
             raise DomainError(f"times must lie in [0, T = {self.cfg.T:g}]")
         return steps.astype(int)
@@ -353,24 +375,34 @@ class DetectorRun:
         """omega_t(P_m) for m = 1..m_max (chain sites) at each time in [0, T].
 
         m_max = _chain_order_cut(max t); the shape is shape(times) + (m_max,).
-        Each row is the Toeplitz form over [0,t]^2 of conj(F f_m) (x) g-kernel
+        Each entry is the Toeplitz form over [0,t]^2 of conj(F f_m) (x) g-kernel
         (x) (F f_m), f_m(s) = (-i)^(m-1) (m/s) J_m(2s); its lags t - tau_k =
-        (n - k) dt index one f_m table.
+        (n - k) dt index one f_m table.  The chain sites are transformed
+        _OCC_BLOCK columns at a time, and each block gives only its diagonal.
         """
         times = np.asarray(times, dtype=float)
         steps = self._steps(times)
         m_max = _chain_order_cut(float(np.max(times)))
         size = int(steps.max()) + 1
-        # the (L, m_max) transform, the f_m table, V, W V and one more (size, m_max) for the
-        # (m_max, m_max) form and the Bessel recurrence's work arrays
-        check_held(16 * m_max * (_toeplitz_length(size) + 4 * size), f"occupations up to t = {np.max(times):g}")
+        # the f_m table and V; per block of _OCC_BLOCK columns W V_b and the (L, b) transform for
+        # this block and the last (the consumer still holds it) and fft's zero-padded copy; h's
+        # transform and its two-sided layout; the Bessel recurrence's 12 real arrays over the times
+        # (before V, the table and the ratio's temporaries hold 1.5 tables)
+        L = _toeplitz_length(size)
+        held = 16 * (2 * m_max * size + _OCC_BLOCK * (2 * size + 4 * L) + 2 * L + 6 * size)
+        check_held(held, f"occupations up to t = {np.max(times):g}")
         fm = (-1j) ** np.arange(m_max)[:, None] * bessel_ratio_table(m_max, self.t[:size])
         F = self.solution
         occ = np.zeros((steps.size, m_max))
         for i, n in enumerate(steps.ravel()):
             if n > 0:
                 V = (fm[:, n::-1] * F[None, : n + 1]).T  # (n+1, m_max)
-                occ[i] = self.cfg.gamma**2 * np.real(np.diagonal(_toeplitz_form(self.g, V, self.cfg.dt)))
+                # each block's diagonal of the form, never the (m_max, m_max) form itself
+                diag = [
+                    np.einsum("ij,ij->j", np.conj(WV, out=WV), Y)
+                    for WV, Y in _toeplitz_blocks(self.g, V, self.cfg.dt, _OCC_BLOCK)
+                ]
+                occ[i] = self.cfg.gamma**2 * np.real(np.concatenate(diag))
         return occ.reshape(times.shape + (m_max,))
 
     def p0_series(self, times) -> np.ndarray:
@@ -384,8 +416,9 @@ class DetectorRun:
         """
         req, where = np.unique(self._steps(times), return_inverse=True)
         size = int(req[-1]) + 1
-        # a chunk's phases up to the largest requested step, q (on its transform buffer, < 4 size)
-        # and the two weight columns; _P0_HELD arrays over the requested steps; phase_sum's base
+        # a chunk's phases up to the largest requested step, q (it holds size; counted as 4 size,
+        # an over-count of up to 3 size that keeps the whole-grid refusal from T = 859.61 on) and
+        # the two weight columns; _P0_HELD arrays over the requested steps; phase_sum's base
         # block, block phases and identity, under 128 rows of phases (the previous chunk's arrays
         # are freed before the next is built)
         held = 16 * ((_P0_CHUNK + 6) * size + _P0_CHUNK * (_P0_HELD * req.size + 128))

@@ -222,6 +222,55 @@ def test_occupations_at_rejects_times_outside_the_run(short_run):
         short_run.occupations_at(-1.0)
 
 
+def test_occupations_at_refuses_empty_times(short_run):
+    # numpy's reduction over no times once raised a raw ValueError
+    with pytest.raises(DomainError):
+        short_run.occupations_at([])
+
+
+def test_p0_series_refuses_empty_times(short_run):
+    # the largest requested step of no times once raised a raw IndexError
+    with pytest.raises(DomainError):
+        short_run.p0_series(np.zeros((0, 3)))
+
+
+_OCC_RUN = DetectorRun(DetectorConfig(T=10.0))
+
+
+@PROPERTY
+@given(times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
+def test_occupations_at_matches_the_one_block_form(times):
+    # the column blocks' diagonals are the diagonal of the whole (m_max, m_max) Toeplitz form
+    run, dt = _OCC_RUN, _OCC_RUN.cfg.dt
+    occ = run.occupations_at(times)
+    steps = np.rint(np.array(times) / dt).astype(int)
+    m_max = detector._chain_order_cut(max(times))
+    fm = (-1j) ** np.arange(m_max)[:, None] * bessel_ratio_table(m_max, run.t[: steps.max() + 1])
+    for row, n in zip(occ, steps):
+        if n == 0:
+            assert not row.any()
+            continue
+        V = (fm[:, n::-1] * run.solution[None, : n + 1]).T
+        form = detector._toeplitz_form(run.g, V, dt)
+        assert np.max(np.abs(row - run.cfg.gamma**2 * np.real(np.diagonal(form)))) <= 1e-15
+
+
+def test_occupations_at_holds_one_column_block_of_transforms(monkeypatch):
+    # the (8192, 200) transform of all chain sites at once peaked at 55.7 MB, and a count of
+    # 64.6 MB refused the call under 2^25 bytes; the f_m table and V are 9.6 MB each
+    run = DetectorRun(DetectorConfig(T=60.0))
+    run.solution
+    tracemalloc.start()
+    try:
+        run.occupations_at(60.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 2**25)
+    run.occupations_at(60.0)
+
+
 def _p0_by_double_convolution(run):
     """P_0 with both causal convolutions of each node chunk, C_p = e_p * f and Z_p = C_p * F, by FFT."""
     cfg, dt = run.cfg, run.cfg.dt
@@ -400,8 +449,8 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     below = DetectorRun(DetectorConfig(T=859.6))
     with pytest.raises(Admitted):
         below.p0_series(below.t)
-    # the bound covers the Toeplitz transforms, not just the table: at t = 60 the table is
-    # 200 x 3001 (9.6 MB) but the transforms are 8192 x 200 (26.2 MB)
+    # the bound covers V besides the table: at t = 60 the f_m table is 200 x 3001 (9.6 MB), under
+    # 2^24 bytes, but with V and one column block of 8192-point transforms the call holds 24.9 MB
     run = DetectorRun(DetectorConfig(T=60.0))
     monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 2**24)
     with pytest.raises(DomainError):
