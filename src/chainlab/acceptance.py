@@ -48,13 +48,13 @@ def criterion_01() -> tuple[str, bool, str]:
 
 def criterion_02() -> tuple[str, bool, str]:
     t = np.linspace(50.0, 500.0, 2000)
-    slopes = [qdomino.asymptotic_exponent(j, t) for j in (2, 3, 5)]
+    slopes = qdomino.asymptotic_exponent([2, 3, 5], t)
     ok = all(abs(s + 3.0) < 0.2 for s in slopes)
     return "domino envelope decay exponent -3", ok, "slopes " + ", ".join(f"{s:.3f}" for s in slopes)
 
 
 def criterion_03() -> tuple[str, bool, str]:
-    vals = [qdomino.flip_probability(j, 1e3) for j in range(1, 6)]
+    vals = qdomino.flip_probability(np.arange(1, 6), 1e3)
     ok = all(v > 0.999 for v in vals)
     return "domino flip probability -> 1", ok, "min = " + f"{min(vals):.6f}"
 
@@ -83,7 +83,7 @@ def criterion_04() -> tuple[str, bool, str]:
 
 
 def criterion_05() -> tuple[str, bool, str]:
-    lim = max(abs(xychain.occupation(j, 1e3, 1.0) - 0.5) for j in range(-3, 4))
+    lim = float(np.max(np.abs(xychain.occupation(np.arange(-3, 4), 1e3, 1.0) - 0.5)))
     ts = np.array([1.0, 5.0, 10.0, 37.0])
     closed = float(np.max(np.abs(xychain.occupation(0, ts, 1.0) - 0.5 * (1.0 - _bessel_integral(0, ts) ** 2))))
     ok = lim < 1e-3 and closed < 1e-10

@@ -119,7 +119,7 @@ def _out_dir(args) -> Path:
 def _run_domino(args) -> int:
     js = _int_points(args.j)
     t = _grid(args.t, args.steps)
-    cols = [t] + [qdomino.flip_probability(j, t) for j in js]
+    cols = [t, *qdomino.flip_probability(js, t)]
     _write_csv(
         _out_dir(args) / "domino_flip.csv",
         ["quantum domino chain: probability that spin j has flipped by time t",
@@ -136,7 +136,7 @@ def _run_xy(args) -> int:
     if args.kappa == 0:
         raise DomainError("kappa must be nonzero")
     # t <= 0 keeps the static step profile
-    cols = [t] + [np.where(t > 0, xychain.occupation(j, t, args.kappa), float(j <= -1)) for j in js]
+    cols = [t, *np.where(t > 0, xychain.occupation(js, t, args.kappa), np.less_equal(js, -1)[:, None])]
     _write_csv(
         _out_dir(args) / "xy_occupation.csv",
         ["x-y chain site occupations from the half-filled initial state",

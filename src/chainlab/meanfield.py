@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DomainError
+from .specfun import check_held
 
 __all__ = [
     "BCSParams",
@@ -28,6 +29,10 @@ __all__ = [
     "critical_temperature",
     "ground_states",
 ]
+
+# bytes one RK4 step holds in _rk4's stage arrays and their lists, cocycle_evolve's coefficient table
+# included (traced: CHANGES.md)
+_RK4_STEP_BYTES = 600
 
 SIGMA = np.array(
     [
@@ -50,9 +55,9 @@ class BCSParams:
             raise DomainError("eps and lam must be positive")
 
 
-def _cross(a, b) -> np.ndarray:
+def _cross(a, b) -> tuple:
     """a x b of two 3-vectors, by components (np.cross costs more per call on 3-vectors)."""
-    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def berezin_bracket(gradQ1, gradQ2, F) -> float:
@@ -62,15 +67,14 @@ def berezin_bracket(gradQ1, gradQ2, F) -> float:
     return float(-np.dot(np.asarray(F, dtype=float), _cross(g1, g2)))
 
 
-def bracket_flow_rhs(gradQ, F) -> np.ndarray:
-    """dF_j/dt = {Q, F_j}(F) for every coordinate function F_j: grad Q x F."""
-    return _cross(np.asarray(gradQ, dtype=float), np.asarray(F, dtype=float))
+def bracket_flow_rhs(gradQ, F) -> tuple:
+    """dF_j/dt = {Q, F_j}(F) for every coordinate function F_j: grad Q x F, as a 3-tuple."""
+    return _cross(gradQ, F)
 
 
-def bcs_gradient(F, p: BCSParams) -> np.ndarray:
-    """Gradient of the BCS Hamiltonian Q = -2 eps F3 - lam (F1^2 + F2^2)."""
-    F = np.asarray(F, dtype=float)
-    return np.array([-2.0 * p.lam * F[0], -2.0 * p.lam * F[1], -2.0 * p.eps])
+def bcs_gradient(F, p: BCSParams) -> tuple:
+    """Gradient of the BCS Hamiltonian Q = -2 eps F3 - lam (F1^2 + F2^2), as a 3-tuple."""
+    return (-2.0 * p.lam * F[0], -2.0 * p.lam * F[1], -2.0 * p.eps)
 
 
 def bcs_flow_exact(F0, t, p: BCSParams) -> np.ndarray:
@@ -82,38 +86,46 @@ def bcs_flow_exact(F0, t, p: BCSParams) -> np.ndarray:
 
 
 def _rk4(rhs, y0, t, dt: float, coef=None):
-    """Classical RK4 for dy/ds = rhs(c, y) from s = 0, sampled at the nondecreasing times t >= 0.
+    """Classical RK4 for dy/ds = rhs(c, y) from s = 0, sampled at the nondecreasing finite times t >= 0.
 
-    Each interval between times takes round(length/dt) equal steps; an array t stacks its states on axis 0.
-    The stage coefficient c is the stage time s, or coef(S)[k, j] when coef maps the interval's (steps, 3)
-    array S of stage times s, s + h/2, s + h in one call.
+    The state is a list of Python floats or complex numbers, and rhs(c, y) returns a sequence of the
+    same length, so a step makes no numpy call.  Each interval between times takes round(length/dt)
+    equal steps, and at least one; an array t stacks its states on axis 0, each a row of len(y0).
+    The stage coefficient c is the stage time s, or coef(S)[k][j] when coef maps the interval's (steps, 3)
+    array S of stage times s, s + h/2, s + h in one call.  The stage arrays and lists of the longest
+    interval are counted through check_held before any is built.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not dt > 0:
+        raise DomainError(f"dt = {dt} must be positive")
     times = np.asarray(t, dtype=float)
-    if not np.all(np.diff(times.ravel(), prepend=0.0) >= 0):  # also catches NaN
-        raise DomainError("times must be >= 0 and nondecreasing")
-    y, s0, out = y0, 0.0, []
-    for t1 in times.ravel().tolist():
-        n = int(round((t1 - s0) / dt))
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite or NaN step count fails the test below
+        lengths = np.diff(times.ravel(), prepend=0.0)
+        steps = lengths / dt
+    if not np.all((lengths >= 0) & np.isfinite(steps)):  # also catches NaN and infinite times
+        raise DomainError("times must be finite, >= 0 and nondecreasing, each a finite number of steps dt apart")
+    # an interval shorter than dt/2 rounds to no step, but any positive interval takes one
+    counts = [max(round(q), int(d > 0)) for d, q in zip(lengths.tolist(), steps.tolist())]
+    longest = max(counts, default=0)
+    check_held(_RK4_STEP_BYTES * longest, f"RK4 interval of {longest} steps")
+    y, s0, out = list(y0), 0.0, []
+    for t1, n in zip(times.ravel().tolist(), counts):
         h = (t1 - s0) / n if n else 0.0
-        stages = (s0 + np.arange(n) * h)[:, None] + np.array([0.0, 0.5 * h, h])
-        c = stages if coef is None else coef(stages)
-        for k in range(n):
-            k1 = rhs(c[k, 0], y)
-            k2 = rhs(c[k, 1], y + 0.5 * h * k1)
-            k3 = rhs(c[k, 1], y + 0.5 * h * k2)
-            k4 = rhs(c[k, 2], y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        half, sixth = 0.5 * h, h / 6.0
+        stages = (s0 + np.arange(n) * h)[:, None] + np.array([0.0, half, h])
+        for c0, c1, c2 in (stages if coef is None else coef(stages)).tolist():
+            k1 = rhs(c0, y)
+            k2 = rhs(c1, [a + half * b for a, b in zip(y, k1)])
+            k3 = rhs(c1, [a + half * b for a, b in zip(y, k2)])
+            k4 = rhs(c2, [a + h * b for a, b in zip(y, k3)])
+            y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         out.append(y)
         s0 = t1
-    return np.stack(out).reshape(times.shape + np.shape(y0))
+    return np.array(out).reshape(times.shape + (len(y0),))
 
 
 def flow_rk4(F0, t, dt: float, p: BCSParams) -> np.ndarray:
     """RK4 integration of the Lie-Poisson flow of the mean-field Hamiltonian of p, at a time or times t."""
-    F0 = np.asarray(F0, dtype=float)
-    return _rk4(lambda s, F: bracket_flow_rhs(bcs_gradient(F, p), F), F0, t, dt)
+    return _rk4(lambda s, F: bracket_flow_rhs(bcs_gradient(F, p), F), np.asarray(F0, dtype=float).tolist(), t, dt)
 
 
 def cocycle_evolve(F0, t, dt: float, p: BCSParams) -> np.ndarray:
@@ -128,10 +140,17 @@ def cocycle_evolve(F0, t, dt: float, p: BCSParams) -> np.ndarray:
     def F12(stages):
         return bcs_flow_exact(F0, stages.ravel(), p)[:, :2].reshape(stages.shape + (2,))
 
-    def rhs(F, U):
-        return -1j * ((-p.eps * SIGMA[2] - p.lam * (F[0] * SIGMA[0] + F[1] * SIGMA[1])) @ U)
+    eps, lam = p.eps, p.lam
 
-    return _rk4(rhs, np.eye(2, dtype=complex), t, dt, F12)
+    def rhs(F, U):
+        # -i X U on U = (u00, u01, u10, u11), with X = [[-eps, x01], [x10, eps]] written out
+        x01 = complex(-lam * F[0], lam * F[1])
+        x10 = complex(-lam * F[0], -lam * F[1])
+        u00, u01, u10, u11 = U
+        return (-1j * (-eps * u00 + x01 * u10), -1j * (-eps * u01 + x01 * u11),
+                -1j * (x10 * u00 + eps * u10), -1j * (x10 * u01 + eps * u11))
+
+    return _rk4(rhs, [1.0 + 0j, 0j, 0j, 1.0 + 0j], t, dt, F12).reshape(np.shape(t) + (2, 2))
 
 
 def gap_value(F, p: BCSParams) -> float:

@@ -41,21 +41,34 @@ def green_infinite(n: int, m: int, t):
     return (-1j) ** d * bessel_j(d, 2.0 * t) - (-1j) ** s * bessel_j(s, 2.0 * t)
 
 
-def flip_residual(j: int, t):
+def _sites(j, lowest: int) -> np.ndarray:
+    """The int or array of sites j as an integer array; empty, non-integer or below `lowest` raises DomainError."""
+    js = np.asarray(j)
+    if js.size == 0 or not np.issubdtype(js.dtype, np.integer) or np.any(js < lowest):
+        raise DomainError(f"site indices {j!r} must be a nonempty set of integers >= {lowest}")
+    return js
+
+
+def flip_residual(j, t):
     """1 - flip_probability(j, t) = sum_{m=1}^{j-1} [m J_m(2t)/t]^2.
 
-    `t` may be an array (one Bessel table serves every time); a scalar t
-    returns a float.  At t = 0, m J_m(2t)/t -> delta_{m,1}.
+    `j` may be an int or an array of sites >= 1 and `t` a time or an
+    array of times: one Bessel table, to the largest order the sites
+    need, serves them all, and the result has shape np.shape(j) +
+    np.shape(t) (a float for scalar j and t).  At t = 0, m J_m(2t)/t ->
+    delta_{m,1}.
     """
-    if j < 1:
-        raise DomainError(f"site index j = {j} must be >= 1")
-    return np.sum(bessel_ratio_table(j - 1, t) ** 2, axis=0)
+    js = _sites(j, 1)
+    sq = bessel_ratio_table(int(js.max()) - 1, t) ** 2
+    # each site sums its own rows, so its value does not depend on the other sites
+    sums = [np.sum(sq[: k - 1], axis=0) for k in js.ravel().tolist()]
+    return np.array(sums).reshape(js.shape + sq.shape[1:])[()]
 
 
-def flip_probability(j: int, t):
+def flip_probability(j, t):
     """Probability that site j has flipped up at time t (site 1 initially up).
 
-    Scalar or array `t`, as for flip_residual; clipped to [0, 1] against
+    Sites and times as for flip_residual; clipped to [0, 1] against
     rounding where the residual is within an ulp of 1.
     """
     return np.clip(1.0 - flip_residual(j, t), 0.0, 1.0)
@@ -79,12 +92,14 @@ def envelope_slope(t: np.ndarray, values: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def asymptotic_exponent(j: int, t_grid: np.ndarray) -> float:
+def asymptotic_exponent(j, t_grid: np.ndarray):
     """Envelope decay exponent of 1 - flip_probability(j, .) on t_grid.
 
-    The residual oscillates under a const/t^3 envelope; the fit runs over
-    its local maxima only.
+    `j` may be an int or an array of sites >= 2 (site 1 never has a
+    residual), served by one flip_residual call; the result has shape
+    np.shape(j).  The residual oscillates under a const/t^3 envelope; the
+    fit runs over its local maxima only.
     """
-    if j < 2:
-        raise ValueError("need j >= 2 (site 1 never has a residual)")
-    return envelope_slope(t_grid, flip_residual(j, t_grid))
+    js = _sites(j, 2)
+    rows = np.reshape(flip_residual(js, t_grid), (-1,) + np.shape(t_grid))
+    return np.array([envelope_slope(t_grid, r) for r in rows]).reshape(js.shape)[()]

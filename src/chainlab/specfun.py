@@ -71,13 +71,16 @@ def bessel_table(n_max: int, x) -> np.ndarray:
 
     Backward (Miller) recurrence started well above the Airy transition
     zone, normalized with J_0^2 + 2 sum_k J_k^2 = 1; the sign of the
-    overall constant comes from J_0 + 2 sum_k J_{2k} = 1.  A start index
-    above _MAX_START, or a table with its work arrays over _MAX_HELD_BYTES,
-    raises DomainError before anything is allocated.
+    overall constant comes from J_0 + 2 sum_k J_{2k} = 1.  A non-finite
+    argument, a start index above _MAX_START, or a table with its work
+    arrays over _MAX_HELD_BYTES raises DomainError before anything is
+    allocated.
 
     Returns an array of shape (n_max + 1,) + shape(x).
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"Bessel table to order {n_max} needs finite arguments")
     ax = np.abs(x)
     xmax = float(np.max(ax)) if x.size else 0.0
     start = n_max + 20 + int(math.ceil(xmax)) + 20 * int(math.ceil((xmax + 1.0) ** (1.0 / 3.0)))

@@ -283,8 +283,9 @@ def test_arithmetic_error_is_exit_code_two_without_a_file(tmp_path, capsys, argv
 
 def test_nonfinite_result_is_exit_code_two_without_a_file(tmp_path, monkeypatch):
     def flip_with_nan(j, t):
-        p = np.zeros(np.shape(t))
-        p[len(p) // 2] = np.nan
+        # one row per site, as flip_probability returns for an array of sites
+        p = np.zeros(np.shape(j) + np.shape(t))
+        p[-1, p.shape[-1] // 2] = np.nan
         return p
 
     monkeypatch.setattr(qdomino, "flip_probability", flip_with_nan)

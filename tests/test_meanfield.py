@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_properties import PROPERTY
 
-from chainlab import DomainError
+from chainlab import DomainError, specfun
 from chainlab.meanfield import (
     SIGMA,
     BCSParams,
@@ -65,11 +66,61 @@ def test_rk4_matches_exact_flow():
     for t, F, Ut in zip(ts, num, U):
         assert np.array_equal(F, flow_rk4(F0, t, 0.001, P))
         assert np.array_equal(Ut, cocycle_evolve(F0, t, 0.0005, P))
-    for bad in ([3.0, 1.0], -1.0, [-0.5, 1.0]):
+    cases = [(bad, 0.001) for bad in ([3.0, 1.0], -1.0, [-0.5, 1.0], np.inf, [1.0, np.inf], np.nan, [1.0, np.nan])]
+    for bad, dt in cases + [(1e300, 5e-324)]:  # the last has no finite step count
         with pytest.raises(DomainError):
-            flow_rk4(F0, bad, 0.001, P)
+            flow_rk4(F0, bad, dt, P)
         with pytest.raises(DomainError):
-            cocycle_evolve(F0, bad, 0.0005, P)
+            cocycle_evolve(F0, bad, dt, P)
+    for dt in (0.0, -0.001, np.nan):
+        with pytest.raises(DomainError):
+            flow_rk4(F0, 1.0, dt, P)
+
+
+def test_rk4_keeps_criterion_13_values_to_the_bit():
+    # criterion 13's F0, p and steps: a change of step count or of the order of the arithmetic shows here
+    F0 = np.array([0.3, -0.1, 0.2])
+    F = flow_rk4(F0, [3.0, 10.0], 0.001, P)
+    assert [v.hex() for v in F.ravel().tolist()] == [
+        "0x1.0737d56bcc01dp-2", "-0x1.79387484fa6d7p-3", "0x1.999999999999ap-3",
+        "0x1.3f41c80119f69p-4", "-0x1.39d3abf5cd5f2p-2", "0x1.999999999999ap-3",
+    ]
+    U = cocycle_evolve(F0, 3.0, 0.0005, P)
+    assert [(v.real.hex(), v.imag.hex()) for v in U.ravel().tolist()] == [
+        ("0x1.6d23ad83307fcp-2", "0x1.1506a8d79be1dp-1"), ("-0x1.626e909d13a43p-2", "0x1.5b5dcb8386b21p-1"),
+        ("0x1.626e909d13a43p-2", "0x1.5b5dcb8386b21p-1"), ("0x1.6d23ad83307fcp-2", "-0x1.1506a8d79be1dp-1"),
+    ]
+
+
+def test_rk4_takes_a_step_over_an_interval_shorter_than_half_dt():
+    # round(0.4) = 0, but a positive interval takes one step
+    F0 = np.array([0.3, -0.1, 0.2])
+    F = flow_rk4(F0, 0.0004, 0.001, P)
+    assert np.max(np.abs(F - F0)) > 1e-5
+    assert np.max(np.abs(F - bcs_flow_exact(F0, 0.0004, P))) < 1e-15
+    U = cocycle_evolve(F0, 0.0002, 0.0005, P)
+    assert np.max(np.abs(U - np.eye(2))) > 1e-5
+    X0 = -P.eps * SIGMA[2] - P.lam * (F0[0] * SIGMA[0] + F0[1] * SIGMA[1])
+    assert np.max(np.abs(U - (np.eye(2) - 2e-4j * X0))) < 1e-7  # first order in t
+    assert np.array_equal(flow_rk4(F0, [0.0, 0.0], 0.001, P), [F0, F0])  # no interval, no step
+
+
+@pytest.mark.parametrize("evolve", [flow_rk4, cocycle_evolve])
+def test_rk4_counts_its_stages_before_it_builds_them(monkeypatch, evolve):
+    # the stage arrays of 1e15 steps are refused before any is built
+    F0 = np.array([0.3, -0.1, 0.2])
+    with pytest.raises(DomainError):
+        evolve(F0, 1e12, 1e-3, P)
+    # the count covers the traced peak of an interval of 1500 steps: one byte less of budget refuses it
+    tracemalloc.start()
+    try:
+        evolve(F0, [0.5, 2.0], 1e-3, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", peak - 1)
+    with pytest.raises(DomainError):
+        evolve(F0, [0.5, 2.0], 1e-3, P)
 
 
 def test_exact_flow_rotates_in_plane():

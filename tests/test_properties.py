@@ -91,6 +91,22 @@ def test_array_times_match_scalar_calls(n, m, order, t):
 
 
 @PROPERTY
+@given(sites=st.lists(st.integers(1, 40), min_size=1, max_size=6), t=arrays(1e-3, 50.0),
+       kappa=st.floats(-3.0, 3.0))
+def test_array_sites_match_per_site_calls(sites, t, kappa):
+    # one table to the largest order serves every site; each site reduces its own rows of it
+    # (flip_probability is 1 - flip_residual, clipped)
+    js = np.array(sites)
+    for fn in (flip_residual, lambda j, s: occupation(np.subtract(j, 20), s, kappa)):
+        whole = fn(js, t)
+        assert whole.shape == js.shape + t.shape
+        assert np.max(np.abs(whole - np.array([fn(j, t) for j in sites]))) <= 1e-15
+        assert fn(js[:, None], t).shape == (len(sites), 1) + t.shape
+        assert fn(js, float(t[0])).shape == js.shape
+        assert isinstance(fn(sites[0], float(t[0])), float)
+
+
+@PROPERTY
 @given(j=st.integers(-40, 40), t=arrays(1e-3, 200.0), kappa=st.floats(-3.0, 3.0))
 def test_xy_particle_hole_symmetry(j, t, kappa):
     assert np.max(np.abs(occupation(j, t, kappa) + occupation(-j - 1, t, kappa) - 1.0)) < 1e-12

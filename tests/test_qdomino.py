@@ -5,6 +5,7 @@ import scipy.special as sp
 from chainlab import DomainError
 from chainlab.dense_oracle import Propagator, build_island_hamiltonian
 from chainlab.qdomino import (
+    asymptotic_exponent,
     envelope_slope,
     flip_probability,
     flip_residual,
@@ -73,6 +74,15 @@ def test_envelope_slope_recovers_power_law():
     t = np.linspace(50.0, 500.0, 1500)
     vals = t**-3.0 * (1.1 + np.cos(4.0 * t) ** 2)
     assert abs(envelope_slope(t, vals) + 3.0) < 0.05
+
+
+def test_asymptotic_exponent_takes_an_array_of_sites():
+    t = np.linspace(50.0, 500.0, 400)
+    slopes = asymptotic_exponent(np.array([[2, 3], [5, 4]]), t)
+    assert slopes.shape == (2, 2)
+    singles = [[asymptotic_exponent(j, t) for j in row] for row in ([2, 3], [5, 4])]
+    assert isinstance(singles[0][0], float)
+    assert np.max(np.abs(slopes - singles)) < 1e-12
 
 
 def test_flip_probability_rejects_sites_below_one():

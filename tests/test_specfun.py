@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from test_properties import PROPERTY
 
 from chainlab import DomainError, specfun
-from chainlab.qdomino import flip_probability
+from chainlab.qdomino import asymptotic_exponent, flip_probability, flip_residual
 from chainlab.specfun import bessel_j, bessel_ratio_table, bessel_table, finite_kernel, phase_sum, phase_sum_nufft
 from chainlab.xychain import occupation
 
@@ -112,6 +112,30 @@ def _miller_must_not_run(*args):
     ids=["bessel_table", "flip_probability", "xy-occupation", "table-bytes"],
 )
 def test_oversized_bessel_recurrence_is_refused_before_it_runs(monkeypatch, call):
+    monkeypatch.setattr(specfun, "_miller", _miller_must_not_run)
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bessel_table(3, np.nan),
+        lambda: bessel_table(3, [1.0, np.inf]),
+        lambda: flip_residual(3, np.nan),
+        lambda: occupation(0, np.nan, 1.0),
+        lambda: occupation(0, 1.0, -np.inf),
+        lambda: flip_residual([], 1.0),
+        lambda: flip_residual([0, 2], 1.0),
+        lambda: flip_probability(np.array([2.0, 3.0]), 1.0),
+        lambda: asymptotic_exponent([1, 2], np.linspace(50.0, 500.0, 100)),
+        lambda: occupation(np.array([], dtype=int), 1.0, 1.0),
+        lambda: occupation(0.5, 1.0, 1.0),
+    ],
+    ids=["nan", "inf", "flip-nan", "xy-nan", "xy-kappa-inf", "flip-no-sites", "flip-site-0", "flip-float-sites",
+         "exponent-site-1", "xy-no-sites", "xy-float-site"],
+)
+def test_nonfinite_arguments_and_invalid_sites_are_refused_before_a_table(monkeypatch, call):
     monkeypatch.setattr(specfun, "_miller", _miller_must_not_run)
     with pytest.raises(DomainError):
         call()
