@@ -29,7 +29,7 @@ import numpy as np
 
 from . import DomainError
 from .packets import RadialPacket, default_grid, gaussian_packet, overlap
-from .specfun import bessel_ratio_table, check_held, nufft_length, phase_sum, phase_sum_nufft, pow2_at_least
+from .specfun import bessel_ratio_table, check_held, nufft_length, phase_rows, phase_sum_nufft, pow2_at_least
 
 __all__ = [
     "DetectorConfig",
@@ -107,16 +107,17 @@ _OVERSAMPLE = 4.0
 _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
 # a run's gates pass to check_held what a free pass holds (_check_free_pass), what occupations_at
-# holds (its f_m table, V and one column block's W V_b and (L, _OCC_BLOCK) transform) and what a
+# holds (its f_m table and one column block's V_b, W V_b and (L, _OCC_BLOCK) transform) and what a
 # p0_series chunk holds
 _P0_CHUNK = 48
 # complex (requested times) x _P0_CHUNK arrays a p0_series chunk holds at once: the running sums,
 # the requested phases, C_p, Z_p and expression temporaries (6.1 at the peak under tracemalloc)
 _P0_HELD = 7
 # chain sites per column block of occupations_at's Toeplitz transforms.  occupations_at(60.0) on a
-# T = 60 run (m_max = 200, 8192-point transforms) peaks under tracemalloc at 20.1, 20.8, 22.2,
-# 25.1 and 30.8 MB for 2, 4, 8, 16 and 32 columns (55.2 MB as one block); best of 3 takes
-# 0.07-0.1 s at every width (one BLAS thread, 2-core Xeon VM)
+# T = 60 run (m_max = 200, 8192-point transforms) peaks under tracemalloc at 14.6 MB for 2, 4 and 8
+# columns, where building the f_m table sets the peak, and at 16.3 and 22.8 MB for 16 and 32
+# columns (55.2 MB as one block); best of 3 takes 0.10-0.11 s at every width (one BLAS thread,
+# 2-core Xeon VM)
 _OCC_BLOCK = 8
 # largest accepted gap between the time-domain and spectral w routes
 W_ROUTE_TOL = 1e-6
@@ -170,22 +171,22 @@ def _toeplitz_length(size: int) -> int:
     return pow2_at_least(2 * size)
 
 
-def _toeplitz_blocks(h: np.ndarray, X: np.ndarray, dt: float, width: int):
-    """Yield (W X_b, T_h W X_b) for each block X_b of `width` columns of X, with T_h[i, j] = h(t_i - t_j).
+def _toeplitz_blocks(h: np.ndarray, blocks, dt: float, size: int):
+    """Yield (W X_b, T_h W X_b) for each (size, width) column block X_b of `blocks`, with T_h[i, j] = h(t_i - t_j).
 
     conj(W X)^T T_h W X is the trapezoid double integral of
     conj(x_i(t)) h(t - s) x_j(s) over the grid's square, with
     h(-t) = conj(h(t)); W holds the trapezoid weights.  A circular
     convolution of length >= 2 size gives T_h W X_b exactly; it is
     transformed in place, so a block holds one (L, width) array besides
-    W X_b, and h's transform is taken once for all blocks.
+    W X_b, and h's transform is taken once for all blocks.  `blocks` may
+    be a generator, so that only one block of X exists at a time.
     """
-    size = X.shape[0]
     L = _toeplitz_length(size)
     w = _trapezoid_weights(size, dt)[:, None]
     h_hat = np.fft.fft(_two_sided(h[:size], L))[:, None]
-    for j in range(0, X.shape[1], width):
-        WX = w * X[:, j : j + width]
+    for X in blocks:
+        WX = w * X
         Y = np.fft.fft(WX, L, axis=0)
         Y *= h_hat
         np.fft.ifft(Y, axis=0, out=Y)
@@ -194,7 +195,7 @@ def _toeplitz_blocks(h: np.ndarray, X: np.ndarray, dt: float, width: int):
 
 def _toeplitz_form(h: np.ndarray, X: np.ndarray, dt: float) -> np.ndarray:
     """X^H W T_h W X over the columns of X, taken as one block of `_toeplitz_blocks`."""
-    ((WX, Y),) = _toeplitz_blocks(h, X, dt, X.shape[1])
+    ((WX, Y),) = _toeplitz_blocks(h, [X], dt, X.shape[0])
     return np.conj(WX, out=WX).T @ Y
 
 
@@ -284,7 +285,7 @@ class DetectorRun:
         K = self.K
         F = np.empty(self.n + 1, dtype=complex)
         F[0] = F0[0]
-        Kr = K[::-1]
+        Kr = K[::-1].copy()  # contiguous, so np.dot copies nothing per step
         for n in range(1, self.n + 1):
             # trapezoid causal convolution; K[0] = 0 keeps it explicit
             acc = np.dot(Kr[self.n - n + 1 : self.n], F[1:n]) if n > 1 else 0.0
@@ -377,30 +378,33 @@ class DetectorRun:
         m_max = _chain_order_cut(max t); the shape is shape(times) + (m_max,).
         Each entry is the Toeplitz form over [0,t]^2 of conj(F f_m) (x) g-kernel
         (x) (F f_m), f_m(s) = (-i)^(m-1) (m/s) J_m(2s); its lags t - tau_k =
-        (n - k) dt index one f_m table.  The chain sites are transformed
-        _OCC_BLOCK columns at a time, and each block gives only its diagonal.
+        (n - k) dt index one f_m table.  The chain sites are taken _OCC_BLOCK
+        columns V_b = (F f_m) at a time from a slice of that table, and each
+        block gives only its diagonal.
         """
         times = np.asarray(times, dtype=float)
         steps = self._steps(times)
         m_max = _chain_order_cut(float(np.max(times)))
         size = int(steps.max()) + 1
-        # the f_m table and V; per block of _OCC_BLOCK columns W V_b and the (L, b) transform for
-        # this block and the last (the consumer still holds it) and fft's zero-padded copy; h's
-        # transform and its two-sided layout; the Bessel recurrence's 12 real arrays over the times
-        # (before V, the table and the ratio's temporaries hold 1.5 tables)
+        # the f_m table and the larger of two stages: while the table is built, the ratio's
+        # temporaries (half a table); then, per block of _OCC_BLOCK columns, V_b, W V_b and the
+        # (L, b) transform for this block and the last (the consumer still holds it) and fft's
+        # zero-padded copy, with h's transform and its two-sided layout; the Bessel recurrence's 12
+        # real arrays over the times
         L = _toeplitz_length(size)
-        held = 16 * (2 * m_max * size + _OCC_BLOCK * (2 * size + 4 * L) + 2 * L + 6 * size)
+        held = 16 * (m_max * size + max(m_max * size // 2, _OCC_BLOCK * (3 * size + 4 * L) + 2 * L) + 6 * size)
         check_held(held, f"occupations up to t = {np.max(times):g}")
         fm = (-1j) ** np.arange(m_max)[:, None] * bessel_ratio_table(m_max, self.t[:size])
         F = self.solution
         occ = np.zeros((steps.size, m_max))
         for i, n in enumerate(steps.ravel()):
             if n > 0:
-                V = (fm[:, n::-1] * F[None, : n + 1]).T  # (n+1, m_max)
+                # (n + 1, _OCC_BLOCK) columns of V, each built when its block is transformed
+                blocks = ((fm[j : j + _OCC_BLOCK, n::-1] * F[None, : n + 1]).T for j in range(0, m_max, _OCC_BLOCK))
                 # each block's diagonal of the form, never the (m_max, m_max) form itself
                 diag = [
                     np.einsum("ij,ij->j", np.conj(WV, out=WV), Y)
-                    for WV, Y in _toeplitz_blocks(self.g, V, self.cfg.dt, _OCC_BLOCK)
+                    for WV, Y in _toeplitz_blocks(self.g, blocks, self.cfg.dt, n + 1)
                 ]
                 occ[i] = self.cfg.gamma**2 * np.real(np.concatenate(diag))
         return occ.reshape(times.shape + (m_max,))
@@ -412,15 +416,15 @@ class DetectorRun:
         turns both trapezoid causal convolutions into e_p(t) times running sums of conj(e_p) f and
         conj(e_p) r, with q = f * F shared by all nodes: the same discretization as convolving twice.
         The sums are formed only at the requested steps, each from the last by one matrix product
-        over the segment between them, and the phases only up to the largest step.
+        over the segment between them, and the phases (`phase_rows`) only up to the largest step.
         """
         req, where = np.unique(self._steps(times), return_inverse=True)
         size = int(req[-1]) + 1
         # a chunk's phases up to the largest requested step, q (it holds size; counted as 4 size,
         # an over-count of up to 3 size that keeps the whole-grid refusal from T = 859.61 on) and
-        # the two weight columns; _P0_HELD arrays over the requested steps; phase_sum's base
-        # block, block phases and identity, under 128 rows of phases (the previous chunk's arrays
-        # are freed before the next is built)
+        # the two weight columns; _P0_HELD arrays over the requested steps; phase_rows' base
+        # block and block phase, under 128 rows of phases (the previous chunk's arrays are freed
+        # before the next is built)
         held = 16 * ((_P0_CHUNK + 6) * size + _P0_CHUNK * (_P0_HELD * req.size + 128))
         check_held(held, f"P_0 at {req.size} times up to t = {self.t[size - 1]:g}")
         cfg, dt = self.cfg, self.cfg.dt
@@ -434,8 +438,8 @@ class DetectorRun:
         def chunk_weight(sl: slice) -> np.ndarray:
             # a helper, so that a chunk's arrays are freed before the next chunk is built
             ps = grid.nodes[sl]
-            # phase matrix e^{-i t p^2}, shape (size, c): the phase sum of the identity
-            ep = phase_sum(np.eye(ps.size), ps**2, dt, size)
+            # phase matrix e^{-i t p^2}, shape (size, c)
+            ep = phase_rows(ps**2, dt, size)
             sums = np.empty((req.size, 2, ps.size), dtype=complex)
             # the sums at the requested steps: one product per segment between them, then a running sum
             for row, a, b in zip(sums, bounds, bounds[1:]):

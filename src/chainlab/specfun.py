@@ -3,10 +3,11 @@
 Bessel functions of integer order (normalized backward recurrence, one
 path for scalars and arrays), the finite-chain analogue of the Bessel
 kernel obtained by sampling the integral representation on the
-open-chain eigenphases, and phase sums sum_j C_j e^{-i t x_j} on a
-uniform time grid: `phase_sum` evaluates them directly (the exact phase
-matrix, and the oracle of the fast route), `phase_sum_nufft` as a
-type-1 non-uniform FFT in O(n log n + len(x)) work.
+open-chain eigenphases, and phases e^{-i t x_j} on a uniform time grid:
+`phase_rows` gives the phase matrix itself, `phase_sum` the sums
+sum_j C_j e^{-i t x_j} directly (the oracle of the fast route), both from
+one block factorization, and `phase_sum_nufft` the sums as a type-1
+non-uniform FFT in O(n log n + len(x)) work.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ __all__ = [
     "bessel_ratio_table",
     "finite_kernel",
     "phase_sum",
+    "phase_rows",
     "phase_sum_nufft",
     "nufft_length",
     "pow2_at_least",
     "check_held",
 ]
 
-# rows of the base phase block in phase_sum: its exp count per node is
+# rows of the base phase block of _phase_blocks: its exp count per node is
 # _PHASE_BLOCK + n / _PHASE_BLOCK, and the block bounds the memory
 _PHASE_BLOCK = 64
 # phase_sum_nufft: Gaussian half-width in grid points, and the grid is the
@@ -123,31 +125,39 @@ def _miller(n_max: int, x: np.ndarray, start: int) -> np.ndarray:
     # start > n_max: bessel_table starts at n_max + 40 or higher
     jp = np.zeros_like(x)
     jc = np.ones_like(x)
+    free = np.empty_like(x)  # J_{k-1} is written here; afterwards the freed J_{k+1} is the scratch
     sq = np.zeros_like(x)
     lin = np.zeros_like(x)
+    over = np.empty(x.shape, dtype=bool)
     sub = np.zeros((n_max + 1, x.size))
     for k in range(start, 0, -1):
-        # jc == J_k, jp == J_{k+1}; produce J_{k-1}
-        jm = (2.0 * k / x) * jc - jp
-        jp, jc = jc, jm
+        # jc == J_k, jp == J_{k+1}; produce J_{k-1} = (2k / x) J_k - J_{k+1}
+        np.divide(2.0 * k, x, out=free)
+        free *= jc
+        free -= jp
+        jp, jc, free = jc, free, jp
         if k - 1 <= n_max:
             sub[k - 1] = jc
-        sq += jp * jp  # J_k^2, k >= 1
+        sq += np.multiply(jp, jp, out=free)  # J_k^2, k >= 1
         if k % 2 == 0:
             lin += jp
-        over = np.abs(jc) > 1e100
-        if np.any(over):
-            jc[over] *= 1e-100
-            jp[over] *= 1e-100
-            sq[over] *= 1e-200
-            lin[over] *= 1e-100
+        np.greater(np.abs(jc, out=free), 1e100, out=over)
+        idx = over.nonzero()[0]
+        if idx.size:
+            # few arguments rescale on a step: only their entries are read and written
+            jc[idx] *= 1e-100
+            jp[idx] *= 1e-100
+            sq[idx] *= 1e-200
+            lin[idx] *= 1e-100
             # only the rows written so far hold values; rescaling them in place copies no table
             done = sub[k - 1 :]
             np.multiply(done, 1e-100, out=done, where=over)
-    sq_total = jc * jc + 2.0 * sq
-    lin_total = jc + 2.0 * lin
-    scale = np.sign(lin_total) * np.sqrt(sq_total)
-    sub /= scale
+    # J_0^2 + 2 sum_k J_k^2 and J_0 + 2 sum_k J_2k formed in place; the scale is sign(lin) sqrt(sq)
+    sq *= 2.0
+    sq += np.multiply(jc, jc, out=free)
+    lin *= 2.0
+    lin += jc
+    sub /= np.sign(lin, out=lin) * np.sqrt(sq, out=sq)
     return sub
 
 
@@ -178,23 +188,43 @@ def finite_kernel(n: int, length: int, z):
     return 1j**n * s / (length + 1)
 
 
-def phase_sum(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarray:
-    """S[k] = sum_j C[j] exp(-i t_k x_j) at t_k = k dt for k = 0..n-1.
+def _phase_blocks(x, dt: float, n: int):
+    """Yield (i, base, phase) with exp(-i t_k x) = base[k - i] * phase for the rows k = i..i + len(base) - 1.
 
-    C has shape (len(x), cols); the result has shape (n, cols).  The
-    rows t_i + k dt of a block are one base block exp(-i k dt x), k <
-    _PHASE_BLOCK, times the block phase exp(-i t_i x) folded into C.
-    Both phases are evaluated directly from their times, so no rounding
-    accumulates across blocks and no exp runs over the full
-    (times x nodes) matrix.
+    The rows t_i + k dt of a block are one base block exp(-i k dt x), k
+    < _PHASE_BLOCK, times the block phase exp(-i t_i x).  Both phases are
+    evaluated directly from their times, so no rounding accumulates across
+    blocks and no exp runs over the full (times x nodes) matrix.
     """
     x = np.asarray(x, dtype=float)
     base = np.outer(dt * np.arange(min(_PHASE_BLOCK, n)), x) * -1j
     np.exp(base, out=base)
-    out = np.empty((n, C.shape[1]), dtype=complex)
     for i in range(0, n, _PHASE_BLOCK):
-        m = min(_PHASE_BLOCK, n - i)
-        out[i : i + m] = base[:m] @ (np.exp(-1j * (dt * i) * x)[:, None] * C)
+        yield i, base[: min(_PHASE_BLOCK, n - i)], np.exp(-1j * (dt * i) * x)
+
+
+def phase_sum(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarray:
+    """S[k] = sum_j C[j] exp(-i t_k x_j) at t_k = k dt for k = 0..n-1.
+
+    C has shape (len(x), cols); the result has shape (n, cols).  Each
+    block of `_phase_blocks` is one product of its base block with C
+    scaled by the block phase.
+    """
+    out = np.empty((n, C.shape[1]), dtype=complex)
+    for i, base, phase in _phase_blocks(x, dt, n):
+        out[i : i + len(base)] = base @ (phase[:, None] * C)
+    return out
+
+
+def phase_rows(x: np.ndarray, dt: float, n: int) -> np.ndarray:
+    """The phase matrix exp(-i t_k x_j) at t_k = k dt for k = 0..n-1, shape (n, len(x)).
+
+    The blocks of `_phase_blocks`, each its base block times the block
+    phase elementwise.
+    """
+    out = np.empty((n, np.size(x)), dtype=complex)
+    for i, base, phase in _phase_blocks(x, dt, n):
+        np.multiply(base, phase, out=out[i : i + len(base)])
     return out
 
 

@@ -17,7 +17,7 @@ from chainlab.detector import (
     semicircle_kernel,
 )
 from chainlab.packets import bump_packet, default_grid, gaussian_packet, ghat_radial, overlap
-from chainlab.specfun import _PHASE_BLOCK, bessel_ratio_table, phase_sum, phase_sum_nufft
+from chainlab.specfun import _PHASE_BLOCK, bessel_ratio_table, phase_rows, phase_sum, phase_sum_nufft
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,19 @@ def test_free_series_matches_direct_phase_matrix(short_run):
     assert np.max(np.abs(run.g[rows] - ref[:, 1])) <= 1e-13
 
 
+def test_phase_rows_match_the_full_matrix_and_the_phase_sum_of_the_identity(short_run):
+    # a P_0 chunk's phases: block-boundary rows and the final partial block; the elementwise
+    # product and the product with the identity round differently, by under an ulp of the phase
+    run = short_run
+    ps = run.cfg.phi.grid.nodes[48:96]
+    last = (run.n // _PHASE_BLOCK) * _PHASE_BLOCK
+    rows = np.r_[0, _PHASE_BLOCK - 1, _PHASE_BLOCK, 2 * _PHASE_BLOCK, last - 1, last:run.n + 1]
+    ep = phase_rows(ps**2, run.cfg.dt, run.n + 1)
+    assert ep.shape == (run.n + 1, ps.size)
+    assert np.max(np.abs(ep[rows] - np.exp(-1j * np.outer(run.t[rows], ps**2)))) <= 1e-13
+    assert np.max(np.abs(ep - phase_sum(np.eye(ps.size), ps**2, run.cfg.dt, run.n + 1))) <= 1e-15
+
+
 @pytest.mark.parametrize("which", ["short_run", "default_run"])
 def test_free_series_nufft_matches_direct_phase_sum(which, request):
     # T = 40 and T = 200: the free pass's own coefficients, NUFFT against the direct sum
@@ -153,6 +166,21 @@ def test_solvers_agree_pairwise(short_run):
     dt = short_run.cfg.dt
     for a, b in ((Fm, Fn), (Fm, Ff), (Fn, Ff)):
         assert np.sqrt(dt * np.sum(np.abs(a - b) ** 2)) < 1e-10
+
+
+def test_solve_marching_matches_the_loop_over_the_reversed_view():
+    # the marching loop on a reversed view of K, which np.dot copied on every step, to the bit
+    run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
+    F0, K = run.free_series(), run.K
+    g2, dt = run.cfg.gamma**2, run.cfg.dt
+    F = np.empty(run.n + 1, dtype=complex)
+    F[0] = F0[0]
+    Kr = K[::-1]
+    for n in range(1, run.n + 1):
+        acc = np.dot(Kr[run.n - n + 1 : run.n], F[1:n]) if n > 1 else 0.0
+        acc += 0.5 * K[n] * F[0]
+        F[n] = F0[n] - g2 * dt * acc
+    assert np.array_equal(run.solve_marching(), F)
 
 
 def test_unconverged_neumann_series_raises(short_run, monkeypatch):
@@ -257,7 +285,8 @@ def test_occupations_at_matches_the_one_block_form(times):
 
 def test_occupations_at_holds_one_column_block_of_transforms(monkeypatch):
     # the (8192, 200) transform of all chain sites at once peaked at 55.7 MB, and a count of
-    # 64.6 MB refused the call under 2^25 bytes; the f_m table and V are 9.6 MB each
+    # 64.6 MB refused the call under 2^25 bytes; the whole V beside the 9.6 MB f_m table peaked at
+    # 22.2 MB, and one block of V at a time peaks at 14.6 MB, while the table is built
     run = DetectorRun(DetectorConfig(T=60.0))
     run.solution
     tracemalloc.start()
@@ -266,7 +295,7 @@ def test_occupations_at_holds_one_column_block_of_transforms(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25e6
+    assert peak < 17e6
     monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 2**25)
     run.occupations_at(60.0)
 
@@ -326,6 +355,26 @@ def test_coupling_packet_lives_on_the_grid_of_psi():
     cfg = DetectorConfig(0.5, gaussian_packet(default_grid(panels=80), 1.0), T=5.0)
     assert cfg.phi.grid is cfg.psi.grid
     assert abs(DetectorRun(cfg).p0_series(0.0) - 1.0) <= 1e-12
+
+
+def test_p0_series_takes_no_phase_sum(monkeypatch):
+    # the phases come from phase_rows: a phase sum of the identity multiplies by zeros 48 times over
+    def must_not_run(*args):
+        raise AssertionError("p0_series formed its phases as a phase sum")
+
+    monkeypatch.setattr(specfun, "phase_sum", must_not_run)
+    monkeypatch.setattr(detector, "phase_sum", must_not_run, raising=False)
+    run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
+    assert np.all(np.isfinite(run.p0_series(run.t)))
+
+
+def test_p0_series_keeps_criterion_08_deviations_to_the_bit(default_run):
+    # criterion 08's sampled and T = 200 conservation deviations at full precision
+    run = DetectorRun(DetectorConfig(gamma=0.5, dt=0.004, T=20.0))
+    ts = np.array([2.0, 5.0, 10.0, 20.0])
+    dev = float(np.max(np.abs(run.occupations_at(ts).sum(axis=1) + run.p0_series(ts) - 1.0)))
+    dev_T = float(abs(default_run.p0_series(default_run.cfg.T) + default_run.detection_w() - 1.0))
+    assert (dev.hex(), dev_T.hex()) == ("0x1.00406a9700000p-21", "0x1.ae07221e80000p-17")
 
 
 def test_p0_series_takes_no_per_node_convolution(monkeypatch):
@@ -449,10 +498,11 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     below = DetectorRun(DetectorConfig(T=859.6))
     with pytest.raises(Admitted):
         below.p0_series(below.t)
-    # the bound covers V besides the table: at t = 60 the f_m table is 200 x 3001 (9.6 MB), under
-    # 2^24 bytes, but with V and one column block of 8192-point transforms the call holds 24.9 MB
+    # the bound covers a column block besides the table: at t = 60 the f_m table is 200 x 3001
+    # (9.6 MB), under 3 * 2^22 bytes, but with one block of V and its 8192-point transforms the
+    # call counts 15.6 MB
     run = DetectorRun(DetectorConfig(T=60.0))
-    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 2**24)
+    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 3 * 2**22)
     with pytest.raises(DomainError):
         run.occupations_at(60.0)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,6 +49,48 @@ def test_bessel_table_large_argument():
     tab = bessel_table(5, x)
     ref = np.array([sp.jv(n, x) for n in range(6)])
     assert np.max(np.abs(tab - ref)) < 1e-12
+
+
+def _reference_miller(n_max, x, start):
+    """The Miller recurrence as it was written before it rescaled by index in reused buffers."""
+    jp = np.zeros_like(x)
+    jc = np.ones_like(x)
+    sq = np.zeros_like(x)
+    lin = np.zeros_like(x)
+    sub = np.zeros((n_max + 1, x.size))
+    for k in range(start, 0, -1):
+        jm = (2.0 * k / x) * jc - jp
+        jp, jc = jc, jm
+        if k - 1 <= n_max:
+            sub[k - 1] = jc
+        sq += jp * jp
+        if k % 2 == 0:
+            lin += jp
+        over = np.abs(jc) > 1e100
+        if np.any(over):
+            jc[over] *= 1e-100
+            jp[over] *= 1e-100
+            sq[over] *= 1e-200
+            lin[over] *= 1e-100
+            done = sub[k - 1 :]
+            np.multiply(done, 1e-100, out=done, where=over)
+    sq_total = jc * jc + 2.0 * sq
+    lin_total = jc + 2.0 * lin
+    sub /= np.sign(lin_total) * np.sqrt(sq_total)
+    return sub
+
+
+@PROPERTY
+@given(n_max=st.integers(0, 150),
+       x=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-7.0, np.log10(300.0)), st.booleans()),
+                  min_size=1, max_size=24).map(lambda v: np.array([0.0 if z else s * 10.0**e for s, e, z in v])))
+@example(n_max=150, x=np.array([1e-7, -3e-7, 0.0, 2e-3, 250.0]))  # rescales inside the written rows
+@example(n_max=40, x=np.full(6, 7.5))  # equal arguments rescale together
+def test_bessel_table_matches_the_masked_recurrence_to_the_bit(n_max, x):
+    # tiny |x| rescales on most steps and large |x| on few; zeros take the series branch
+    with mock.patch.object(specfun, "_miller", _reference_miller):
+        ref = bessel_table(n_max, x)
+    assert np.array_equal(bessel_table(n_max, x), ref)
 
 
 def test_bessel_ratio_table_against_scipy():
