@@ -114,9 +114,9 @@ _P0_CHUNK = 48
 # the requested phases, C_p, Z_p and expression temporaries (6.1 at the peak under tracemalloc)
 _P0_HELD = 7
 # chain sites per column block of occupations_at's Toeplitz transforms.  occupations_at(60.0) on a
-# T = 60 run (m_max = 200, 8192-point transforms) peaks under tracemalloc at 14.6 MB for 2, 4 and 8
-# columns, where building the f_m table sets the peak, and at 16.3 and 22.8 MB for 16 and 32
-# columns (55.2 MB as one block); best of 3 takes 0.10-0.11 s at every width (one BLAS thread,
+# T = 60 run (m_max = 200, 8192-point transforms) peaks under tracemalloc at 9.9 MB for 2, 4 and 8
+# columns, where building the real f_m table sets the peak, and at 11.5 and 18.0 MB for 16 and 32
+# columns (50.4 MB as one block); best of 3 takes 0.07-0.09 s at every width (one BLAS thread,
 # 2-core Xeon VM)
 _OCC_BLOCK = 8
 # largest accepted gap between the time-domain and spectral w routes
@@ -167,7 +167,7 @@ def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _toeplitz_length(size: int) -> int:
-    """Circular length of `_toeplitz_form` over `size` samples: the power of two >= 2 size."""
+    """Circular length of `_toeplitz_blocks` over `size` samples: the power of two >= 2 size."""
     return pow2_at_least(2 * size)
 
 
@@ -191,12 +191,6 @@ def _toeplitz_blocks(h: np.ndarray, blocks, dt: float, size: int):
         Y *= h_hat
         np.fft.ifft(Y, axis=0, out=Y)
         yield WX, Y[:size]
-
-
-def _toeplitz_form(h: np.ndarray, X: np.ndarray, dt: float) -> np.ndarray:
-    """X^H W T_h W X over the columns of X, taken as one block of `_toeplitz_blocks`."""
-    ((WX, Y),) = _toeplitz_blocks(h, [X], dt, X.shape[0])
-    return np.conj(WX, out=WX).T @ Y
 
 
 def _chain_order_cut(t: float) -> int:
@@ -342,7 +336,8 @@ class DetectorRun:
 
         Its diagonal is the detection probability of each column.
         """
-        return self.cfg.gamma**2 * _toeplitz_form(self.f, Fs, self.cfg.dt)
+        ((WF, Y),) = _toeplitz_blocks(self.f, [Fs], self.cfg.dt, Fs.shape[0])
+        return self.cfg.gamma**2 * (np.conj(WF, out=WF).T @ Y)
 
     def detection_w(self, F: np.ndarray | None = None) -> float:
         """w = gamma^2 (F_+, F_+ * f), time-domain route."""
@@ -378,23 +373,24 @@ class DetectorRun:
         m_max = _chain_order_cut(max t); the shape is shape(times) + (m_max,).
         Each entry is the Toeplitz form over [0,t]^2 of conj(F f_m) (x) g-kernel
         (x) (F f_m), f_m(s) = (-i)^(m-1) (m/s) J_m(2s); its lags t - tau_k =
-        (n - k) dt index one f_m table.  The chain sites are taken _OCC_BLOCK
-        columns V_b = (F f_m) at a time from a slice of that table, and each
-        block gives only its diagonal.
+        (n - k) dt index one f_m table.  The table is real, m J_m(2s)/s: the
+        occupation of site m is the diagonal entry conj(V_m)^T W T_g W V_m,
+        so the unit factor (-i)^(m-1) on V_m cancels.  The chain sites are
+        taken _OCC_BLOCK columns V_b = (F f_m) at a time from a slice of
+        that table, and each block gives only its diagonal.
         """
         times = np.asarray(times, dtype=float)
         steps = self._steps(times)
         m_max = _chain_order_cut(float(np.max(times)))
         size = int(steps.max()) + 1
-        # the f_m table and the larger of two stages: while the table is built, the ratio's
-        # temporaries (half a table); then, per block of _OCC_BLOCK columns, V_b, W V_b and the
-        # (L, b) transform for this block and the last (the consumer still holds it) and fft's
-        # zero-padded copy, with h's transform and its two-sided layout; the Bessel recurrence's 12
-        # real arrays over the times
+        # the real f_m table and the trapezoid weights; per block of _OCC_BLOCK columns, V_b, W V_b
+        # and the (L, b) transform for this block and the last (the consumer still holds it) and
+        # fft's zero-padded copy, with h's transform and its two-sided layout.  bessel_table's own
+        # gate counts the table's build before it allocates
         L = _toeplitz_length(size)
-        held = 16 * (m_max * size + max(m_max * size // 2, _OCC_BLOCK * (3 * size + 4 * L) + 2 * L) + 6 * size)
+        held = 8 * (m_max + 1) * size + 16 * (_OCC_BLOCK * (3 * size + 4 * L) + 2 * L)
         check_held(held, f"occupations up to t = {np.max(times):g}")
-        fm = (-1j) ** np.arange(m_max)[:, None] * bessel_ratio_table(m_max, self.t[:size])
+        fm = bessel_ratio_table(m_max, self.t[:size])
         F = self.solution
         occ = np.zeros((steps.size, m_max))
         for i, n in enumerate(steps.ravel()):

@@ -268,7 +268,8 @@ _OCC_RUN = DetectorRun(DetectorConfig(T=10.0))
 @PROPERTY
 @given(times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
 def test_occupations_at_matches_the_one_block_form(times):
-    # the column blocks' diagonals are the diagonal of the whole (m_max, m_max) Toeplitz form
+    # the column blocks' diagonals of the real table are the diagonal of the whole (m_max, m_max)
+    # Toeplitz form of the paper's complex f_m = (-i)^(m-1) m J_m(2s)/s: the unit phase cancels
     run, dt = _OCC_RUN, _OCC_RUN.cfg.dt
     occ = run.occupations_at(times)
     steps = np.rint(np.array(times) / dt).astype(int)
@@ -279,23 +280,33 @@ def test_occupations_at_matches_the_one_block_form(times):
             assert not row.any()
             continue
         V = (fm[:, n::-1] * run.solution[None, : n + 1]).T
-        form = detector._toeplitz_form(run.g, V, dt)
+        ((WV, Y),) = detector._toeplitz_blocks(run.g, [V], dt, n + 1)
+        form = np.conj(WV).T @ Y
         assert np.max(np.abs(row - run.cfg.gamma**2 * np.real(np.diagonal(form)))) <= 1e-15
 
 
 def test_occupations_at_holds_one_column_block_of_transforms(monkeypatch):
-    # the (8192, 200) transform of all chain sites at once peaked at 55.7 MB, and a count of
-    # 64.6 MB refused the call under 2^25 bytes; the whole V beside the 9.6 MB f_m table peaked at
-    # 22.2 MB, and one block of V at a time peaks at 14.6 MB, while the table is built
+    # one block of V at a time beside the real 4.8 MB f_m table peaks at 9.9 MB, in the table's
+    # Bessel build, and the gate counts within 1.25 times that peak (a count that kept the complex
+    # table's terms read 15.6 MB).  The (8192, 200) transform of all chain sites at once peaked at
+    # 55.7 MB, and its count of 64.6 MB refused the call under 2^25 bytes
     run = DetectorRun(DetectorConfig(T=60.0))
     run.solution
+    counts = []
+
+    def counted(held, what):
+        counts.append(held + specfun._FIXED_WORK_BYTES)
+        specfun.check_held(held, what)
+
+    monkeypatch.setattr(detector, "check_held", counted)
     tracemalloc.start()
     try:
         run.occupations_at(60.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 17e6
+    assert peak < 10.5e6
+    assert peak <= counts[-1] <= 1.25 * peak
     monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 2**25)
     run.occupations_at(60.0)
 
@@ -498,11 +509,12 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     below = DetectorRun(DetectorConfig(T=859.6))
     with pytest.raises(Admitted):
         below.p0_series(below.t)
-    # the bound covers a column block besides the table: at t = 60 the f_m table is 200 x 3001
-    # (9.6 MB), under 3 * 2^22 bytes, but with one block of V and its 8192-point transforms the
-    # call counts 15.6 MB
+    # the bound covers a column block besides the table: at t = 60 the real f_m table is
+    # 200 x 3001 (4.8 MB) and bessel_table counts its build at 10.07 MB, both under 5 * 2^21
+    # bytes, but with one block of V and its 8192-point transforms the call counts 10.57 MB
     run = DetectorRun(DetectorConfig(T=60.0))
-    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 3 * 2**22)
+    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 5 * 2**21)
+    specfun.bessel_ratio_table(200, run.t)
     with pytest.raises(DomainError):
         run.occupations_at(60.0)
 
