@@ -153,7 +153,7 @@ def _run_detector(args) -> int:
     run = det.DetectorRun(det.DetectorConfig(gamma=args.gamma, dt=args.dt, T=args.T))
     run.check_weak_coupling()
     F = run.solution
-    w_time = run.detection_w(F)
+    w_time = run.detection_w()
     w_spec = run.detection_w_spectral()
     gap = abs(w_time - w_spec)
     if not gap <= det.W_ROUTE_TOL:  # also catches NaN
@@ -174,13 +174,13 @@ def _run_detector(args) -> int:
 def _run_radiate(args) -> int:
     check_dense_dimension(args.N + args.M)  # before default_params's self-energy integral
     p = radiating.default_params(N=args.N, v=args.v)
-    modes = radiating.build_modes(p, M=args.M)
+    chain = radiating.build_modes(p, M=args.M)
     t = _grid(args.t, args.steps)
-    series = radiating.decay_series(p, modes, t)
+    series = radiating.decay_series(chain, t)
     _write_csv(
         _out_dir(args) / "radiate_decay.csv",
         ["finite chain radiating into a discretized continuum",
-         f"level shift eps0 {_fmt(p.eps0)}, recurrence time {_fmt(radiating.recurrence_time(modes))}",
+         f"level shift eps0 {_fmt(p.eps0)}, recurrence time {_fmt(radiating.recurrence_time(chain))}",
          "columns: time, radiated-sector weight"],
         ["t", "decay"],
         zip(t, series),

@@ -339,10 +339,9 @@ class DetectorRun:
         ((WF, Y),) = _toeplitz_blocks(self.f, [Fs], self.cfg.dt, Fs.shape[0])
         return self.cfg.gamma**2 * (np.conj(WF, out=WF).T @ Y)
 
-    def detection_w(self, F: np.ndarray | None = None) -> float:
+    def detection_w(self) -> float:
         """w = gamma^2 (F_+, F_+ * f), time-domain route."""
-        F = self.solution if F is None else F
-        return float(self.response_form(F[:, None])[0, 0].real)
+        return float(self.response_form(self.solution[:, None])[0, 0].real)
 
     def detection_w_spectral(self) -> float:
         """w from the transform-domain form, consistent discretization.

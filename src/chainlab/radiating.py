@@ -10,6 +10,7 @@ recurrence time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import pi
 
 import numpy as np
@@ -20,12 +21,11 @@ from .specfun import phase_sum
 
 __all__ = [
     "RadiatingParams",
-    "ContinuumModes",
+    "RadiatingChain",
     "default_params",
     "sigma_profile_default",
     "spectral_density",
     "build_modes",
-    "build_minimal_hamiltonian",
     "decay_series",
     "recurrence_time",
     "resolvent_check",
@@ -78,17 +78,50 @@ def spectral_density(lam):
 
 
 @dataclass(frozen=True)
-class ContinuumModes:
+class RadiatingChain:
+    """The chain of params coupled to M continuum modes; H and its eigendecomposition are built once."""
+
+    params: RadiatingParams
     energies: np.ndarray    # lambda_k, strictly increasing
     couplings: np.ndarray   # g_k = sqrt(w_k rho(lambda_k)), weights absorbed
 
-    @property
-    def count(self) -> int:
-        return self.energies.size
+    @cached_property
+    def hamiltonian(self) -> DenseOperator:
+        """Hamiltonian on the minimal subspace: chain states then radiated modes.
+
+        Chain block: nearest-neighbor hopping 1 over the N island states.
+        Radiated block: diagonal -eps0 + lambda_k.  The last chain state
+        couples to mode k with element v^2 g_k.
+        """
+        N, M = self.params.N, self.energies.size
+        dim = N + M
+        check_dense_dimension(dim)
+        H = np.zeros((dim, dim))
+        H[:N, :N] = build_island_hamiltonian(N).mat
+        k = np.arange(M)
+        H[N + k, N + k] = -self.params.eps0 + self.energies
+        H[N - 1, N + k] = self.params.v**2 * self.couplings
+        H[N + k, N - 1] = self.params.v**2 * self.couplings
+        return DenseOperator(H)
+
+    @cached_property
+    def propagator(self) -> Propagator:
+        """exp(-itH) through the eigendecomposition of H, computed on first use."""
+        return Propagator(self.hamiltonian)
+
+    def initial_state(self) -> np.ndarray:
+        """The first chain state as a complex vector over the whole basis."""
+        psi0 = np.zeros(self.hamiltonian.dim, dtype=complex)
+        psi0[0] = 1.0
+        return psi0
+
+    def evolve(self, t) -> np.ndarray:
+        """exp(-itH) applied to the first chain state; shape (dim,) for scalar t, (len(t), dim) for an array."""
+        return self.propagator.apply(self.initial_state(), t)
 
 
-def build_modes(params: RadiatingParams, M: int = 400) -> ContinuumModes:
-    """Gauss-Legendre discretization of the mode continuum on [b^2, 14], b = _CUTOFF.
+def build_modes(params: RadiatingParams, M: int = 400) -> RadiatingChain:
+    """The chain of params with the mode continuum on [b^2, 14], b = _CUTOFF, at M Gauss-Legendre nodes.
 
     An N + M too large to propagate is refused before leggauss's dense M x M eigenproblem.
     """
@@ -100,42 +133,19 @@ def build_modes(params: RadiatingParams, M: int = 400) -> ContinuumModes:
     lam = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     wts = 0.5 * (hi - lo) * w
     g = np.sqrt(wts * spectral_density(lam))
-    return ContinuumModes(lam, g)
+    return RadiatingChain(params, lam, g)
 
 
-def build_minimal_hamiltonian(params: RadiatingParams, modes: ContinuumModes) -> DenseOperator:
-    """Hamiltonian on the minimal subspace: chain states then radiated modes.
-
-    Chain block: nearest-neighbor hopping 1 over the N island states.
-    Radiated block: diagonal -eps0 + lambda_k.  The last chain state
-    couples to mode k with element v^2 g_k.
-    """
-    N, M = params.N, modes.count
-    dim = N + M
-    check_dense_dimension(dim)
-    H = np.zeros((dim, dim))
-    H[:N, :N] = build_island_hamiltonian(N).mat
-    k = np.arange(M)
-    H[N + k, N + k] = -params.eps0 + modes.energies
-    H[N - 1, N + k] = params.v**2 * modes.couplings
-    H[N + k, N - 1] = params.v**2 * modes.couplings
-    return DenseOperator(H)
-
-
-def recurrence_time(modes: ContinuumModes) -> float:
+def recurrence_time(chain: RadiatingChain) -> float:
     """2 pi over the mean node spacing: the discretization revival scale."""
-    dl = np.diff(modes.energies)
+    dl = np.diff(chain.energies)
     return 2.0 * pi / float(np.mean(dl))
 
 
-def decay_series(params: RadiatingParams, modes: ContinuumModes, t_grid) -> np.ndarray:
+def decay_series(chain: RadiatingChain, t_grid) -> np.ndarray:
     """Radiated-sector weight at each t for the chain started in its first state."""
-    H = build_minimal_hamiltonian(params, modes)
-    prop = Propagator(H)
-    psi0 = np.zeros(H.dim, dtype=complex)
-    psi0[0] = 1.0
-    psi_t = prop.apply(psi0, np.asarray(t_grid, dtype=float))
-    return np.sum(np.abs(psi_t[:, params.N :]) ** 2, axis=1)
+    psi_t = chain.evolve(t_grid)
+    return np.sum(np.abs(psi_t[:, chain.params.N :]) ** 2, axis=1)
 
 
 def default_params(N: int = 6, v: float = 0.7) -> RadiatingParams:
@@ -150,7 +160,7 @@ def default_params(N: int = 6, v: float = 0.7) -> RadiatingParams:
     return RadiatingParams(N=N, eps0=lo + 2.0 + 2.0 * v**2 * integ + margin, v=v)
 
 
-def resolvent_check(params: RadiatingParams, modes: ContinuumModes, xi: complex) -> tuple[complex, complex]:
+def resolvent_check(chain: RadiatingChain, xi: complex) -> tuple[complex, complex]:
     """Resolvent matrix element of the first chain state against the half-line transform of the evolution.
 
     Returns ((i/sqrt(2 pi)) <beta_0|(H - xi)^-1|beta_0>,
@@ -160,13 +170,10 @@ def resolvent_check(params: RadiatingParams, modes: ContinuumModes, xi: complex)
     """
     if xi.imag >= 0:
         raise ValueError("need Im xi < 0")
-    H = build_minimal_hamiltonian(params, modes)
-    dim = H.dim
-    e0 = np.zeros(dim, dtype=complex)
-    e0[0] = 1.0
-    sol = np.linalg.solve(H.mat - xi * np.eye(dim), e0)
+    H, e0 = chain.hamiltonian, chain.initial_state()
+    sol = np.linalg.solve(H.mat - xi * np.eye(H.dim), e0)
     lhs = 1j / np.sqrt(2.0 * pi) * complex(sol[0])
-    prop = Propagator(H)
+    prop = chain.propagator
     T, dt = 120.0, 0.005
     t = np.arange(0.0, T + 0.5 * dt, dt)
     v = prop.modes[0] * (prop.modes.conj().T @ e0)
@@ -175,14 +182,14 @@ def resolvent_check(params: RadiatingParams, modes: ContinuumModes, xi: complex)
     return lhs, rhs
 
 
-def resolvent_equation_residual(params: RadiatingParams, modes: ContinuumModes, xi: complex) -> float:
+def resolvent_equation_residual(chain: RadiatingChain, xi: complex) -> float:
     """Operator-norm residual of R_H = R_H0 (I - V R_H).
 
     H0 is the uncoupled chain-plus-modes block diagonal, V the chain-end
     coupling; xi must avoid both spectra.
     """
-    H = build_minimal_hamiltonian(params, modes).mat
-    N = params.N
+    H = chain.hamiltonian.mat
+    N = chain.params.N
     V = np.zeros_like(H)
     V[:N, N:] = H[:N, N:]
     V[N:, :N] = H[N:, :N]

@@ -89,22 +89,19 @@ def bessel_table(n_max: int, x) -> np.ndarray:
     if start > _MAX_START:
         raise DomainError(f"Bessel table to order {n_max} at |x| = {xmax:.6g} needs recurrence "
                           f"start index {start} > {_MAX_START}")
-    # out and the Miller recurrence's sub, which it rescales and normalizes in place, and the
+    # the Miller recurrence's table, which it rescales and normalizes in place and returns, and the
     # recurrence's state and temporaries: 12 arrays over x at most
-    check_held(8 * (2 * (n_max + 1) + 12) * x.size, f"Bessel table to order {n_max} over {x.size} arguments")
+    check_held(8 * ((n_max + 1) + 12) * x.size, f"Bessel table to order {n_max} over {x.size} arguments")
 
-    out = np.zeros((n_max + 1,) + x.shape)
     small = ax < 1e-8
+    out = _miller(n_max, np.where(small, 1.0, x).ravel(), start).reshape((n_max + 1,) + x.shape)
     if np.any(small):
         # leading series terms; higher orders underflow to 0
         xs = x[small]
+        out[:, small] = 0.0
         out[0, small] = 1.0 - 0.25 * xs * xs
         if n_max >= 1:
             out[1, small] = 0.5 * xs
-    big = ~small
-    if np.any(big):
-        flat = x[big].ravel()
-        out[:, big] = _miller(n_max, flat, start).reshape((n_max + 1,) + x[big].shape)
     return out
 
 

@@ -436,10 +436,11 @@ def test_povm_matrix_matches_polarized_detection_w():
     run = DetectorRun(DetectorConfig(gamma=0.5, psi=psis[0], T=40.0))
     F0s = run.free_series_multi(psis)
     F = [run.solve_fourier(F0s[:, i]) for i in range(len(psis))]
+    w = lambda F: run.response_form(F[:, None])[0, 0].real  # detection_w of the amplitude F
     raw = np.empty((2, 2), dtype=complex)
-    raw[0, 0] = run.detection_w(F[0])
-    raw[1, 1] = run.detection_w(F[1])
-    raw[0, 1] = 0.25 * sum(a * run.detection_w(a * F[0] + F[1]) for a in (1.0, -1.0, 1.0j, -1.0j))
+    raw[0, 0] = w(F[0])
+    raw[1, 1] = w(F[1])
+    raw[0, 1] = 0.25 * sum(a * w(a * F[0] + F[1]) for a in (1.0, -1.0, 1.0j, -1.0j))
     raw[1, 0] = np.conj(raw[0, 1])
     S = np.array([[overlap(a, b) for b in psis] for a in psis])
     sw, sv = np.linalg.eigh(S)
@@ -510,7 +511,7 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     with pytest.raises(Admitted):
         below.p0_series(below.t)
     # the bound covers a column block besides the table: at t = 60 the real f_m table is
-    # 200 x 3001 (4.8 MB) and bessel_table counts its build at 10.07 MB, both under 5 * 2^21
+    # 200 x 3001 (4.8 MB) and bessel_table counts its build at 5.24 MB, both under 5 * 2^21
     # bytes, but with one block of V and its 8192-point transforms the call counts 10.57 MB
     run = DetectorRun(DetectorConfig(T=60.0))
     monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 5 * 2**21)

@@ -150,7 +150,7 @@ def _miller_must_not_run(*args):
         lambda: bessel_table(3, 1e6),
         lambda: flip_probability(3, 1e6),
         lambda: occupation(0, 1e6, 1.0),
-        lambda: bessel_table(20_000, np.ones(1000)),  # two 160 MB tables at once > 2**28 bytes
+        lambda: bessel_table(40_000, np.ones(1000)),  # one 320 MB table > 2**28 bytes
     ],
     ids=["bessel_table", "flip_probability", "xy-occupation", "table-bytes"],
 )
