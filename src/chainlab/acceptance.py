@@ -149,15 +149,14 @@ def criterion_10() -> tuple[str, bool, str]:
     chain = radiating.build_modes(p, M=400)
     t_rec = radiating.recurrence_time(chain)
     t_grid = np.linspace(0.0, 0.5 * t_rec, 400)
-    # the M = 800 series first: its chain is freed before the M = 400 chain builds its H
-    series2 = radiating.decay_series(radiating.build_modes(p, M=800), t_grid)
     series = radiating.decay_series(chain, t_grid)
+    # the continuum route from the model alone: t_grid is k dt, k = 0..399
+    cont = float(np.max(np.abs(series - radiating.continuum_decay(p, t_grid[1], t_grid.size))))
     peak = float(np.max(series))
-    stab = float(np.max(np.abs(series - series2)))
     psi = chain.evolve(0.5 * t_rec)
     unit = abs(np.vdot(psi, psi).real - 1.0)
-    ok = peak > 0.95 and stab < 1e-3 and unit < 1e-10
-    return "radiating chain decay", ok, f"peak {peak:.4f}, M-doubling dev {stab:.2e}, unitarity {unit:.2e}"
+    ok = peak > 0.95 and cont < 1e-12 and unit < 1e-10
+    return "radiating chain decay", ok, f"peak {peak:.4f}, continuum dev {cont:.2e}, unitarity {unit:.2e}"
 
 
 def criterion_11() -> tuple[str, bool, str]:

@@ -1,23 +1,27 @@
-"""Radiating finite chain coupled to a discretized Fermi continuum.
+"""Radiating finite chain coupled to a Fermi continuum, discretized and exact.
 
-The end of a finite domino chain couples to a continuum of field modes;
-the continuum is replaced by Gauss-Legendre quadrature nodes, giving a
-finite Hamiltonian on the minimal invariant subspace.  Decay toward the
-radiated sector is fast and near-complete before the discretization
-recurrence time.
+The end of a finite domino chain couples to a continuum of field modes.
+The dense route replaces the continuum by Gauss-Legendre quadrature
+nodes, giving a finite Hamiltonian on the minimal invariant subspace
+(build_modes, RadiatingChain).  Decay toward the radiated sector is fast
+and near-complete before the discretization recurrence time.  The
+continuum route (continuum_decay) keeps the continuum: the chain's
+Green function with the exact self-energy of the last site, transformed
+to time, needs no modes and no eigendecomposition, and the dense route
+converges to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import pi
+from math import ceil, pi
 
 import numpy as np
 
 from . import DomainError
 from .dense_oracle import DenseOperator, Propagator, build_island_hamiltonian, check_dense_dimension
-from .specfun import phase_sum
+from .specfun import check_held, phase_sum
 
 __all__ = [
     "RadiatingParams",
@@ -27,6 +31,7 @@ __all__ = [
     "spectral_density",
     "build_modes",
     "decay_series",
+    "continuum_decay",
     "recurrence_time",
     "resolvent_check",
     "resolvent_equation_residual",
@@ -35,6 +40,17 @@ __all__ = [
 
 # infrared cutoff b of the form factor; with the dispersion lambda = p^2 the continuum starts at b^2
 _CUTOFF = 0.5
+# upper edge of the mode band [b^2, _BAND_TOP] in both routes
+_BAND_TOP = 14.0
+# continuum_decay: Gauss-Legendre nodes of the principal value, energies per block of its
+# energy x node array, and the time by which its energy grid's alias period 2 pi / dE clears the
+# last time, over which the default chain's amplitudes fall to rounding; chosen by measurement
+# (CHANGES.md)
+_PV_NODES = 250
+_PV_BLOCK = 500
+_ALIAS_CLEARANCE = 1700.0
+# largest |sum rule - 1| continuum_decay accepts
+_SUM_RULE_TOL = 1e-10
 
 
 def sigma_profile_default(p):
@@ -66,7 +82,7 @@ class RadiatingParams:
         if self.N < 1:
             raise DomainError("chain length must be >= 1")
         if self.eps0 <= _CUTOFF**2 + 2.0:
-            raise ValueError("level shift must exceed b^2 + 2")
+            raise DomainError("level shift must exceed b^2 + 2")
 
 
 def spectral_density(lam):
@@ -128,7 +144,7 @@ def build_modes(params: RadiatingParams, M: int = 400) -> RadiatingChain:
     if M < 2:
         raise DomainError("need at least 2 modes")
     check_dense_dimension(params.N + M)
-    lo, hi = _CUTOFF**2, 14.0
+    lo, hi = _CUTOFF**2, _BAND_TOP
     x, w = np.polynomial.legendre.leggauss(M)
     lam = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     wts = 0.5 * (hi - lo) * w
@@ -146,6 +162,67 @@ def decay_series(chain: RadiatingChain, t_grid) -> np.ndarray:
     """Radiated-sector weight at each t for the chain started in its first state."""
     psi_t = chain.evolve(t_grid)
     return np.sum(np.abs(psi_t[:, chain.params.N :]) ** 2, axis=1)
+
+
+def continuum_decay(params: RadiatingParams, dt: float, n: int) -> np.ndarray:
+    """Radiated weight 1 - sum_n |a_n(t_k)|^2 at t_k = k dt, k = 0..n-1, with the chain coupled to the true continuum.
+
+    Uses the model alone (spectral_density on [b^2, _BAND_TOP], eps0, v, N):
+    no modes, no eigendecomposition.  The self-energy of the last chain site is
+    Sigma(E + i0) = v^4 [PV int rho(lambda) / (E + eps0 - lambda) dlambda - i pi rho(E + eps0)];
+    the principal value subtracts rho(E + eps0), which it adds back as
+    rho(E + eps0) log((E + eps0 - b^2) / (_BAND_TOP - E - eps0)), and takes the rest on
+    _PV_NODES Gauss-Legendre nodes.  The column G_n1 of (E - H_chain - Sigma(E) e_N e_N^T)^-1
+    gives a_n(t) = -(1/pi) int Im G_n1(E + i0) e^{-iEt} dE, summed by the midpoint rule
+    over the band E in [b^2 - eps0, _BAND_TOP - eps0] with as many energies as put the
+    sum's alias period 2 pi / dE at the last time plus _ALIAS_CLEARANCE.
+
+    Raises DomainError before anything is allocated when the arrays exceed the byte
+    budget, and after the solve when the first state's weight in the band,
+    sum_E -(dE/pi) Im G_11(E), misses 1 by more than _SUM_RULE_TOL: a bound state
+    outside the band, or an energy grid too coarse for the decay.
+    """
+    if n < 1 or not (dt >= 0.0 and np.isfinite((n - 1) * dt)):
+        raise DomainError(f"need at least one time, a step dt >= 0 and a finite last time, got n = {n}, dt = {dt!r}")
+    N, lo, hi, nq = params.N, _CUTOFF**2, _BAND_TOP, _PV_NODES
+    nE = ceil((hi - lo) * ((n - 1) * dt + _ALIAS_CLEARANCE) / (2.0 * pi))
+    # the largest of the stages that run one after another: leggauss's companion matrix with its
+    # eigenvalue work, one principal-value block with its temporaries, the batched solve's matrices
+    # with its solution, and phase_sum's base block (64 rows at most) with its real factor; besides
+    # them, the arrays over the energies, spectral_density's normalization grid and the amplitudes
+    stage = max(3 * nq * nq, 3 * _PV_BLOCK * nq, 2 * nE * N * (N + 2), 3 * min(64, n) * nE)
+    held = 8 * (stage + (N + 12) * nE + 4 * 20001 + 4 * n * N)
+    check_held(held, f"continuum decay of {N} chain states over {nE} energies and {n} times")
+
+    x, w = np.polynomial.legendre.leggauss(nq)
+    lam = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    wq = 0.5 * (hi - lo) * w
+    rho_q = spectral_density(lam)
+    dE = (hi - lo) / nE
+    u = lo + dE * (np.arange(nE) + 0.5)   # E + eps0 at the midpoints
+    rho_u = spectral_density(u)
+    pv = rho_u * np.log((u - lo) / (hi - u))
+    for i in range(0, nE, _PV_BLOCK):
+        b = slice(i, i + _PV_BLOCK)
+        pv[b] += ((rho_q - rho_u[b, None]) / (u[b, None] - lam)) @ wq
+    sigma = params.v**4 * (pv - 1j * pi * rho_u)
+
+    E = u - params.eps0
+    A = np.empty((nE, N, N), dtype=complex)
+    A[:] = -build_island_hamiltonian(N).mat
+    diag = np.arange(N)
+    A[:, diag, diag] += E[:, None]
+    A[:, N - 1, N - 1] -= sigma
+    e1 = np.zeros((N, 1))
+    e1[0] = 1.0
+    C = (-dE / pi) * np.linalg.solve(A, e1)[:, :, 0].imag
+    del A
+    weight = float(np.sum(C[:, 0]))
+    if not abs(weight - 1.0) <= _SUM_RULE_TOL:
+        raise DomainError(f"the first chain state has weight {weight:.12g} in the continuum, not 1: a bound state, "
+                          f"or {nE} energies too few for the decay")
+    a = phase_sum(C, E, dt, n)
+    return 1.0 - np.sum(np.abs(a) ** 2, axis=1)
 
 
 def default_params(N: int = 6, v: float = 0.7) -> RadiatingParams:

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from chainlab import DomainError, acceptance, radiating
+from chainlab import DomainError, acceptance, dense_oracle, radiating, specfun
 from chainlab.radiating import (
     RadiatingChain,
     RadiatingParams,
     build_modes,
+    continuum_decay,
     decay_series,
     default_params,
     recurrence_time,
@@ -21,8 +24,15 @@ def chain():
     return build_modes(default_params())
 
 
+@pytest.fixture(scope="module")
+def doubled(chain):
+    """150 times up to half the M = 400 recurrence time, and the M = 800 chain's decay at them."""
+    t = np.linspace(0.0, 0.5 * recurrence_time(chain), 150)
+    return t, decay_series(build_modes(chain.params, M=800), t)
+
+
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         RadiatingParams(N=6, eps0=1.0, v=0.7)  # level shift too small
 
 
@@ -81,11 +91,84 @@ def test_decay_is_nearly_complete_before_recurrence(chain):
     assert np.max(decay_series(chain, t)) > 0.99
 
 
-def test_decay_stable_under_mode_doubling(chain):
-    t = np.linspace(0.0, 0.5 * recurrence_time(chain), 150)
+def test_decay_stable_under_mode_doubling(chain, doubled):
+    t, b = doubled
     a = decay_series(chain, t)
-    b = decay_series(build_modes(chain.params, M=800), t)
     assert np.max(np.abs(a - b)) < 1e-3
+
+
+def test_continuum_decay_matches_the_doubled_chain(doubled):
+    # criterion 10 compares the M = 400 chain at 400 times; here the M = 800 chain at 150 (measured 2.0e-15)
+    t, dense = doubled
+    cont = continuum_decay(default_params(), t[1], t.size)
+    assert np.max(np.abs(cont - dense)) < 1e-12
+
+
+def test_continuum_decay_converges_in_the_energy_grid(doubled, monkeypatch):
+    # the midpoint sum aliases the amplitudes at period 2 pi / dE; these clearances give 2388 and
+    # 4796 energies (measured 5.2e-12 and 1.8e-15 from the dense chain)
+    t, dense = doubled
+    dev = []
+    for clearance in (1000.0, 2100.0):
+        monkeypatch.setattr(radiating, "_ALIAS_CLEARANCE", clearance)
+        dev.append(np.max(np.abs(continuum_decay(default_params(), t[1], t.size) - dense)))
+    assert dev[0] > 100.0 * dev[1] and dev[1] < 1e-13
+
+
+@pytest.mark.parametrize("dt, n", [(0.1, 0), (float("nan"), 3), (-0.1, 3), (float("inf"), 1), (1e308, 10)])
+def test_continuum_decay_refuses_bad_times(dt, n):
+    with pytest.raises(DomainError):
+        continuum_decay(default_params(), dt, n)
+
+
+def test_continuum_weight_is_in_the_band_at_time_zero():
+    # 1 - sum_n |a_n(0)|^2 is the radiated weight at t = 0
+    assert abs(continuum_decay(default_params(N=4, v=0.6), 0.5, 1)[0]) < 1e-13
+
+
+def test_bound_state_is_refused_before_any_series(monkeypatch):
+    # a level shift just above b^2 + 2 with strong coupling pulls a state below the continuum
+    p = RadiatingParams(6, 2.3, 1.5)
+    lowest = np.linalg.eigvalsh(build_modes(p).hamiltonian.mat)[0]
+    assert lowest < radiating._CUTOFF**2 - p.eps0 - 1.0
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(radiating, "phase_sum", must_not_run)
+    with pytest.raises(DomainError, match="bound state"):
+        continuum_decay(p, 0.2, 100)
+
+
+def test_continuum_decay_counts_what_it_holds(monkeypatch):
+    # the count covers the traced peak within 1.25 times; one byte less of budget refuses the call,
+    # and a billion times are refused before anything is built
+    p = default_params()
+    counts = []
+
+    def counted(held, what):
+        counts.append(held + specfun._FIXED_WORK_BYTES)
+        specfun.check_held(held, what)
+
+    monkeypatch.setattr(radiating, "check_held", counted)
+    tracemalloc.start()
+    try:
+        continuum_decay(p, 0.3, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counts[-1] <= 1.25 * peak
+    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", peak - 1)
+    with pytest.raises(DomainError):
+        continuum_decay(p, 0.3, 50)
+    monkeypatch.undo()
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", must_not_run)
+    with pytest.raises(DomainError):
+        continuum_decay(p, 0.3, 10**9)
 
 
 def test_resolvent_transform_pair(chain):
@@ -100,17 +183,49 @@ def test_second_resolvent_equation(chain):
 
 
 def test_each_radiating_chain_is_decomposed_once(monkeypatch):
-    # criterion 10 decomposes its M = 800 chain and then its M = 400 chain, criterion 11 its one chain
-    dims = []
-    eigh = np.linalg.eigh
+    # criteria 10 and 11 each decompose their one M = 400 chain; criterion 10's second route, the
+    # continuum, needs no modes: leggauss runs for the chain's 400 modes and the principal value only
+    dims, degrees = [], []
+    eigh, leggauss = np.linalg.eigh, np.polynomial.legendre.leggauss
 
     def counting(a, *args, **kwargs):
         dims.append(a.shape[0])
         return eigh(a, *args, **kwargs)
 
+    def counted_leggauss(deg):
+        degrees.append(deg)
+        return leggauss(deg)
+
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted_leggauss)
     acceptance.criterion_10()
-    assert dims == [806, 406]
+    assert dims == [406]
+    assert degrees == [400, radiating._PV_NODES]
     dims.clear()
     acceptance.criterion_11()
     assert dims == [406]
+
+
+def test_continuum_decay_takes_no_dense_route(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("dense route taken")
+
+    monkeypatch.setattr(np.linalg, "eigh", must_not_run)
+    monkeypatch.setattr(dense_oracle, "Propagator", must_not_run)
+    monkeypatch.setattr(radiating, "Propagator", must_not_run)
+    assert np.max(continuum_decay(default_params(), 0.5, 100)) > 0.95
+
+
+def test_criterion_10_traced_peak():
+    # the M = 400 chain's series peaks at 10.0 MiB; the M = 800 chain it replaced peaked at 29.7 MiB
+    tracemalloc.start()
+    try:
+        acceptance.criterion_10()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
+
+
+def test_criterion_10_repeats_its_line():
+    assert acceptance.run_all([10])[0].line == acceptance.run_all([10])[0].line
