@@ -6,7 +6,8 @@ the flag `--key=value` placed before the command-line flags, so an
 explicit flag wins even when it equals its default.  CSV files start
 with `#` comment lines describing each column, then a header row; all
 numbers are printed with %.12g so identical configs give byte-identical
-outputs.
+outputs.  A table subcommand's runner returns (file name, comments,
+header, rows) and `main` writes that CSV; `verify` only prints.
 
 Exit codes: 0 success, 1 configuration error (every malformed command
 line too: an unknown flag or key, an unparsable value, a missing
@@ -107,47 +108,36 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DomainError(f"output path {args.out}: {exc}") from exc
-    return out
-
-
-def _run_domino(args) -> int:
+def _run_domino(args):
     js = _int_points(args.j)
     t = _grid(args.t, args.steps)
     cols = [t, *qdomino.flip_probability(js, t)]
-    _write_csv(
-        _out_dir(args) / "domino_flip.csv",
+    return (
+        "domino_flip.csv",
         ["quantum domino chain: probability that spin j has flipped by time t",
          "columns: time, then one flip-probability column per site"],
         ["t"] + [f"flip_j{j}" for j in js],
         zip(*cols),
     )
-    return 0
 
 
-def _run_xy(args) -> int:
+def _run_xy(args):
     js = _int_points(args.j)
     t = _grid(args.t, args.steps)
     if args.kappa == 0:
         raise DomainError("kappa must be nonzero")
     # t <= 0 keeps the static step profile
     cols = [t, *np.where(t > 0, xychain.occupation(js, t, args.kappa), np.less_equal(js, -1)[:, None])]
-    _write_csv(
-        _out_dir(args) / "xy_occupation.csv",
+    return (
+        "xy_occupation.csv",
         ["x-y chain site occupations from the half-filled initial state",
          "columns: time, then one occupation column per site index"],
         ["t"] + [f"occ_j{j}" for j in js],
         zip(*cols),
     )
-    return 0
 
 
-def _run_detector(args) -> int:
+def _run_detector(args):
     from . import detector as det
 
     run = det.DetectorRun(det.DetectorConfig(gamma=args.gamma, dt=args.dt, T=args.T))
@@ -160,35 +150,33 @@ def _run_detector(args) -> int:
         raise ValueError(f"detection probability routes differ by {gap:.3g} > {det.W_ROUTE_TOL:g}")
     stride = max(1, run.n // max(args.steps - 1, 1))
     idx = np.arange(0, run.n + 1, stride)
-    _write_csv(
-        _out_dir(args) / "detector_amplitude.csv",
+    return (
+        "detector_amplitude.csv",
         ["no-flip amplitude F(t) of the particle-detector model",
          f"detection probability: time route {_fmt(w_time)}, spectral route {_fmt(w_spec)}",
          "columns: time, Re F, Im F, |F|^2"],
         ["t", "re_F", "im_F", "abs2_F"],
         ((run.t[i], F[i].real, F[i].imag, abs(F[i]) ** 2) for i in idx),
     )
-    return 0
 
 
-def _run_radiate(args) -> int:
+def _run_radiate(args):
     check_dense_dimension(args.N + args.M)  # before default_params's self-energy integral
     p = radiating.default_params(N=args.N, v=args.v)
     chain = radiating.build_modes(p, M=args.M)
     t = _grid(args.t, args.steps)
     series = radiating.decay_series(chain, t)
-    _write_csv(
-        _out_dir(args) / "radiate_decay.csv",
+    return (
+        "radiate_decay.csv",
         ["finite chain radiating into a discretized continuum",
          f"level shift eps0 {_fmt(p.eps0)}, recurrence time {_fmt(radiating.recurrence_time(chain))}",
          "columns: time, radiated-sector weight"],
         ["t", "decay"],
         zip(t, series),
     )
-    return 0
 
 
-def _run_meanfield(args) -> int:
+def _run_meanfield(args):
     temps = sorted(set(_grid(args.T, args.steps)))
     p0 = meanfield.BCSParams(eps=args.eps, lam=args.lam, T=1.0)
     comments = ["BCS mean-field phase diagram: gap and representative equilibrium point",
@@ -204,24 +192,21 @@ def _run_meanfield(args) -> int:
         sols = meanfield.solve_gap_equation(meanfield.BCSParams(eps=args.eps, lam=args.lam, T=T))
         best = sols[-1]
         rows.append((T, best.kind, best.a, best.F[0], best.F[2]))
-    _write_csv(_out_dir(args) / "meanfield_phase.csv", comments,
-               ["T", "kind", "gap_a", "F1", "F3"], rows)
-    return 0
+    return "meanfield_phase.csv", comments, ["T", "kind", "gap_a", "F1", "F3"], rows
 
 
-def _run_orbit(args) -> int:
+def _run_orbit(args):
     z0 = complex(args.re0, args.im0)
     t = _grid(args.t, args.steps)
     zq = projection.quantum_trajectory(z0, args.lam, t, args.a)
     zc = projection.classical_trajectory(z0, args.lam, t, args.a)
-    _write_csv(
-        _out_dir(args) / "orbit_circles.csv",
+    return (
+        "orbit_circles.csv",
         ["phase-space circles of the projected two-level dynamics",
          "columns: time, quantum orbit (re, im), classical orbit (re, im)"],
         ["t", "re_q", "im_q", "re_cl", "im_cl"],
         zip(t, zq.real, zq.imag, zc.real, zc.imag),
     )
-    return 0
 
 
 def _run_verify(args) -> int:
@@ -301,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--only", default=None, help="comma-separated criterion numbers")
-    p.set_defaults(fn=_run_verify)
     return top
 
 
@@ -317,7 +301,15 @@ def main(argv=None) -> int:
             raise DomainError(f"non-finite value for {', '.join(bad)}")
         if not 1 <= getattr(args, "steps", 1) <= _MAX_STEPS:
             raise DomainError(f"steps must lie in 1..{_MAX_STEPS}")
-        return args.fn(args)
+        if args.command == "verify":
+            return _run_verify(args)
+        name, *table = args.fn(args)  # the table before the directory
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DomainError(f"output path {args.out}: {exc}") from exc
+        _write_csv(Path(args.out) / name, *table)
+        return 0
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -65,16 +65,12 @@ def build_island_hamiltonian(N: int) -> DenseOperator:
     return DenseOperator(H)
 
 
-# spin-1/2 site operators; basis |down> = (1,0), |up> = (0,1)
-_A = np.array([[0.0, 1.0], [0.0, 0.0]])       # a  : up -> down
-_ID2 = np.eye(2)
-
-
 def spin_ops(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray]:
     """(a, a*) on `site` (0-based) of an n_sites chain; the Kronecker reference for the builders."""
     check_dense_dimension(2**n_sites)
-    ops = [_ID2] * n_sites
-    ops[site] = _A
+    # spin-1/2 site operators, basis |down> = (1,0), |up> = (0,1): the identity, and a (up -> down) on site
+    ops = [np.eye(2)] * n_sites
+    ops[site] = np.array([[0.0, 1.0], [0.0, 0.0]])
     a = ops[0]
     for o in ops[1:]:
         a = np.kron(a, o)

@@ -35,7 +35,6 @@ __all__ = [
     "DetectorConfig",
     "DetectorRun",
     "amplitude_free",
-    "f_kernel",
     "semicircle_kernel",
     "povm_matrix",
     "W_ROUTE_TOL",
@@ -47,11 +46,6 @@ def semicircle_kernel(u):
     u = np.asarray(u, dtype=float)
     out = np.where(np.abs(u) <= 2.0, np.sqrt(np.maximum(4.0 - u**2, 0.0)), 0.0)
     return out / np.sqrt(2.0 * pi)
-
-
-def f_kernel(t, g_values):
-    """f(t) = g(t) J_1(2t)/t with the t=0 limit 1."""
-    return np.asarray(g_values) * bessel_ratio_table(1, t)[0]
 
 
 @dataclass(frozen=True)
@@ -148,13 +142,18 @@ def _two_sided(h: np.ndarray, L: int) -> np.ndarray:
     return ker
 
 
+def _conv_length(size: int) -> int:
+    """FFT length of a linear or Toeplitz convolution over `size` samples: the power of two >= 2 size."""
+    return pow2_at_least(2 * size)
+
+
 def _linear_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First n samples of the linear convolution along axis 0 of equal-length series, by one FFT of length >= 2n - 1.
+    """First n samples of the linear convolution along axis 0 of equal-length series, by FFTs of length `_conv_length`.
 
     A copy: a view would keep the whole length-L transform alive (up to 4 n).
     """
     n = a.shape[0]
-    L = pow2_at_least(2 * n - 1)
+    L = _conv_length(n)
     return np.fft.ifft(np.fft.fft(a, L, axis=0) * np.fft.fft(b, L, axis=0), axis=0)[:n].copy()
 
 
@@ -164,11 +163,6 @@ def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     c *= dt
     c -= 0.5 * dt * (a * b[0] + a[0] * b)
     return c
-
-
-def _toeplitz_length(size: int) -> int:
-    """Circular length of `_toeplitz_blocks` over `size` samples: the power of two >= 2 size."""
-    return pow2_at_least(2 * size)
 
 
 def _toeplitz_blocks(h: np.ndarray, blocks, dt: float, size: int):
@@ -182,7 +176,7 @@ def _toeplitz_blocks(h: np.ndarray, blocks, dt: float, size: int):
     W X_b, and h's transform is taken once for all blocks.  `blocks` may
     be a generator, so that only one block of X exists at a time.
     """
-    L = _toeplitz_length(size)
+    L = _conv_length(size)
     w = _trapezoid_weights(size, dt)[:, None]
     h_hat = np.fft.fft(_two_sided(h[:size], L))[:, None]
     for X in blocks:
@@ -252,7 +246,8 @@ class DetectorRun:
 
     @cached_property
     def f(self) -> np.ndarray:
-        return f_kernel(self.t, self.g)
+        """The kernel f(t) = g(t) J_1(2t)/t, with the t = 0 limit g(0)."""
+        return self.g * bessel_ratio_table(1, self.t)[0]
 
     @property
     def K(self) -> np.ndarray:
@@ -386,7 +381,7 @@ class DetectorRun:
         # and the (L, b) transform for this block and the last (the consumer still holds it) and
         # fft's zero-padded copy, with h's transform and its two-sided layout.  bessel_table's own
         # gate counts the table's build before it allocates
-        L = _toeplitz_length(size)
+        L = _conv_length(size)
         held = 8 * (m_max + 1) * size + 16 * (_OCC_BLOCK * (3 * size + 4 * L) + 2 * L)
         check_held(held, f"occupations up to t = {np.max(times):g}")
         fm = bessel_ratio_table(m_max, self.t[:size])
@@ -453,11 +448,11 @@ class DetectorRun:
         return out[where].reshape(np.shape(times))
 
 
-def povm_matrix(psis: list, gamma: float, T: float = 200.0):
+def povm_matrix(psis: list, gamma: float, T: float):
     """Response-operator matrix <psi_i|W_gamma|psi_j> on the packet span.
 
     W_ij = gamma^2 (F_i, F_j * f) from the no-flip amplitudes F_i of the
-    packets, with the coupling packet phi of width 2 and time step 0.02;
+    packets, with the coupling packet phi of width 2 and time step 0.02 up to T;
     returned in an orthonormalized basis of the span, so eigenvalues are
     those of W_gamma restricted to it.
     """

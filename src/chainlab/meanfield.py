@@ -42,6 +42,7 @@ SIGMA = np.array(
     ],
     dtype=complex,
 )
+SIGMA.flags.writeable = False  # criteria 13 and 14 read it: no caller may change it
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,11 @@ _PV_BLOCK = 500
 _ALIAS_CLEARANCE = 1700.0
 # largest |sum rule - 1| continuum_decay accepts
 _SUM_RULE_TOL = 1e-10
+# sigma_profile_default's decay rate alpha, and its ramp's 3d L2 norm on a fixed fine grid, computed once
+_ALPHA = 0.6
+_PG = np.linspace(_CUTOFF, _CUTOFF + 16.0, 20001)
+_SIGMA_NORM = np.sqrt(np.trapezoid(4.0 * pi * _PG**2 * ((_PG - _CUTOFF) ** 2 * np.exp(-_ALPHA * _PG**2)) ** 2, _PG))
+del _PG
 
 
 def sigma_profile_default(p):
@@ -61,15 +66,9 @@ def sigma_profile_default(p):
     alpha = 0.6 and scale = 2 set how much spectral weight sits under
     the emission window, which controls the decay rate of the chain.
     """
-    alpha, scale, b = 0.6, 2.0, _CUTOFF
     p = np.asarray(p, dtype=float)
-    raw = np.where(p > b, (p - b) ** 2 * np.exp(-alpha * p**2), 0.0)
-    # normalize int 4 pi p^2 |sigma|^2 dp = 1 on a fixed fine grid
-    pg = np.linspace(b, b + 16.0, 20001)
-    nrm = np.sqrt(
-        np.trapezoid(4.0 * pi * pg**2 * ((pg - b) ** 2 * np.exp(-alpha * pg**2)) ** 2, pg)
-    )
-    return scale * raw / nrm
+    raw = np.where(p > _CUTOFF, (p - _CUTOFF) ** 2 * np.exp(-_ALPHA * p**2), 0.0)
+    return 2.0 * raw / _SIGMA_NORM
 
 
 @dataclass(frozen=True)
@@ -136,6 +135,13 @@ class RadiatingChain:
         return self.propagator.apply(self.initial_state(), t)
 
 
+def _band_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes on the band [b^2, _BAND_TOP], b = _CUTOFF, and their weights."""
+    lo, hi = _CUTOFF**2, _BAND_TOP
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+
+
 def build_modes(params: RadiatingParams, M: int = 400) -> RadiatingChain:
     """The chain of params with the mode continuum on [b^2, 14], b = _CUTOFF, at M Gauss-Legendre nodes.
 
@@ -144,10 +150,7 @@ def build_modes(params: RadiatingParams, M: int = 400) -> RadiatingChain:
     if M < 2:
         raise DomainError("need at least 2 modes")
     check_dense_dimension(params.N + M)
-    lo, hi = _CUTOFF**2, _BAND_TOP
-    x, w = np.polynomial.legendre.leggauss(M)
-    lam = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-    wts = 0.5 * (hi - lo) * w
+    lam, wts = _band_nodes(M)
     g = np.sqrt(wts * spectral_density(lam))
     return RadiatingChain(params, lam, g)
 
@@ -189,14 +192,12 @@ def continuum_decay(params: RadiatingParams, dt: float, n: int) -> np.ndarray:
     # the largest of the stages that run one after another: leggauss's companion matrix with its
     # eigenvalue work, one principal-value block with its temporaries, the batched solve's matrices
     # with its solution, and phase_sum's base block (64 rows at most) with its real factor; besides
-    # them, the arrays over the energies, spectral_density's normalization grid and the amplitudes
+    # them, the arrays over the energies and the amplitudes
     stage = max(3 * nq * nq, 3 * _PV_BLOCK * nq, 2 * nE * N * (N + 2), 3 * min(64, n) * nE)
-    held = 8 * (stage + (N + 12) * nE + 4 * 20001 + 4 * n * N)
+    held = 8 * (stage + (N + 12) * nE + 4 * n * N)
     check_held(held, f"continuum decay of {N} chain states over {nE} energies and {n} times")
 
-    x, w = np.polynomial.legendre.leggauss(nq)
-    lam = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-    wq = 0.5 * (hi - lo) * w
+    lam, wq = _band_nodes(nq)
     rho_q = spectral_density(lam)
     dE = (hi - lo) / nE
     u = lo + dE * (np.arange(nE) + 0.5)   # E + eps0 at the midpoints
@@ -253,7 +254,7 @@ def resolvent_check(chain: RadiatingChain, xi: complex) -> tuple[complex, comple
     prop = chain.propagator
     T, dt = 120.0, 0.005
     t = np.arange(0.0, T + 0.5 * dt, dt)
-    v = prop.modes[0] * (prop.modes.conj().T @ e0)
+    v = prop.modes[0] ** 2  # |<mode|beta_0>|^2: the eigenvectors are real
     amp = phase_sum(v[:, None], -prop.energies, dt, t.size)[:, 0]
     rhs = complex(np.trapezoid(np.exp(-1j * t * xi) * amp, dx=dt)) / np.sqrt(2.0 * pi)
     return lhs, rhs

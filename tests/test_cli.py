@@ -100,6 +100,18 @@ def test_malformed_command_line_is_exit_code_one(tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["domino", "xy", "detector", "radiate", "meanfield", "orbit"])
+def test_out_naming_a_file_is_exit_code_one(tmp_path, capsys, command):
+    # every table command writes through main's one output path, which refuses a regular file
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    assert main([command, "--steps", "3", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: output path {target}: ") and "Traceback" not in err
+    assert target.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def test_python_dash_m_runs_the_cli(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["chainlab", "domino", "--steps", "3", "--out", str(tmp_path)])
     with pytest.raises(SystemExit) as exit_info:

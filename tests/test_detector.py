@@ -12,7 +12,6 @@ from chainlab.detector import (
     DetectorConfig,
     DetectorRun,
     amplitude_free,
-    f_kernel,
     povm_matrix,
     semicircle_kernel,
 )
@@ -63,10 +62,13 @@ def test_spectral_fhat_matches_continuum_convolution(short_run):
         assert abs(fhat[j % run.L] - ref) <= 2e-5
 
 
-def test_f_kernel_limit_at_zero():
-    g = np.array([1.0 + 0.0j, 0.5])
-    vals = f_kernel(np.array([0.0, 1.0]), g)
-    assert vals[0] == pytest.approx(1.0)
+def test_f_kernel_limit_at_zero(short_run):
+    # f = g J_1(2t)/t: the t = 0 limit is g(0) exactly, and at t = 1 (step 50) the ratio is J_1(2)
+    run = short_run
+    assert run.t[50] == 1.0
+    assert run.f[0] == run.g[0]
+    assert run.f[50] == pytest.approx(run.g[50] * bessel_ratio_table(1, 1.0)[0], rel=1e-15)
+    assert bessel_ratio_table(1, 1.0)[0] == pytest.approx(0.5767248077568734, rel=1e-15)
 
 
 def test_amplitude_free_gaussian_closed_form():

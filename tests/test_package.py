@@ -5,6 +5,8 @@ from functools import cached_property
 from pathlib import Path
 from types import FunctionType
 
+import numpy as np
+
 import chainlab
 
 # exported names that no library code calls: the independent routes that tests compare against
@@ -74,3 +76,11 @@ def test_package_modules_import_no_private_names():
                for alias in node.names]
     assert imports
     assert [entry for entry in imports if entry[2].startswith("_")] == []
+
+
+def test_module_level_arrays_are_read_only():
+    # a module-level array is shared by every later call in the process: one write would change them all
+    arrays = {f"{m.__name__}.{name}": val for m in _modules() for name, val in vars(m).items()
+              if isinstance(val, np.ndarray)}
+    assert "chainlab.meanfield.SIGMA" in arrays
+    assert sorted(key for key, val in arrays.items() if val.flags.writeable) == []
