@@ -1,8 +1,9 @@
 """Acceptance suite: one check per numbered criterion.
 
-Each criterion function recomputes its claim from scratch and returns
-(name, passed, detail); run_all numbers it by its position in CRITERIA and
-builds its CriterionResult.  The checks run in seconds each.
+Each criterion function recomputes its claim from inputs that `run_all`
+shares for one run (`Shared`) and returns (name, passed, detail); run_all
+numbers it by its position in CRITERIA and builds its CriterionResult.  The
+checks run in seconds each.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import filecmp
 import math
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from . import dense_oracle, detector, meanfield, projection, qdomino, radiating,
 from .packets import bump_packet, default_grid, gaussian_packet
 from .specfun import bessel_table
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "Shared", "run_all", "CRITERIA"]
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,31 @@ class CriterionResult:
         return f"criterion {self.number:02d} {status}  {self.name}: {self.detail}"
 
 
-def criterion_01() -> tuple[str, bool, str]:
+class Shared:
+    """The inputs of one run that several criteria use, each built on first use.
+
+    run_all makes one per call and drops an input after the last selected
+    criterion that uses it (_USERS).  A criterion given a fresh Shared builds
+    its own input; every cached step of DetectorRun and RadiatingChain is
+    deterministic, so its line is the same either way.
+    """
+
+    @cached_property
+    def detector_run(self) -> detector.DetectorRun:
+        """The default detector run (gamma = 0.5, dt = 0.02, T = 200): criterion 07 and criterion 08's T = 200 part."""
+        return detector.DetectorRun(detector.DetectorConfig(gamma=0.5))
+
+    @cached_property
+    def radiating_chain(self) -> radiating.RadiatingChain:
+        """The default radiating chain at M = 400 modes: criteria 10 and 11."""
+        return radiating.build_modes(radiating.default_params(), M=400)
+
+
+# the criteria that use each input of Shared
+_USERS = {"detector_run": (7, 8), "radiating_chain": (10, 11)}
+
+
+def criterion_01(shared: Shared) -> tuple[str, bool, str]:
     ts = np.arange(0.5, 10.0 + 1e-9, 0.5)
     prop = dense_oracle.Propagator(dense_oracle.build_island_hamiltonian(8))
     # U[k, n, m] = <n|exp(-i ts[k] H)|m>: column m evolves e_m
@@ -46,14 +72,14 @@ def criterion_01() -> tuple[str, bool, str]:
     return "domino Green function vs dense oracle", worst < 1e-10, f"max |diff| = {worst:.3e}"
 
 
-def criterion_02() -> tuple[str, bool, str]:
+def criterion_02(shared: Shared) -> tuple[str, bool, str]:
     t = np.linspace(50.0, 500.0, 2000)
     slopes = qdomino.asymptotic_exponent([2, 3, 5], t)
     ok = all(abs(s + 3.0) < 0.2 for s in slopes)
     return "domino envelope decay exponent -3", ok, "slopes " + ", ".join(f"{s:.3f}" for s in slopes)
 
 
-def criterion_03() -> tuple[str, bool, str]:
+def criterion_03(shared: Shared) -> tuple[str, bool, str]:
     vals = qdomino.flip_probability(np.arange(1, 6), 1e3)
     ok = all(v > 0.999 for v in vals)
     return "domino flip probability -> 1", ok, "min = " + f"{min(vals):.6f}"
@@ -71,7 +97,7 @@ def _bessel_integral(n, x) -> np.ndarray:
     return np.mean(np.cos(n * tau - x * np.sin(tau)), axis=-1)
 
 
-def criterion_04() -> tuple[str, bool, str]:
+def criterion_04(shared: Shared) -> tuple[str, bool, str]:
     worst = dev = 0.0
     for x in (1.0, 5.0, 10.0, 25.0, 50.0):
         n_max = int(2 * x) + 60
@@ -82,7 +108,7 @@ def criterion_04() -> tuple[str, bool, str]:
     return "Bessel quadratic normalization", ok, f"max residual = {worst:.3e}, integral dev = {dev:.3e}"
 
 
-def criterion_05() -> tuple[str, bool, str]:
+def criterion_05(shared: Shared) -> tuple[str, bool, str]:
     lim = float(np.max(np.abs(xychain.occupation(np.arange(-3, 4), 1e3, 1.0) - 0.5)))
     ts = np.array([1.0, 5.0, 10.0, 37.0])
     closed = float(np.max(np.abs(xychain.occupation(0, ts, 1.0) - 0.5 * (1.0 - _bessel_integral(0, ts) ** 2))))
@@ -90,7 +116,7 @@ def criterion_05() -> tuple[str, bool, str]:
     return "xy occupation limit and closed form", ok, f"limit dev {lim:.2e}, closed dev {closed:.2e}"
 
 
-def criterion_06() -> tuple[str, bool, str]:
+def criterion_06(shared: Shared) -> tuple[str, bool, str]:
     # right half of the 10-site flip-flop chain occupied; reflection maps
     # it onto the infinite left-occupied formula: site s is j = 4 - s.  The
     # flip-flop conserves the 5 up spins, so the oracle runs in that sector.
@@ -103,8 +129,8 @@ def criterion_06() -> tuple[str, bool, str]:
     return "xy 10-site dense oracle", worst < 1e-3, f"max |diff| = {worst:.3e}"
 
 
-def criterion_07() -> tuple[str, bool, str]:
-    run = detector.DetectorRun(detector.DetectorConfig(gamma=0.5))
+def criterion_07(shared: Shared) -> tuple[str, bool, str]:
+    run = shared.detector_run
     l1 = run.gamma_g_l1()
     Fm = run.solve_marching()
     Fn = run.solve_neumann()
@@ -119,14 +145,14 @@ def criterion_07() -> tuple[str, bool, str]:
     return "detector solver equivalence", ok, f"max L2 dev {dev:.3e}, ||gamma g||_1 = {l1:.3f}"
 
 
-def criterion_08() -> tuple[str, bool, str]:
+def criterion_08(shared: Shared) -> tuple[str, bool, str]:
     # fine grid for the tight bound: conservation error is O(dt^2)
     cfg = detector.DetectorConfig(gamma=0.5, dt=0.004, T=20.0)
     run = detector.DetectorRun(cfg)
     ts = np.array([2.0, 5.0, 10.0, 20.0])
     p0 = run.p0_series(ts)
     dev = float(np.max(np.abs(run.occupations_at(ts).sum(axis=1) + p0 - 1.0)))
-    big = detector.DetectorRun(detector.DetectorConfig(gamma=0.5))
+    big = shared.detector_run
     w = big.detection_w()
     p0_T = big.p0_series(big.cfg.T)
     dev_T = abs(p0_T + w - 1.0)
@@ -134,7 +160,7 @@ def criterion_08() -> tuple[str, bool, str]:
     return "detector probability conservation", ok, f"sampled dev {dev:.3e}, T=200 dev {dev_T:.3e}"
 
 
-def criterion_09() -> tuple[str, bool, str]:
+def criterion_09(shared: Shared) -> tuple[str, bool, str]:
     g = default_grid()
     psis = [gaussian_packet(g, 0.6), gaussian_packet(g, 1.0), gaussian_packet(g, 1.6), bump_packet(g)]
     W, ev = detector.povm_matrix(psis, 0.5, T=60.0)
@@ -144,9 +170,9 @@ def criterion_09() -> tuple[str, bool, str]:
     return "POVM element nonprojection", ok, f"eigs [{ev.min():.2e}, {ev.max():.2e}], ||W^2-W|| = {nonproj:.3f}"
 
 
-def criterion_10() -> tuple[str, bool, str]:
-    p = radiating.default_params()
-    chain = radiating.build_modes(p, M=400)
+def criterion_10(shared: Shared) -> tuple[str, bool, str]:
+    chain = shared.radiating_chain
+    p = chain.params
     t_rec = radiating.recurrence_time(chain)
     t_grid = np.linspace(0.0, 0.5 * t_rec, 400)
     series = radiating.decay_series(chain, t_grid)
@@ -159,9 +185,10 @@ def criterion_10() -> tuple[str, bool, str]:
     return "radiating chain decay", ok, f"peak {peak:.4f}, continuum dev {cont:.2e}, unitarity {unit:.2e}"
 
 
-def criterion_11() -> tuple[str, bool, str]:
-    chain = radiating.build_modes(radiating.default_params())
-    # the residual's resolvents first, before the chain also holds its eigenvectors
+def criterion_11(shared: Shared) -> tuple[str, bool, str]:
+    chain = shared.radiating_chain
+    # the residual before the transform pair: run alone, the chain decomposes only after the residual
+    # has freed its resolvents; after criterion 10 it already holds its eigenvectors
     res = radiating.resolvent_equation_residual(chain, 1.0 - 0.2j)
     lhs, rhs = radiating.resolvent_check(chain, 1.0 - 0.2j)
     dev = abs(lhs - rhs)
@@ -169,7 +196,7 @@ def criterion_11() -> tuple[str, bool, str]:
     return "resolvent identities", ok, f"transform pair dev {dev:.2e}, operator residual {res:.2e}"
 
 
-def criterion_12() -> tuple[str, bool, str]:
+def criterion_12(shared: Shared) -> tuple[str, bool, str]:
     p = meanfield.BCSParams(eps=0.25, lam=1.0, T=0.2)
     sols = meanfield.solve_gap_equation(p)
     sc = [s for s in sols if s.kind == "superconducting"]
@@ -186,7 +213,7 @@ def criterion_12() -> tuple[str, bool, str]:
     return "BCS gap self-consistency", ok, f"residual {res:.2e}, gibbs dev {gib:.2e}, T_c = {tc:.7f}"
 
 
-def criterion_13() -> tuple[str, bool, str]:
+def criterion_13(shared: Shared) -> tuple[str, bool, str]:
     p = meanfield.BCSParams(eps=0.25, lam=1.0, T=0.2)
     F0 = np.array([0.3, -0.1, 0.2])
     F3, F10 = meanfield.flow_rk4(F0, [3.0, 10.0], 0.001, p)
@@ -201,7 +228,7 @@ def criterion_13() -> tuple[str, bool, str]:
     return "mean-field flow geometry", ok, f"Casimir drift {drift:.2e}, cocycle dev {coc:.2e}, transport dev {rk:.2e}"
 
 
-def criterion_14() -> tuple[str, bool, str]:
+def criterion_14(shared: Shared) -> tuple[str, bool, str]:
     p = meanfield.BCSParams(eps=0.25, lam=1.0, T=0.2)
     states = meanfield.ground_states(p)
     dev = 0.0
@@ -214,7 +241,7 @@ def criterion_14() -> tuple[str, bool, str]:
     return "ground-state circle", ok, f"expectation dev {dev:.2e}, radius {radius:.12f}"
 
 
-def criterion_15() -> tuple[str, bool, str]:
+def criterion_15(shared: Shared) -> tuple[str, bool, str]:
     lam, a = 1.0, 1.0
     z0 = 1.2 - 0.4j
     # truncated-Fock oracle for the quantum circle
@@ -239,7 +266,7 @@ def criterion_15() -> tuple[str, bool, str]:
     return "classical projection circles", ok, f"Fock dev {fock:.2e}, classical dev {cl:.2e}, smearing dev {sm:.2e}"
 
 
-def criterion_16() -> tuple[str, bool, str]:
+def criterion_16(shared: Shared) -> tuple[str, bool, str]:
     from .cli import main
 
     with tempfile.TemporaryDirectory() as d1, tempfile.TemporaryDirectory() as d2:
@@ -262,9 +289,13 @@ CRITERIA = [
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
+    chosen = [i for i in range(1, len(CRITERIA) + 1) if not numbers or i in numbers]
+    shared = Shared()
     out = []
-    for i, fn in enumerate(CRITERIA, start=1):
-        if not numbers or i in numbers:
-            name, passed, detail = fn()
-            out.append(CriterionResult(i, name, bool(passed), detail))
+    for i in chosen:
+        name, passed, detail = CRITERIA[i - 1](shared)
+        out.append(CriterionResult(i, name, bool(passed), detail))
+        for attr, users in _USERS.items():
+            if i in users and not any(j in chosen for j in users if j > i):
+                vars(shared).pop(attr, None)  # its last user has run
     return out

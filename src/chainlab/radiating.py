@@ -267,12 +267,24 @@ def resolvent_equation_residual(chain: RadiatingChain, xi: complex) -> float:
     coupling; xi must avoid both spectra.
     """
     H = chain.hamiltonian.mat
-    N = chain.params.N
+    N, dim = chain.params.N, H.shape[0]
+    I = np.eye(dim)
+    # one complex matrix holds H - xi I, then H0 - xi I (its coupling blocks zeroed), for the two
+    # solves; each factor is freed after its last use, so fewer (dim, dim) arrays exist at once
+    A = H.astype(complex)
+    A.flat[:: dim + 1] -= xi
+    RH = np.linalg.solve(A, I)
+    A[:N, N:] = 0.0
+    A[N:, :N] = 0.0
+    RH0 = np.linalg.solve(A, I)
+    del A
     V = np.zeros_like(H)
     V[:N, N:] = H[:N, N:]
     V[N:, :N] = H[N:, :N]
-    H0 = H - V
-    I = np.eye(H.shape[0])
-    RH = np.linalg.solve(H - xi * I, I)
-    RH0 = np.linalg.solve(H0 - xi * I, I)
-    return float(np.linalg.norm(RH - RH0 @ (I - V @ RH), 2))
+    X = V @ RH
+    np.subtract(I, X, out=X)
+    del V, I
+    Y = RH0 @ X
+    del RH0, X
+    np.subtract(RH, Y, out=Y)
+    return float(np.linalg.norm(Y, 2))

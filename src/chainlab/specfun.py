@@ -236,8 +236,9 @@ def phase_sum_nufft(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarr
     coefficients, and dividing by the Gaussian's transform
     sqrt(tau / pi) e^{-k'^2 tau} restores S (Greengard & Lee, SIAM Rev.
     46 (2004) 443: tau = pi H / (n^2 R (R - 1/2)), R = M / n).  Nodes
-    are spread one kernel offset at a time, so temporaries stay
-    O(len(x) + M) and not O(len(x) H).
+    are spread one kernel offset at a time, each over the window of grid
+    points the nodes touch, so temporaries stay O(len(x) + M) and not
+    O(len(x) H).
     """
     x = np.asarray(x, dtype=float)
     H = _NUFFT_HALF_WIDTH
@@ -254,11 +255,20 @@ def phase_sum_nufft(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarr
     Ch = C * np.exp(-1j * (step * ((h * m0) % M) + h * d))[:, None]
     parts = np.concatenate([Ch.real, Ch.imag], axis=1).T.copy()  # one real row per column and part
     grid = np.zeros((parts.shape[0], M))
+    # bin b of the window is grid point lo + b + offset (mod M), one point to a bin (span <= M), so
+    # each bin sums the same terms in the same order as a full-length bincount would
+    lo, hi = (int(m0.min()), int(m0.max())) if m0.size else (0, -1)
+    span = min(hi - lo + 1, M)
+    bins = (m0 - lo) % M
     for offset in range(1 - H, H + 1):
-        idx = (m0 + offset) & (M - 1)
+        a = (lo + offset) % M
+        cut = M - a  # bins up to the end of the grid; the rest wrap to its start
         v = parts * np.exp(-((d - offset * step) ** 2) / (4.0 * tau))
         for row, weights in zip(grid, v):
-            row += np.bincount(idx, weights, M)
+            b = np.bincount(bins, weights, span)
+            row[a : a + span] += b[:cut]
+            if span > cut:
+                row[: span - cut] += b[cut:]
     cols = C.shape[1]
     k = np.arange(n) - h
     S = np.fft.fft(grid[:cols] + 1j * grid[cols:], axis=1)[:, k % M]

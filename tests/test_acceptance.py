@@ -1,9 +1,11 @@
 """Acceptance gate: every numbered criterion must pass at its stated tolerance."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from chainlab import acceptance, specfun, xychain
+from chainlab import acceptance, detector, specfun, xychain
 
 _NUMBERS = range(1, len(acceptance.CRITERIA) + 1)
 
@@ -28,3 +30,43 @@ def test_bessel_criteria_catch_a_stretched_table(monkeypatch):
     monkeypatch.setattr(xychain, "bessel_table", stretched)
     results = acceptance.run_all([4, 5])
     assert [r.passed for r in results] == [False, False], [r.line for r in results]
+
+
+@pytest.mark.parametrize("pair", [(7, 8), (10, 11)], ids=["detector_run", "radiating_chain"])
+def test_shared_inputs_give_the_lines_of_each_criterion_alone(pair):
+    alone = [acceptance.run_all([i])[0].line for i in pair]
+    assert [r.line for r in acceptance.run_all(list(pair))] == alone
+
+
+def test_criteria_07_and_08_share_one_free_pass(monkeypatch):
+    passes = []
+    multi = detector.DetectorRun.free_series_multi
+
+    def counted(self, bs):
+        passes.append((self.cfg.dt, self.cfg.T))
+        return multi(self, bs)
+
+    monkeypatch.setattr(detector.DetectorRun, "free_series_multi", counted)
+    acceptance.run_all([7, 8])
+    # the default run's pass once; criterion 08's fine grid (dt = 0.004, T = 20) has its own
+    assert sorted(passes) == [(0.004, 20.0), (0.02, 200.0)]
+
+
+@pytest.mark.parametrize("attr,last", [("detector_run", 8), ("radiating_chain", 11)])
+def test_shared_input_is_gone_before_the_next_criterion(monkeypatch, attr, last):
+    # the input's weakref is dead when the criterion after its last user starts
+    refs = []
+    criteria = list(acceptance.CRITERIA)
+    last_user = criteria[last - 1]
+
+    def tracked(shared):
+        refs.append(weakref.ref(getattr(shared, attr)))
+        return last_user(shared)
+
+    def probe(shared):
+        return "probe", refs[0]() is None and attr not in vars(shared), ""
+
+    criteria[last - 1], criteria[last] = tracked, probe
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    results = acceptance.run_all([last - 1, last, last + 1])
+    assert [r.passed for r in results] == [True, True, True], [r.line for r in results]

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,8 +187,9 @@ def test_second_resolvent_equation(chain):
 
 
 def test_each_radiating_chain_is_decomposed_once(monkeypatch):
-    # criteria 10 and 11 each decompose their one M = 400 chain; criterion 10's second route, the
-    # continuum, needs no modes: leggauss runs for the chain's 400 modes and the principal value only
+    # criteria 10 and 11, each given a fresh holder, each decompose their one M = 400 chain, and in one
+    # run_all they share it; criterion 10's second route, the continuum, needs no modes: leggauss runs
+    # for the chain's 400 modes and the principal value only
     dims, degrees = [], []
     eigh, leggauss = np.linalg.eigh, np.polynomial.legendre.leggauss
 
@@ -198,12 +203,17 @@ def test_each_radiating_chain_is_decomposed_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted_leggauss)
-    acceptance.criterion_10()
+    acceptance.criterion_10(acceptance.Shared())
     assert dims == [406]
     assert degrees == [400, radiating._PV_NODES]
     dims.clear()
-    acceptance.criterion_11()
+    acceptance.criterion_11(acceptance.Shared())
     assert dims == [406]
+    dims.clear()
+    degrees.clear()
+    acceptance.run_all([10, 11])
+    assert dims == [406]
+    assert degrees == [400, radiating._PV_NODES]
 
 
 def test_continuum_decay_takes_no_dense_route(monkeypatch):
@@ -220,11 +230,36 @@ def test_criterion_10_traced_peak():
     # the M = 400 chain's series peaks at 10.0 MiB; the M = 800 chain it replaced peaked at 29.7 MiB
     tracemalloc.start()
     try:
-        acceptance.criterion_10()
+        acceptance.criterion_10(acceptance.Shared())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 14 * 2**20
+
+
+def test_criterion_11_traced_peak():
+    # as in verify, criterion 10 has decomposed the shared chain; the residual frees each factor after
+    # its last use and peaks at 12.6 MiB besides the chain (14.0 MiB when it held H0 and V to the end)
+    shared = acceptance.Shared()
+    acceptance.criterion_10(shared)
+    tracemalloc.start()
+    try:
+        acceptance.criterion_11(shared)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.5 * 2**20
+
+
+def test_resolvent_equation_residual_keeps_criterion_11_value_to_the_bit():
+    # at one BLAS thread, in a fresh interpreter: a threaded BLAS sums the 406 x 406 products in another order
+    code = ("from chainlab import radiating as r; "
+            "print(r.resolvent_equation_residual(r.build_modes(r.default_params()), 1.0 - 0.2j).hex())")
+    src = str(Path(radiating.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0x1.9cf63f960ccf0p-49"
 
 
 def test_criterion_10_repeats_its_line():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -138,6 +139,48 @@ def test_phase_sum_nufft_matches_direct_sum(n, dt, span, nodes, cols, seed):
     assert S.shape == (n, cols)
     assert np.all(np.abs(S - phase_sum(C, x, dt, n)) <= 1e-13 * np.abs(C).sum(axis=0))
     np.testing.assert_array_equal(phase_sum_nufft(C, x, dt, np.int64(n)), S)  # a numpy integer count
+
+
+def _reference_nufft(C, x, dt, n):
+    """phase_sum_nufft as it was written before it spread over the touched window: a length-M bincount per offset."""
+    x = np.asarray(x, dtype=float)
+    H = specfun._NUFFT_HALF_WIDTH
+    M = specfun.nufft_length(n)
+    R = M / n
+    tau = math.pi * H / (n * n * R * (R - 0.5))
+    step = 2.0 * math.pi / M
+    theta = dt * x
+    theta -= 2.0 * math.pi * np.rint(theta / (2.0 * math.pi))
+    m0 = np.floor(theta / step).astype(np.int64)
+    d = theta - m0 * step
+    h = n // 2
+    Ch = C * np.exp(-1j * (step * ((h * m0) % M) + h * d))[:, None]
+    parts = np.concatenate([Ch.real, Ch.imag], axis=1).T.copy()
+    grid = np.zeros((parts.shape[0], M))
+    for offset in range(1 - H, H + 1):
+        idx = (m0 + offset) & (M - 1)
+        v = parts * np.exp(-((d - offset * step) ** 2) / (4.0 * tau))
+        for row, weights in zip(grid, v):
+            row += np.bincount(idx, weights, M)
+    cols = C.shape[1]
+    k = np.arange(n) - h
+    S = np.fft.fft(grid[:cols] + 1j * grid[cols:], axis=1)[:, k % M]
+    return (S * (math.sqrt(math.pi / tau) / M * np.exp(k * k * tau))).T
+
+
+@PROPERTY
+@given(n=st.integers(2, 2000), dt=st.floats(1e-3, 1.0),
+       turns=st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 0.5, -0.5])), min_size=1, max_size=40),
+       cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(n=300, dt=0.02, turns=[0.0, 0.0, 1e-4], cols=2, seed=1)  # every node at m0 = 0: negative offsets wrap
+@example(n=2, dt=1.0, turns=[0.5, -0.5, 0.0, 0.25], cols=1, seed=2)  # theta = pi and -pi: the whole circle
+@example(n=1000, dt=0.01, turns=[0.49, -0.49], cols=3, seed=3)  # a window that wraps across the grid's end
+def test_phase_sum_nufft_spreads_as_the_full_length_formula(n, dt, turns, cols, seed):
+    # nodes at dt x = 2 pi turns; the window's bincounts sum the full-length terms in the same order
+    rng = np.random.default_rng(seed)
+    x = 2.0 * np.pi * np.array(turns) / dt
+    C = rng.normal(size=(x.size, cols)) + 1j * rng.normal(size=(x.size, cols))
+    assert np.array_equal(phase_sum_nufft(C, x, dt, n), _reference_nufft(C, x, dt, n))
 
 
 def _miller_must_not_run(*args):
