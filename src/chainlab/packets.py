@@ -14,6 +14,8 @@ from math import pi
 
 import numpy as np
 
+from .specfun import gauss_legendre
+
 __all__ = [
     "MomentumGrid",
     "RadialPacket",
@@ -42,11 +44,7 @@ class MomentumGrid:
 
 
 def default_grid(p_max: float = 10.0, panels: int = 40, order: int = 12) -> MomentumGrid:
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, p_max, panels + 1)
-    a, b = edges[:-1, None], edges[1:, None]
-    nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
-    return MomentumGrid(nodes.ravel(), (0.5 * (b - a) * w).ravel())
+    return MomentumGrid(*gauss_legendre(0.0, p_max, order, panels))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import DomainError
 from .dense_oracle import DenseOperator, Propagator, build_island_hamiltonian, check_dense_dimension
-from .specfun import check_held, phase_sum
+from .specfun import check_held, gauss_legendre, phase_sum
 
 __all__ = [
     "RadiatingParams",
@@ -135,13 +135,6 @@ class RadiatingChain:
         return self.propagator.apply(self.initial_state(), t)
 
 
-def _band_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n Gauss-Legendre nodes on the band [b^2, _BAND_TOP], b = _CUTOFF, and their weights."""
-    lo, hi = _CUTOFF**2, _BAND_TOP
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
-
-
 def build_modes(params: RadiatingParams, M: int = 400) -> RadiatingChain:
     """The chain of params with the mode continuum on [b^2, 14], b = _CUTOFF, at M Gauss-Legendre nodes.
 
@@ -150,7 +143,7 @@ def build_modes(params: RadiatingParams, M: int = 400) -> RadiatingChain:
     if M < 2:
         raise DomainError("need at least 2 modes")
     check_dense_dimension(params.N + M)
-    lam, wts = _band_nodes(M)
+    lam, wts = gauss_legendre(_CUTOFF**2, _BAND_TOP, M)
     g = np.sqrt(wts * spectral_density(lam))
     return RadiatingChain(params, lam, g)
 
@@ -197,7 +190,7 @@ def continuum_decay(params: RadiatingParams, dt: float, n: int) -> np.ndarray:
     held = 8 * (stage + (N + 12) * nE + 4 * n * N)
     check_held(held, f"continuum decay of {N} chain states over {nE} energies and {n} times")
 
-    lam, wq = _band_nodes(nq)
+    lam, wq = gauss_legendre(lo, hi, nq)
     rho_q = spectral_density(lam)
     dE = (hi - lo) / nE
     u = lo + dE * (np.arange(nE) + 0.5)   # E + eps0 at the midpoints
@@ -266,8 +259,11 @@ def resolvent_equation_residual(chain: RadiatingChain, xi: complex) -> float:
     H0 is the uncoupled chain-plus-modes block diagonal, V the chain-end
     coupling; xi must avoid both spectra.
     """
+    N = chain.params.N
+    dim = N + chain.energies.size
+    # traced, the solves and products peak at five complex (dim, dim) arrays besides H; counted as six
+    check_held(6 * 16 * dim * dim, f"resolvent equation at dimension {dim}")
     H = chain.hamiltonian.mat
-    N, dim = chain.params.N, H.shape[0]
     I = np.eye(dim)
     # one complex matrix holds H - xi I, then H0 - xi I (its coupling blocks zeroed), for the two
     # solves; each factor is freed after its last use, so fewer (dim, dim) arrays exist at once

@@ -7,7 +7,8 @@ open-chain eigenphases, and phases e^{-i t x_j} on a uniform time grid:
 `phase_rows` gives the phase matrix itself, `phase_sum` the sums
 sum_j C_j e^{-i t x_j} directly (the oracle of the fast route), both from
 one block factorization, and `phase_sum_nufft` the sums as a type-1
-non-uniform FFT in O(n log n + len(x)) work.
+non-uniform FFT in O(n log n + len(x)) work.  `gauss_legendre` gives the
+composite Gauss-Legendre nodes of the momentum grids and the mode band.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "nufft_length",
     "pow2_at_least",
     "check_held",
+    "gauss_legendre",
 ]
 
 # rows of the base phase block of _phase_blocks: its exp count per node is
@@ -66,6 +68,14 @@ def pow2_at_least(m: int) -> int:
 def nufft_length(n: int) -> int:
     """Periodic grid length of phase_sum_nufft over n times: the power of two >= _NUFFT_OVERSAMPLE n."""
     return pow2_at_least(_NUFFT_OVERSAMPLE * n)
+
+
+def gauss_legendre(lo: float, hi: float, order: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights: `order` nodes on each of `panels` equal panels of [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    a, b = edges[:-1, None], edges[1:, None]
+    return (0.5 * (b - a) * x + 0.5 * (b + a)).ravel(), (0.5 * (b - a) * w).ravel()
 
 
 def bessel_table(n_max: int, x) -> np.ndarray:

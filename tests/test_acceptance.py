@@ -38,15 +38,8 @@ def test_shared_inputs_give_the_lines_of_each_criterion_alone(pair):
     assert [r.line for r in acceptance.run_all(list(pair))] == alone
 
 
-def test_criteria_07_and_08_share_one_free_pass(monkeypatch):
-    passes = []
-    multi = detector.DetectorRun.free_series_multi
-
-    def counted(self, bs):
-        passes.append((self.cfg.dt, self.cfg.T))
-        return multi(self, bs)
-
-    monkeypatch.setattr(detector.DetectorRun, "free_series_multi", counted)
+def test_criteria_07_and_08_share_one_free_pass(calls):
+    passes = calls(detector.DetectorRun, "free_series_multi", lambda run, bs: (run.cfg.dt, run.cfg.T))
     acceptance.run_all([7, 8])
     # the default run's pass once; criterion 08's fine grid (dt = 0.004, T = 20) has its own
     assert sorted(passes) == [(0.004, 20.0), (0.02, 200.0)]

@@ -1,11 +1,11 @@
 import filecmp
 import runpy
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced
 
 from chainlab import qdomino, specfun
 from chainlab.cli import main
@@ -217,26 +217,33 @@ def test_oversized_detector_run_is_exit_code_one(tmp_path, capsys, flags):
     ],
     ids=["radiate-M", "radiate-N", "radiate-N-1e160", "radiate-N-1e2200", "domino-steps"],
 )
-def test_oversized_grid_is_refused_before_allocation(tmp_path, monkeypatch, capsys, argv, allocating, bound):
+def test_oversized_grid_is_refused_before_allocation(tmp_path, forbid, capsys, argv, allocating, bound):
     # leggauss would build a 3.2 GB companion matrix and the Hamiltonian would need 3.2 or 80 GB;
     # linspace would take 0.8 GB.  radiate refuses N + M before default_params's 80001-point integral,
     # also when its byte count is an integer no float can hold (N = 10^160) or of more digits than
     # Python writes in decimal (N = 10^2200).
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("allocated before the size check")
-
-    monkeypatch.setattr(*allocating, must_not_run)
-    tracemalloc.start()
-    try:
+    forbid(*allocating)
+    with traced() as trace:
         code = main(argv + ["--out", str(tmp_path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
-    assert peak < bound
+    assert trace.peak < bound
     assert not any(tmp_path.iterdir())
+
+
+def test_radiate_past_the_propagation_budget_is_exit_code_one(tmp_path, capsys):
+    # the 406-state chain's phases pass the byte budget from 13 633 times on, and 10^6 times would
+    # hold 19.5 GB: Propagator.apply refuses them before it builds any.  The smaller run goes first,
+    # so a missing gate fails the test at 0.4 GB instead of allocating gigabytes
+    for steps in ("20000", "1000000"):
+        with traced() as trace:
+            code = main(["radiate", "--steps", steps, "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "Traceback" not in err
+        assert trace.peak < 16 * 2**20
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -267,11 +274,8 @@ def test_out_of_domain_inputs_are_exit_code_one(tmp_path, argv, csv):
     ],
     ids=["domino", "xy", "xy-table-bytes"],
 )
-def test_oversized_bessel_recurrence_is_exit_code_one(tmp_path, monkeypatch, argv, csv):
-    def must_not_run(*args):
-        raise AssertionError("the Miller recurrence started above its start-index bound")
-
-    monkeypatch.setattr(specfun, "_miller", must_not_run)
+def test_oversized_bessel_recurrence_is_exit_code_one(tmp_path, forbid, argv, csv):
+    forbid(specfun, "_miller")  # the Miller recurrence does not start above its start-index bound
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert not (tmp_path / csv).exists()
 

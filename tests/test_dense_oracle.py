@@ -1,7 +1,8 @@
-import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
+from conftest import traced
 
 from chainlab import DomainError, acceptance, dense_oracle, specfun
 from chainlab.dense_oracle import (
@@ -144,12 +145,9 @@ def test_expectation_and_evolution():
     assert expectation(psi0, P) == pytest.approx(1.0)
 
 
-def test_oversized_propagator_is_refused_before_allocation(monkeypatch):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("allocated before the size check")
-
-    monkeypatch.setattr(np.linalg, "eigh", must_not_run)
-    monkeypatch.setattr(DenseOperator, "is_hermitian", must_not_run)
+def test_oversized_propagator_is_refused_before_allocation(monkeypatch, forbid):
+    forbid(np.linalg, "eigh")
+    forbid(DenseOperator, "is_hermitian")
     # zero strides: a 2^14-dimensional H (2 GiB of nbytes) that allocates nothing
     with pytest.raises(DomainError):
         Propagator(DenseOperator(np.broadcast_to(0.0, (2**14, 2**14))))
@@ -182,28 +180,16 @@ def test_dense_budget_edges():
 )
 def test_oversized_spin_basis_is_refused_before_allocation(call):
     # 2^40 basis indices would take 8 TiB; the last two byte counts no float can hold
-    tracemalloc.start()
-    try:
+    with traced() as trace:
         with pytest.raises(DomainError):
             call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert trace.peak < 2**20
 
 
 @pytest.mark.parametrize("n_up", [None, 0, 9, 18], ids=["full", "empty", "half", "filled"])
-def test_spin_basis_gate_counts_what_it_holds(monkeypatch, n_up):
+def test_spin_basis_gate_counts_what_it_holds(gate_covers, n_up):
     # the peak of the enumeration stays within the bytes its gate counts: one byte less of budget refuses it
-    tracemalloc.start()
-    try:
-        sector_indices(18, n_up)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", peak - 1)
-    with pytest.raises(DomainError):
-        sector_indices(18, n_up)
+    gate_covers(lambda: sector_indices(18, n_up))
 
 
 @pytest.mark.parametrize(
@@ -216,38 +202,36 @@ def test_spin_basis_gate_counts_what_it_holds(monkeypatch, n_up):
     ],
     ids=["full_chain", "flip_flop", "site_number_op", "spin_ops"],
 )
-def test_oversized_builder_is_refused_before_allocation(monkeypatch, build):
+def test_oversized_builder_is_refused_before_allocation(forbid, build):
     # 13 sites: a 2^13-dimensional dense matrix is 512 MiB, and 5 copies of it exceed the byte budget
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("allocated before the size check")
-
-    for name in ("zeros", "diag", "kron"):
-        monkeypatch.setattr(np, name, must_not_run)
-    tracemalloc.start()
-    try:
+    forbid(np, "zeros", "diag", "kron")
+    with traced() as trace:
         with pytest.raises(DomainError):
             build(13)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert trace.peak < 2**20
 
 
-def test_criterion_06_diagonalizes_only_its_sector(monkeypatch):
-    eigh_shapes, dims = [], []
-    eigh = np.linalg.eigh
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: partial(Propagator, build_full_chain_hamiltonian(10)),
+        lambda: partial(Propagator(build_island_hamiltonian(400)).apply, np.full(400, 0.05),
+                        np.linspace(0.0, 50.0, 1001)),
+        lambda: partial(spin_ops, 10, 0),
+        lambda: partial(site_number_op, 10, 0),
+    ],
+    ids=["Propagator", "Propagator.apply", "spin_ops", "site_number_op"],
+)
+def test_dense_gates_count_what_each_call_holds(gate_covers, make):
+    # check_dense_dimension's five copies cover peaks of two (Propagator and spin_ops at 1024
+    # dimensions) and one (site_number_op); apply counts its phases and the complex cast of the modes.
+    # make builds the call's inputs before it is traced
+    gate_covers(make())
 
-    def counted_eigh(a, *args, **kwargs):
-        eigh_shapes.append(a.shape)
-        return eigh(a, *args, **kwargs)
 
-    class Recorded(DenseOperator):
-        def __init__(self, mat):
-            super().__init__(mat)
-            dims.append(self.dim)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(dense_oracle, "DenseOperator", Recorded)
+def test_criterion_06_diagonalizes_only_its_sector(calls):
+    eigh_shapes = calls(np.linalg, "eigh", lambda a, *args, **kwargs: a.shape)
+    dims = calls(dense_oracle, "DenseOperator", lambda mat: mat.shape[0])
     assert acceptance.run_all([6])[0].passed
     # the half-filled 10-site state lives in C(10, 5) = 252 of 1024 dimensions
     assert eigh_shapes == [(252, 252)]

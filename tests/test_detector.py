@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced
 from hypothesis import given
 from hypothesis import strategies as st
 from test_properties import PROPERTY
@@ -123,13 +122,9 @@ def test_free_series_nufft_matches_direct_phase_sum(which, request):
 def test_free_pass_memory_stays_below_the_direct_sum(default_run):
     # the direct (times x momenta) sum peaks near 38 MB here; spreading one kernel offset at a time stays far below
     run = default_run
-    tracemalloc.start()
-    try:
+    with traced() as trace:
         run.free_series_multi([run.cfg.psi, run.cfg.phi])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    assert trace.peak < 16e6
 
 
 def test_g_matches_gaussian_closed_form(short_run):
@@ -137,19 +132,12 @@ def test_g_matches_gaussian_closed_form(short_run):
     assert np.max(np.abs(short_run.g - (1.0 + 4.0j * short_run.t) ** -1.5)) <= 1.5e-10
 
 
-def test_free_amplitudes_take_one_quadrature_pass(monkeypatch):
-    calls = []
-    multi = DetectorRun.free_series_multi
-
-    def counted(self, bs):
-        calls.append(len(bs))
-        return multi(self, bs)
-
-    monkeypatch.setattr(DetectorRun, "free_series_multi", counted)
+def test_free_amplitudes_take_one_quadrature_pass(calls):
+    passes = calls(DetectorRun, "free_series_multi", lambda self, bs: len(bs))
     run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
     run.solve_fourier()
     run.K
-    assert calls == [2]
+    assert passes == [2]
 
 
 def test_weak_coupling_norm(short_run):
@@ -231,18 +219,12 @@ def test_occupations_at_array_matches_scalar_calls():
         assert np.max(np.abs(row[: single.size] - single)) <= 1e-15
 
 
-def test_occupations_at_builds_one_bessel_table(monkeypatch):
+def test_occupations_at_builds_one_bessel_table(calls):
     run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
     run.solution  # builds the kernel f and its own Bessel table first
-    calls = []
-
-    def counting(m_max, t):
-        calls.append(m_max)
-        return bessel_ratio_table(m_max, t)
-
-    monkeypatch.setattr(detector, "bessel_ratio_table", counting)
+    tables = calls(detector, "bessel_ratio_table", lambda m_max, t: m_max)
     run.occupations_at(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert len(calls) == 1
+    assert len(tables) == 1
 
 
 def test_occupations_at_rejects_times_outside_the_run(short_run):
@@ -287,28 +269,18 @@ def test_occupations_at_matches_the_one_block_form(times):
         assert np.max(np.abs(row - run.cfg.gamma**2 * np.real(np.diagonal(form)))) <= 1e-15
 
 
-def test_occupations_at_holds_one_column_block_of_transforms(monkeypatch):
+def test_occupations_at_holds_one_column_block_of_transforms(monkeypatch, held_counts):
     # one block of V at a time beside the real 4.8 MB f_m table peaks at 9.9 MB, in the table's
     # Bessel build, and the gate counts within 1.25 times that peak (a count that kept the complex
     # table's terms read 15.6 MB).  The (8192, 200) transform of all chain sites at once peaked at
     # 55.7 MB, and its count of 64.6 MB refused the call under 2^25 bytes
     run = DetectorRun(DetectorConfig(T=60.0))
     run.solution
-    counts = []
-
-    def counted(held, what):
-        counts.append(held + specfun._FIXED_WORK_BYTES)
-        specfun.check_held(held, what)
-
-    monkeypatch.setattr(detector, "check_held", counted)
-    tracemalloc.start()
-    try:
+    counts = held_counts(detector)
+    with traced() as trace:
         run.occupations_at(60.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10.5e6
-    assert peak <= counts[-1] <= 1.25 * peak
+    assert trace.peak < 10.5e6
+    assert trace.peak <= counts[-1] <= 1.25 * trace.peak
     monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 2**25)
     run.occupations_at(60.0)
 
@@ -352,15 +324,11 @@ def test_p0_series_at_times_matches_the_whole_grid(short_run):
 
 
 def test_p0_series_refuses_times_outside_the_run_before_allocating(short_run):
-    tracemalloc.start()
-    try:
+    with traced() as trace:
         for bad in (40.1, -1.0, [1.0, np.nan], [np.inf]):
             with pytest.raises(DomainError):
                 short_run.p0_series(bad)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert trace.peak < 2**20
 
 
 def test_coupling_packet_lives_on_the_grid_of_psi():
@@ -370,13 +338,10 @@ def test_coupling_packet_lives_on_the_grid_of_psi():
     assert abs(DetectorRun(cfg).p0_series(0.0) - 1.0) <= 1e-12
 
 
-def test_p0_series_takes_no_phase_sum(monkeypatch):
+def test_p0_series_takes_no_phase_sum(forbid):
     # the phases come from phase_rows: a phase sum of the identity multiplies by zeros 48 times over
-    def must_not_run(*args):
-        raise AssertionError("p0_series formed its phases as a phase sum")
-
-    monkeypatch.setattr(specfun, "phase_sum", must_not_run)
-    monkeypatch.setattr(detector, "phase_sum", must_not_run, raising=False)
+    forbid(specfun, "phase_sum")
+    forbid(detector, "phase_sum", raising=False)
     run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
     assert np.all(np.isfinite(run.p0_series(run.t)))
 
@@ -390,26 +355,18 @@ def test_p0_series_keeps_criterion_08_deviations_to_the_bit(default_run):
     assert (dev.hex(), dev_T.hex()) == ("0x1.00406a9700000p-21", "0x1.ae07221e80000p-17")
 
 
-def test_p0_series_takes_no_per_node_convolution(monkeypatch):
-    calls = {"conv": 0, "fft": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(detector, "_causal_conv", counted("conv", detector._causal_conv))
-    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+def test_p0_series_takes_no_per_node_convolution(calls):
+    convs, fft_calls = calls(detector, "_causal_conv"), calls(np.fft, "fft")
     ffts = []
     for panels in (20, 80):  # 240 and 960 momentum nodes
         grid = default_grid(panels=panels)
         run = DetectorRun(DetectorConfig(0.5, gaussian_packet(grid, 1.0), T=5.0))
         run.solution
-        calls.update(conv=0, fft=0)
+        convs.clear()
+        fft_calls.clear()
         run.p0_series(run.t)
-        assert calls["conv"] == 0
-        ffts.append(calls["fft"])
+        assert len(convs) == 0
+        ffts.append(len(fft_calls))
     assert ffts[0] == ffts[1]
 
 
@@ -469,24 +426,17 @@ def test_oversized_run_is_refused_before_allocation():
     # T = 1e5 needs 12.7e6 fine momenta; dt = 1e-5 at T = 200 needs 2e7 times, a 2^27-point NUFFT
     # grid and solver transforms: either free pass would hold gigabytes, above 2**28 bytes
     cfgs = [DetectorConfig(T=1e5), DetectorConfig(dt=1e-5)]
-    tracemalloc.start()
-    try:
+    with traced() as trace:
         for cfg in cfgs:
             with pytest.raises(DomainError):
                 DetectorRun(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert trace.peak < 2**20
 
 
-def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_any_solve(monkeypatch):
+def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_any_solve(monkeypatch, forbid):
     # T = 1000 constructs, but occupations up to t = 1000 need
     # 131072 x 2172 complex Toeplitz transforms (4.6 GB)
     run = DetectorRun(DetectorConfig(T=1000.0))
-
-    def must_not_run(*args):
-        raise AssertionError("occupations_at built its table or solved before the size check")
 
     class Admitted(Exception):
         pass
@@ -494,8 +444,8 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     def admitted(*args):
         raise Admitted  # the first computation after p0_series's gate
 
-    monkeypatch.setattr(detector, "bessel_ratio_table", must_not_run)
-    monkeypatch.setattr(DetectorRun, "solve_fourier", must_not_run)
+    forbid(detector, "bessel_ratio_table")  # no table is built and nothing is solved before the size check
+    forbid(DetectorRun, "solve_fourier")
     monkeypatch.setattr(DetectorRun, "free_series_multi", admitted)
     with pytest.raises(DomainError):
         run.occupations_at(1000.0)
@@ -534,20 +484,12 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     ],
     ids=["occupations_at", "p0_series", "p0_series-at-T", "p0_series-early", "free_series_multi", "run"],
 )
-def test_memory_gates_count_what_each_call_holds(monkeypatch, kw, call):
+def test_memory_gates_count_what_each_call_holds(gate_covers, kw, call):
     # the peak of the call stays within the bytes its gate counts: one byte less of budget refuses it
     run = DetectorRun(DetectorConfig(**kw))
     run.solution  # solved and cached before the call, as in verify
     run.f
-    tracemalloc.start()
-    try:
-        call(run)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", peak - 1)
-    with pytest.raises(DomainError):
-        call(run)
+    gate_covers(lambda: call(run))
 
 
 def test_config_rejects_negative_gamma():

@@ -84,3 +84,13 @@ def test_module_level_arrays_are_read_only():
               if isinstance(val, np.ndarray)}
     assert "chainlab.meanfield.SIGMA" in arrays
     assert sorted(key for key, val in arrays.items() if val.flags.writeable) == []
+
+
+def test_traced_peaks_go_through_the_harness():
+    # conftest.traced reads the peak before tracing stops; a hand-written start/stop block may read 0
+    tests = Path(__file__).parent
+    starts = [(path.name, node.lineno) for path in sorted(tests.glob("test_*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "start"
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "tracemalloc"]
+    assert starts == []

@@ -1,13 +1,13 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced
 
-from chainlab import DomainError, acceptance, dense_oracle, radiating, specfun
+from chainlab import DomainError, acceptance, dense_oracle, radiating
 from chainlab.radiating import (
     RadiatingChain,
     RadiatingParams,
@@ -70,14 +70,10 @@ def test_hamiltonian_is_hermitian_and_coupled(chain):
     assert chain.hamiltonian is H and chain.propagator is chain.propagator  # built once
 
 
-def test_oversized_hamiltonian_is_refused_before_allocation(chain, monkeypatch):
+def test_oversized_hamiltonian_is_refused_before_allocation(chain, forbid):
     # 6 chain states and 8000 modes: 5 copies of the dense H exceed the Propagator's bound
     big = RadiatingChain(chain.params, np.linspace(1.0, 2.0, 8000), np.ones(8000))
-
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("allocated before the size check")
-
-    monkeypatch.setattr(np, "zeros", must_not_run)
+    forbid(np, "zeros")
     with pytest.raises(DomainError):
         big.hamiltonian
 
@@ -130,49 +126,42 @@ def test_continuum_weight_is_in_the_band_at_time_zero():
     assert abs(continuum_decay(default_params(N=4, v=0.6), 0.5, 1)[0]) < 1e-13
 
 
-def test_bound_state_is_refused_before_any_series(monkeypatch):
+def test_bound_state_is_refused_before_any_series(forbid):
     # a level shift just above b^2 + 2 with strong coupling pulls a state below the continuum
     p = RadiatingParams(6, 2.3, 1.5)
     lowest = np.linalg.eigvalsh(build_modes(p).hamiltonian.mat)[0]
     assert lowest < radiating._CUTOFF**2 - p.eps0 - 1.0
-
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("a series was summed")
-
-    monkeypatch.setattr(radiating, "phase_sum", must_not_run)
+    forbid(radiating, "phase_sum")
     with pytest.raises(DomainError, match="bound state"):
         continuum_decay(p, 0.2, 100)
 
 
-def test_continuum_decay_counts_what_it_holds(monkeypatch):
+def test_continuum_decay_counts_what_it_holds(gate_covers, held_counts, forbid):
     # the count covers the traced peak within 1.25 times; one byte less of budget refuses the call,
     # and a billion times are refused before anything is built
     p = default_params()
-    counts = []
-
-    def counted(held, what):
-        counts.append(held + specfun._FIXED_WORK_BYTES)
-        specfun.check_held(held, what)
-
-    monkeypatch.setattr(radiating, "check_held", counted)
-    tracemalloc.start()
-    try:
-        continuum_decay(p, 0.3, 50)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= counts[-1] <= 1.25 * peak
-    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", peak - 1)
-    with pytest.raises(DomainError):
-        continuum_decay(p, 0.3, 50)
-    monkeypatch.undo()
-
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("allocated before the size check")
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", must_not_run)
+    counts = held_counts(radiating)
+    peak = gate_covers(lambda: continuum_decay(p, 0.3, 50))
+    assert peak <= counts[0] <= 1.25 * peak
+    forbid(np.polynomial.legendre, "leggauss")
     with pytest.raises(DomainError):
         continuum_decay(p, 0.3, 10**9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda chain: build_modes(chain.params, M=400),
+        # a fresh chain each call, so that the refused call builds its H and Propagator again
+        lambda chain: RadiatingChain(chain.params, chain.energies, chain.couplings).propagator,
+        lambda chain: resolvent_equation_residual(chain, 1.0 - 0.2j),
+    ],
+    ids=["build_modes", "propagator", "resolvent_equation_residual"],
+)
+def test_chain_gates_count_what_each_call_holds(gate_covers, chain, call):
+    # the shared chain's H and Propagator are built before the call, as in verify
+    chain.propagator
+    gate_covers(lambda: call(chain))
 
 
 def test_resolvent_transform_pair(chain):
@@ -186,23 +175,12 @@ def test_second_resolvent_equation(chain):
     assert resolvent_equation_residual(chain, -2.0 - 0.5j) < 1e-8
 
 
-def test_each_radiating_chain_is_decomposed_once(monkeypatch):
+def test_each_radiating_chain_is_decomposed_once(calls):
     # criteria 10 and 11, each given a fresh holder, each decompose their one M = 400 chain, and in one
     # run_all they share it; criterion 10's second route, the continuum, needs no modes: leggauss runs
     # for the chain's 400 modes and the principal value only
-    dims, degrees = [], []
-    eigh, leggauss = np.linalg.eigh, np.polynomial.legendre.leggauss
-
-    def counting(a, *args, **kwargs):
-        dims.append(a.shape[0])
-        return eigh(a, *args, **kwargs)
-
-    def counted_leggauss(deg):
-        degrees.append(deg)
-        return leggauss(deg)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted_leggauss)
+    dims = calls(np.linalg, "eigh", lambda a, *args, **kwargs: a.shape[0])
+    degrees = calls(np.polynomial.legendre, "leggauss", lambda deg: deg)
     acceptance.criterion_10(acceptance.Shared())
     assert dims == [406]
     assert degrees == [400, radiating._PV_NODES]
@@ -216,25 +194,18 @@ def test_each_radiating_chain_is_decomposed_once(monkeypatch):
     assert degrees == [400, radiating._PV_NODES]
 
 
-def test_continuum_decay_takes_no_dense_route(monkeypatch):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("dense route taken")
-
-    monkeypatch.setattr(np.linalg, "eigh", must_not_run)
-    monkeypatch.setattr(dense_oracle, "Propagator", must_not_run)
-    monkeypatch.setattr(radiating, "Propagator", must_not_run)
+def test_continuum_decay_takes_no_dense_route(forbid):
+    forbid(np.linalg, "eigh")
+    forbid(dense_oracle, "Propagator")
+    forbid(radiating, "Propagator")
     assert np.max(continuum_decay(default_params(), 0.5, 100)) > 0.95
 
 
 def test_criterion_10_traced_peak():
     # the M = 400 chain's series peaks at 10.0 MiB; the M = 800 chain it replaced peaked at 29.7 MiB
-    tracemalloc.start()
-    try:
+    with traced() as trace:
         acceptance.criterion_10(acceptance.Shared())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 14 * 2**20
+    assert trace.peak < 14 * 2**20
 
 
 def test_criterion_11_traced_peak():
@@ -242,13 +213,9 @@ def test_criterion_11_traced_peak():
     # its last use and peaks at 12.6 MiB besides the chain (14.0 MiB when it held H0 and V to the end)
     shared = acceptance.Shared()
     acceptance.criterion_10(shared)
-    tracemalloc.start()
-    try:
+    with traced() as trace:
         acceptance.criterion_11(shared)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 13.5 * 2**20
+    assert trace.peak < 13.5 * 2**20
 
 
 def test_resolvent_equation_residual_keeps_criterion_11_value_to_the_bit():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -183,10 +182,6 @@ def test_phase_sum_nufft_spreads_as_the_full_length_formula(n, dt, turns, cols, 
     assert np.array_equal(phase_sum_nufft(C, x, dt, n), _reference_nufft(C, x, dt, n))
 
 
-def _miller_must_not_run(*args):
-    raise AssertionError("the Miller recurrence started above its start-index bound")
-
-
 @pytest.mark.parametrize(
     "call",
     [
@@ -197,8 +192,8 @@ def _miller_must_not_run(*args):
     ],
     ids=["bessel_table", "flip_probability", "xy-occupation", "table-bytes"],
 )
-def test_oversized_bessel_recurrence_is_refused_before_it_runs(monkeypatch, call):
-    monkeypatch.setattr(specfun, "_miller", _miller_must_not_run)
+def test_oversized_bessel_recurrence_is_refused_before_it_runs(forbid, call):
+    forbid(specfun, "_miller")  # the Miller recurrence does not start above its start-index bound
     with pytest.raises(DomainError):
         call()
 
@@ -221,8 +216,8 @@ def test_oversized_bessel_recurrence_is_refused_before_it_runs(monkeypatch, call
     ids=["nan", "inf", "flip-nan", "xy-nan", "xy-kappa-inf", "flip-no-sites", "flip-site-0", "flip-float-sites",
          "exponent-site-1", "xy-no-sites", "xy-float-site"],
 )
-def test_nonfinite_arguments_and_invalid_sites_are_refused_before_a_table(monkeypatch, call):
-    monkeypatch.setattr(specfun, "_miller", _miller_must_not_run)
+def test_nonfinite_arguments_and_invalid_sites_are_refused_before_a_table(forbid, call):
+    forbid(specfun, "_miller")
     with pytest.raises(DomainError):
         call()
 
@@ -237,16 +232,8 @@ def test_nonfinite_arguments_and_invalid_sites_are_refused_before_a_table(monkey
     ],
     ids=["orders", "arguments", "small-equal", "small-uniform"],
 )
-def test_bessel_table_gate_counts_what_it_holds(monkeypatch, n_max, x):
+def test_bessel_table_gate_counts_what_it_holds(gate_covers, n_max, x):
     # equal arguments rescale together, so the peak holds the output and the whole work table; few
     # orders over many arguments peak in the recurrence's per-argument state; small tables peak up
     # to 56 KB above their count in numpy work buffers that do not scale with the table
-    tracemalloc.start()
-    try:
-        bessel_table(n_max, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", peak - 1)
-    with pytest.raises(DomainError):
-        bessel_table(n_max, x)
+    gate_covers(lambda: bessel_table(n_max, x))

@@ -62,18 +62,11 @@ def test_occupation_accepts_time_arrays():
     assert isinstance(occupation(1, 2.0, 1.0), float)
 
 
-def test_occupation_uses_one_bessel_table(monkeypatch):
+def test_occupation_uses_one_bessel_table(calls):
     # the normalization identity adds the tail exactly, so no larger table is needed
-    calls = []
-    table = xychain.bessel_table
-
-    def counted(n_max, x):
-        calls.append(n_max)
-        return table(n_max, x)
-
-    monkeypatch.setattr(xychain, "bessel_table", counted)
+    tables = calls(xychain, "bessel_table", lambda n_max, x: n_max)
     occupation(0, 1e3, 1.0)
-    assert len(calls) == 1
+    assert len(tables) == 1
 
 
 def test_occupation_explicit_bessel_sum():
