@@ -206,10 +206,10 @@ def criterion_12(shared: Shared) -> tuple[str, bool, str]:
         F = sc[0].F
         gib = float(np.max(np.abs(meanfield.gibbs_expectations(F, p) - 2.0 * F)))
     tc = meanfield.critical_temperature(p)
-    tc_ref = 0.25 / math.atanh(0.5)
+    tc_res = abs(2.0 * p.eps - p.lam * math.tanh(p.eps / tc))  # T_c's defining equation, not its closed form
     warm = meanfield.solve_gap_equation(meanfield.BCSParams(eps=0.25, lam=1.0, T=0.6))
     no_branch = all(s.kind == "normal" for s in warm)
-    ok = bool(sc) and res < 1e-10 and gib < 1e-10 and abs(tc - tc_ref) < 1e-6 and no_branch
+    ok = bool(sc) and res < 1e-10 and gib < 1e-10 and tc_res < 1e-12 and no_branch
     return "BCS gap self-consistency", ok, f"residual {res:.2e}, gibbs dev {gib:.2e}, T_c = {tc:.7f}"
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chainlab import acceptance, detector, specfun, xychain
+from chainlab.cli import main
 
 _NUMBERS = range(1, len(acceptance.CRITERIA) + 1)
 
@@ -18,6 +19,20 @@ def test_criterion(number):
     # a Python bool, as json.dumps needs: a numpy bool it rejects
     assert type(result.passed) is bool
     assert result.passed, f"criterion {number}: {result.name} -- {result.detail}"
+
+
+@pytest.mark.parametrize("stub, code, verdict", [(False, 0, "all criteria passed"), (True, 2, "FAILURES present")],
+                         ids=["passing", "failing"])
+def test_verify_command_prints_each_criterion_and_the_verdict(monkeypatch, capsys, stub, code, verdict):
+    if stub:
+        criteria = list(acceptance.CRITERIA)
+        criteria[11] = lambda shared: ("stubbed", False, "fails")
+        monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    assert main(["verify", "--only", "4,12,16"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    status = "FAIL" if stub else "PASS"
+    assert [line[:17] for line in lines[:3]] == ["criterion 04 PASS", f"criterion 12 {status}", "criterion 16 PASS"]
+    assert lines[3:] == [f"acceptance: {verdict}"]
 
 
 def test_bessel_criteria_catch_a_stretched_table(monkeypatch):

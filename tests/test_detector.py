@@ -227,25 +227,6 @@ def test_occupations_at_builds_one_bessel_table(calls):
     assert len(tables) == 1
 
 
-def test_occupations_at_rejects_times_outside_the_run(short_run):
-    with pytest.raises(DomainError):
-        short_run.occupations_at(np.array([1.0, 41.0]))
-    with pytest.raises(DomainError):
-        short_run.occupations_at(-1.0)
-
-
-def test_occupations_at_refuses_empty_times(short_run):
-    # numpy's reduction over no times once raised a raw ValueError
-    with pytest.raises(DomainError):
-        short_run.occupations_at([])
-
-
-def test_p0_series_refuses_empty_times(short_run):
-    # the largest requested step of no times once raised a raw IndexError
-    with pytest.raises(DomainError):
-        short_run.p0_series(np.zeros((0, 3)))
-
-
 _OCC_RUN = DetectorRun(DetectorConfig(T=10.0))
 
 
@@ -321,6 +302,30 @@ def test_p0_series_at_times_matches_the_whole_grid(short_run):
     assert np.max(np.abs(rows - whole[np.rint(times / 0.02).astype(int)])) <= 1e-15
     assert np.shape(short_run.p0_series(12.5)) == ()
     assert short_run.p0_series([5.0, 12.5]).shape == (2,)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda run: DetectorConfig(gamma=0.5, psi=run.cfg.psi, T=0.001),  # psi: the width-1 Gaussian
+        lambda run: DetectorConfig(gamma=0.5, psi=run.cfg.psi, dt=-0.01),
+        lambda run: DetectorConfig(gamma=-0.5, psi=run.cfg.psi, T=5.0),
+        # a negative gamma once made ||gamma g||_1 negative and slipped past the weak-coupling gate
+        lambda run: povm_matrix([gaussian_packet(default_grid(), w) for w in (0.8, 1.5)], -5.0, T=5.0),
+        lambda run: povm_matrix([gaussian_packet(default_grid(), 0.8)], 0.0, T=-5.0),  # before the gamma = 0 shortcut
+        lambda run: run.occupations_at(np.array([1.0, 41.0])),
+        lambda run: run.occupations_at(-1.0),
+        lambda run: run.occupations_at([]),  # numpy's reduction over no times once raised a raw ValueError
+        lambda run: run.p0_series(np.zeros((0, 3))),  # the largest step of no times once raised a raw IndexError
+    ],
+    ids=["config-T-below-a-step", "config-dt-negative", "config-gamma-negative", "povm-gamma-negative",
+         "povm-T-negative-at-zero-gamma", "occupations-past-T", "occupations-negative-time",
+         "occupations-no-times", "p0-no-times"],
+)
+def test_refused_input(short_run, call):
+    # a configuration error: exit 1 from the command line
+    with pytest.raises(DomainError):
+        call(short_run)
 
 
 def test_p0_series_refuses_times_outside_the_run_before_allocating(short_run):
@@ -416,12 +421,6 @@ def test_povm_vanishes_without_coupling():
     assert np.max(np.abs(ev)) == 0.0
 
 
-def test_config_rejects_T_shorter_than_a_step():
-    packet = gaussian_packet(default_grid(), 1.0)
-    with pytest.raises(ValueError):
-        DetectorConfig(gamma=0.5, psi=packet, T=0.001)
-
-
 def test_oversized_run_is_refused_before_allocation():
     # T = 1e5 needs 12.7e6 fine momenta; dt = 1e-5 at T = 200 needs 2e7 times, a 2^27-point NUFFT
     # grid and solver transforms: either free pass would hold gigabytes, above 2**28 bytes
@@ -490,26 +489,3 @@ def test_memory_gates_count_what_each_call_holds(gate_covers, kw, call):
     run.solution  # solved and cached before the call, as in verify
     run.f
     gate_covers(lambda: call(run))
-
-
-def test_config_rejects_negative_gamma():
-    packet = gaussian_packet(default_grid(), 1.0)
-    with pytest.raises(DomainError):
-        DetectorConfig(gamma=-0.5, psi=packet, T=5.0)
-
-
-def test_povm_matrix_rejects_negative_gamma():
-    # a negative gamma once made ||gamma g||_1 negative and slipped past the weak-coupling gate
-    g = default_grid()
-    with pytest.raises(DomainError):
-        povm_matrix([gaussian_packet(g, 0.8), gaussian_packet(g, 1.5)], -5.0, T=5.0)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        DetectorConfig(gamma=0.5, psi=gaussian_packet(default_grid(), 1.0), dt=-0.01)
-
-
-def test_povm_matrix_validates_before_the_zero_coupling_shortcut():
-    with pytest.raises(DomainError):
-        povm_matrix([gaussian_packet(default_grid(), 0.8)], 0.0, T=-5.0)

@@ -94,3 +94,19 @@ def test_traced_peaks_go_through_the_harness():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "start"
               and isinstance(node.func.value, ast.Name) and node.func.value.id == "tracemalloc"]
     assert starts == []
+
+
+def test_cli_refusals_go_through_the_contract():
+    # test_cli's _refused checks a refusal's exit code, stderr prefix, missing traceback and empty --out;
+    # every other call of main there asserts exit 0
+    def main_calls(root):
+        return {node for node in ast.walk(root)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "main"}
+
+    tree = ast.parse((Path(__file__).parent / "test_cli.py").read_text())
+    (refused,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_refused"]
+    successes = {node.left for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                 and [type(op) for op in node.ops] == [ast.Eq] and isinstance(node.comparators[0], ast.Constant)
+                 and node.comparators[0].value == 0}
+    assert main_calls(refused)
+    assert sorted(node.lineno for node in main_calls(tree) - main_calls(refused) - successes) == []
