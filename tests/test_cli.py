@@ -152,12 +152,6 @@ REFUSED = [
     ("verify-criterion-0", "verify --only 16,0", 1),
     ("verify-no-criteria", "verify --only=", 1),
     ("verify-out", "verify --out .", 1),  # verify writes no files
-    ("orbit-lam-nan", "orbit --lam nan --steps 3", 1),
-    ("orbit-re0-nan", "orbit --re0 nan --steps 3", 1),
-    ("orbit-t-inf", "orbit --t inf --steps 3", 1),
-    ("xy-kappa-nan", "xy --kappa nan --steps 3", 1),
-    ("radiate-v-nan", "radiate --v nan --steps 3", 1),
-    ("domino-t-nan", "domino --t 0..nan --steps 3", 1),
     ("detector-gamma-nan", "detector --gamma nan --T 5", 1),
     ("detector-gamma-inf", "detector --gamma inf --T 5", 1),
     ("detector-gamma-negative", "detector --gamma -0.5 --T 5", 1),
@@ -166,37 +160,82 @@ REFUSED = [
     ("detector-dt-negative", "detector --dt -0.02", 1),
     ("detector-steps-zero", "detector --steps 0", 1),
     ("detector-steps-negative", "detector --steps -3", 1),
-    # the free pass would hold gigabytes, or T / dt is no finite step count: refused before the
-    # time grid is allocated
-    ("detector-long", "detector --T 1e5", 1),
-    ("detector-fine-step", "detector --dt 1e-5", 1),
-    ("detector-overflowing-step-count", "detector --T 1e300 --dt 1e-300", 1),
     ("orbit-lam-zero", "orbit --lam 0", 1),
     ("orbit-a-zero", "orbit --a 0", 1),
     ("xy-kappa-zero", "xy --kappa 0", 1, None, "kappa must be nonzero"),
-    ("radiate-N-zero", "radiate --N 0 --steps 3", 1),
-    ("radiate-M-one", "radiate --M 1 --steps 3", 1),
-    ("meanfield-eps-negative", "meanfield --eps -1 --steps 3", 1),
-    ("meanfield-lambda-negative", "meanfield --lambda -1 --steps 3", 1),
-    ("meanfield-T-from-zero", "meanfield --T 0..0.5 --steps 3", 1),
     ("domino-j-from-zero", "domino --j 0..2", 1),
     ("domino-j-non-integer", "domino --j 1.5..3", 1, None, "must be integer"),
-    ("domino-j-empty", "domino --j 3..2 --steps 3", 1),
-    ("xy-j-empty", "xy --j 1..0 --steps 3", 1),
-    ("radiate-v-overflow", "radiate --v 1e200", 2),  # v**2 overflows in default_params
-    ("orbit-lam-underflow", "orbit --lam 1e-200", 2),  # lam**2 underflows to 0, then divides
-    ("orbit-re0-overflow", "orbit --re0 1e200", 2),  # abs(z)**2 overflows
     # at T = 0.03 the time and spectral w routes differ by about 1e-4
     ("detector-route-gap", "detector --T 0.03", 2),
     ("detector-strong-coupling", "detector --gamma 2 --T 5", 2, None, "||gamma g||_1 = 2.621 >= 2"),
 ]
 
 
-@pytest.mark.parametrize("row", REFUSED, ids=[row[0] for row in REFUSED])
-def test_refused(tmp_path, monkeypatch, row):
+# More refused command lines in the same row format, one table per test below.
+NONFINITE = [
+    ("orbit-lam", "orbit --lam nan --steps 3", 1),
+    ("orbit-re0", "orbit --re0 nan --steps 3", 1),
+    ("xy-kappa", "xy --kappa nan --steps 3", 1),
+    ("radiate-v", "radiate --v nan --steps 3", 1),
+    ("domino-t", "domino --t 0..nan --steps 3", 1),
+    ("orbit-t", "orbit --t inf --steps 3", 1),
+]
+OUT_OF_DOMAIN = [
+    ("radiate-N", "radiate --N 0 --steps 3", 1),
+    ("radiate-M", "radiate --M 1 --steps 3", 1),
+    ("meanfield-eps", "meanfield --eps -1 --steps 3", 1),
+    ("meanfield-lambda", "meanfield --lambda -1 --steps 3", 1),
+    ("meanfield-T", "meanfield --T 0..0.5 --steps 3", 1),
+    ("domino-empty-j", "domino --j 3..2 --steps 3", 1),
+    ("xy-empty-j", "xy --j 1..0 --steps 3", 1),
+]
+# the free pass would hold gigabytes, or T / dt is no finite step count: refused before the time grid
+# is allocated
+OVERSIZED_DETECTOR = [
+    ("long", "detector --T 1e5", 1),
+    ("fine-step", "detector --dt 1e-5", 1),
+    ("overflowing-step-count", "detector --T 1e300 --dt 1e-300", 1),
+]
+ARITHMETIC = [
+    ("radiate-v", "radiate --v 1e200", 2),  # v**2 overflows in default_params
+    ("orbit-lam", "orbit --lam 1e-200", 2),  # lam**2 underflows to 0, then divides
+    ("orbit-re0", "orbit --re0 1e200", 2),  # abs(z)**2 overflows
+]
+
+
+def _rows(table):
+    return pytest.mark.parametrize("command, contract", [(r[1], r[2:]) for r in table], ids=[r[0] for r in table])
+
+
+@pytest.fixture
+def refuse(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the default --out
-    _, command, *contract = row
-    _refused(command.split(), *contract)
+    return lambda command, contract: _refused(command.split(), *contract)
+
+
+@_rows(REFUSED)
+def test_refused(refuse, command, contract):
+    refuse(command, contract)
+
+
+@_rows(NONFINITE)
+def test_nonfinite_inputs_are_exit_code_one(refuse, command, contract):
+    refuse(command, contract)
+
+
+@_rows(OUT_OF_DOMAIN)
+def test_out_of_domain_inputs_are_exit_code_one(refuse, command, contract):
+    refuse(command, contract)
+
+
+@_rows(OVERSIZED_DETECTOR)
+def test_oversized_detector_run_is_exit_code_one(refuse, command, contract):
+    refuse(command, contract)
+
+
+@_rows(ARITHMETIC)
+def test_arithmetic_error_is_exit_code_two_without_a_file(refuse, command, contract):
+    refuse(command, contract)
 
 
 @pytest.mark.parametrize("command", ["domino", "xy", "detector", "radiate", "meanfield", "orbit"])
