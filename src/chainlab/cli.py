@@ -314,6 +314,6 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical invariant violated: {exc}", file=sys.stderr)
+        print(f"numerical invariant violated: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

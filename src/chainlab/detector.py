@@ -458,11 +458,7 @@ def povm_matrix(psis: list, gamma: float, T: float):
     """
     if len(psis) < 1:
         raise ValueError("need at least one packet")
-    k = len(psis)
-    cfg = DetectorConfig(gamma=gamma, psi=psis[0], T=T)
-    if gamma == 0.0:
-        return np.zeros((k, k)), np.zeros(k)
-    run = DetectorRun(cfg)
+    run = DetectorRun(DetectorConfig(gamma=gamma, psi=psis[0], T=T))
     run.check_weak_coupling()
     W = run.response_form(run.solve_fourier(run.free_series_multi(psis)))
     S = np.array([[overlap(a, b) for b in psis] for a in psis])

@@ -254,33 +254,29 @@ def resolvent_check(chain: RadiatingChain, xi: complex) -> tuple[complex, comple
 
 
 def resolvent_equation_residual(chain: RadiatingChain, xi: complex) -> float:
-    """Operator-norm residual of R_H = R_H0 (I - V R_H).
+    """Operator-norm residual of the second resolvent equation R_H = R_H0 (I - V R_H).
 
-    H0 is the uncoupled chain-plus-modes block diagonal, V the chain-end
-    coupling; xi must avoid both spectra.
+    H0 and V come from the model, not from H: H0 is the island Hamiltonian
+    plus the mode energies -eps0 + lambda_k, V couples the last chain state
+    to mode k with c_k = v^2 g_k.  So the residual stays at rounding only if
+    chain.hamiltonian is H0 + V.  xi must avoid the spectra of H and H0.
     """
-    N = chain.params.N
+    p = chain.params
+    N = p.N
     dim = N + chain.energies.size
-    # traced, the solves and products peak at five complex (dim, dim) arrays besides H; counted as six
-    check_held(6 * 16 * dim * dim, f"resolvent equation at dimension {dim}")
-    H = chain.hamiltonian.mat
-    I = np.eye(dim)
-    # one complex matrix holds H - xi I, then H0 - xi I (its coupling blocks zeroed), for the two
-    # solves; each factor is freed after its last use, so fewer (dim, dim) arrays exist at once
-    A = H.astype(complex)
-    A.flat[:: dim + 1] -= xi
-    RH = np.linalg.solve(A, I)
-    A[:N, N:] = 0.0
-    A[N:, :N] = 0.0
-    RH0 = np.linalg.solve(A, I)
+    # traced, the solve (H - xi, the identity and R_H) and the forming of X (R_H, X and the outer
+    # product) each peak a little over three complex (dim, dim) arrays besides H; counted as four
+    check_held(4 * 16 * dim * dim, f"resolvent equation at dimension {dim}")
+    A = chain.hamiltonian.mat - xi * np.eye(dim)
+    RH = np.linalg.solve(A, np.eye(dim, dtype=complex))
     del A
-    V = np.zeros_like(H)
-    V[:N, N:] = H[:N, N:]
-    V[N:, :N] = H[N:, :N]
-    X = V @ RH
-    np.subtract(I, X, out=X)
-    del V, I
-    Y = RH0 @ X
-    del RH0, X
-    np.subtract(RH, Y, out=Y)
-    return float(np.linalg.norm(Y, 2))
+    # X = I - V R_H: row N - 1 of V R_H is c R_H[N:], row N + k is c_k R_H[N - 1], the others are zero
+    c = p.v**2 * chain.couplings
+    X = np.eye(dim, dtype=complex)
+    X[N - 1] -= c @ RH[N:]
+    X[N:] -= np.outer(c, RH[N - 1])
+    # R_H0 X: the chain rows by one N x N solve, the mode rows divided by -eps0 + lambda_k - xi
+    X[:N] = np.linalg.solve(build_island_hamiltonian(N).mat - xi * np.eye(N), X[:N])
+    X[N:] /= (-p.eps0 + chain.energies - xi)[:, None]
+    np.subtract(RH, X, out=X)
+    return float(np.linalg.norm(X, 2))

@@ -196,10 +196,11 @@ OVERSIZED_DETECTOR = [
     ("fine-step", "detector --dt 1e-5", 1),
     ("overflowing-step-count", "detector --T 1e300 --dt 1e-300", 1),
 ]
+# the stderr line names the subcommand and the exception class after the prefix
 ARITHMETIC = [
-    ("radiate-v", "radiate --v 1e200", 2),  # v**2 overflows in default_params
-    ("orbit-lam", "orbit --lam 1e-200", 2),  # lam**2 underflows to 0, then divides
-    ("orbit-re0", "orbit --re0 1e200", 2),  # abs(z)**2 overflows
+    ("radiate-v", "radiate --v 1e200", 2, None, ": radiate: OverflowError: "),  # v**2 overflows in default_params
+    ("orbit-lam", "orbit --lam 1e-200", 2, None, ": orbit: ZeroDivisionError: "),  # lam**2 underflows, then divides
+    ("orbit-re0", "orbit --re0 1e200", 2, None, ": orbit: OverflowError: "),  # abs(z)**2 overflows
 ]
 
 
@@ -303,4 +304,5 @@ def test_nonfinite_result_is_exit_code_two_without_a_file(tmp_path, monkeypatch)
         return p
 
     monkeypatch.setattr(qdomino, "flip_probability", flip_with_nan)
-    _refused(["domino", "--j", "2..3", "--t", "0..5", "--steps", "11", "--out", str(tmp_path)], 2)
+    _refused(["domino", "--j", "2..3", "--t", "0..5", "--steps", "11", "--out", str(tmp_path)], 2,
+             match=": domino: ValueError: non-finite flip_j3 in domino_flip.csv")

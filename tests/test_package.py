@@ -15,6 +15,7 @@ ORACLES = {
     "detector.semicircle_kernel",
     "packets.ghat_radial",
     "meanfield.berezin_bracket",
+    "meanfield.gibbs_expectations",
     "qdomino.green_infinite",
     "xychain.evolution_coefficient",
     "xychain.recurrence_coefficients",
@@ -32,10 +33,10 @@ def _trees():
     return {path.name: ast.parse(path.read_text()) for path in Path(chainlab.__file__).parent.glob("*.py")}
 
 
-def _library_uses():
-    # a use in the package's code counts: a name or an attribute, not a docstring, a comment or an __all__ string
+def _uses(trees):
+    # a use in code counts: a name or an attribute, not a docstring, a comment or an __all__ string
     used = set()
-    for tree in _trees().values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -49,15 +50,22 @@ def test_every_exported_name_resolves():
 
 
 def test_every_exported_name_has_a_library_caller_or_is_an_oracle():
-    used = _library_uses()
+    used = _uses(_trees().values())
     exported = {f"{m.__name__.removeprefix('chainlab.')}.{name}": name
                 for m in _modules() for name in getattr(m, "__all__", ())}
     assert sorted(key for key, name in exported.items() if name not in used) == sorted(ORACLES)
 
 
+def test_every_oracle_is_used_by_a_test():
+    # an oracle has no library caller, so a test is its only use; it goes with its last test
+    tests = Path(__file__).parent
+    used = _uses(ast.parse(path.read_text()) for path in tests.glob("test_*.py"))
+    assert sorted(key for key in ORACLES if key.rpartition(".")[2] not in used) == []
+
+
 def test_every_public_method_and_property_has_a_library_caller():
     # an override of a base-class method (argparse's error) is called by the base class
-    used = _library_uses()
+    used = _uses(_trees().values())
     members = {f"{m.__name__.removeprefix('chainlab.')}.{cls.__name__}.{name}": name
                for m in _modules() for cls in vars(m).values()
                if isinstance(cls, type) and cls.__module__ == m.__name__
