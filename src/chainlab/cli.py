@@ -95,8 +95,12 @@ def _config_flags(path: str) -> list[str]:
     p = Path(path)
     if not p.is_file():
         raise DomainError(f"config file {path} not found")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"config file {path} is not UTF-8 text: {exc}") from exc
     flags = []
-    for line in p.read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -8,7 +8,6 @@ forms for both trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import pi
 
 import numpy as np
@@ -16,8 +15,6 @@ import numpy as np
 from . import DomainError
 
 __all__ = [
-    "SmearingPacket",
-    "gaussian_packet",
     "smeared_potential",
     "renormalization_f",
     "quantum_trajectory",
@@ -25,33 +22,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SmearingPacket:
-    """1d packet |phi(q)|^2 sampled on a uniform grid, trapezoid-normalized."""
+def smeared_potential(V, width: float, q):
+    """V_phi(q) = int |phi(q')|^2 V(q + q') dq' for the Gaussian |phi|^2 of standard deviation `width`.
 
-    grid: np.ndarray
-    density: np.ndarray
-
-    def __post_init__(self):
-        w = np.trapezoid(self.density, self.grid)
-        if abs(w - 1.0) > 1e-10:
-            raise ValueError("packet density must be normalized")
-        if np.any(self.density < 0):
-            raise ValueError("packet density must be nonnegative")
-
-
-def gaussian_packet(width: float) -> SmearingPacket:
-    """Normalized Gaussian |phi|^2 of standard deviation `width`, on 2001 points over +-10 widths."""
-    q = np.linspace(-10.0 * width, 10.0 * width, 2001)
-    d = np.exp(-0.5 * (q / width) ** 2) / (width * np.sqrt(2.0 * pi))
-    d /= np.trapezoid(d, q)
-    return SmearingPacket(q, d)
-
-
-def smeared_potential(V, packet: SmearingPacket, q):
-    """V_phi(q) = int |phi(q')|^2 V(q + q') dq' by trapezoid quadrature; scalar or array q, vectorized V."""
+    |phi|^2 is sampled on 2001 points over +-10 widths and trapezoid-normalized;
+    the integral is the trapezoid rule on that grid.  Scalar or array q, vectorized V.
+    """
+    if not 0.0 < width < np.inf:
+        raise DomainError(f"packet width {width!r} must be positive and finite")
+    grid = np.linspace(-10.0 * width, 10.0 * width, 2001)
+    density = np.exp(-0.5 * (grid / width) ** 2) / (width * np.sqrt(2.0 * pi))
+    density /= np.trapezoid(density, grid)
     q = np.asarray(q, dtype=float)
-    return np.trapezoid(packet.density * V(np.add.outer(q, packet.grid)), packet.grid)
+    return np.trapezoid(density * V(np.add.outer(q, grid)), grid)
 
 
 def renormalization_f(z: complex, lam: float, a: float) -> float:

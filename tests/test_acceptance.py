@@ -47,6 +47,14 @@ def test_bessel_criteria_catch_a_stretched_table(monkeypatch):
     assert [r.passed for r in results] == [False, False], [r.line for r in results]
 
 
+def test_site_sums_catch_a_shifted_site(monkeypatch):
+    # occupation reading site j + 1 still tends to 1/2 at large t; the direct site sums see the slip
+    occupation = xychain.occupation
+    monkeypatch.setattr(xychain, "occupation", lambda j, t, kappa: occupation(np.add(j, 1), t, kappa))
+    (result,) = acceptance.run_all([5])
+    assert not result.passed, result.line
+
+
 @pytest.mark.parametrize("pair", [(7, 8), (10, 11)], ids=["detector_run", "radiating_chain"])
 def test_shared_inputs_give_the_lines_of_each_criterion_alone(pair):
     alone = [acceptance.run_all([i])[0].line for i in pair]

@@ -113,14 +113,14 @@ def _refused(argv, code, config=None, match=""):
     """main(argv) returns code, its stderr line has the code's prefix, holds match and no traceback,
     and --out holds no file.
 
-    config is the text of a file passed as --config after the subcommand; without --out the output
-    directory is the working directory.  Returns the stderr text.
+    config is the text (or the bytes) of a file passed as --config after the subcommand; without --out
+    the output directory is the working directory.  Returns the stderr text.
     """
     out = Path(argv[argv.index("--out") + 1] if "--out" in argv else ".")
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err):
         if config is not None:
-            (Path(d) / "run.cfg").write_text(config)
+            (Path(d) / "run.cfg").write_bytes(config if isinstance(config, bytes) else config.encode())
             argv = [argv[0], "--config", str(Path(d) / "run.cfg"), *argv[1:]]
         returned = main(argv)
     text = err.getvalue()
@@ -148,6 +148,7 @@ REFUSED = [
     ("config-key-config", "domino", 1, "config = other.cfg\nsteps = 3\n"),
     ("config-key-conf", "domino", 1, "conf = other.cfg\nsteps = 3\n"),
     ("config-nonfinite-lam", "orbit --steps 3", 1, "lam = nan\n"),
+    ("config-not-utf8", "domino", 1, b"steps = 3\n\xff\n", "UTF-8"),
     ("verify-criterion-99", "verify --only 99", 1),
     ("verify-criterion-0", "verify --only 16,0", 1),
     ("verify-no-criteria", "verify --only=", 1),

@@ -49,6 +49,15 @@ def test_every_exported_name_resolves():
     assert [(m.__name__, name) for m in _modules() for name in getattr(m, "__all__", ()) if not hasattr(m, name)] == []
 
 
+def test_no_public_name_is_exported_by_two_modules():
+    # one name, one implementation: a caller never has to ask which module's version it got
+    owners = {}
+    for m in _modules():
+        for name in getattr(m, "__all__", ()):
+            owners.setdefault(name, []).append(m.__name__)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+
+
 def test_every_exported_name_has_a_library_caller_or_is_an_oracle():
     used = _uses(_trees().values())
     exported = {f"{m.__name__.removeprefix('chainlab.')}.{name}": name

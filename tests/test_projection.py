@@ -6,28 +6,30 @@ import pytest
 from chainlab import DomainError
 from chainlab.projection import (
     classical_trajectory,
-    gaussian_packet,
     quantum_trajectory,
     renormalization_f,
     smeared_potential,
 )
 
 
-def test_packet_density_normalized():
-    pk = gaussian_packet(0.3)
-    assert np.trapezoid(pk.density, pk.grid) == pytest.approx(1.0, abs=1e-10)
+def test_smeared_cosine_matches_its_closed_form():
+    # a normalized Gaussian of standard deviation w smears cos q to exp(-w^2 / 2) cos q
+    q = np.array([0.0, 0.7, 2.1, -3.0])
+    for width in (0.1, 0.3, 1.0):
+        assert np.max(np.abs(smeared_potential(np.cos, width, q) - np.exp(-0.5 * width**2) * np.cos(q))) < 1e-13
 
 
 def test_packet_width_validation():
-    with pytest.raises(ValueError):
-        gaussian_packet(-0.1)
+    # width 0 or NaN would give a NaN density, and an infinite width a NaN grid
+    for width in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            smeared_potential(np.cos, width, 0.0)
 
 
 def test_smeared_potential_converges_pointwise():
     errs = []
     for width in (0.3, 0.1, 1e-2):
-        pk = gaussian_packet(width)
-        errs.append(max(abs(smeared_potential(np.cos, pk, q) - math.cos(q)) for q in (0.0, 0.7, 2.1)))
+        errs.append(max(abs(smeared_potential(np.cos, width, q) - math.cos(q)) for q in (0.0, 0.7, 2.1)))
     assert errs[2] < 1e-3
     assert errs[0] > errs[1] > errs[2]
 

@@ -57,7 +57,6 @@ def test_bessel_parity(n, x):
     assert bessel_j(n, -x0) == sign * ref
 
 
-_SMEARING = projection.gaussian_packet(0.1)
 _FLIP_FLOP = dense_oracle.Propagator(dense_oracle.build_flip_flop_hamiltonian(4))
 # a Hermitian and a non-Hermitian observable, for the real and the complex form
 _OBSERVABLES = (dense_oracle.site_number_op(4, 1), dense_oracle.DenseOperator(dense_oracle.spin_ops(4, 1)[0]))
@@ -81,7 +80,7 @@ def test_array_times_match_scalar_calls(n, m, order, t):
     assert agrees(lambda s: flip_residual(abs(order) + 1, s))
     assert agrees(lambda s: flip_probability(abs(order) + 1, s))
     assert agrees(lambda s: occupation(order, s, 0.7))
-    assert agrees(lambda q: projection.smeared_potential(np.cos, _SMEARING, q))
+    assert agrees(lambda q: projection.smeared_potential(np.cos, 0.1, q))
     psi_t = _FLIP_FLOP.apply(dense_oracle.basis_state([1, 1, 0, 0]), t)
     for A in _OBSERVABLES:
         stack = dense_oracle.expectation(psi_t, A)
