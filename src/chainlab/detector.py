@@ -14,7 +14,10 @@ probabilities, the detection probability w, and the detector's response
 operator W_gamma, a positive nonprojection POVM element.
 
 All three solvers discretize the same trapezoid convolution operator, so
-their disagreement measures solver error, not discretization error.
+their disagreement measures solver error, not discretization error.  The
+quadratic forms of the Toeplitz kernels (f for w and W_gamma, g for the
+occupations) are taken in the Fourier basis of the kernel's circulant
+embedding, where they are diagonal: one FFT per column and no inverse.
 Transform convention: (1/sqrt(2 pi)) int e^{-i t u} h(t) dt, so a
 convolution transforms into sqrt(2 pi) times the product.
 """
@@ -101,17 +104,17 @@ _OVERSAMPLE = 4.0
 _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
 # a run's gates pass to check_held what a free pass holds (_check_free_pass), what occupations_at
-# holds (its f_m table and one column block's V_b, W V_b and (L, _OCC_BLOCK) transform) and what a
-# p0_series chunk holds
+# holds (its f_m table, and the table's build or one column block's V_b, W V_b and transforms) and
+# what a p0_series chunk holds
 _P0_CHUNK = 48
 # complex (requested times) x _P0_CHUNK arrays a p0_series chunk holds at once: the running sums,
 # the requested phases, C_p, Z_p and expression temporaries (6.1 at the peak under tracemalloc)
 _P0_HELD = 7
 # chain sites per column block of occupations_at's Toeplitz transforms.  occupations_at(60.0) on a
-# T = 60 run (m_max = 200, 8192-point transforms) peaks under tracemalloc at 9.9 MB for 2, 4 and 8
-# columns, where building the real f_m table sets the peak, and at 11.5 and 18.0 MB for 16 and 32
-# columns (50.4 MB as one block); best of 3 takes 0.07-0.09 s at every width (one BLAS thread,
-# 2-core Xeon VM)
+# T = 60 run (m_max = 200, 8192-point transforms) peaks under tracemalloc at 9.7 MB for 2, 4 and 8
+# columns, where building the real f_m table sets the peak, and at 10.6, 16.4 and 27.8 MB for 16,
+# 32 and 64 columns; best of 3 takes 0.043 s at 4 and 8 columns, 0.063 s at 2 and 0.045-0.049 s
+# at 16-64 (one BLAS thread, 2-core Xeon VM)
 _OCC_BLOCK = 8
 # largest accepted gap between the time-domain and spectral w routes
 W_ROUTE_TOL = 1e-6
@@ -165,26 +168,21 @@ def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     return c
 
 
-def _toeplitz_blocks(h: np.ndarray, blocks, dt: float, size: int):
-    """Yield (W X_b, T_h W X_b) for each (size, width) column block X_b of `blocks`, with T_h[i, j] = h(t_i - t_j).
+def _toeplitz_spectra(h: np.ndarray, blocks, dt: float, size: int):
+    """Yield (lam, A_b) for each (size, width) column block X_b of `blocks`, with T_h[i, j] = h(t_i - t_j).
 
-    conj(W X)^T T_h W X is the trapezoid double integral of
-    conj(x_i(t)) h(t - s) x_j(s) over the grid's square, with
-    h(-t) = conj(h(t)); W holds the trapezoid weights.  A circular
-    convolution of length >= 2 size gives T_h W X_b exactly; it is
-    transformed in place, so a block holds one (L, width) array besides
-    W X_b, and h's transform is taken once for all blocks.  `blocks` may
-    be a generator, so that only one block of X exists at a time.
+    conj(W X)^T T_h W X is the trapezoid double integral of conj(x_i(t)) h(t - s) x_j(s) over the
+    grid's square, with h(-t) = conj(h(t)); W holds the trapezoid weights.  T_h is the leading
+    block of the Hermitian circulant of `_two_sided` h at length L >= 2 size, which the length-L
+    DFT diagonalizes with the real spectrum lam (here divided by L), so with A_b the length-L FFT
+    of the zero-padded W X_b the form is conj(A_b)^T diag(lam) A_b.  lam is taken once for all
+    blocks; `blocks` may be a generator, so that only one block of X exists at a time.
     """
     L = _conv_length(size)
     w = _trapezoid_weights(size, dt)[:, None]
-    h_hat = np.fft.fft(_two_sided(h[:size], L))[:, None]
+    lam = np.fft.fft(_two_sided(h[:size], L)).real / L
     for X in blocks:
-        WX = w * X
-        Y = np.fft.fft(WX, L, axis=0)
-        Y *= h_hat
-        np.fft.ifft(Y, axis=0, out=Y)
-        yield WX, Y[:size]
+        yield lam, np.fft.fft(w * X, L, axis=0)
 
 
 def _chain_order_cut(t: float) -> int:
@@ -331,11 +329,11 @@ class DetectorRun:
 
         Its diagonal is the detection probability of each column.
         """
-        ((WF, Y),) = _toeplitz_blocks(self.f, [Fs], self.cfg.dt, Fs.shape[0])
-        return self.cfg.gamma**2 * (np.conj(WF, out=WF).T @ Y)
+        ((lam, A),) = _toeplitz_spectra(self.f, [Fs], self.cfg.dt, Fs.shape[0])
+        return self.cfg.gamma**2 * (np.conj(A).T @ (lam[:, None] * A))
 
     def detection_w(self) -> float:
-        """w = gamma^2 (F_+, F_+ * f), time-domain route."""
+        """w = gamma^2 (F_+, F_+ * f), time-domain route: the trapezoid double integral over [0, T]^2."""
         return float(self.response_form(self.solution[:, None])[0, 0].real)
 
     def detection_w_spectral(self) -> float:
@@ -371,18 +369,21 @@ class DetectorRun:
         occupation of site m is the diagonal entry conj(V_m)^T W T_g W V_m,
         so the unit factor (-i)^(m-1) on V_m cancels.  The chain sites are
         taken _OCC_BLOCK columns V_b = (F f_m) at a time from a slice of
-        that table, and each block gives only its diagonal.
+        that table; `_toeplitz_spectra` transforms each block once, and its
+        diagonal is the spectrum of g weighted by |FFT(W V_b)|^2 per column.
         """
         times = np.asarray(times, dtype=float)
         steps = self._steps(times)
         m_max = _chain_order_cut(float(np.max(times)))
         size = int(steps.max()) + 1
-        # the real f_m table and the trapezoid weights; per block of _OCC_BLOCK columns, V_b, W V_b
-        # and the (L, b) transform for this block and the last (the consumer still holds it) and
-        # fft's zero-padded copy, with h's transform and its two-sided layout.  bessel_table's own
-        # gate counts the table's build before it allocates
+        # the real f_m table, and beside it the larger of what its build holds (bessel_table's rows
+        # while bessel_ratio_table forms the ratios: a second table) and what a block of _OCC_BLOCK
+        # columns holds: V_b, W V_b, the (L, b) transforms of this block and the last (the consumer
+        # still holds it), and |A_b|^2, with the kernel's two-sided layout, transform and spectrum.
+        # bessel_table's own gate counts the table's build before it allocates
         L = _conv_length(size)
-        held = 8 * (m_max + 1) * size + 16 * (_OCC_BLOCK * (3 * size + 4 * L) + 2 * L)
+        table = 8 * (m_max + 1) * size
+        held = table + max(table, 16 * (_OCC_BLOCK * (2 * size + 3 * L) + 3 * L))
         check_held(held, f"occupations up to t = {np.max(times):g}")
         fm = bessel_ratio_table(m_max, self.t[:size])
         F = self.solution
@@ -392,11 +393,9 @@ class DetectorRun:
                 # (n + 1, _OCC_BLOCK) columns of V, each built when its block is transformed
                 blocks = ((fm[j : j + _OCC_BLOCK, n::-1] * F[None, : n + 1]).T for j in range(0, m_max, _OCC_BLOCK))
                 # each block's diagonal of the form, never the (m_max, m_max) form itself
-                diag = [
-                    np.einsum("ij,ij->j", np.conj(WV, out=WV), Y)
-                    for WV, Y in _toeplitz_blocks(self.g, blocks, self.cfg.dt, n + 1)
-                ]
-                occ[i] = self.cfg.gamma**2 * np.real(np.concatenate(diag))
+                spectra = _toeplitz_spectra(self.g, blocks, self.cfg.dt, n + 1)
+                diag = [lam @ (A.real**2 + A.imag**2) for lam, A in spectra]
+                occ[i] = self.cfg.gamma**2 * np.concatenate(diag)
         return occ.reshape(times.shape + (m_max,))
 
     def p0_series(self, times) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 Lie-Poisson (Berezin) brackets, the exactly solvable BCS classical flow
 and its SU(2) cocycle, Gibbs expectations, gap equation, critical
-temperature, and ground-state classification.
+temperature, and ground-state classification.  The flow is integrated by
+RK4 on Python floats; the cocycle's equation is linear, so its RK4 steps
+are 2x2 matrices, built at once and multiplied in a pairwise tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -30,9 +33,11 @@ __all__ = [
     "ground_states",
 ]
 
-# bytes one RK4 step holds in _rk4's stage arrays and their lists, cocycle_evolve's coefficient table
-# included (traced: CHANGES.md)
-_RK4_STEP_BYTES = 600
+# bytes one step holds at the traced peak, besides check_held's fixed work buffers: in _rk4 the stage
+# arrays and their lists (194-199 per step at 1000-6000 steps), in cocycle_evolve the stage times
+# and the RK4 stage matrices (574-619 per step), which the levels of its products never exceed
+_RK4_STEP_BYTES = 240
+_COCYCLE_STEP_BYTES = 640
 
 SIGMA = np.array(
     [
@@ -86,15 +91,11 @@ def bcs_flow_exact(F0, t, p: BCSParams) -> np.ndarray:
     return np.array([fp.real, fp.imag, F0[2] + 0.0 * fp.real]).T  # F3 takes the shape of t
 
 
-def _rk4(rhs, y0, t, dt: float, coef=None):
-    """Classical RK4 for dy/ds = rhs(c, y) from s = 0, sampled at the nondecreasing finite times t >= 0.
+def _step_counts(t, dt: float):
+    """The times t as an array and the step count of each interval between them, from s = 0.
 
-    The state is a list of Python floats or complex numbers, and rhs(c, y) returns a sequence of the
-    same length, so a step makes no numpy call.  Each interval between times takes round(length/dt)
-    equal steps, and at least one; an array t stacks its states on axis 0, each a row of len(y0).
-    The stage coefficient c is the stage time s, or coef(S)[k][j] when coef maps the interval's (steps, 3)
-    array S of stage times s, s + h/2, s + h in one call.  The stage arrays and lists of the longest
-    interval are counted through check_held before any is built.
+    The times must be finite, >= 0 and nondecreasing.  Each interval takes round(length/dt)
+    equal steps, and at least one when it is positive.
     """
     if not dt > 0:
         raise DomainError(f"dt = {dt} must be positive")
@@ -105,22 +106,44 @@ def _rk4(rhs, y0, t, dt: float, coef=None):
     if not np.all((lengths >= 0) & np.isfinite(steps)):  # also catches NaN and infinite times
         raise DomainError("times must be finite, >= 0 and nondecreasing, each a finite number of steps dt apart")
     # an interval shorter than dt/2 rounds to no step, but any positive interval takes one
-    counts = [max(round(q), int(d > 0)) for d, q in zip(lengths.tolist(), steps.tolist())]
-    longest = max(counts, default=0)
-    check_held(_RK4_STEP_BYTES * longest, f"RK4 interval of {longest} steps")
-    y, s0, out = list(y0), 0.0, []
+    return times, [max(round(q), int(d > 0)) for d, q in zip(lengths.tolist(), steps.tolist())]
+
+
+def _stage_times(times, counts) -> tuple[np.ndarray, np.ndarray]:
+    """The (steps, 3) stage times s, s + h/2, s + h of every step over the intervals, and each step's h."""
+    stages, hs, s0 = [np.empty((0, 3))], [np.empty(0)], 0.0
     for t1, n in zip(times.ravel().tolist(), counts):
         h = (t1 - s0) / n if n else 0.0
+        stages.append((s0 + np.arange(n) * h)[:, None] + np.array([0.0, 0.5 * h, h]))
+        hs.append(np.full(n, h))
+        s0 = t1
+    return np.concatenate(stages), np.concatenate(hs)
+
+
+def _rk4(rhs, y0, t, dt: float):
+    """Classical RK4 for dy/ds = rhs(s, y) from s = 0, sampled at the nondecreasing finite times t >= 0.
+
+    The state is a list of Python floats, and rhs(s, y) returns a sequence of the same length, so a
+    step makes no numpy call.  The steps are those of `_stage_times`; an array t stacks its states on
+    axis 0, each a row of len(y0).  The stage arrays and their lists are counted through check_held
+    before any is built.
+    """
+    times, counts = _step_counts(t, dt)
+    total = sum(counts)
+    check_held(_RK4_STEP_BYTES * total, f"RK4 integration of {total} steps")
+    stages, hs = _stage_times(times, counts)
+    y, out, rows, start = list(y0), [], stages.tolist(), 0
+    for end in np.cumsum(counts, dtype=int).tolist():
+        h = float(hs[start]) if end > start else 0.0  # one h per interval
         half, sixth = 0.5 * h, h / 6.0
-        stages = (s0 + np.arange(n) * h)[:, None] + np.array([0.0, half, h])
-        for c0, c1, c2 in (stages if coef is None else coef(stages)).tolist():
+        for c0, c1, c2 in rows[start:end]:
             k1 = rhs(c0, y)
             k2 = rhs(c1, [a + half * b for a, b in zip(y, k1)])
             k3 = rhs(c1, [a + half * b for a, b in zip(y, k2)])
             k4 = rhs(c2, [a + h * b for a, b in zip(y, k3)])
             y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         out.append(y)
-        s0 = t1
+        start = end
     return np.array(out).reshape(times.shape + (len(y0),))
 
 
@@ -129,29 +152,66 @@ def flow_rk4(F0, t, dt: float, p: BCSParams) -> np.ndarray:
     return _rk4(lambda s, F: bracket_flow_rhs(bcs_gradient(F, p), F), np.asarray(F0, dtype=float).tolist(), t, dt)
 
 
+def _mul(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """ba over stacks of 2x2 matrices, written out: a stacked matmul takes 3-5 times longer at 100-6000 of them."""
+    return b[..., :, 0, None] * a[..., None, 0, :] + b[..., :, 1, None] * a[..., None, 1, :]
+
+
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(I + b)(I + a) - I = a + b + ba over stacks of 2x2 matrices: I + a acts first, and I is never rounded."""
+    return a + b + _mul(b, a)
+
+
+def _generators(F0, stages: np.ndarray, p: BCSParams) -> np.ndarray:
+    """A = -i X(F(s)) at each stage time s, F on the exact flow through F0: shape stages.shape + (2, 2)."""
+    lamF = p.lam * bcs_flow_exact(F0, stages.ravel(), p)[:, :2]
+    A = np.empty((lamF.shape[0], 2, 2), dtype=complex)
+    A[:, 0, 0], A[:, 1, 1] = 1j * p.eps, -1j * p.eps
+    A[:, 0, 1].real, A[:, 0, 1].imag = lamF[:, 1], lamF[:, 0]
+    A[:, 1, 0].real, A[:, 1, 0].imag = -lamF[:, 1], lamF[:, 0]
+    return A.reshape(stages.shape + (2, 2))
+
+
+def _rk4_matrices(A: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """The RK4 step of dU/ds = A(s) U as the matrix I + D, for the (steps, 3, 2, 2) stage generators A: the stack D."""
+    A0, Ah, A1 = A[:, 0], A[:, 1], A[:, 2]
+    h = hs[:, None, None]
+    K2 = Ah + 0.5 * h * _mul(Ah, A0)
+    K3 = Ah + 0.5 * h * _mul(Ah, K2)
+    K4 = A1 + h * _mul(A1, K3)
+    return h / 6.0 * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
 def cocycle_evolve(F0, t, dt: float, p: BCSParams) -> np.ndarray:
     """SU(2) cocycle solving i dU/dt = X(F(t)) U, U(0) = 1, at a time or times t.
 
-    X(F) = -eps sigma3 - lam (F1 sigma1 + F2 sigma2) along the exact
-    classical flow through F0; plain RK4, whose unitarity defect stays
-    at rounding level for the step sizes used here.  The flow is taken
-    at all stage times of an interval in one `bcs_flow_exact` call.
+    X(F) = -eps sigma3 - lam (F1 sigma1 + F2 sigma2) along the exact classical flow through F0,
+    taken at every stage time in one `bcs_flow_exact` call.  The equation is linear in U, so a
+    plain RK4 step is a 2x2 matrix I + D, built for all steps at once (`_stage_times` gives the
+    stage times of `_rk4`).  U at a time is the ordered product of its steps, kept in D form
+    (`_compose`): each level of a pairwise tree holds the products of aligned blocks of 2^l steps,
+    and a time's prefix of N steps joins the blocks of the binary digits of N.  The product thus
+    depends on N alone, so a row of an array t equals the call at its time to the bit, and its
+    unitarity defect stays at rounding level for the step sizes used here.
     """
-
-    def F12(stages):
-        return bcs_flow_exact(F0, stages.ravel(), p)[:, :2].reshape(stages.shape + (2,))
-
-    eps, lam = p.eps, p.lam
-
-    def rhs(F, U):
-        # -i X U on U = (u00, u01, u10, u11), with X = [[-eps, x01], [x10, eps]] written out
-        x01 = complex(-lam * F[0], lam * F[1])
-        x10 = complex(-lam * F[0], -lam * F[1])
-        u00, u01, u10, u11 = U
-        return (-1j * (-eps * u00 + x01 * u10), -1j * (-eps * u01 + x01 * u11),
-                -1j * (x10 * u00 + eps * u10), -1j * (x10 * u01 + eps * u11))
-
-    return _rk4(rhs, [1.0 + 0j, 0j, 0j, 1.0 + 0j], t, dt, F12).reshape(np.shape(t) + (2, 2))
+    times, counts = _step_counts(t, dt)
+    total = sum(counts)
+    check_held(_COCYCLE_STEP_BYTES * total, f"cocycle of {total} RK4 steps")
+    stages, hs = _stage_times(times, counts)
+    levels = [_rk4_matrices(_generators(F0, stages, p), hs)]
+    while levels[-1].shape[0] > 1:
+        D = levels[-1]
+        m = D.shape[0] // 2 * 2
+        levels.append(_compose(D[0:m:2], D[1:m:2]))
+    out = np.zeros((len(counts), 2, 2), dtype=complex)
+    for row, n in zip(out, np.cumsum(counts, dtype=int).tolist()):
+        # the blocks of the prefix of n steps, the last and smallest first: bit b of n is the block
+        # of 2^b steps that starts after the blocks of the higher bits
+        blocks = [levels[b][(n >> b) - 1] for b in range(n.bit_length()) if n >> b & 1]
+        if blocks:
+            row[...] = reduce(lambda later, earlier: _compose(earlier, later), blocks)
+    out += np.eye(2)
+    return out.reshape(np.shape(t) + (2, 2))
 
 
 def gap_value(F, p: BCSParams) -> float:

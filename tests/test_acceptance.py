@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from chainlab import acceptance, detector, specfun, xychain
+from chainlab import acceptance, detector, projection, specfun, xychain
 from chainlab.cli import main
 
 _NUMBERS = range(1, len(acceptance.CRITERIA) + 1)
@@ -53,6 +53,15 @@ def test_site_sums_catch_a_shifted_site(monkeypatch):
     monkeypatch.setattr(xychain, "occupation", lambda j, t, kappa: occupation(np.add(j, 1), t, kappa))
     (result,) = acceptance.run_all([5])
     assert not result.passed, result.line
+
+
+def test_smearing_check_catches_a_width_slip(monkeypatch):
+    # a packet 0.1% wider smears cos q by e^(-w^2/2) with w^2 0.2% larger: a deviation of 1.0e-7
+    smeared = projection.smeared_potential
+    monkeypatch.setattr(projection, "smeared_potential", lambda V, width, q: smeared(V, 1.001 * width, q))
+    (result,) = acceptance.run_all([15])
+    assert not result.passed, result.line
+    assert "smearing dev 1.00e-07" in result.line
 
 
 @pytest.mark.parametrize("pair", [(7, 8), (10, 11)], ids=["detector_run", "radiating_chain"])

@@ -233,8 +233,9 @@ _OCC_RUN = DetectorRun(DetectorConfig(T=10.0))
 @PROPERTY
 @given(times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
 def test_occupations_at_matches_the_one_block_form(times):
-    # the column blocks' diagonals of the real table are the diagonal of the whole (m_max, m_max)
-    # Toeplitz form of the paper's complex f_m = (-i)^(m-1) m J_m(2s)/s: the unit phase cancels
+    # the diagonal of the whole (m_max, m_max) form conj(W V)^T T_g W V, with the dense (n + 1, n + 1)
+    # Toeplitz matrix T_g[i, j] = g(t_i - t_j), g(-t) = conj(g(t)), and the paper's complex
+    # f_m = (-i)^(m-1) m J_m(2s)/s in V: the unit phase cancels on the diagonal
     run, dt = _OCC_RUN, _OCC_RUN.cfg.dt
     occ = run.occupations_at(times)
     steps = np.rint(np.array(times) / dt).astype(int)
@@ -244,14 +245,17 @@ def test_occupations_at_matches_the_one_block_form(times):
         if n == 0:
             assert not row.any()
             continue
-        V = (fm[:, n::-1] * run.solution[None, : n + 1]).T
-        ((WV, Y),) = detector._toeplitz_blocks(run.g, [V], dt, n + 1)
-        form = np.conj(WV).T @ Y
+        lag = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
+        Tg = np.where(lag >= 0, run.g[np.abs(lag)], np.conj(run.g[np.abs(lag)]))
+        w = np.full(n + 1, dt)
+        w[[0, -1]] = 0.5 * dt
+        WV = w[:, None] * (fm[:, n::-1] * run.solution[None, : n + 1]).T
+        form = np.conj(WV).T @ Tg @ WV
         assert np.max(np.abs(row - run.cfg.gamma**2 * np.real(np.diagonal(form)))) <= 1e-15
 
 
 def test_occupations_at_holds_one_column_block_of_transforms(monkeypatch, held_counts):
-    # one block of V at a time beside the real 4.8 MB f_m table peaks at 9.9 MB, in the table's
+    # one block of V at a time beside the real 4.8 MB f_m table peaks at 9.7 MB, in the table's
     # Bessel build, and the gate counts within 1.25 times that peak (a count that kept the complex
     # table's terms read 15.6 MB).  The (8192, 200) transform of all chain sites at once peaked at
     # 55.7 MB, and its count of 64.6 MB refused the call under 2^25 bytes
@@ -462,11 +466,11 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     below = DetectorRun(DetectorConfig(T=859.6))
     with pytest.raises(Admitted):
         below.p0_series(below.t)
-    # the bound covers a column block besides the table: at t = 60 the real f_m table is
-    # 200 x 3001 (4.8 MB) and bessel_table counts its build at 5.24 MB, both under 5 * 2^21
-    # bytes, but with one block of V and its 8192-point transforms the call counts 10.57 MB
+    # the bound covers more than the table: at t = 60 the real f_m table is 200 x 3001 (4.8 MB)
+    # and bessel_table counts its build at 5.24 MB, both under 9 * 2^20 bytes, but with the
+    # table's build or one block of V and its 8192-point transforms the call counts 9.78 MB
     run = DetectorRun(DetectorConfig(T=60.0))
-    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 5 * 2**21)
+    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 9 * 2**20)
     specfun.bessel_ratio_table(200, run.t)
     with pytest.raises(DomainError):
         run.occupations_at(60.0)

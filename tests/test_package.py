@@ -1,6 +1,9 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from functools import cached_property
 from pathlib import Path
 from types import FunctionType
@@ -127,3 +130,26 @@ def test_cli_refusals_go_through_the_contract():
                  and node.comparators[0].value == 0}
     assert main_calls(refused)
     assert sorted(node.lineno for node in main_calls(tree) - main_calls(refused) - successes) == []
+
+
+def test_a_failing_property_test_leaves_the_session_running(tmp_path):
+    # hypothesis imports libcst to print a failing example's patch; under filterwarnings = error the
+    # import's DeprecationWarning once ended the session with INTERNALERROR, so the next test never ran
+    (tmp_path / "test_pair.py").write_text(textwrap.dedent("""
+        from hypothesis import given
+        from hypothesis import strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 10
+
+        def test_passes():
+            pass
+    """))
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+           "--rootdir", str(tmp_path), "test_pair.py"]
+    out = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "Falsifying example" in out.stdout
+    assert out.stdout.splitlines()[-1].startswith("1 failed, 1 passed"), out.stdout
