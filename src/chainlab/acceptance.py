@@ -138,7 +138,7 @@ def criterion_07(shared: Shared) -> tuple[str, bool, str]:
     l1 = run.gamma_g_l1()
     Fm = run.solve_marching()
     Fn = run.solve_neumann()
-    Ff = run.solve_fourier()
+    Ff = run.solution  # solve_fourier's F, solved once for criteria 07 and 08
     dt = run.cfg.dt
 
     def l2(x, y):

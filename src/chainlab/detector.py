@@ -104,17 +104,16 @@ _OVERSAMPLE = 4.0
 _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
 # a run's gates pass to check_held what a free pass holds (_check_free_pass), what occupations_at
-# holds (its f_m table, and the table's build or one column block's V_b, W V_b and transforms) and
-# what a p0_series chunk holds
+# holds (its f_m table and one block's V_b and transforms) and what a p0_series chunk holds
 _P0_CHUNK = 48
 # complex (requested times) x _P0_CHUNK arrays a p0_series chunk holds at once: the running sums,
 # the requested phases, C_p, Z_p and expression temporaries (6.1 at the peak under tracemalloc)
 _P0_HELD = 7
 # chain sites per column block of occupations_at's Toeplitz transforms.  occupations_at(60.0) on a
-# T = 60 run (m_max = 200, 8192-point transforms) peaks under tracemalloc at 9.7 MB for 2, 4 and 8
-# columns, where building the real f_m table sets the peak, and at 10.6, 16.4 and 27.8 MB for 16,
-# 32 and 64 columns; best of 3 takes 0.043 s at 4 and 8 columns, 0.063 s at 2 and 0.045-0.049 s
-# at 16-64 (one BLAS thread, 2-core Xeon VM)
+# T = 60 run (m_max = 200, 8192-point transforms) peaks under tracemalloc at 5.7, 6.2 and 7.4 MB
+# for 2, 4 and 8 columns and at 9.9, 14.9 and 24.8 MB for 16, 32 and 64 columns, over its 4.8 MB
+# f_m table; best of 3 takes 0.036-0.038 s at 2-8 columns and 0.042-0.044 s at 16-64 (one BLAS
+# thread, 2-core Xeon VM)
 _OCC_BLOCK = 8
 # largest accepted gap between the time-domain and spectral w routes
 W_ROUTE_TOL = 1e-6
@@ -169,20 +168,22 @@ def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _toeplitz_spectra(h: np.ndarray, blocks, dt: float, size: int):
-    """Yield (lam, A_b) for each (size, width) column block X_b of `blocks`, with T_h[i, j] = h(t_i - t_j).
+    """Yield (lam, A_b) for each (width, size) row block X_b of `blocks`, with T_h[i, j] = h(t_i - t_j).
 
-    conj(W X)^T T_h W X is the trapezoid double integral of conj(x_i(t)) h(t - s) x_j(s) over the
+    conj(X W) T_h (X W)^T is the trapezoid double integral of conj(x_i(t)) h(t - s) x_j(s) over the
     grid's square, with h(-t) = conj(h(t)); W holds the trapezoid weights.  T_h is the leading
     block of the Hermitian circulant of `_two_sided` h at length L >= 2 size, which the length-L
     DFT diagonalizes with the real spectrum lam (here divided by L), so with A_b the length-L FFT
-    of the zero-padded W X_b the form is conj(A_b)^T diag(lam) A_b.  lam is taken once for all
-    blocks; `blocks` may be a generator, so that only one block of X exists at a time.
+    along the rows of the zero-padded X_b W the form is conj(A_b) diag(lam) A_b^T.  lam is taken
+    once for all blocks; `blocks` may be a generator, so that only one block of X exists at a time.
+    Each block is weighted in place, so it must be an array that no caller reads again.
     """
     L = _conv_length(size)
-    w = _trapezoid_weights(size, dt)[:, None]
+    w = _trapezoid_weights(size, dt)
     lam = np.fft.fft(_two_sided(h[:size], L)).real / L
     for X in blocks:
-        yield lam, np.fft.fft(w * X, L, axis=0)
+        X *= w
+        yield lam, np.fft.fft(X, L)
 
 
 def _chain_order_cut(t: float) -> int:
@@ -329,8 +330,9 @@ class DetectorRun:
 
         Its diagonal is the detection probability of each column.
         """
-        ((lam, A),) = _toeplitz_spectra(self.f, [Fs], self.cfg.dt, Fs.shape[0])
-        return self.cfg.gamma**2 * (np.conj(A).T @ (lam[:, None] * A))
+        # a copy: the helper weights its block in place, and detection_w passes the cached solution
+        ((lam, A),) = _toeplitz_spectra(self.f, [Fs.T.copy()], self.cfg.dt, Fs.shape[0])
+        return self.cfg.gamma**2 * (np.conj(A) @ (lam[:, None] * A.T))
 
     def detection_w(self) -> float:
         """w = gamma^2 (F_+, F_+ * f), time-domain route: the trapezoid double integral over [0, T]^2."""
@@ -368,33 +370,34 @@ class DetectorRun:
         (n - k) dt index one f_m table.  The table is real, m J_m(2s)/s: the
         occupation of site m is the diagonal entry conj(V_m)^T W T_g W V_m,
         so the unit factor (-i)^(m-1) on V_m cancels.  The chain sites are
-        taken _OCC_BLOCK columns V_b = (F f_m) at a time from a slice of
-        that table; `_toeplitz_spectra` transforms each block once, and its
-        diagonal is the spectrum of g weighted by |FFT(W V_b)|^2 per column.
+        taken _OCC_BLOCK at a time as the rows of V_b^T = (F f_m)^T, from a
+        slice of that table that runs along time; `_toeplitz_spectra`
+        transforms each block once along its contiguous rows, and its
+        diagonal is the spectrum of g weighted by |FFT(V_b^T W)|^2 per row.
         """
         times = np.asarray(times, dtype=float)
         steps = self._steps(times)
         m_max = _chain_order_cut(float(np.max(times)))
         size = int(steps.max()) + 1
-        # the real f_m table, and beside it the larger of what its build holds (bessel_table's rows
-        # while bessel_ratio_table forms the ratios: a second table) and what a block of _OCC_BLOCK
-        # columns holds: V_b, W V_b, the (L, b) transforms of this block and the last (the consumer
-        # still holds it), and |A_b|^2, with the kernel's two-sided layout, transform and spectrum.
-        # bessel_table's own gate counts the table's build before it allocates
+        # the real f_m table (bessel_table's rows, J_0's too, with the ratios formed in place) and
+        # beside it what a block of _OCC_BLOCK sites holds: V_b (weighted in place), the (b, L)
+        # transforms of this block and the last (the consumer still holds it), and |A_b|^2, with
+        # the kernel's two-sided layout, transform and spectrum.  bessel_table's own gate counts
+        # the table's build (12 work arrays over the times beside it, less than a block) before it
+        # allocates
         L = _conv_length(size)
-        table = 8 * (m_max + 1) * size
-        held = table + max(table, 16 * (_OCC_BLOCK * (2 * size + 3 * L) + 3 * L))
+        held = 8 * (m_max + 1) * size + 16 * (_OCC_BLOCK * (size + 3 * L) + 3 * L)
         check_held(held, f"occupations up to t = {np.max(times):g}")
         fm = bessel_ratio_table(m_max, self.t[:size])
         F = self.solution
         occ = np.zeros((steps.size, m_max))
         for i, n in enumerate(steps.ravel()):
             if n > 0:
-                # (n + 1, _OCC_BLOCK) columns of V, each built when its block is transformed
-                blocks = ((fm[j : j + _OCC_BLOCK, n::-1] * F[None, : n + 1]).T for j in range(0, m_max, _OCC_BLOCK))
+                # (_OCC_BLOCK, n + 1) rows of V^T, each built when its block is transformed
+                blocks = (fm[j : j + _OCC_BLOCK, n::-1] * F[None, : n + 1] for j in range(0, m_max, _OCC_BLOCK))
                 # each block's diagonal of the form, never the (m_max, m_max) form itself
                 spectra = _toeplitz_spectra(self.g, blocks, self.cfg.dt, n + 1)
-                diag = [lam @ (A.real**2 + A.imag**2) for lam, A in spectra]
+                diag = [(A.real**2 + A.imag**2) @ lam for lam, A in spectra]
                 occ[i] = self.cfg.gamma**2 * np.concatenate(diag)
         return occ.reshape(times.shape + (m_max,))
 

@@ -33,10 +33,13 @@ __all__ = [
     "ground_states",
 ]
 
-# bytes one step holds at the traced peak, besides check_held's fixed work buffers: in _rk4 the stage
-# arrays and their lists (194-199 per step at 1000-6000 steps), in cocycle_evolve the stage times
-# and the RK4 stage matrices (574-619 per step), which the levels of its products never exceed
-_RK4_STEP_BYTES = 240
+# flow_rk4's steps hold nothing, so its step count is bounded by time: about 1 us a step, 10 s at most
+_MAX_RK4_STEPS = 10**7
+# bytes at the traced peak, besides check_held's fixed work buffers: per time of flow_rk4 its output
+# row, its step count and the times' lists (197-245 per time at 1000-20000 times), and per step of
+# cocycle_evolve the stage times and the RK4 stage matrices (574-619 per step), which the levels of
+# its products never exceed
+_RK4_TIME_BYTES = 256
 _COCYCLE_STEP_BYTES = 640
 
 SIGMA = np.array(
@@ -109,47 +112,69 @@ def _step_counts(t, dt: float):
     return times, [max(round(q), int(d > 0)) for d, q in zip(lengths.tolist(), steps.tolist())]
 
 
+def _intervals(times, counts):
+    """(s0, h, n) of each interval: its start, its step size and its step count."""
+    s0 = 0.0
+    for t1, n in zip(times.ravel().tolist(), counts):
+        yield s0, (t1 - s0) / n if n else 0.0, n
+        s0 = t1
+
+
 def _stage_times(times, counts) -> tuple[np.ndarray, np.ndarray]:
     """The (steps, 3) stage times s, s + h/2, s + h of every step over the intervals, and each step's h."""
-    stages, hs, s0 = [np.empty((0, 3))], [np.empty(0)], 0.0
-    for t1, n in zip(times.ravel().tolist(), counts):
-        h = (t1 - s0) / n if n else 0.0
+    stages, hs = [np.empty((0, 3))], [np.empty(0)]
+    for s0, h, n in _intervals(times, counts):
         stages.append((s0 + np.arange(n) * h)[:, None] + np.array([0.0, 0.5 * h, h]))
         hs.append(np.full(n, h))
-        s0 = t1
     return np.concatenate(stages), np.concatenate(hs)
 
 
-def _rk4(rhs, y0, t, dt: float):
-    """Classical RK4 for dy/ds = rhs(s, y) from s = 0, sampled at the nondecreasing finite times t >= 0.
-
-    The state is a list of Python floats, and rhs(s, y) returns a sequence of the same length, so a
-    step makes no numpy call.  The steps are those of `_stage_times`; an array t stacks its states on
-    axis 0, each a row of len(y0).  The stage arrays and their lists are counted through check_held
-    before any is built.
-    """
-    times, counts = _step_counts(t, dt)
-    total = sum(counts)
-    check_held(_RK4_STEP_BYTES * total, f"RK4 integration of {total} steps")
-    stages, hs = _stage_times(times, counts)
-    y, out, rows, start = list(y0), [], stages.tolist(), 0
-    for end in np.cumsum(counts, dtype=int).tolist():
-        h = float(hs[start]) if end > start else 0.0  # one h per interval
-        half, sixth = 0.5 * h, h / 6.0
-        for c0, c1, c2 in rows[start:end]:
-            k1 = rhs(c0, y)
-            k2 = rhs(c1, [a + half * b for a, b in zip(y, k1)])
-            k3 = rhs(c1, [a + half * b for a, b in zip(y, k2)])
-            k4 = rhs(c2, [a + h * b for a, b in zip(y, k3)])
-            y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        out.append(y)
-        start = end
-    return np.array(out).reshape(times.shape + (len(y0),))
+def _initial_state(F0) -> np.ndarray:
+    """F0 as a float array; DomainError unless it is a 3-vector of finite entries."""
+    F0 = np.asarray(F0, dtype=float)
+    if F0.shape != (3,):
+        raise DomainError(f"F0 must be a 3-vector, got shape {F0.shape}")
+    if not np.all(np.isfinite(F0)):
+        raise DomainError(f"F0 = {F0.tolist()} must be finite")
+    return F0
 
 
 def flow_rk4(F0, t, dt: float, p: BCSParams) -> np.ndarray:
-    """RK4 integration of the Lie-Poisson flow of the mean-field Hamiltonian of p, at a time or times t."""
-    return _rk4(lambda s, F: bracket_flow_rhs(bcs_gradient(F, p), F), np.asarray(F0, dtype=float).tolist(), t, dt)
+    """RK4 integration of the Lie-Poisson flow of the mean-field Hamiltonian of p, at a time or times t.
+
+    A step is written out on three Python floats, with the arithmetic of
+    bracket_flow_rhs(bcs_gradient(F, p), F) in its order, so it makes no call and holds nothing.
+    The steps are those of `_intervals`; an array t stacks its states on axis 0.  More than
+    _MAX_RK4_STEPS steps are refused before the first, and the output rows are counted through
+    check_held.
+    """
+    x, y, z = _initial_state(F0).tolist()
+    times, counts = _step_counts(t, dt)
+    total = sum(counts)
+    if total > _MAX_RK4_STEPS:
+        raise DomainError(f"RK4 integration of {total} steps > {_MAX_RK4_STEPS} steps")
+    check_held(_RK4_TIME_BYTES * len(counts), f"RK4 integration at {len(counts)} times")
+    lam2, g2 = -2.0 * p.lam, -2.0 * p.eps  # grad Q = (lam2 x, lam2 y, g2)
+    out = []
+    for _, h, n in _intervals(times, counts):
+        half, sixth = 0.5 * h, h / 6.0
+        for _ in range(n):
+            g0, g1 = lam2 * x, lam2 * y
+            a1, b1, c1 = g1 * z - g2 * y, g2 * x - g0 * z, g0 * y - g1 * x
+            x2, y2, z2 = x + half * a1, y + half * b1, z + half * c1
+            g0, g1 = lam2 * x2, lam2 * y2
+            a2, b2, c2 = g1 * z2 - g2 * y2, g2 * x2 - g0 * z2, g0 * y2 - g1 * x2
+            x3, y3, z3 = x + half * a2, y + half * b2, z + half * c2
+            g0, g1 = lam2 * x3, lam2 * y3
+            a3, b3, c3 = g1 * z3 - g2 * y3, g2 * x3 - g0 * z3, g0 * y3 - g1 * x3
+            x4, y4, z4 = x + h * a3, y + h * b3, z + h * c3
+            g0, g1 = lam2 * x4, lam2 * y4
+            a4, b4, c4 = g1 * z4 - g2 * y4, g2 * x4 - g0 * z4, g0 * y4 - g1 * x4
+            x = x + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            y = y + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            z = z + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        out.append((x, y, z))
+    return np.array(out).reshape(times.shape + (3,))
 
 
 def _mul(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -188,12 +213,14 @@ def cocycle_evolve(F0, t, dt: float, p: BCSParams) -> np.ndarray:
     X(F) = -eps sigma3 - lam (F1 sigma1 + F2 sigma2) along the exact classical flow through F0,
     taken at every stage time in one `bcs_flow_exact` call.  The equation is linear in U, so a
     plain RK4 step is a 2x2 matrix I + D, built for all steps at once (`_stage_times` gives the
-    stage times of `_rk4`).  U at a time is the ordered product of its steps, kept in D form
-    (`_compose`): each level of a pairwise tree holds the products of aligned blocks of 2^l steps,
-    and a time's prefix of N steps joins the blocks of the binary digits of N.  The product thus
-    depends on N alone, so a row of an array t equals the call at its time to the bit, and its
-    unitarity defect stays at rounding level for the step sizes used here.
+    stage times of the steps of `_intervals`, which `flow_rk4` takes).  U at a time is the ordered
+    product of its steps, kept in D form (`_compose`): each level of a pairwise tree holds the
+    products of aligned blocks of 2^l steps, and a time's prefix of N steps joins the blocks of the
+    binary digits of N.  The product thus depends on N alone, so a row of an array t equals the
+    call at its time to the bit, and its unitarity defect stays at rounding level for the step
+    sizes used here.  F0 must be a 3-vector of finite entries.
     """
+    F0 = _initial_state(F0)
     times, counts = _step_counts(t, dt)
     total = sum(counts)
     check_held(_COCYCLE_STEP_BYTES * total, f"cocycle of {total} RK4 steps")

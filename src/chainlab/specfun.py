@@ -124,8 +124,12 @@ def bessel_ratio_table(m_max: int, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     zero = t == 0.0
     m = np.arange(1, m_max + 1).reshape((-1,) + (1,) * t.ndim)
-    ratio = m * bessel_table(m_max, 2.0 * t)[1:] / np.where(zero, 1.0, t)
-    return np.where(zero, m == 1, ratio)
+    # formed in place, so that no second table is held
+    ratio = bessel_table(m_max, 2.0 * t)[1:]
+    ratio *= m
+    ratio /= np.where(zero, 1.0, t)
+    np.copyto(ratio, m == 1, where=zero)
+    return ratio
 
 
 def _miller(n_max: int, x: np.ndarray, start: int) -> np.ndarray:

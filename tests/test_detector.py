@@ -198,6 +198,13 @@ def test_detection_probability_frozen_value(short_run):
     assert short_run.detection_w() == pytest.approx(0.034695909649, abs=1e-9)
 
 
+def test_response_form_leaves_its_columns_unchanged(short_run):
+    F = short_run.solution.copy()
+    w = short_run.detection_w()
+    assert np.array_equal(short_run.solution, F)
+    assert short_run.detection_w() == w
+
+
 def test_detection_probability_zero_coupling():
     assert DetectorRun(DetectorConfig(gamma=0.0, T=5.0)).detection_w() == 0.0
 
@@ -255,16 +262,17 @@ def test_occupations_at_matches_the_one_block_form(times):
 
 
 def test_occupations_at_holds_one_column_block_of_transforms(monkeypatch, held_counts):
-    # one block of V at a time beside the real 4.8 MB f_m table peaks at 9.7 MB, in the table's
-    # Bessel build, and the gate counts within 1.25 times that peak (a count that kept the complex
-    # table's terms read 15.6 MB).  The (8192, 200) transform of all chain sites at once peaked at
-    # 55.7 MB, and its count of 64.6 MB refused the call under 2^25 bytes
+    # one block of V at a time beside the real 4.8 MB f_m table, whose ratios are formed in place,
+    # peaks at 7.4 MB (a second table in the ratios' build peaks at 9.7 MB), and the gate counts
+    # within 1.25 times that peak (a count that kept the complex table's terms read 15.6 MB).  The
+    # (8192, 200) transform of all chain sites at once peaked at 55.7 MB, and its count of 64.6 MB
+    # refused the call under 2^25 bytes
     run = DetectorRun(DetectorConfig(T=60.0))
     run.solution
     counts = held_counts(detector)
     with traced() as trace:
         run.occupations_at(60.0)
-    assert trace.peak < 10.5e6
+    assert trace.peak < 8.5e6
     assert trace.peak <= counts[-1] <= 1.25 * trace.peak
     monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 2**25)
     run.occupations_at(60.0)
@@ -467,10 +475,10 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     with pytest.raises(Admitted):
         below.p0_series(below.t)
     # the bound covers more than the table: at t = 60 the real f_m table is 200 x 3001 (4.8 MB)
-    # and bessel_table counts its build at 5.24 MB, both under 9 * 2^20 bytes, but with the
-    # table's build or one block of V and its 8192-point transforms the call counts 9.78 MB
+    # and bessel_table counts its build at 5.24 MB, both under 8 * 2^20 bytes, but with one
+    # block of V and its 8192-point transforms beside the table the call counts 8.88 MB
     run = DetectorRun(DetectorConfig(T=60.0))
-    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 9 * 2**20)
+    monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 8 * 2**20)
     specfun.bessel_ratio_table(200, run.t)
     with pytest.raises(DomainError):
         run.occupations_at(60.0)

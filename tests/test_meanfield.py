@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_properties import PROPERTY
 
-from chainlab import DomainError
+from chainlab import DomainError, meanfield
 from chainlab.meanfield import (
     SIGMA,
     BCSParams,
@@ -75,6 +75,12 @@ def test_rk4_matches_exact_flow():
     for dt in (0.0, -0.001, np.nan):
         with pytest.raises(DomainError):
             flow_rk4(F0, 1.0, dt, P)
+    # an initial state that is not a finite 3-vector: NaN results, an IndexError or a fourth entry ignored
+    for bad in ([np.nan, 0.0, 0.1], [np.inf, 0.0, 0.0], [0.3, -0.1], [0.3, -0.1, 0.2, 0.5]):
+        with pytest.raises(DomainError):
+            flow_rk4(bad, 1.0, 0.001, P)
+        with pytest.raises(DomainError):
+            cocycle_evolve(bad, 1.0, 0.0005, P)
 
 
 def test_rk4_keeps_criterion_13_values_to_the_bit():
@@ -90,6 +96,45 @@ def test_rk4_keeps_criterion_13_values_to_the_bit():
         ("0x1.6d23ad8330808p-2", "0x1.1506a8d79be1bp-1"), ("-0x1.626e909d13a44p-2", "0x1.5b5dcb8386b22p-1"),
         ("0x1.626e909d13a44p-2", "0x1.5b5dcb8386b22p-1"), ("0x1.6d23ad8330808p-2", "-0x1.1506a8d79be1bp-1"),
     ]
+
+
+def _reference_rk4(F0, t, dt, p):
+    """flow_rk4 as it was written before its step was written out: a generic RK4 driven by the public RHS."""
+    def rhs(s, F):
+        return bracket_flow_rhs(bcs_gradient(F, p), F)
+
+    times, counts = meanfield._step_counts(t, dt)
+    stages, hs = meanfield._stage_times(times, counts)
+    y, out, rows, start = np.asarray(F0, dtype=float).tolist(), [], stages.tolist(), 0
+    for end in np.cumsum(counts, dtype=int).tolist():
+        h = float(hs[start]) if end > start else 0.0  # one h per interval
+        half, sixth = 0.5 * h, h / 6.0
+        for c0, c1, c2 in rows[start:end]:
+            k1 = rhs(c0, y)
+            k2 = rhs(c1, [a + half * b for a, b in zip(y, k1)])
+            k3 = rhs(c1, [a + half * b for a, b in zip(y, k2)])
+            k4 = rhs(c2, [a + h * b for a, b in zip(y, k3)])
+            y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        out.append(y)
+        start = end
+    return np.array(out).reshape(times.shape + (3,))
+
+
+@PROPERTY
+@given(
+    F0=vectors,
+    eps=st.floats(0.01, 2.0),
+    lam=st.floats(0.01, 3.0),
+    gaps=st.lists(st.floats(0.0, 0.6), min_size=1, max_size=3),
+    dt=st.floats(1e-3, 0.05),
+    scalar=st.booleans(),
+)
+def test_flow_rk4_is_the_rk4_of_the_public_rhs_to_the_bit(F0, eps, lam, gaps, dt, scalar):
+    # up to 3 nondecreasing times and 1803 steps; a scalar time takes the last of them
+    t = np.cumsum(gaps)
+    t = float(t[-1]) if scalar else t
+    p = BCSParams(eps=eps, lam=lam)
+    assert np.array_equal(flow_rk4(F0, t, dt, p), _reference_rk4(F0, t, dt, p))
 
 
 def _bloch_ball(rng, n):

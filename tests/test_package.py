@@ -18,6 +18,8 @@ ORACLES = {
     "detector.semicircle_kernel",
     "packets.ghat_radial",
     "meanfield.berezin_bracket",
+    "meanfield.bracket_flow_rhs",
+    "meanfield.bcs_gradient",
     "meanfield.gibbs_expectations",
     "qdomino.green_infinite",
     "xychain.evolution_coefficient",
