@@ -128,10 +128,12 @@ def _trapezoid_weights(size: int, h: float) -> np.ndarray:
 
 def _check_free_pass(times: int, L: int, n_fine: int, cols: int) -> None:
     """Refuse a free pass over `cols` columns at `times` times, then a length-L solve, over the byte budget."""
-    # per column the NUFFT grid, its transform and their sum (length M) and 4 arrays over the fine
-    # momenta; shared, 4 more over the momenta and 2 of length L for FFT plans and the solver: with
-    # M = L, 8 L + 12 n_fine complex at two columns, where tracemalloc peaks at 6.3 L + 12 n_fine
-    held = 16 * (3 * cols * nufft_length(times) + 2 * L + 4 * (cols + 1) * n_fine)
+    # per column one complex NUFFT grid row (length M, transformed in place), its output row over
+    # the times and its columns of C and Ch over the fine momenta; shared, 6 more over the momenta
+    # (amplitudes, node offsets and bins, one kernel offset's weights) and 2 of length L for FFT
+    # plans and the solver.  The default run's pass over two columns counts 8.60 MB and peaks under
+    # tracemalloc at 6.29 MB
+    held = 16 * (cols * (nufft_length(times) + times + 2 * n_fine) + 2 * L + 6 * n_fine)
     check_held(held, f"a free pass over {cols} columns and a {L}-point grid")
 
 
@@ -152,11 +154,15 @@ def _conv_length(size: int) -> int:
 def _linear_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """First n samples of the linear convolution along axis 0 of equal-length series, by FFTs of length `_conv_length`.
 
-    A copy: a view would keep the whole length-L transform alive (up to 4 n).
+    The product and its inverse transform overwrite the transform of a, so one length-L array
+    outlives the product; the result is a copy, as a view would keep that array alive (up to 4 n).
     """
     n = a.shape[0]
     L = _conv_length(n)
-    return np.fft.ifft(np.fft.fft(a, L, axis=0) * np.fft.fft(b, L, axis=0), axis=0)[:n].copy()
+    A = np.fft.fft(a, L, axis=0)
+    A *= np.fft.fft(b, L, axis=0)
+    np.fft.ifft(A, axis=0, out=A)
+    return A[:n].copy()
 
 
 def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
@@ -314,7 +320,10 @@ class DetectorRun:
         denom = self._denominator
         if np.min(np.abs(denom)) < 1e-6:
             raise ValueError("singular configuration: transform denominator vanishes")
-        F = np.fft.ifft((self._halved_fft(F0).T / denom).T, axis=0)[: self.n + 1].copy()
+        A = self._halved_fft(F0)
+        np.divide(A.T, denom, out=A.T)
+        np.fft.ifft(A, axis=0, out=A)
+        F = A[: self.n + 1].copy()
         F[0] *= 2.0
         return F
 
@@ -341,13 +350,23 @@ class DetectorRun:
     def detection_w_spectral(self) -> float:
         """w from the transform-domain form, consistent discretization.
 
-        Transforms are in the continuum convention on the circular grid L.
+        Transforms are in the continuum convention on the circular grid L.  Each is formed in place,
+        and |fhat_plus|^2 is taken, and fhat_plus freed, before fhat is built.
         """
         dt = self.cfg.dt
-        fhat_plus = dt / np.sqrt(2.0 * pi) * self._halved_fft(self.free_series()) / self._denominator
-        fhat = dt / np.sqrt(2.0 * pi) * np.fft.fft(_two_sided(self.f, self.L))
+        scale = dt / np.sqrt(2.0 * pi)
+        fhat_plus = self._halved_fft(self.free_series())
+        np.multiply(scale, fhat_plus, out=fhat_plus)
+        fhat_plus /= self._denominator
+        power = np.abs(fhat_plus)
+        del fhat_plus
+        power **= 2
+        fhat = _two_sided(self.f, self.L)
+        np.fft.fft(fhat, out=fhat)
+        np.multiply(scale, fhat, out=fhat)
+        fhat *= power
         du = 2.0 * pi / (self.L * dt)
-        val = np.sqrt(2.0 * pi) * np.sum(fhat * np.abs(fhat_plus) ** 2) * du
+        val = np.sqrt(2.0 * pi) * np.sum(fhat) * du
         return float(self.cfg.gamma**2 * val.real)
 
     # -- occupations -------------------------------------------------------

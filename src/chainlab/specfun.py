@@ -251,8 +251,9 @@ def phase_sum_nufft(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarr
     sqrt(tau / pi) e^{-k'^2 tau} restores S (Greengard & Lee, SIAM Rev.
     46 (2004) 443: tau = pi H / (n^2 R (R - 1/2)), R = M / n).  Nodes
     are spread one kernel offset at a time, each over the window of grid
-    points the nodes touch, so temporaries stay O(len(x) + M) and not
-    O(len(x) H).
+    points the nodes touch, into one complex grid row per column that is
+    then transformed in place; besides those rows the temporaries stay
+    O(len(x)) and not O(len(x) H).
     """
     x = np.asarray(x, dtype=float)
     H = _NUFFT_HALF_WIDTH
@@ -267,8 +268,11 @@ def phase_sum_nufft(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarr
     h = n // 2
     # h theta = 2 pi (h m0 mod M) / M + h d: the integer reduction keeps the phase below 2 pi + pi / 4
     Ch = C * np.exp(-1j * (step * ((h * m0) % M) + h * d))[:, None]
-    parts = np.concatenate([Ch.real, Ch.imag], axis=1).T.copy()  # one real row per column and part
-    grid = np.zeros((parts.shape[0], M))
+    grid = np.zeros((C.shape[1], M), dtype=complex)
+    # the real and the imaginary part of each column of Ch spread into those views of its grid row
+    rows = []
+    for c, row in enumerate(grid):
+        rows += [(Ch.real[:, c], row.real), (Ch.imag[:, c], row.imag)]
     # bin b of the window is grid point lo + b + offset (mod M), one point to a bin (span <= M), so
     # each bin sums the same terms in the same order as a full-length bincount would
     lo, hi = (int(m0.min()), int(m0.max())) if m0.size else (0, -1)
@@ -277,13 +281,15 @@ def phase_sum_nufft(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarr
     for offset in range(1 - H, H + 1):
         a = (lo + offset) % M
         cut = M - a  # bins up to the end of the grid; the rest wrap to its start
-        v = parts * np.exp(-((d - offset * step) ** 2) / (4.0 * tau))
-        for row, weights in zip(grid, v):
-            b = np.bincount(bins, weights, span)
+        spread = np.exp(-((d - offset * step) ** 2) / (4.0 * tau))
+        for part, row in rows:
+            b = np.bincount(bins, part * spread, span)
             row[a : a + span] += b[:cut]
             if span > cut:
                 row[: span - cut] += b[cut:]
-    cols = C.shape[1]
+    for row in grid:
+        np.fft.fft(row, out=row)
     k = np.arange(n) - h
-    S = np.fft.fft(grid[:cols] + 1j * grid[cols:], axis=1)[:, k % M]
-    return (S * (math.sqrt(math.pi / tau) / M * np.exp(k * k * tau))).T
+    S = grid[:, k % M]
+    S *= math.sqrt(math.pi / tau) / M * np.exp(k * k * tau)
+    return S.T

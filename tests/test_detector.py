@@ -127,6 +127,15 @@ def test_free_pass_memory_stays_below_the_direct_sum(default_run):
     assert trace.peak < 16e6
 
 
+def test_free_pass_holds_one_grid_per_column(default_run):
+    # one complex grid row per column, transformed in place: 6.16-6.29 MB traced (three such rows
+    # per column, 11.39 MB, when each part was spread into a real row)
+    run = default_run
+    with traced() as trace:
+        run.free_series_multi([run.cfg.psi, run.cfg.phi])
+    assert trace.peak < 7.5e6
+
+
 def test_g_matches_gaussian_closed_form(short_run):
     # phi has width 2, so g(t) = (1 + 4 i t)^(-3/2)
     assert np.max(np.abs(short_run.g - (1.0 + 4.0j * short_run.t) ** -1.5)) <= 1.5e-10
@@ -203,6 +212,17 @@ def test_response_form_leaves_its_columns_unchanged(short_run):
     w = short_run.detection_w()
     assert np.array_equal(short_run.solution, F)
     assert short_run.detection_w() == w
+
+
+def test_in_place_transforms_leave_the_free_columns_unchanged(short_run):
+    # the solve and the spectral route transform their own buffers in place, never the columns given
+    free = np.stack([short_run.free_series(), short_run.g], axis=1)
+    kept = free.copy()
+    short_run.solve_fourier(free)
+    assert np.array_equal(free, kept)
+    short_run.solve_fourier()
+    short_run.detection_w_spectral()
+    assert np.array_equal(short_run.free_series(), kept[:, 0])
 
 
 def test_detection_probability_zero_coupling():

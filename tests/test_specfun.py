@@ -175,11 +175,14 @@ def _reference_nufft(C, x, dt, n):
 @example(n=2, dt=1.0, turns=[0.5, -0.5, 0.0, 0.25], cols=1, seed=2)  # theta = pi and -pi: the whole circle
 @example(n=1000, dt=0.01, turns=[0.49, -0.49], cols=3, seed=3)  # a window that wraps across the grid's end
 def test_phase_sum_nufft_spreads_as_the_full_length_formula(n, dt, turns, cols, seed):
-    # nodes at dt x = 2 pi turns; the window's bincounts sum the full-length terms in the same order
+    # nodes at dt x = 2 pi turns; the window's bincounts sum the full-length terms in the same order,
+    # spread straight into the complex grid rows and never into C
     rng = np.random.default_rng(seed)
     x = 2.0 * np.pi * np.array(turns) / dt
     C = rng.normal(size=(x.size, cols)) + 1j * rng.normal(size=(x.size, cols))
+    kept = C.copy()
     assert np.array_equal(phase_sum_nufft(C, x, dt, n), _reference_nufft(C, x, dt, n))
+    assert np.array_equal(C, kept)
 
 
 @pytest.mark.parametrize(
