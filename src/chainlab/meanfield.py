@@ -256,8 +256,8 @@ def direction_field(F, p: BCSParams) -> np.ndarray:
 
 def gibbs_expectations(F, p: BCSParams) -> np.ndarray:
     """Effective one-site Gibbs expectations s_j = n_j(F) tanh(a(F)/T)."""
-    if p.T <= 0:
-        raise ValueError("T must be positive")
+    if not p.T > 0:
+        raise DomainError(f"temperature T = {p.T:g} must be positive")
     return direction_field(F, p) * np.tanh(gap_value(F, p) / p.T)
 
 

@@ -12,12 +12,18 @@ monkeypatch, so every patch ends with its test:
 """
 
 import contextlib
+import os
 import tracemalloc
 from types import SimpleNamespace
 
-import pytest
+# one BLAS thread, the setting every hex pin and full-precision gate was recorded at; set before numpy
+# loads, and an explicit setting in the environment wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from chainlab import DomainError, specfun
+import pytest  # noqa: E402
+
+from chainlab import DomainError, specfun  # noqa: E402
 
 
 @contextlib.contextmanager

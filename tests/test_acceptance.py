@@ -1,11 +1,13 @@
 """Acceptance gate: every numbered criterion must pass at its stated tolerance."""
 
+import inspect
+import math
 import weakref
 
 import numpy as np
 import pytest
 
-from chainlab import acceptance, detector, projection, specfun, xychain
+from chainlab import acceptance, cli, detector, projection, specfun, xychain
 from chainlab.cli import main
 
 _NUMBERS = range(1, len(acceptance.CRITERIA) + 1)
@@ -21,18 +23,43 @@ def test_criterion(number):
     assert result.passed, f"criterion {number}: {result.name} -- {result.detail}"
 
 
-@pytest.mark.parametrize("stub, code, verdict", [(False, 0, "all criteria passed"), (True, 2, "FAILURES present")],
-                         ids=["passing", "failing"])
+_FAILING = {
+    "failing": lambda: ("stubbed", [acceptance.Check("fails", 1.0, hi=0.5)]),
+    # the only failing check prints nothing
+    "failing-unprinted": lambda: ("stubbed", [acceptance.Check("fails", 0.0, hi=0.5),
+                                              acceptance.Check("", 1.0, hi=0.5)]),
+    # a NaN value fails even with no bounds
+    "failing-nan": lambda: ("stubbed", [acceptance.Check("fails", math.nan)]),
+}
+
+
+@pytest.mark.parametrize("stub, code, verdict", [(None, 0, "all criteria passed")]
+                         + [(stub, 2, "FAILURES present") for stub in _FAILING.values()], ids=["passing", *_FAILING])
 def test_verify_command_prints_each_criterion_and_the_verdict(monkeypatch, capsys, stub, code, verdict):
     if stub:
         criteria = list(acceptance.CRITERIA)
-        criteria[11] = lambda shared: ("stubbed", False, "fails")
+        criteria[11] = stub
         monkeypatch.setattr(acceptance, "CRITERIA", criteria)
     assert main(["verify", "--only", "4,12,16"]) == code
     lines = capsys.readouterr().out.splitlines()
     status = "FAIL" if stub else "PASS"
     assert [line[:17] for line in lines[:3]] == ["criterion 04 PASS", f"criterion 12 {status}", "criterion 16 PASS"]
+    if stub:
+        assert lines[1] == "criterion 12 FAIL  stubbed: fails"
     assert lines[3:] == [f"acceptance: {verdict}"]
+
+
+def test_every_criterion_input_has_a_builder_and_every_builder_a_user():
+    reads = {key for criterion in acceptance.CRITERIA for key in inspect.signature(criterion).parameters}
+    assert reads <= set(acceptance.INPUTS), reads
+    assert set(acceptance.INPUTS) <= reads, reads
+
+
+def test_criterion_16_fails_on_a_runner_that_writes_no_file(monkeypatch):
+    # the runner exits 0 and writes nothing: no file is compared, which proves nothing
+    monkeypatch.setattr(cli, "main", lambda argv: 0)
+    (result,) = acceptance.run_all([16])
+    assert result.line == "criterion 16 FAIL  deterministic CSV output: 0 file(s) byte-compared"
 
 
 def test_bessel_criteria_catch_a_stretched_table(monkeypatch):
@@ -87,12 +114,14 @@ def test_shared_input_is_gone_before_the_next_criterion(monkeypatch, attr, last)
     criteria = list(acceptance.CRITERIA)
     last_user = criteria[last - 1]
 
-    def tracked(shared):
-        refs.append(weakref.ref(getattr(shared, attr)))
-        return last_user(shared)
+    def tracked(**inputs):
+        refs.append(weakref.ref(inputs[attr]))
+        return last_user(**inputs)
 
-    def probe(shared):
-        return "probe", refs[0]() is None and attr not in vars(shared), ""
+    tracked.__signature__ = inspect.signature(last_user)  # run_all gives it the inputs last_user reads
+
+    def probe():
+        return "probe", [acceptance.Check("", sum(ref() is not None for ref in refs), hi=1)]  # no live input
 
     criteria[last - 1], criteria[last] = tracked, probe
     monkeypatch.setattr(acceptance, "CRITERIA", criteria)

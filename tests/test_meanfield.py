@@ -224,8 +224,12 @@ def test_superconducting_solution_is_a_gibbs_fixed_point(T):
 
 
 def test_gap_equation_needs_a_positive_temperature():
-    with pytest.raises(DomainError):
-        solve_gap_equation(BCSParams(eps=0.25, lam=1.0, T=0.0))
+    for T in (0.0, np.nan):
+        p = BCSParams(eps=0.25, lam=1.0, T=T)
+        with pytest.raises(DomainError):
+            solve_gap_equation(p)
+        with pytest.raises(DomainError):
+            gibbs_expectations(np.array([0.1, 0.0, 0.25]), p)
 
 
 def test_critical_temperature_closed_form():

@@ -196,16 +196,16 @@ def test_criterion_11_fails_on_a_mis_assembled_chain(chain, monkeypatch):
 
 
 def test_each_radiating_chain_is_decomposed_once(calls):
-    # criteria 10 and 11, each given a fresh holder, each decompose their one M = 400 chain, and in one
+    # criteria 10 and 11, each given a freshly built chain, each decompose their one M = 400 chain, and in one
     # run_all they share it; criterion 10's second route, the continuum, needs no modes: leggauss runs
     # for the chain's 400 modes and the principal value only
     dims = calls(np.linalg, "eigh", lambda a, *args, **kwargs: a.shape[0])
     degrees = calls(np.polynomial.legendre, "leggauss", lambda deg: deg)
-    acceptance.criterion_10(acceptance.Shared())
+    acceptance.criterion_10(acceptance.INPUTS["radiating_chain"]())
     assert dims == [406]
     assert degrees == [400, radiating._PV_NODES]
     dims.clear()
-    acceptance.criterion_11(acceptance.Shared())
+    acceptance.criterion_11(acceptance.INPUTS["radiating_chain"]())
     assert dims == [406]
     dims.clear()
     degrees.clear()
@@ -224,16 +224,16 @@ def test_continuum_decay_takes_no_dense_route(forbid):
 def test_criterion_10_traced_peak():
     # the M = 400 chain's series peaks at 10.0 MiB; the M = 800 chain it replaced peaked at 29.7 MiB
     with traced() as trace:
-        acceptance.criterion_10(acceptance.Shared())
+        acceptance.criterion_10(acceptance.INPUTS["radiating_chain"]())
     assert trace.peak < 14 * 2**20
 
 
 def test_criterion_11_traced_peak():
     # as in verify, criterion 10 has decomposed the shared chain; the residual peaks at 7.8 MiB besides the chain
-    shared = acceptance.Shared()
-    acceptance.criterion_10(shared)
+    chain = acceptance.INPUTS["radiating_chain"]()
+    acceptance.criterion_10(chain)
     with traced() as trace:
-        acceptance.criterion_11(shared)
+        acceptance.criterion_11(chain)
     assert trace.peak < 8.5 * 2**20
 
 
