@@ -32,7 +32,7 @@ import numpy as np
 
 from . import DomainError
 from .packets import RadialPacket, default_grid, gaussian_packet, overlap
-from .specfun import bessel_ratio_table, check_held, nufft_length, phase_rows, phase_sum_nufft, pow2_at_least
+from .specfun import PHASE_BLOCK, bessel_ratio_table, check_held, nufft_length, phase_blocks, phase_sum_nufft, pow2_at_least
 
 __all__ = [
     "DetectorConfig",
@@ -104,11 +104,7 @@ _OVERSAMPLE = 4.0
 _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
 # a run's gates pass to check_held what a free pass holds (_check_free_pass), what occupations_at
-# holds (its f_m table and one block's V_b and transforms) and what a p0_series chunk holds
-_P0_CHUNK = 48
-# complex (requested times) x _P0_CHUNK arrays a p0_series chunk holds at once: the running sums,
-# the requested phases, C_p, Z_p and expression temporaries (6.1 at the peak under tracemalloc)
-_P0_HELD = 7
+# holds (its f_m table and one block's V_b and transforms) and what p0_series holds
 # chain sites per column block of occupations_at's Toeplitz transforms.  occupations_at(60.0) on a
 # T = 60 run (m_max = 200, 8192-point transforms) peaks under tracemalloc at 5.7, 6.2 and 7.4 MB
 # for 2, 4 and 8 columns and at 9.9, 14.9 and 24.8 MB for 16, 32 and 64 columns, over its 4.8 MB
@@ -426,46 +422,49 @@ class DetectorRun:
         Node p carries e_p psi(p) - gamma^2 phi(p) (e_p * f) * F.  e_p(t - s) = e_p(t) conj(e_p(s))
         turns both trapezoid causal convolutions into e_p(t) times running sums of conj(e_p) f and
         conj(e_p) r, with q = f * F shared by all nodes: the same discretization as convolving twice.
-        The sums are formed only at the requested steps, each from the last by one matrix product
-        over the segment between them, and the phases (`phase_rows`) only up to the largest step.
+        One pass over the row blocks of `phase_blocks`, up to the largest requested step, carries
+        the two sums over all nodes: each block advances them by one matrix product per segment
+        between requested steps, taken with the base rows and scaled by the block phase once, and
+        P_0 is formed at the requested steps it holds.
         """
         req, where = np.unique(self._steps(times), return_inverse=True)
         size = int(req[-1]) + 1
-        # a chunk's phases up to the largest requested step, q (it holds size; counted as 4 size,
-        # an over-count of up to 3 size that keeps the whole-grid refusal from T = 859.61 on) and
-        # the two weight columns; _P0_HELD arrays over the requested steps; phase_rows' base
-        # block and block phase, under 128 rows of phases (the previous chunk's arrays are freed
-        # before the next is built)
-        held = 16 * ((_P0_CHUNK + 6) * size + _P0_CHUNK * (_P0_HELD * req.size + 128))
-        check_held(held, f"P_0 at {req.size} times up to t = {self.t[size - 1]:g}")
         cfg, dt = self.cfg, self.cfg.dt
+        grid = cfg.phi.grid
+        nodes, rows = grid.nodes.size, min(PHASE_BLOCK, size)
+        # q and the two weight rows over the steps, out and req over the requested steps, where and
+        # the result over the times, and first q's FFT pair of length L, then one row block: the base
+        # block (1.5 complex arrays while it is built) and 10 complex arrays per requested row in it
+        # (the sums, the requested phases, C_p, Z_p, chi and temporaries; 9.6 at the whole-grid peak
+        # under tracemalloc)
+        block = (2 * rows + 10 * min(rows, req.size)) * nodes
+        held = 16 * (3 * size + req.size + where.size + max(2 * _conv_length(size), block))
+        check_held(held, f"P_0 at {req.size} times up to t = {self.t[size - 1]:g}")
         f, F = self.f[:size], self.solution[:size]
         q = _linear_conv(f, F)
         # conj(f) and conj(r), r = q - f0 F / 2: the weights of the two running sums
-        w = np.conj(np.stack([f, q - 0.5 * f[0] * F], axis=1))
-        wT, bounds = w.T, np.r_[0, req + 1].tolist()
-        grid = cfg.phi.grid
-
-        def chunk_weight(sl: slice) -> np.ndarray:
-            # a helper, so that a chunk's arrays are freed before the next chunk is built
-            ps = grid.nodes[sl]
-            # phase matrix e^{-i t p^2}, shape (size, c)
-            ep = phase_rows(ps**2, dt, size)
-            sums = np.empty((req.size, 2, ps.size), dtype=complex)
-            # the sums at the requested steps: one product per segment between them, then a running sum
+        w = np.conj(np.stack([f, q - 0.5 * f[0] * F]))
+        ps2 = grid.nodes**2
+        carry = np.zeros((2, nodes), dtype=complex)
+        out = np.empty(req.size)
+        for i, base, phase in phase_blocks(ps2, dt, size):
+            lo, hi = np.searchsorted(req, [i, i + len(base)])
+            ks = req[lo:hi]
+            # the sums at the block's requested steps and at its end: one product per segment, then a running sum
+            bounds = np.r_[i, ks + 1, i + len(base)]
+            sums = np.empty((bounds.size - 1, 2, nodes), dtype=complex)
             for row, a, b in zip(sums, bounds, bounds[1:]):
-                np.matmul(wT[:, a:b], ep[a:b], out=row)
-            np.conj(np.cumsum(sums, axis=0, out=sums), out=sums)
-            E = ep[req]
-            del ep  # the rows below need only the requested phases
-            Cp = dt * (E * sums[:, 0] - 0.5 * (E * f[0] + f[req, None]))
-            Zp = dt * (dt * (E * sums[:, 1] - 0.5 * q[req, None]) - 0.5 * F[0] * Cp)
-            chi = E * cfg.psi.amplitude[sl] - cfg.gamma**2 * cfg.phi.amplitude[sl] * Zp
-            return (np.abs(chi) ** 2) @ (grid.weights[sl] * 4.0 * pi * ps**2)
-
-        out = np.zeros(req.size)
-        for i in range(0, grid.nodes.size, _P0_CHUNK):
-            out += chunk_weight(slice(i, i + _P0_CHUNK))
+                np.matmul(w[:, a:b], base[a - i : b - i], out=row)
+            sums *= phase
+            sums[0] += carry
+            np.cumsum(sums, axis=0, out=sums)
+            carry = sums[-1].copy()  # a copy, so that the sums are conjugated in place and freed
+            if ks.size:
+                S, E = np.conj(sums[:-1], out=sums[:-1]), base[ks - i] * phase
+                Cp = dt * (E * S[:, 0] - 0.5 * (E * f[0] + f[ks, None]))
+                Zp = dt * (dt * (E * S[:, 1] - 0.5 * q[ks, None]) - 0.5 * F[0] * Cp)
+                chi = E * cfg.psi.amplitude - cfg.gamma**2 * cfg.phi.amplitude * Zp
+                out[lo:hi] = grid.integrate(np.abs(chi) ** 2 * 4.0 * pi * ps2)
         return out[where].reshape(np.shape(times))
 
 

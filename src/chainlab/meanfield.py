@@ -282,8 +282,9 @@ def solve_gap_equation(p: BCSParams) -> list[GapSolution]:
     Always the normal solution F = (0, 0, tanh(eps/T)/2); for 0 < 2 eps <
     lam and T < T_c also the superconducting circle F3 = eps/lam with the
     gap a solving 2a = lam tanh(a/T) (bisection on (eps, lam/2] to a
-    bracket of 1e-12).  One representative phase is returned; the rest of
-    the circle follows by gauge rotation about the 3-axis.
+    bracket of 1e-12, or of adjacent floats where those lie farther
+    apart).  One representative phase is returned; the rest of the circle
+    follows by gauge rotation about the 3-axis.
     """
     if not p.T > 0:
         raise DomainError(f"temperature T = {p.T:g} must be positive")
@@ -299,6 +300,8 @@ def solve_gap_equation(p: BCSParams) -> list[GapSolution]:
         # h(eps) < 0 below T_c, h(lam/2) >= 0
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # lo and hi are adjacent floats: a gap of 8192 or more is spaced over 1e-12
             if h(mid) > 0:
                 hi = mid
             else:

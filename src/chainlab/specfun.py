@@ -4,11 +4,12 @@ Bessel functions of integer order (normalized backward recurrence, one
 path for scalars and arrays), the finite-chain analogue of the Bessel
 kernel obtained by sampling the integral representation on the
 open-chain eigenphases, and phases e^{-i t x_j} on a uniform time grid:
-`phase_rows` gives the phase matrix itself, `phase_sum` the sums
-sum_j C_j e^{-i t x_j} directly (the oracle of the fast route), both from
-one block factorization, and `phase_sum_nufft` the sums as a type-1
-non-uniform FFT in O(n log n + len(x)) work.  `gauss_legendre` gives the
-composite Gauss-Legendre nodes of the momentum grids and the mode band.
+`phase_blocks` yields the phase matrix a block of rows at a time (P_0
+streams over them), `phase_sum` the sums sum_j C_j e^{-i t x_j} directly
+from those blocks (the oracle of the fast route), and `phase_sum_nufft`
+the sums as a type-1 non-uniform FFT in O(n log n + len(x)) work.
+`gauss_legendre` gives the composite Gauss-Legendre nodes of the
+momentum grids and the mode band.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ __all__ = [
     "bessel_ratio_table",
     "finite_kernel",
     "phase_sum",
-    "phase_rows",
+    "phase_blocks",
+    "PHASE_BLOCK",
     "phase_sum_nufft",
     "nufft_length",
     "pow2_at_least",
@@ -34,9 +36,9 @@ __all__ = [
     "gauss_legendre",
 ]
 
-# rows of the base phase block of _phase_blocks: its exp count per node is
-# _PHASE_BLOCK + n / _PHASE_BLOCK, and the block bounds the memory
-_PHASE_BLOCK = 64
+# rows of the base phase block of phase_blocks: its exp count per node is
+# PHASE_BLOCK + n / PHASE_BLOCK, and the block bounds the memory
+PHASE_BLOCK = 64
 # phase_sum_nufft: Gaussian half-width in grid points, and the grid is the
 # power of two >= _NUFFT_OVERSAMPLE * n, so the deconvolution gain
 # e^{(n/2)^2 tau} stays below e^1.1; both chosen by measurement (CHANGES.md)
@@ -175,8 +177,11 @@ def _miller(n_max: int, x: np.ndarray, start: int) -> np.ndarray:
 def bessel_j(n: int, x):
     """Bessel function J_n(x) for integer n and scalar or array x, accurate to about 1e-12.
 
-    Entry |n| of bessel_table(|n|, x), which is odd or even in x; negative order via parity.
+    Entry |n| of bessel_table(|n|, x), which is odd or even in x; negative order via parity.  An
+    order that is not a Python or numpy integer raises DomainError.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise DomainError(f"Bessel order {n!r} must be an integer")
     m = abs(int(n))
     val = bessel_table(m, x)[m]
     return -val if n < 0 and m % 2 else val
@@ -199,43 +204,31 @@ def finite_kernel(n: int, length: int, z):
     return 1j**n * s / (length + 1)
 
 
-def _phase_blocks(x, dt: float, n: int):
+def phase_blocks(x, dt: float, n: int):
     """Yield (i, base, phase) with exp(-i t_k x) = base[k - i] * phase for the rows k = i..i + len(base) - 1.
 
     The rows t_i + k dt of a block are one base block exp(-i k dt x), k
-    < _PHASE_BLOCK, times the block phase exp(-i t_i x).  Both phases are
+    < PHASE_BLOCK, times the block phase exp(-i t_i x).  Both phases are
     evaluated directly from their times, so no rounding accumulates across
     blocks and no exp runs over the full (times x nodes) matrix.
     """
     x = np.asarray(x, dtype=float)
-    base = np.outer(dt * np.arange(min(_PHASE_BLOCK, n)), x) * -1j
+    base = np.outer(dt * np.arange(min(PHASE_BLOCK, n)), x) * -1j
     np.exp(base, out=base)
-    for i in range(0, n, _PHASE_BLOCK):
-        yield i, base[: min(_PHASE_BLOCK, n - i)], np.exp(-1j * (dt * i) * x)
+    for i in range(0, n, PHASE_BLOCK):
+        yield i, base[: min(PHASE_BLOCK, n - i)], np.exp(-1j * (dt * i) * x)
 
 
 def phase_sum(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarray:
     """S[k] = sum_j C[j] exp(-i t_k x_j) at t_k = k dt for k = 0..n-1.
 
     C has shape (len(x), cols); the result has shape (n, cols).  Each
-    block of `_phase_blocks` is one product of its base block with C
+    block of `phase_blocks` is one product of its base block with C
     scaled by the block phase.
     """
     out = np.empty((n, C.shape[1]), dtype=complex)
-    for i, base, phase in _phase_blocks(x, dt, n):
+    for i, base, phase in phase_blocks(x, dt, n):
         out[i : i + len(base)] = base @ (phase[:, None] * C)
-    return out
-
-
-def phase_rows(x: np.ndarray, dt: float, n: int) -> np.ndarray:
-    """The phase matrix exp(-i t_k x_j) at t_k = k dt for k = 0..n-1, shape (n, len(x)).
-
-    The blocks of `_phase_blocks`, each its base block times the block
-    phase elementwise.
-    """
-    out = np.empty((n, np.size(x)), dtype=complex)
-    for i, base, phase in _phase_blocks(x, dt, n):
-        np.multiply(base, phase, out=out[i : i + len(base)])
     return out
 
 

@@ -41,7 +41,7 @@ def recurrence_coefficients(m_max: int, kappa: float) -> np.ndarray:
 
 def evolution_coefficient(r: int, t, kappa: float):
     """One-particle propagator C_t(r) = (-i)^|r| J_|r|(kappa t); scalar or array t."""
-    r = abs(int(r))
+    r = abs(r)
     return (-1j) ** r * bessel_j(r, kappa * np.asarray(t, dtype=float))
 
 

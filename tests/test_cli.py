@@ -1,7 +1,9 @@
 import contextlib
 import filecmp
 import io
+import os
 import runpy
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import traced
 
+import chainlab
 from chainlab import qdomino, specfun
 from chainlab.cli import main
 
@@ -59,6 +62,18 @@ def test_meanfield_csv_without_a_superconducting_phase(tmp_path):
     assert "critical temperature" not in (tmp_path / "meanfield_phase.csv").read_text()
     _, rows = _read_csv(tmp_path / "meanfield_phase.csv")
     assert [r.split(",")[1] for r in rows] == ["normal"] * 6
+
+
+@pytest.mark.parametrize("args", ["--lambda 2e4 --T 5e3", "--lambda 1e6 --T 3e5"])
+def test_meanfield_at_strong_coupling_returns(tmp_path, args):
+    # a gap of 8192 or more has adjacent floats over 1e-12 apart: the bisection once ran forever there.
+    # In a child process with a timeout, so that a hang fails the test instead of the session
+    env = {**os.environ, "PYTHONPATH": str(Path(chainlab.__file__).parents[1])}
+    cmd = [sys.executable, "-m", "chainlab", "meanfield", *args.split(), "--steps", "1", "--out", str(tmp_path)]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
+    assert out.returncode == 0, out.stderr
+    _, rows = _read_csv(tmp_path / "meanfield_phase.csv")
+    assert [r.split(",")[1] for r in rows] == ["superconducting", "normal"]
 
 
 def test_orbit_csv(tmp_path):

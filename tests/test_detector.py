@@ -15,7 +15,7 @@ from chainlab.detector import (
     semicircle_kernel,
 )
 from chainlab.packets import bump_packet, default_grid, gaussian_packet, ghat_radial, overlap
-from chainlab.specfun import _PHASE_BLOCK, bessel_ratio_table, phase_rows, phase_sum, phase_sum_nufft
+from chainlab.specfun import PHASE_BLOCK, bessel_ratio_table, phase_blocks, phase_sum, phase_sum_nufft
 
 
 @pytest.fixture(scope="module")
@@ -87,23 +87,23 @@ def test_free_series_matches_direct_phase_matrix(short_run):
     run = short_run
     p = run.p_fine
     C = _free_coefficients(run)
-    last = (run.n // _PHASE_BLOCK) * _PHASE_BLOCK
-    assert 0 < run.n + 1 - last < _PHASE_BLOCK
-    rows = np.r_[0, _PHASE_BLOCK - 1, _PHASE_BLOCK, 2 * _PHASE_BLOCK, last - 1, last:run.n + 1]
+    last = (run.n // PHASE_BLOCK) * PHASE_BLOCK
+    assert 0 < run.n + 1 - last < PHASE_BLOCK
+    rows = np.r_[0, PHASE_BLOCK - 1, PHASE_BLOCK, 2 * PHASE_BLOCK, last - 1, last:run.n + 1]
     ref = np.exp(-1j * np.outer(run.t[rows], p**2)) @ C
     assert np.max(np.abs(phase_sum(C, p**2, run.cfg.dt, run.n + 1)[rows] - ref)) <= 1e-13
     assert np.max(np.abs(run.free_series()[rows] - ref[:, 0])) <= 1e-13
     assert np.max(np.abs(run.g[rows] - ref[:, 1])) <= 1e-13
 
 
-def test_phase_rows_match_the_full_matrix_and_the_phase_sum_of_the_identity(short_run):
-    # a P_0 chunk's phases: block-boundary rows and the final partial block; the elementwise
+def test_phase_blocks_match_the_full_matrix_and_the_phase_sum_of_the_identity(short_run):
+    # the phases P_0 streams over: block-boundary rows and the final partial block; the elementwise
     # product and the product with the identity round differently, by under an ulp of the phase
     run = short_run
     ps = run.cfg.phi.grid.nodes[48:96]
-    last = (run.n // _PHASE_BLOCK) * _PHASE_BLOCK
-    rows = np.r_[0, _PHASE_BLOCK - 1, _PHASE_BLOCK, 2 * _PHASE_BLOCK, last - 1, last:run.n + 1]
-    ep = phase_rows(ps**2, run.cfg.dt, run.n + 1)
+    last = (run.n // PHASE_BLOCK) * PHASE_BLOCK
+    rows = np.r_[0, PHASE_BLOCK - 1, PHASE_BLOCK, 2 * PHASE_BLOCK, last - 1, last:run.n + 1]
+    ep = np.concatenate([base * phase for _, base, phase in phase_blocks(ps**2, run.cfg.dt, run.n + 1)])
     assert ep.shape == (run.n + 1, ps.size)
     assert np.max(np.abs(ep[rows] - np.exp(-1j * np.outer(run.t[rows], ps**2)))) <= 1e-13
     assert np.max(np.abs(ep - phase_sum(np.eye(ps.size), ps**2, run.cfg.dt, run.n + 1))) <= 1e-15
@@ -299,13 +299,16 @@ def test_occupations_at_holds_one_column_block_of_transforms(monkeypatch, held_c
 
 
 def _p0_by_double_convolution(run):
-    """P_0 with both causal convolutions of each node chunk, C_p = e_p * f and Z_p = C_p * F, by FFT."""
+    """P_0 with both causal convolutions of each node chunk, C_p = e_p * f and Z_p = C_p * F, by FFT.
+
+    The phases are exp of the whole (times x nodes) matrix: no phase factorization shared with p0_series.
+    """
     cfg, dt = run.cfg, run.cfg.dt
     grid = cfg.phi.grid
     out = np.zeros(run.n + 1)
     for i in range(0, grid.nodes.size, 48):
         ps = grid.nodes[i : i + 48]
-        ep = phase_sum(np.eye(ps.size), ps**2, dt, run.n + 1)
+        ep = np.exp(-1j * np.outer(run.t, ps**2))
         Zp = detector._causal_conv(detector._causal_conv(ep, run.f[:, None], dt), run.solution[:, None], dt)
         chi = ep * cfg.psi.amplitude[i : i + 48] - cfg.gamma**2 * cfg.phi.amplitude[i : i + 48] * Zp
         out += (np.abs(chi) ** 2) @ (grid.weights[i : i + 48] * 4.0 * np.pi * ps**2)
@@ -376,7 +379,7 @@ def test_coupling_packet_lives_on_the_grid_of_psi():
 
 
 def test_p0_series_takes_no_phase_sum(forbid):
-    # the phases come from phase_rows: a phase sum of the identity multiplies by zeros 48 times over
+    # the phases come from phase_blocks: a phase sum of the identity would multiply by zeros once per node
     forbid(specfun, "phase_sum")
     forbid(detector, "phase_sum", raising=False)
     run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
@@ -389,7 +392,7 @@ def test_p0_series_keeps_criterion_08_deviations_to_the_bit(default_run):
     ts = np.array([2.0, 5.0, 10.0, 20.0])
     dev = float(np.max(np.abs(run.occupations_at(ts).sum(axis=1) + run.p0_series(ts) - 1.0)))
     dev_T = float(abs(default_run.p0_series(default_run.cfg.T) + default_run.detection_w() - 1.0))
-    assert (dev.hex(), dev_T.hex()) == ("0x1.00406a9700000p-21", "0x1.ae07221e80000p-17")
+    assert (dev.hex(), dev_T.hex()) == ("0x1.00406a9600000p-21", "0x1.ae07221e70000p-17")
 
 
 def test_p0_series_takes_no_per_node_convolution(calls):
@@ -481,19 +484,12 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     monkeypatch.setattr(DetectorRun, "free_series_multi", admitted)
     with pytest.raises(DomainError):
         run.occupations_at(1000.0)
-    # P_0 over the whole grid counts 7 complex arrays per step and node of a 48-node chunk
-    # (312 MB at T = 1000): over 2^28 bytes from T = 859.61 on.  At one time only the chunk's
-    # phases grow with the step, 43 MB at T = 1000, so every run that constructs admits it.
-    with pytest.raises(DomainError):
+    # P_0 holds one row block of phases over the nodes, not phases over the steps: the whole grid
+    # at T = 1000 counts 10.0 MB, so every run that constructs admits it
+    with pytest.raises(Admitted):
         run.p0_series(run.t)
     with pytest.raises(Admitted):
         run.p0_series(1000.0)
-    edge = DetectorRun(DetectorConfig(T=859.62))
-    with pytest.raises(DomainError):
-        edge.p0_series(edge.t)
-    below = DetectorRun(DetectorConfig(T=859.6))
-    with pytest.raises(Admitted):
-        below.p0_series(below.t)
     # the bound covers more than the table: at t = 60 the real f_m table is 200 x 3001 (4.8 MB)
     # and bessel_table counts its build at 5.24 MB, both under 8 * 2^20 bytes, but with one
     # block of V and its 8192-point transforms beside the table the call counts 8.88 MB
@@ -502,6 +498,17 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     specfun.bessel_ratio_table(200, run.t)
     with pytest.raises(DomainError):
         run.occupations_at(60.0)
+
+
+def test_whole_grid_p0_holds_one_phase_block_at_a_time(default_run):
+    # the (steps x 48) phases of node chunks peaked at 55.0 MB here; one row block over all nodes
+    # at a time peaks at 6.3 MB
+    run = default_run
+    run.solution
+    run.f
+    with traced() as trace:
+        run.p0_series(run.t)
+    assert trace.peak < 10e6
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from test_properties import PROPERTY
 
 from chainlab import DomainError, specfun
-from chainlab.qdomino import asymptotic_exponent, flip_probability, flip_residual
+from chainlab.qdomino import asymptotic_exponent, flip_probability, flip_residual, green_infinite
 from chainlab.specfun import bessel_j, bessel_ratio_table, bessel_table, finite_kernel, phase_sum, phase_sum_nufft
-from chainlab.xychain import occupation
+from chainlab.xychain import evolution_coefficient, occupation
 
 
 def test_bessel_scalar_against_scipy():
@@ -215,14 +215,25 @@ def test_oversized_bessel_recurrence_is_refused_before_it_runs(forbid, call):
         lambda: asymptotic_exponent([1, 2], np.linspace(50.0, 500.0, 100)),
         lambda: occupation(np.array([], dtype=int), 1.0, 1.0),
         lambda: occupation(0.5, 1.0, 1.0),
+        # a non-integer order once gave the table entry of its truncation: J_2(1.0) for J_2.5(1.0)
+        lambda: bessel_j(2.5, 1.0),
+        lambda: evolution_coefficient(1.7, 1.0, 1.0),
+        lambda: green_infinite(1.5, 1, 1.0),
     ],
     ids=["nan", "inf", "flip-nan", "xy-nan", "xy-kappa-inf", "flip-no-sites", "flip-site-0", "flip-float-sites",
-         "exponent-site-1", "xy-no-sites", "xy-float-site"],
+         "exponent-site-1", "xy-no-sites", "xy-float-site", "bessel-float-order", "xy-float-offset",
+         "green-float-site"],
 )
 def test_nonfinite_arguments_and_invalid_sites_are_refused_before_a_table(forbid, call):
     forbid(specfun, "_miller")
     with pytest.raises(DomainError):
         call()
+
+
+def test_bessel_j_takes_numpy_integer_orders():
+    for n in (np.int64(-3), np.int32(2), np.uint8(5)):
+        assert bessel_j(n, 1.7) == bessel_j(int(n), 1.7)
+    assert evolution_coefficient(np.int64(-3), 1.7, 0.9) == evolution_coefficient(-3, 1.7, 0.9)
 
 
 @pytest.mark.parametrize(
