@@ -4,9 +4,9 @@ Each criterion is a function of the shared inputs it reads, named as its
 parameters (`detector_run`, `radiating_chain`; most take none), and returns
 (name, checks).  run_all numbers it by its position in CRITERIA, builds each
 input of INPUTS on first use and drops it after its last selected user, and
-alone forms the verdict: `passed` holds when every check's value lies
-strictly between its bounds (NaN never does), and `detail` joins the checks'
-texts.  The checks run in seconds each.
+keeps the checks in a CriterionResult, which forms the verdict: `passed`
+holds when every check's value lies strictly between its bounds (NaN never
+does), and `detail` joins the checks' texts.  The checks run in seconds each.
 """
 
 from __future__ import annotations
@@ -38,10 +38,19 @@ class Check:
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """A numbered criterion's checks, from which its verdict and its line follow."""
     number: int
     name: str
-    passed: bool
-    detail: str
+    checks: tuple[Check, ...]
+
+    @property
+    def passed(self) -> bool:
+        """Every check's value lies strictly between its bounds; a Python bool, and NaN lies within no bounds."""
+        return all(c.lo < c.value < c.hi for c in self.checks)
+
+    @property
+    def detail(self) -> str:
+        return ", ".join(c.text for c in self.checks if c.text)
 
     @property
     def line(self) -> str:
@@ -53,7 +62,7 @@ class CriterionResult:
 # detector run (gamma = 0.5, dt = 0.02, T = 200) and the default radiating chain at M = 400 modes.  Each build
 # is deterministic, so a criterion run alone prints the line it prints in a full run.
 INPUTS = {
-    "detector_run": lambda: detector.DetectorRun(detector.DetectorConfig(gamma=0.5)),
+    "detector_run": lambda: detector.DetectorRun(gamma=0.5),
     "radiating_chain": lambda: radiating.build_modes(radiating.default_params(), M=400),
 }
 
@@ -134,7 +143,7 @@ def criterion_07(detector_run) -> tuple[str, list[Check]]:
     Fm = detector_run.solve_marching()
     Fn = detector_run.solve_neumann()
     Ff = detector_run.solution  # solve_fourier's F, solved once for criteria 07 and 08
-    dt = detector_run.cfg.dt
+    dt = detector_run.dt
 
     def l2(x, y):
         return float(np.sqrt(dt * np.sum(np.abs(x - y) ** 2)))
@@ -146,13 +155,12 @@ def criterion_07(detector_run) -> tuple[str, list[Check]]:
 
 def criterion_08(detector_run) -> tuple[str, list[Check]]:
     # fine grid for the tight bound: conservation error is O(dt^2)
-    cfg = detector.DetectorConfig(gamma=0.5, dt=0.004, T=20.0)
-    run = detector.DetectorRun(cfg)
+    run = detector.DetectorRun(gamma=0.5, dt=0.004, T=20.0)
     ts = np.array([2.0, 5.0, 10.0, 20.0])
     p0 = run.p0_series(ts)
     dev = float(np.max(np.abs(run.occupations_at(ts).sum(axis=1) + p0 - 1.0)))
     w = detector_run.detection_w()
-    p0_T = detector_run.p0_series(detector_run.cfg.T)
+    p0_T = detector_run.p0_series(detector_run.T)
     dev_T = abs(p0_T + w - 1.0)
     return "detector probability conservation", [
         Check(f"sampled dev {dev:.3e}", dev, hi=1e-6), Check(f"T=200 dev {dev_T:.3e}", dev_T, hi=1e-3)]
@@ -292,6 +300,5 @@ def run_all(numbers=None) -> list[CriterionResult]:
         inputs.update({key: INPUTS[key]() for key in reads[i] if key not in inputs})
         name, checks = CRITERIA[i - 1](**{key: inputs[key] for key in reads[i]})
         inputs = {key: val for key, val in inputs.items() if last_user[key] > i}  # drop what has no user left
-        passed = all(c.lo < c.value < c.hi for c in checks)  # a Python bool; NaN lies within no bounds
-        out.append(CriterionResult(i, name, passed, ", ".join(c.text for c in checks if c.text)))
+        out.append(CriterionResult(i, name, tuple(checks)))
     return out

@@ -144,7 +144,7 @@ def _run_xy(args):
 def _run_detector(args):
     from . import detector as det
 
-    run = det.DetectorRun(det.DetectorConfig(gamma=args.gamma, dt=args.dt, T=args.T))
+    run = det.DetectorRun(args.gamma, dt=args.dt, T=args.T)
     run.check_weak_coupling()
     F = run.solution
     w_time = run.detection_w()

@@ -1,7 +1,7 @@
 """Nonideal particle detector: amplitudes, Volterra equation, POVM.
 
-`DetectorRun(cfg)` is the entry point: its methods give every detector
-quantity of one configuration (the no-flip amplitude, the detection
+`DetectorRun(gamma, psi, dt, T)` is the entry point: its methods give
+every detector quantity of one run (the no-flip amplitude, the detection
 probability w, the chain occupations, P_0), and `povm_matrix` gives the
 response operator on a packet span.
 
@@ -24,7 +24,6 @@ convolution transforms into sqrt(2 pi) times the product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite, pi
 
@@ -35,7 +34,6 @@ from .packets import RadialPacket, default_grid, gaussian_packet, overlap
 from .specfun import PHASE_BLOCK, bessel_ratio_table, check_held, nufft_length, phase_blocks, phase_sum_nufft, pow2_at_least
 
 __all__ = [
-    "DetectorConfig",
     "DetectorRun",
     "amplitude_free",
     "semicircle_kernel",
@@ -49,36 +47,6 @@ def semicircle_kernel(u):
     u = np.asarray(u, dtype=float)
     out = np.where(np.abs(u) <= 2.0, np.sqrt(np.maximum(4.0 - u**2, 0.0)), 0.0)
     return out / np.sqrt(2.0 * pi)
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """One detector run: the particle's packet psi coupled with strength gamma, sampled at dt up to T.
-
-    By default psi is the width-1 Gaussian on default_grid() and gamma = 0.5.  The coupling packet
-    phi is the width-2 Gaussian on psi's grid, so both packets share every node.
-    """
-
-    gamma: float = 0.5
-    psi: RadialPacket = field(default_factory=lambda: gaussian_packet(default_grid(), width=1.0))
-    dt: float = 0.02
-    T: float = 200.0
-
-    def __post_init__(self):
-        if not self.gamma >= 0:
-            raise DomainError(f"gamma = {self.gamma:g} must be >= 0")
-        if not self.dt > 0:
-            raise DomainError(f"dt = {self.dt:g} must be positive")
-        if not self.T >= self.dt:
-            raise DomainError(f"T = {self.T:g} must span at least one time step dt = {self.dt:g}")
-        if not isfinite(float(self.T) / float(self.dt)):
-            raise DomainError(f"T / dt = {self.T:g} / {self.dt:g} is not a finite step count")
-        self.psi.check_normalized()
-
-    @cached_property
-    def phi(self) -> RadialPacket:
-        """The coupling packet: a Gaussian of width 2 on psi's grid, normalized by construction."""
-        return gaussian_packet(self.psi.grid, width=2.0)
 
 
 def amplitude_free(a: RadialPacket, b: RadialPacket, t):
@@ -103,14 +71,16 @@ _OVERSAMPLE = 4.0
 # Neumann series: stop when a term's norm falls below this fraction of |F0|
 _NEUMANN_TOL = 1e-12
 _NEUMANN_MAX_TERMS = 200
-# a run's gates pass to check_held what a free pass holds (_check_free_pass), what occupations_at
-# holds (its f_m table and one block's V_b and transforms) and what p0_series holds
 # chain sites per column block of occupations_at's Toeplitz transforms.  occupations_at(60.0) on a
 # T = 60 run (m_max = 200, 8192-point transforms) peaks under tracemalloc at 5.7, 6.2 and 7.4 MB
 # for 2, 4 and 8 columns and at 9.9, 14.9 and 24.8 MB for 16, 32 and 64 columns, over its 4.8 MB
 # f_m table; best of 3 takes 0.036-0.038 s at 2-8 columns and 0.042-0.044 s at 16-64 (one BLAS
 # thread, 2-core Xeon VM)
 _OCC_BLOCK = 8
+# bytes per time that P_0 and the occupations hold to find their distinct steps: the times, their
+# integer steps (the float steps are freed first), and np.unique's flattened copy, sort order,
+# sorted steps, two running counts and inverse (and a 1-byte mask).  57 traced at 200000 times
+_STEP_BYTES = 64
 # largest accepted gap between the time-domain and spectral w routes
 W_ROUTE_TOL = 1e-6
 
@@ -195,21 +165,36 @@ def _chain_order_cut(t: float) -> int:
 
 
 class DetectorRun:
-    """Shared state for one detector configuration: grids, kernels, solutions.
+    """One detector run: the particle's packet psi coupled with strength gamma, sampled at dt up to T.
 
-    Everything it caches is a function of `cfg` alone.
+    psi defaults (None) to the width-1 Gaussian on default_grid(), built for this run.  The coupling
+    packet phi is the width-2 Gaussian on psi's grid, so both packets share every node.  Everything
+    the run caches (grids, kernels, solutions) is a function of these four inputs alone.
     """
 
-    def __init__(self, cfg: DetectorConfig):
-        self.cfg = cfg
-        self.n = int(round(cfg.T / cfg.dt))
+    def __init__(self, gamma: float = 0.5, psi: RadialPacket | None = None, dt: float = 0.02, T: float = 200.0):
+        if not gamma >= 0:
+            raise DomainError(f"gamma = {gamma:g} must be >= 0")
+        if not isfinite(gamma):
+            raise DomainError(f"gamma = {gamma:g} must be finite")
+        if not dt > 0:
+            raise DomainError(f"dt = {dt:g} must be positive")
+        if not T >= dt:
+            raise DomainError(f"T = {T:g} must span at least one time step dt = {dt:g}")
+        if not isfinite(float(T) / float(dt)):
+            raise DomainError(f"T / dt = {T:g} / {dt:g} is not a finite step count")
+        self.gamma, self.dt, self.T = gamma, dt, T
+        self.psi = gaussian_packet(default_grid(), width=1.0) if psi is None else psi
+        self.psi.check_normalized()
+        self.phi = gaussian_packet(self.psi.grid, width=2.0)
+        self.n = int(round(T / dt))
         # fine momentum grid resolving the largest phase T p_max^2
-        p_max = cfg.phi.grid.p_max
-        n_fine = int(np.ceil(_OVERSAMPLE * cfg.T * p_max**2 / pi)) + 100
+        p_max = self.phi.grid.p_max
+        n_fine = int(np.ceil(_OVERSAMPLE * T * p_max**2 / pi)) + 100
         # circular grid of the Fourier-domain solver and the spectral w route
         self.L = pow2_at_least(4 * (self.n + 1))
         _check_free_pass(self.n + 1, self.L, n_fine, 2)
-        self.t = cfg.dt * np.arange(self.n + 1)
+        self.t = dt * np.arange(self.n + 1)
         self.p_fine = np.linspace(0.0, p_max, n_fine)
 
     # -- elementary series ------------------------------------------------
@@ -217,7 +202,7 @@ class DetectorRun:
     @cached_property
     def _free(self) -> np.ndarray:
         """The columns F0 and g of one free pass over the pairs (phi, psi) and (phi, phi)."""
-        return self.free_series_multi([self.cfg.psi, self.cfg.phi])
+        return self.free_series_multi([self.psi, self.phi])
 
     def free_series(self) -> np.ndarray:
         """F0(t) on the whole grid by fine trapezoid quadrature in p.
@@ -237,9 +222,9 @@ class DetectorRun:
         p = self.p_fine
         _check_free_pass(self.n + 1, self.L, p.size, len(bs))
         dp = p[1] - p[0]
-        pref = np.conj(self.cfg.phi.amplitude_at(p))
+        pref = np.conj(self.phi.amplitude_at(p))
         C = np.stack([pref * b.amplitude_at(p) * 4.0 * pi * p**2 * dp for b in bs], axis=1)
-        return phase_sum_nufft(C, p**2, self.cfg.dt, self.n + 1)
+        return phase_sum_nufft(C, p**2, self.dt, self.n + 1)
 
     @property
     def g(self) -> np.ndarray:
@@ -253,14 +238,14 @@ class DetectorRun:
     @property
     def K(self) -> np.ndarray:
         """The composite kernel (g * f)(t) on the half line, computed on each access."""
-        return _causal_conv(self.g, self.f, self.cfg.dt)
+        return _causal_conv(self.g, self.f, self.dt)
 
     def gamma_g_l1(self) -> float:
         """||gamma g||_1 with the t^-3/2 tail bound beyond T, both signs of t."""
-        w = _trapezoid_weights(self.n + 1, self.cfg.dt)
+        w = _trapezoid_weights(self.n + 1, self.dt)
         val = np.sum(w * np.abs(self.g))
-        tail = 2.0 * self.cfg.T * np.abs(self.g[-1])  # int_T^inf |g(T)| (T/t)^1.5 dt
-        return self.cfg.gamma * 2.0 * (val + tail)
+        tail = 2.0 * self.T * np.abs(self.g[-1])  # int_T^inf |g(T)| (T/t)^1.5 dt
+        return self.gamma * 2.0 * (val + tail)
 
     def check_weak_coupling(self) -> None:
         l1 = self.gamma_g_l1()
@@ -271,7 +256,7 @@ class DetectorRun:
 
     def solve_marching(self) -> np.ndarray:
         F0 = self.free_series()
-        dt, g2 = self.cfg.dt, self.cfg.gamma**2
+        dt, g2 = self.dt, self.gamma**2
         K = self.K
         F = np.empty(self.n + 1, dtype=complex)
         F[0] = F0[0]
@@ -286,7 +271,7 @@ class DetectorRun:
     def solve_neumann(self):
         """F as the Neumann series in the Volterra operator; ValueError when _NEUMANN_MAX_TERMS terms miss tolerance."""
         F0 = self.free_series()
-        g2, dt = self.cfg.gamma**2, self.cfg.dt
+        g2, dt = self.gamma**2, self.dt
         K = self.K
         term = F0.copy()
         total = F0.copy()
@@ -301,7 +286,7 @@ class DetectorRun:
     @cached_property
     def _denominator(self) -> np.ndarray:
         """1 + gamma^2 dt FFT(K): the discrete transform of the Volterra operator."""
-        g2, dt = self.cfg.gamma**2, self.cfg.dt
+        g2, dt = self.gamma**2, self.dt
         return 1.0 + g2 * dt * np.fft.fft(self.K, self.L)
 
     def _halved_fft(self, F0: np.ndarray) -> np.ndarray:
@@ -336,8 +321,8 @@ class DetectorRun:
         Its diagonal is the detection probability of each column.
         """
         # a copy: the helper weights its block in place, and detection_w passes the cached solution
-        ((lam, A),) = _toeplitz_spectra(self.f, [Fs.T.copy()], self.cfg.dt, Fs.shape[0])
-        return self.cfg.gamma**2 * (np.conj(A) @ (lam[:, None] * A.T))
+        ((lam, A),) = _toeplitz_spectra(self.f, [Fs.T.copy()], self.dt, Fs.shape[0])
+        return self.gamma**2 * (np.conj(A) @ (lam[:, None] * A.T))
 
     def detection_w(self) -> float:
         """w = gamma^2 (F_+, F_+ * f), time-domain route: the trapezoid double integral over [0, T]^2."""
@@ -349,7 +334,7 @@ class DetectorRun:
         Transforms are in the continuum convention on the circular grid L.  Each is formed in place,
         and |fhat_plus|^2 is taken, and fhat_plus freed, before fhat is built.
         """
-        dt = self.cfg.dt
+        dt = self.dt
         scale = dt / np.sqrt(2.0 * pi)
         fhat_plus = self._halved_fft(self.free_series())
         np.multiply(scale, fhat_plus, out=fhat_plus)
@@ -363,18 +348,22 @@ class DetectorRun:
         fhat *= power
         du = 2.0 * pi / (self.L * dt)
         val = np.sqrt(2.0 * pi) * np.sum(fhat) * du
-        return float(self.cfg.gamma**2 * val.real)
+        return float(self.gamma**2 * val.real)
 
     # -- occupations -------------------------------------------------------
 
-    def _steps(self, times) -> np.ndarray:
-        """Grid steps of times in [0, T]; DomainError when empty or outside (NaN included) before anything is built."""
-        steps = np.rint(np.asarray(times, dtype=float) / self.cfg.dt)
-        if steps.size == 0:
+    def _last_step(self, times) -> tuple[np.ndarray, int]:
+        """times as an array and the grid step of the latest; DomainError when empty or outside [0, T] (NaN included).
+
+        Rounding to the grid is monotone, so the earliest and the latest time bound every step, and nothing is built.
+        """
+        times = np.asarray(times, dtype=float)
+        if times.size == 0:
             raise DomainError("times must not be empty")
-        if not np.all((steps >= 0) & (steps <= self.n)):
-            raise DomainError(f"times must lie in [0, T = {self.cfg.T:g}]")
-        return steps.astype(int)
+        first, last = np.rint(np.array([np.min(times), np.max(times)]) / self.dt)
+        if not (first >= 0 and last <= self.n):
+            raise DomainError(f"times must lie in [0, T = {self.T:g}]")
+        return times, int(last)
 
     def occupations_at(self, times) -> np.ndarray:
         """omega_t(P_m) for m = 1..m_max (chain sites) at each time in [0, T].
@@ -389,32 +378,34 @@ class DetectorRun:
         slice of that table that runs along time; `_toeplitz_spectra`
         transforms each block once along its contiguous rows, and its
         diagonal is the spectrum of g weighted by |FFT(V_b^T W)|^2 per row.
+        Each distinct grid step is computed once and copied to its times.
         """
-        times = np.asarray(times, dtype=float)
-        steps = self._steps(times)
+        times, last = self._last_step(times)
         m_max = _chain_order_cut(float(np.max(times)))
-        size = int(steps.max()) + 1
+        size = last + 1
         # the real f_m table (bessel_table's rows, J_0's too, with the ratios formed in place) and
         # beside it what a block of _OCC_BLOCK sites holds: V_b (weighted in place), the (b, L)
         # transforms of this block and the last (the consumer still holds it), and |A_b|^2, with
-        # the kernel's two-sided layout, transform and spectrum.  bessel_table's own gate counts
-        # the table's build (12 work arrays over the times beside it, less than a block) before it
-        # allocates
+        # the kernel's two-sided layout, transform and spectrum; the rows of the distinct steps, at
+        # most one per step, and over the times the steps' arrays and the output rows.
+        # bessel_table's own gate counts the table's build (12 work arrays over the times beside
+        # it, less than a block) before it allocates
         L = _conv_length(size)
         held = 8 * (m_max + 1) * size + 16 * (_OCC_BLOCK * (size + 3 * L) + 3 * L)
-        check_held(held, f"occupations up to t = {np.max(times):g}")
+        held += 8 * m_max * min(times.size, size) + (_STEP_BYTES + 8 * m_max) * times.size
+        check_held(held, f"occupations at {times.size} times up to t = {np.max(times):g}")
+        req, where = np.unique(np.rint(times / self.dt).astype(int), return_inverse=True)
         fm = bessel_ratio_table(m_max, self.t[:size])
         F = self.solution
-        occ = np.zeros((steps.size, m_max))
-        for i, n in enumerate(steps.ravel()):
+        occ = np.zeros((req.size, m_max))
+        for row, n in zip(occ, req):
             if n > 0:
                 # (_OCC_BLOCK, n + 1) rows of V^T, each built when its block is transformed
                 blocks = (fm[j : j + _OCC_BLOCK, n::-1] * F[None, : n + 1] for j in range(0, m_max, _OCC_BLOCK))
                 # each block's diagonal of the form, never the (m_max, m_max) form itself
-                spectra = _toeplitz_spectra(self.g, blocks, self.cfg.dt, n + 1)
-                diag = [(A.real**2 + A.imag**2) @ lam for lam, A in spectra]
-                occ[i] = self.cfg.gamma**2 * np.concatenate(diag)
-        return occ.reshape(times.shape + (m_max,))
+                spectra = _toeplitz_spectra(self.g, blocks, self.dt, n + 1)
+                row[:] = self.gamma**2 * np.concatenate([(A.real**2 + A.imag**2) @ lam for lam, A in spectra])
+        return occ[where].reshape(times.shape + (m_max,))
 
     def p0_series(self, times) -> np.ndarray:
         """omega_t(P_0) at each time in [0, T], shaped like times; p0_series(run.t) is the whole grid.
@@ -427,19 +418,19 @@ class DetectorRun:
         between requested steps, taken with the base rows and scaled by the block phase once, and
         P_0 is formed at the requested steps it holds.
         """
-        req, where = np.unique(self._steps(times), return_inverse=True)
-        size = int(req[-1]) + 1
-        cfg, dt = self.cfg, self.cfg.dt
-        grid = cfg.phi.grid
+        times, last = self._last_step(times)
+        size, distinct = last + 1, min(times.size, last + 1)
+        dt, grid = self.dt, self.phi.grid
         nodes, rows = grid.nodes.size, min(PHASE_BLOCK, size)
-        # q and the two weight rows over the steps, out and req over the requested steps, where and
-        # the result over the times, and first q's FFT pair of length L, then one row block: the base
-        # block (1.5 complex arrays while it is built) and 10 complex arrays per requested row in it
-        # (the sums, the requested phases, C_p, Z_p, chi and temporaries; 9.6 at the whole-grid peak
-        # under tracemalloc)
-        block = (2 * rows + 10 * min(rows, req.size)) * nodes
-        held = 16 * (3 * size + req.size + where.size + max(2 * _conv_length(size), block))
-        check_held(held, f"P_0 at {req.size} times up to t = {self.t[size - 1]:g}")
+        # q and the two weight rows over the steps, out and req over the distinct steps (at most one
+        # per step), the steps' arrays and the result over the times, and first q's FFT pair of
+        # length L, then one row block: the base block (1.5 complex arrays while it is built) and 10
+        # complex arrays per requested row in it (the sums, the requested phases, C_p, Z_p, chi and
+        # temporaries; 9.6 at the whole-grid peak under tracemalloc)
+        block = (2 * rows + 10 * min(rows, distinct)) * nodes
+        held = 16 * (3 * size + distinct + max(2 * _conv_length(size), block)) + (_STEP_BYTES + 8) * times.size
+        check_held(held, f"P_0 at {times.size} times up to t = {self.t[last]:g}")
+        req, where = np.unique(np.rint(times / self.dt).astype(int), return_inverse=True)
         f, F = self.f[:size], self.solution[:size]
         q = _linear_conv(f, F)
         # conj(f) and conj(r), r = q - f0 F / 2: the weights of the two running sums
@@ -463,7 +454,7 @@ class DetectorRun:
                 S, E = np.conj(sums[:-1], out=sums[:-1]), base[ks - i] * phase
                 Cp = dt * (E * S[:, 0] - 0.5 * (E * f[0] + f[ks, None]))
                 Zp = dt * (dt * (E * S[:, 1] - 0.5 * q[ks, None]) - 0.5 * F[0] * Cp)
-                chi = E * cfg.psi.amplitude - cfg.gamma**2 * cfg.phi.amplitude * Zp
+                chi = E * self.psi.amplitude - self.gamma**2 * self.phi.amplitude * Zp
                 out[lo:hi] = grid.integrate(np.abs(chi) ** 2 * 4.0 * pi * ps2)
         return out[where].reshape(np.shape(times))
 
@@ -478,7 +469,7 @@ def povm_matrix(psis: list, gamma: float, T: float):
     """
     if len(psis) < 1:
         raise ValueError("need at least one packet")
-    run = DetectorRun(DetectorConfig(gamma=gamma, psi=psis[0], T=T))
+    run = DetectorRun(gamma, psis[0], T=T)
     run.check_weak_coupling()
     W = run.response_form(run.solve_fourier(run.free_series_multi(psis)))
     S = np.array([[overlap(a, b) for b in psis] for a in psis])

@@ -68,15 +68,8 @@ class RadialPacket:
     def amplitude_at(self, p) -> np.ndarray:
         return self.scale * np.asarray(self.profile(np.asarray(p, dtype=float)), dtype=complex)
 
-    @property
-    def density(self) -> np.ndarray:
-        return 4.0 * pi * self.grid.nodes**2 * np.abs(self.amplitude) ** 2
-
-    def norm_sq(self) -> float:
-        return float(np.real(self.grid.integrate(self.density)))
-
     def check_normalized(self) -> None:
-        if abs(self.norm_sq() - 1.0) > 1e-8:
+        if abs(overlap(self, self) - 1.0) > 1e-8:
             raise ValueError("packet density must integrate to 1")
 
 

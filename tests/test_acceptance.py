@@ -94,14 +94,14 @@ def test_smearing_check_catches_a_width_slip(monkeypatch):
 @pytest.mark.parametrize("pair", [(7, 8), (10, 11)], ids=["detector_run", "radiating_chain"])
 def test_shared_inputs_give_the_lines_of_each_criterion_alone(pair, calls):
     alone = [acceptance.run_all([i])[0].line for i in pair]
-    solves = calls(detector.DetectorRun, "solve_fourier", lambda run: (run.cfg.dt, run.cfg.T))
+    solves = calls(detector.DetectorRun, "solve_fourier", lambda run: (run.dt, run.T))
     assert [r.line for r in acceptance.run_all(list(pair))] == alone
     # one Fourier solve per run: criterion 07 reads the shared run's solution, which criterion 08 uses too
     assert len(solves) == len(set(solves)), solves
 
 
 def test_criteria_07_and_08_share_one_free_pass(calls):
-    passes = calls(detector.DetectorRun, "free_series_multi", lambda run, bs: (run.cfg.dt, run.cfg.T))
+    passes = calls(detector.DetectorRun, "free_series_multi", lambda run, bs: (run.dt, run.T))
     acceptance.run_all([7, 8])
     # the default run's pass once; criterion 08's fine grid (dt = 0.004, T = 20) has its own
     assert sorted(passes) == [(0.004, 20.0), (0.02, 200.0)]

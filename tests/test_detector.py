@@ -8,7 +8,6 @@ from test_properties import PROPERTY
 from chainlab import DomainError, detector, specfun
 from chainlab.detector import (
     W_ROUTE_TOL,
-    DetectorConfig,
     DetectorRun,
     amplitude_free,
     povm_matrix,
@@ -21,18 +20,18 @@ from chainlab.specfun import PHASE_BLOCK, bessel_ratio_table, phase_blocks, phas
 @pytest.fixture(scope="module")
 def short_run():
     # T = 40 keeps the free-series quadrature cheap; physics is unchanged
-    return DetectorRun(DetectorConfig(gamma=0.5, T=40.0))
+    return DetectorRun(gamma=0.5, T=40.0)
 
 
 @pytest.fixture(scope="module")
 def default_run():
-    return DetectorRun(DetectorConfig(gamma=0.5))
+    return DetectorRun(gamma=0.5)
 
 
 def _free_coefficients(run):
     """Trapezoid coefficients of the free pass over p_fine: columns (phi, psi) and (phi, phi)."""
     p = run.p_fine
-    phi, psi = run.cfg.phi, run.cfg.psi
+    phi, psi = run.phi, run.psi
     C = np.conj(phi.amplitude_at(p))[:, None] * np.stack([psi.amplitude_at(p), phi.amplitude_at(p)], axis=1)
     return C * (4.0 * np.pi * p**2 * (p[1] - p[0]))[:, None]
 
@@ -51,13 +50,13 @@ def test_semicircle_kernel_shape():
 def test_spectral_fhat_matches_continuum_convolution(short_run):
     # f = g J_1(2t)/t, so fhat = (2 pi)^(-1/2) ghat * semicircle; fhat >= 0 makes W_gamma positive
     run = short_run
-    dt = run.cfg.dt
+    dt = run.dt
     fhat = dt / np.sqrt(2.0 * np.pi) * np.fft.fft(detector._two_sided(run.f, run.L))
     du = 2.0 * np.pi / (run.L * dt)
     for u in (-20.0, -5.0, -1.0, 0.0, 1.5):
         j = int(round(u / du))
         v = np.linspace(j * du - 2.0, j * du + 2.0, 200001)  # the semicircle's support
-        ref = np.trapezoid(ghat_radial(run.cfg.phi, v) * semicircle_kernel(j * du - v), v) / np.sqrt(2.0 * np.pi)
+        ref = np.trapezoid(ghat_radial(run.phi, v) * semicircle_kernel(j * du - v), v) / np.sqrt(2.0 * np.pi)
         assert abs(fhat[j % run.L] - ref) <= 2e-5
 
 
@@ -78,7 +77,7 @@ def test_amplitude_free_gaussian_closed_form():
 
 def test_free_series_matches_quadrature(short_run):
     i = np.array([0, 100, 2000])
-    ref = amplitude_free(short_run.cfg.phi, short_run.cfg.psi, short_run.t[i])
+    ref = amplitude_free(short_run.phi, short_run.psi, short_run.t[i])
     assert np.max(np.abs(short_run.free_series()[i] - ref)) <= 1e-8
 
 
@@ -91,7 +90,7 @@ def test_free_series_matches_direct_phase_matrix(short_run):
     assert 0 < run.n + 1 - last < PHASE_BLOCK
     rows = np.r_[0, PHASE_BLOCK - 1, PHASE_BLOCK, 2 * PHASE_BLOCK, last - 1, last:run.n + 1]
     ref = np.exp(-1j * np.outer(run.t[rows], p**2)) @ C
-    assert np.max(np.abs(phase_sum(C, p**2, run.cfg.dt, run.n + 1)[rows] - ref)) <= 1e-13
+    assert np.max(np.abs(phase_sum(C, p**2, run.dt, run.n + 1)[rows] - ref)) <= 1e-13
     assert np.max(np.abs(run.free_series()[rows] - ref[:, 0])) <= 1e-13
     assert np.max(np.abs(run.g[rows] - ref[:, 1])) <= 1e-13
 
@@ -100,13 +99,13 @@ def test_phase_blocks_match_the_full_matrix_and_the_phase_sum_of_the_identity(sh
     # the phases P_0 streams over: block-boundary rows and the final partial block; the elementwise
     # product and the product with the identity round differently, by under an ulp of the phase
     run = short_run
-    ps = run.cfg.phi.grid.nodes[48:96]
+    ps = run.phi.grid.nodes[48:96]
     last = (run.n // PHASE_BLOCK) * PHASE_BLOCK
     rows = np.r_[0, PHASE_BLOCK - 1, PHASE_BLOCK, 2 * PHASE_BLOCK, last - 1, last:run.n + 1]
-    ep = np.concatenate([base * phase for _, base, phase in phase_blocks(ps**2, run.cfg.dt, run.n + 1)])
+    ep = np.concatenate([base * phase for _, base, phase in phase_blocks(ps**2, run.dt, run.n + 1)])
     assert ep.shape == (run.n + 1, ps.size)
     assert np.max(np.abs(ep[rows] - np.exp(-1j * np.outer(run.t[rows], ps**2)))) <= 1e-13
-    assert np.max(np.abs(ep - phase_sum(np.eye(ps.size), ps**2, run.cfg.dt, run.n + 1))) <= 1e-15
+    assert np.max(np.abs(ep - phase_sum(np.eye(ps.size), ps**2, run.dt, run.n + 1))) <= 1e-15
 
 
 @pytest.mark.parametrize("which", ["short_run", "default_run"])
@@ -114,8 +113,8 @@ def test_free_series_nufft_matches_direct_phase_sum(which, request):
     # T = 40 and T = 200: the free pass's own coefficients, NUFFT against the direct sum
     run = request.getfixturevalue(which)
     C = _free_coefficients(run)
-    direct = phase_sum(C, run.p_fine**2, run.cfg.dt, run.n + 1)
-    assert np.max(np.abs(phase_sum_nufft(C, run.p_fine**2, run.cfg.dt, run.n + 1) - direct)) <= 1e-13
+    direct = phase_sum(C, run.p_fine**2, run.dt, run.n + 1)
+    assert np.max(np.abs(phase_sum_nufft(C, run.p_fine**2, run.dt, run.n + 1) - direct)) <= 1e-13
     assert np.max(np.abs(run.free_series() - direct[:, 0])) <= 1e-13
 
 
@@ -123,7 +122,7 @@ def test_free_pass_memory_stays_below_the_direct_sum(default_run):
     # the direct (times x momenta) sum peaks near 38 MB here; spreading one kernel offset at a time stays far below
     run = default_run
     with traced() as trace:
-        run.free_series_multi([run.cfg.psi, run.cfg.phi])
+        run.free_series_multi([run.psi, run.phi])
     assert trace.peak < 16e6
 
 
@@ -132,7 +131,7 @@ def test_free_pass_holds_one_grid_per_column(default_run):
     # per column, 11.39 MB, when each part was spread into a real row)
     run = default_run
     with traced() as trace:
-        run.free_series_multi([run.cfg.psi, run.cfg.phi])
+        run.free_series_multi([run.psi, run.phi])
     assert trace.peak < 7.5e6
 
 
@@ -143,7 +142,7 @@ def test_g_matches_gaussian_closed_form(short_run):
 
 def test_free_amplitudes_take_one_quadrature_pass(calls):
     passes = calls(DetectorRun, "free_series_multi", lambda self, bs: len(bs))
-    run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
+    run = DetectorRun(gamma=0.5, T=5.0)
     run.solve_fourier()
     run.K
     assert passes == [2]
@@ -162,16 +161,16 @@ def test_solvers_agree_pairwise(short_run):
     Fm = short_run.solve_marching()
     Fn = short_run.solve_neumann()
     Ff = short_run.solve_fourier()
-    dt = short_run.cfg.dt
+    dt = short_run.dt
     for a, b in ((Fm, Fn), (Fm, Ff), (Fn, Ff)):
         assert np.sqrt(dt * np.sum(np.abs(a - b) ** 2)) < 1e-10
 
 
 def test_solve_marching_matches_the_loop_over_the_reversed_view():
     # the marching loop on a reversed view of K, which np.dot copied on every step, to the bit
-    run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
+    run = DetectorRun(gamma=0.5, T=5.0)
     F0, K = run.free_series(), run.K
-    g2, dt = run.cfg.gamma**2, run.cfg.dt
+    g2, dt = run.gamma**2, run.dt
     F = np.empty(run.n + 1, dtype=complex)
     F[0] = F0[0]
     Kr = K[::-1]
@@ -190,8 +189,7 @@ def test_unconverged_neumann_series_raises(short_run, monkeypatch):
 
 
 def test_gamma_zero_reduces_to_free(short_run):
-    cfg = DetectorConfig(gamma=0.0, T=40.0)
-    run = DetectorRun(cfg)
+    run = DetectorRun(gamma=0.0, T=40.0)
     assert np.max(np.abs(run.solve_fourier() - run.free_series())) < 1e-12
 
 
@@ -226,7 +224,7 @@ def test_in_place_transforms_leave_the_free_columns_unchanged(short_run):
 
 
 def test_detection_probability_zero_coupling():
-    assert DetectorRun(DetectorConfig(gamma=0.0, T=5.0)).detection_w() == 0.0
+    assert DetectorRun(gamma=0.0, T=5.0).detection_w() == 0.0
 
 
 def test_occupations_sum_to_detection_probability(short_run):
@@ -237,7 +235,7 @@ def test_occupations_sum_to_detection_probability(short_run):
 
 
 def test_occupations_at_array_matches_scalar_calls():
-    run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
+    run = DetectorRun(gamma=0.5, T=5.0)
     ts = np.array([0.0, 1.0, 2.5, 5.0])
     occ = run.occupations_at(ts)
     assert occ.shape == (ts.size, run.occupations_at(5.0).size)
@@ -246,15 +244,26 @@ def test_occupations_at_array_matches_scalar_calls():
         assert np.max(np.abs(row[: single.size] - single)) <= 1e-15
 
 
+def test_occupations_at_solves_each_distinct_step_once(calls):
+    # 2000 copies of one time: each row is the single call's row to the bit, from one Toeplitz form
+    run = DetectorRun(gamma=0.5, T=5.0)
+    single = run.occupations_at(5.0)
+    forms = calls(detector, "_toeplitz_spectra")
+    occ = run.occupations_at(np.full(2000, 5.0))
+    assert occ.shape == (2000, single.size)
+    assert np.array_equal(occ, np.broadcast_to(single, occ.shape))
+    assert len(forms) == 1
+
+
 def test_occupations_at_builds_one_bessel_table(calls):
-    run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
+    run = DetectorRun(gamma=0.5, T=5.0)
     run.solution  # builds the kernel f and its own Bessel table first
     tables = calls(detector, "bessel_ratio_table", lambda m_max, t: m_max)
     run.occupations_at(np.array([1.0, 2.0, 3.0, 4.0]))
     assert len(tables) == 1
 
 
-_OCC_RUN = DetectorRun(DetectorConfig(T=10.0))
+_OCC_RUN = DetectorRun(T=10.0)
 
 
 @PROPERTY
@@ -263,7 +272,7 @@ def test_occupations_at_matches_the_one_block_form(times):
     # the diagonal of the whole (m_max, m_max) form conj(W V)^T T_g W V, with the dense (n + 1, n + 1)
     # Toeplitz matrix T_g[i, j] = g(t_i - t_j), g(-t) = conj(g(t)), and the paper's complex
     # f_m = (-i)^(m-1) m J_m(2s)/s in V: the unit phase cancels on the diagonal
-    run, dt = _OCC_RUN, _OCC_RUN.cfg.dt
+    run, dt = _OCC_RUN, _OCC_RUN.dt
     occ = run.occupations_at(times)
     steps = np.rint(np.array(times) / dt).astype(int)
     m_max = detector._chain_order_cut(max(times))
@@ -278,7 +287,7 @@ def test_occupations_at_matches_the_one_block_form(times):
         w[[0, -1]] = 0.5 * dt
         WV = w[:, None] * (fm[:, n::-1] * run.solution[None, : n + 1]).T
         form = np.conj(WV).T @ Tg @ WV
-        assert np.max(np.abs(row - run.cfg.gamma**2 * np.real(np.diagonal(form)))) <= 1e-15
+        assert np.max(np.abs(row - run.gamma**2 * np.real(np.diagonal(form)))) <= 1e-15
 
 
 def test_occupations_at_holds_one_column_block_of_transforms(monkeypatch, held_counts):
@@ -287,7 +296,7 @@ def test_occupations_at_holds_one_column_block_of_transforms(monkeypatch, held_c
     # within 1.25 times that peak (a count that kept the complex table's terms read 15.6 MB).  The
     # (8192, 200) transform of all chain sites at once peaked at 55.7 MB, and its count of 64.6 MB
     # refused the call under 2^25 bytes
-    run = DetectorRun(DetectorConfig(T=60.0))
+    run = DetectorRun(T=60.0)
     run.solution
     counts = held_counts(detector)
     with traced() as trace:
@@ -303,28 +312,27 @@ def _p0_by_double_convolution(run):
 
     The phases are exp of the whole (times x nodes) matrix: no phase factorization shared with p0_series.
     """
-    cfg, dt = run.cfg, run.cfg.dt
-    grid = cfg.phi.grid
+    dt, grid = run.dt, run.phi.grid
     out = np.zeros(run.n + 1)
     for i in range(0, grid.nodes.size, 48):
         ps = grid.nodes[i : i + 48]
         ep = np.exp(-1j * np.outer(run.t, ps**2))
         Zp = detector._causal_conv(detector._causal_conv(ep, run.f[:, None], dt), run.solution[:, None], dt)
-        chi = ep * cfg.psi.amplitude[i : i + 48] - cfg.gamma**2 * cfg.phi.amplitude[i : i + 48] * Zp
+        chi = ep * run.psi.amplitude[i : i + 48] - run.gamma**2 * run.phi.amplitude[i : i + 48] * Zp
         out += (np.abs(chi) ** 2) @ (grid.weights[i : i + 48] * 4.0 * np.pi * ps**2)
     return out
 
 
 @pytest.mark.parametrize("dt", [0.02, 0.004])
 def test_p0_series_matches_double_convolution(dt):
-    run = DetectorRun(DetectorConfig(gamma=0.5, dt=dt, T=5.0))
+    run = DetectorRun(gamma=0.5, dt=dt, T=5.0)
     assert np.max(np.abs(run.p0_series(run.t) - _p0_by_double_convolution(run))) <= 1e-13
 
 
 @PROPERTY
 @given(gamma=st.floats(0.0, 0.6), T=st.floats(0.5, 10.0))
 def test_p0_series_matches_double_convolution_everywhere(gamma, T):
-    run = DetectorRun(DetectorConfig(gamma=gamma, T=T))
+    run = DetectorRun(gamma=gamma, T=T)
     assert np.max(np.abs(run.p0_series(run.t) - _p0_by_double_convolution(run))) <= 1e-13
 
 
@@ -342,9 +350,11 @@ def test_p0_series_at_times_matches_the_whole_grid(short_run):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda run: DetectorConfig(gamma=0.5, psi=run.cfg.psi, T=0.001),  # psi: the width-1 Gaussian
-        lambda run: DetectorConfig(gamma=0.5, psi=run.cfg.psi, dt=-0.01),
-        lambda run: DetectorConfig(gamma=-0.5, psi=run.cfg.psi, T=5.0),
+        lambda run: DetectorRun(gamma=0.5, psi=run.psi, T=0.001),  # psi: the width-1 Gaussian
+        lambda run: DetectorRun(gamma=0.5, psi=run.psi, dt=-0.01),
+        lambda run: DetectorRun(gamma=-0.5, psi=run.psi, T=5.0),
+        # an infinite gamma once built a run whose w, P_0 and occupations were all NaN
+        lambda run: DetectorRun(gamma=np.inf, psi=run.psi, T=5.0),
         # a negative gamma once made ||gamma g||_1 negative and slipped past the weak-coupling gate
         lambda run: povm_matrix([gaussian_packet(default_grid(), w) for w in (0.8, 1.5)], -5.0, T=5.0),
         lambda run: povm_matrix([gaussian_packet(default_grid(), 0.8)], 0.0, T=-5.0),
@@ -353,7 +363,8 @@ def test_p0_series_at_times_matches_the_whole_grid(short_run):
         lambda run: run.occupations_at([]),  # numpy's reduction over no times once raised a raw ValueError
         lambda run: run.p0_series(np.zeros((0, 3))),  # the largest step of no times once raised a raw IndexError
     ],
-    ids=["config-T-below-a-step", "config-dt-negative", "config-gamma-negative", "povm-gamma-negative",
+    ids=["config-T-below-a-step", "config-dt-negative", "config-gamma-negative", "run-gamma-infinite",
+         "povm-gamma-negative",
          "povm-T-negative-at-zero-gamma", "occupations-past-T", "occupations-negative-time",
          "occupations-no-times", "p0-no-times"],
 )
@@ -361,6 +372,20 @@ def test_refused_input(short_run, call):
     # a configuration error: exit 1 from the command line
     with pytest.raises(DomainError):
         call(short_run)
+
+
+_SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0])
+
+
+@PROPERTY
+@given(gamma=st.floats(-1.0, 10.0) | _SPECIAL, dt=st.floats(1e-3, 1.0) | _SPECIAL, T=st.floats(0.0, 50.0) | _SPECIAL)
+def test_a_run_constructs_or_refuses_its_inputs(gamma, dt, T):
+    # no free pass runs: a run that constructs has a finite gamma >= 0 and at least one step of dt > 0
+    try:
+        run = DetectorRun(gamma, dt=dt, T=T)
+    except DomainError:
+        return
+    assert 0.0 <= run.gamma < np.inf and run.dt > 0.0 and run.n >= 1 and run.t.size == run.n + 1
 
 
 def test_p0_series_refuses_times_outside_the_run_before_allocating(short_run):
@@ -373,25 +398,25 @@ def test_p0_series_refuses_times_outside_the_run_before_allocating(short_run):
 
 def test_coupling_packet_lives_on_the_grid_of_psi():
     # P_0 weights psi's nodes with phi's amplitudes: a phi on another grid once gave P_0(0) = 8
-    cfg = DetectorConfig(0.5, gaussian_packet(default_grid(panels=80), 1.0), T=5.0)
-    assert cfg.phi.grid is cfg.psi.grid
-    assert abs(DetectorRun(cfg).p0_series(0.0) - 1.0) <= 1e-12
+    run = DetectorRun(0.5, gaussian_packet(default_grid(panels=80), 1.0), T=5.0)
+    assert run.phi.grid is run.psi.grid
+    assert abs(run.p0_series(0.0) - 1.0) <= 1e-12
 
 
 def test_p0_series_takes_no_phase_sum(forbid):
     # the phases come from phase_blocks: a phase sum of the identity would multiply by zeros once per node
     forbid(specfun, "phase_sum")
     forbid(detector, "phase_sum", raising=False)
-    run = DetectorRun(DetectorConfig(gamma=0.5, T=5.0))
+    run = DetectorRun(gamma=0.5, T=5.0)
     assert np.all(np.isfinite(run.p0_series(run.t)))
 
 
 def test_p0_series_keeps_criterion_08_deviations_to_the_bit(default_run):
     # criterion 08's sampled and T = 200 conservation deviations at full precision
-    run = DetectorRun(DetectorConfig(gamma=0.5, dt=0.004, T=20.0))
+    run = DetectorRun(gamma=0.5, dt=0.004, T=20.0)
     ts = np.array([2.0, 5.0, 10.0, 20.0])
     dev = float(np.max(np.abs(run.occupations_at(ts).sum(axis=1) + run.p0_series(ts) - 1.0)))
-    dev_T = float(abs(default_run.p0_series(default_run.cfg.T) + default_run.detection_w() - 1.0))
+    dev_T = float(abs(default_run.p0_series(default_run.T) + default_run.detection_w() - 1.0))
     assert (dev.hex(), dev_T.hex()) == ("0x1.00406a9600000p-21", "0x1.ae07221e70000p-17")
 
 
@@ -400,7 +425,7 @@ def test_p0_series_takes_no_per_node_convolution(calls):
     ffts = []
     for panels in (20, 80):  # 240 and 960 momentum nodes
         grid = default_grid(panels=panels)
-        run = DetectorRun(DetectorConfig(0.5, gaussian_packet(grid, 1.0), T=5.0))
+        run = DetectorRun(0.5, gaussian_packet(grid, 1.0), T=5.0)
         run.solution
         convs.clear()
         fft_calls.clear()
@@ -432,7 +457,7 @@ def test_povm_matrix_matches_polarized_detection_w():
     g = default_grid()
     psis = [gaussian_packet(g, 0.8), bump_packet(g)]
     W, _ = povm_matrix(psis, 0.5, T=40.0)
-    run = DetectorRun(DetectorConfig(gamma=0.5, psi=psis[0], T=40.0))
+    run = DetectorRun(gamma=0.5, psi=psis[0], T=40.0)
     F0s = run.free_series_multi(psis)
     F = [run.solve_fourier(F0s[:, i]) for i in range(len(psis))]
     w = lambda F: run.response_form(F[:, None])[0, 0].real  # detection_w of the amplitude F
@@ -460,18 +485,17 @@ def test_povm_vanishes_without_coupling():
 def test_oversized_run_is_refused_before_allocation():
     # T = 1e5 needs 12.7e6 fine momenta; dt = 1e-5 at T = 200 needs 2e7 times, a 2^27-point NUFFT
     # grid and solver transforms: either free pass would hold gigabytes, above 2**28 bytes
-    cfgs = [DetectorConfig(T=1e5), DetectorConfig(dt=1e-5)]
     with traced() as trace:
-        for cfg in cfgs:
+        for kw in ({"T": 1e5}, {"dt": 1e-5}):
             with pytest.raises(DomainError):
-                DetectorRun(cfg)
+                DetectorRun(**kw)
     assert trace.peak < 2**20
 
 
 def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_any_solve(monkeypatch, forbid):
     # T = 1000 constructs, but occupations up to t = 1000 need
     # 131072 x 2172 complex Toeplitz transforms (4.6 GB)
-    run = DetectorRun(DetectorConfig(T=1000.0))
+    run = DetectorRun(T=1000.0)
 
     class Admitted(Exception):
         pass
@@ -493,7 +517,7 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     # the bound covers more than the table: at t = 60 the real f_m table is 200 x 3001 (4.8 MB)
     # and bessel_table counts its build at 5.24 MB, both under 8 * 2^20 bytes, but with one
     # block of V and its 8192-point transforms beside the table the call counts 8.88 MB
-    run = DetectorRun(DetectorConfig(T=60.0))
+    run = DetectorRun(T=60.0)
     monkeypatch.setattr(specfun, "_MAX_HELD_BYTES", 8 * 2**20)
     specfun.bessel_ratio_table(200, run.t)
     with pytest.raises(DomainError):
@@ -518,14 +542,19 @@ def test_whole_grid_p0_holds_one_phase_block_at_a_time(default_run):
         ({"T": 20.0, "dt": 0.004}, lambda run: run.p0_series(run.t)),
         ({"T": 20.0, "dt": 0.004}, lambda run: run.p0_series(20.0)),
         ({"T": 5.0}, lambda run: run.p0_series([0.0, 2.6])),
-        ({"T": 60.0}, lambda run: run.free_series_multi([run.cfg.psi] * 4)),
-        ({"T": 60.0}, lambda run: DetectorRun(run.cfg).detection_w_spectral()),  # __init__'s gate
+        ({"T": 60.0}, lambda run: run.free_series_multi([run.psi] * 4)),
+        # __init__'s gate: a run of the same four inputs
+        ({"T": 60.0}, lambda run: DetectorRun(run.gamma, run.psi, run.dt, run.T).detection_w_spectral()),
+        # repeated times: the steps, their sort and inverse, and the output rows over the times
+        ({"T": 5.0}, lambda run: run.p0_series(np.full(200000, 5.0))),
+        ({"T": 5.0}, lambda run: run.occupations_at(np.full(2000, 5.0))),
     ],
-    ids=["occupations_at", "p0_series", "p0_series-at-T", "p0_series-early", "free_series_multi", "run"],
+    ids=["occupations_at", "p0_series", "p0_series-at-T", "p0_series-early", "free_series_multi", "run",
+         "p0_series-repeated-times", "occupations_at-repeated-times"],
 )
 def test_memory_gates_count_what_each_call_holds(gate_covers, kw, call):
     # the peak of the call stays within the bytes its gate counts: one byte less of budget refuses it
-    run = DetectorRun(DetectorConfig(**kw))
+    run = DetectorRun(**kw)
     run.solution  # solved and cached before the call, as in verify
     run.f
     gate_covers(lambda: call(run))

@@ -3,7 +3,7 @@ from math import pi
 import numpy as np
 import pytest
 
-from chainlab.detector import DetectorConfig, DetectorRun
+from chainlab.detector import DetectorRun
 from chainlab.packets import (
     bump_packet,
     default_grid,
@@ -21,7 +21,7 @@ def test_grid_integrates_polynomials_exactly():
 def test_packets_are_normalized():
     g = default_grid()
     for pk in (gaussian_packet(g, 0.7), gaussian_packet(g, 2.0), bump_packet(g)):
-        assert pk.norm_sq() == pytest.approx(1.0, abs=1e-10)
+        assert overlap(pk, pk) == pytest.approx(1.0, abs=1e-10)
         pk.check_normalized()
 
 
@@ -62,7 +62,7 @@ def _bump_sine_sum(p: np.ndarray, R: float) -> np.ndarray:
 def test_bump_profile_matches_direct_sine_sum():
     g = default_grid()
     profile = bump_packet(g).profile
-    fine = DetectorRun(DetectorConfig(T=60.0)).p_fine
+    fine = DetectorRun(T=60.0).p_fine
     rng = np.random.default_rng(3)
     scattered = np.concatenate([[0.0, 12.0, 40.0], rng.uniform(0.0, 2.0 * g.p_max, 200)])
     for p in (g.nodes, fine, scattered):
