@@ -77,9 +77,9 @@ _NEUMANN_MAX_TERMS = 200
 # f_m table; best of 3 takes 0.036-0.038 s at 2-8 columns and 0.042-0.044 s at 16-64 (one BLAS
 # thread, 2-core Xeon VM)
 _OCC_BLOCK = 8
-# bytes per time that P_0 and the occupations hold to find their distinct steps: the times, their
-# integer steps (the float steps are freed first), and np.unique's flattened copy, sort order,
-# sorted steps, two running counts and inverse (and a 1-byte mask).  57 traced at 200000 times
+# bytes per time that `_steps` holds to find the distinct steps: the times, their integer steps
+# (the float steps are freed first), and np.unique's flattened copy, sort order, sorted steps, two
+# running counts and inverse (and a 1-byte mask).  57 traced at 200000 times
 _STEP_BYTES = 64
 # largest accepted gap between the time-domain and spectral w routes
 W_ROUTE_TOL = 1e-6
@@ -169,7 +169,8 @@ class DetectorRun:
 
     psi defaults (None) to the width-1 Gaussian on default_grid(), built for this run.  The coupling
     packet phi is the width-2 Gaussian on psi's grid, so both packets share every node.  Everything
-    the run caches (grids, kernels, solutions) is a function of these four inputs alone.
+    the run caches (grids, kernels, solutions) is a function of these four inputs alone, so every
+    attribute is fixed when the run is built: rebinding one raises AttributeError.
     """
 
     def __init__(self, gamma: float = 0.5, psi: RadialPacket | None = None, dt: float = 0.02, T: float = 200.0):
@@ -183,19 +184,21 @@ class DetectorRun:
             raise DomainError(f"T = {T:g} must span at least one time step dt = {dt:g}")
         if not isfinite(float(T) / float(dt)):
             raise DomainError(f"T / dt = {T:g} / {dt:g} is not a finite step count")
-        self.gamma, self.dt, self.T = gamma, dt, T
-        self.psi = gaussian_packet(default_grid(), width=1.0) if psi is None else psi
-        self.psi.check_normalized()
-        self.phi = gaussian_packet(self.psi.grid, width=2.0)
-        self.n = int(round(T / dt))
+        psi = gaussian_packet(default_grid(), width=1.0) if psi is None else psi
+        psi.check_normalized()
+        phi = gaussian_packet(psi.grid, width=2.0)
+        n = int(round(T / dt))
         # fine momentum grid resolving the largest phase T p_max^2
-        p_max = self.phi.grid.p_max
-        n_fine = int(np.ceil(_OVERSAMPLE * T * p_max**2 / pi)) + 100
+        n_fine = int(np.ceil(_OVERSAMPLE * T * phi.grid.p_max**2 / pi)) + 100
         # circular grid of the Fourier-domain solver and the spectral w route
-        self.L = pow2_at_least(4 * (self.n + 1))
-        _check_free_pass(self.n + 1, self.L, n_fine, 2)
-        self.t = dt * np.arange(self.n + 1)
-        self.p_fine = np.linspace(0.0, p_max, n_fine)
+        L = pow2_at_least(4 * (n + 1))
+        _check_free_pass(n + 1, L, n_fine, 2)
+        # the instance dict directly, as cached_property writes it: __setattr__ refuses every name
+        vars(self).update(gamma=gamma, psi=psi, phi=phi, dt=dt, T=T, n=n, L=L, t=dt * np.arange(n + 1),
+                          p_fine=np.linspace(0.0, phi.grid.p_max, n_fine))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a DetectorRun's {name} is fixed when it is built; build a new run")
 
     # -- elementary series ------------------------------------------------
 
@@ -352,10 +355,11 @@ class DetectorRun:
 
     # -- occupations -------------------------------------------------------
 
-    def _last_step(self, times) -> tuple[np.ndarray, int]:
-        """times as an array and the grid step of the latest; DomainError when empty or outside [0, T] (NaN included).
+    def _steps(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """times as an array, their distinct grid steps and the index of each time's step in them.
 
-        Rounding to the grid is monotone, so the earliest and the latest time bound every step, and nothing is built.
+        DomainError when empty, outside [0, T] (NaN included; the earliest and the latest time bound
+        every step, as rounding to the grid is monotone) or over budget, before np.unique runs.
         """
         times = np.asarray(times, dtype=float)
         if times.size == 0:
@@ -363,7 +367,9 @@ class DetectorRun:
         first, last = np.rint(np.array([np.min(times), np.max(times)]) / self.dt)
         if not (first >= 0 and last <= self.n):
             raise DomainError(f"times must lie in [0, T = {self.T:g}]")
-        return times, int(last)
+        check_held(_STEP_BYTES * times.size, f"the grid steps of {times.size} times")
+        req, where = np.unique(np.rint(times / self.dt).astype(int), return_inverse=True)
+        return times, req, where
 
     def occupations_at(self, times) -> np.ndarray:
         """omega_t(P_m) for m = 1..m_max (chain sites) at each time in [0, T].
@@ -380,21 +386,20 @@ class DetectorRun:
         diagonal is the spectrum of g weighted by |FFT(V_b^T W)|^2 per row.
         Each distinct grid step is computed once and copied to its times.
         """
-        times, last = self._last_step(times)
+        times, req, where = self._steps(times)
         m_max = _chain_order_cut(float(np.max(times)))
-        size = last + 1
+        size = int(req[-1]) + 1
         # the real f_m table (bessel_table's rows, J_0's too, with the ratios formed in place) and
         # beside it what a block of _OCC_BLOCK sites holds: V_b (weighted in place), the (b, L)
         # transforms of this block and the last (the consumer still holds it), and |A_b|^2, with
-        # the kernel's two-sided layout, transform and spectrum; the rows of the distinct steps, at
-        # most one per step, and over the times the steps' arrays and the output rows.
+        # the kernel's two-sided layout, transform and spectrum; the rows of the distinct steps, and
+        # over the times the times, their step indices and the output rows.
         # bessel_table's own gate counts the table's build (12 work arrays over the times beside
         # it, less than a block) before it allocates
         L = _conv_length(size)
         held = 8 * (m_max + 1) * size + 16 * (_OCC_BLOCK * (size + 3 * L) + 3 * L)
-        held += 8 * m_max * min(times.size, size) + (_STEP_BYTES + 8 * m_max) * times.size
+        held += 8 * m_max * req.size + (16 + 8 * m_max) * times.size
         check_held(held, f"occupations at {times.size} times up to t = {np.max(times):g}")
-        req, where = np.unique(np.rint(times / self.dt).astype(int), return_inverse=True)
         fm = bessel_ratio_table(m_max, self.t[:size])
         F = self.solution
         occ = np.zeros((req.size, m_max))
@@ -418,19 +423,18 @@ class DetectorRun:
         between requested steps, taken with the base rows and scaled by the block phase once, and
         P_0 is formed at the requested steps it holds.
         """
-        times, last = self._last_step(times)
-        size, distinct = last + 1, min(times.size, last + 1)
+        times, req, where = self._steps(times)
+        size = int(req[-1]) + 1
         dt, grid = self.dt, self.phi.grid
         nodes, rows = grid.nodes.size, min(PHASE_BLOCK, size)
-        # q and the two weight rows over the steps, out and req over the distinct steps (at most one
-        # per step), the steps' arrays and the result over the times, and first q's FFT pair of
-        # length L, then one row block: the base block (1.5 complex arrays while it is built) and 10
-        # complex arrays per requested row in it (the sums, the requested phases, C_p, Z_p, chi and
+        # q and the two weight rows over the steps, out and req over the distinct steps, the times,
+        # their step indices and the result over the times, and first q's FFT pair of length L,
+        # then one row block: the base block (1.5 complex arrays while it is built) and 10 complex
+        # arrays per requested row in it (the sums, the requested phases, C_p, Z_p, chi and
         # temporaries; 9.6 at the whole-grid peak under tracemalloc)
-        block = (2 * rows + 10 * min(rows, distinct)) * nodes
-        held = 16 * (3 * size + distinct + max(2 * _conv_length(size), block)) + (_STEP_BYTES + 8) * times.size
-        check_held(held, f"P_0 at {times.size} times up to t = {self.t[last]:g}")
-        req, where = np.unique(np.rint(times / self.dt).astype(int), return_inverse=True)
+        block = (2 * rows + 10 * min(rows, req.size)) * nodes
+        held = 16 * (3 * size + req.size + max(2 * _conv_length(size), block)) + 24 * times.size
+        check_held(held, f"P_0 at {times.size} times up to t = {self.t[size - 1]:g}")
         f, F = self.f[:size], self.solution[:size]
         q = _linear_conv(f, F)
         # conj(f) and conj(r), r = q - f0 F / 2: the weights of the two running sums
@@ -468,14 +472,14 @@ def povm_matrix(psis: list, gamma: float, T: float):
     those of W_gamma restricted to it.
     """
     if len(psis) < 1:
-        raise ValueError("need at least one packet")
-    run = DetectorRun(gamma, psis[0], T=T)
-    run.check_weak_coupling()
-    W = run.response_form(run.solve_fourier(run.free_series_multi(psis)))
+        raise DomainError("need at least one packet")
     S = np.array([[overlap(a, b) for b in psis] for a in psis])
     sw, sv = np.linalg.eigh(S)
     if np.min(sw) < 1e-10:
-        raise ValueError("degenerate packet span")
+        raise DomainError("degenerate packet span")
+    run = DetectorRun(gamma, psis[0], T=T)
+    run.check_weak_coupling()
+    W = run.response_form(run.solve_fourier(run.free_series_multi(psis)))
     S_inv_half = sv @ np.diag(sw**-0.5) @ sv.conj().T
     W_on = S_inv_half @ W @ S_inv_half
     evals = np.linalg.eigvalsh(0.5 * (W_on + W_on.conj().T))

@@ -14,7 +14,7 @@ from math import pi
 
 import numpy as np
 
-from .specfun import gauss_legendre
+from .specfun import gauss_legendre, phase_blocks
 
 __all__ = [
     "MomentumGrid",
@@ -101,23 +101,18 @@ def bump_packet(grid: MomentumGrid) -> RadialPacket:
     R = 2.0
     r = np.linspace(0.0, R, 4001)[:-1] + R / 8000.0  # cell midpoints, open at R
     dr = R / 4000.0
-    with np.errstate(divide="ignore", over="ignore"):
-        b = np.exp(-1.0 / np.maximum(1.0 - (r / R) ** 2, 1e-300))
-    # sin(p r_j) = Im e^{i p r_j}, and for j = J B + l the midpoint r_j = r_{JB} + l dr, so the
-    # phase factorizes: each p needs B offset phases, one phase per block and one matvec
-    B = 64
-    w = np.zeros(-(-r.size // B) * B)
-    w[: r.size] = np.sqrt(2.0 / pi) * r * b * dr
-    W = w.reshape(-1, B).T.astype(complex)  # W[l, J] weights r_{JB + l}
-    starts, offsets = r[::B], dr * np.arange(B)
+    b = np.exp(-1.0 / np.maximum(1.0 - (r / R) ** 2, 1e-300))
+    w = np.sqrt(2.0 / pi) * r * b * dr
     def prof(p):
         p = np.atleast_1d(np.asarray(p, dtype=float))
         flat = p.reshape(-1)
         s = np.empty(flat.size)
-        # row blocks bound the (points x B) phase temporaries to ~1 MB each
+        # sin(p r_j) = Im e^{i p r_0} e^{i p j dr}, and e^{i p j dr} are the rows of `phase_blocks` at
+        # the nodes -p and the step dr; 1024 points at a time bound each block to ~1 MB
         for i in range(0, flat.size, 1024):
-            rows = flat[i : i + 1024, None]
-            s[i : i + 1024] = np.sum(np.exp(1j * rows * starts) * (np.exp(1j * rows * offsets) @ W), axis=1).imag
+            rows = flat[i : i + 1024]
+            acc = sum((w[j : j + len(base)] @ base) * phase for j, base, phase in phase_blocks(-rows, dr, r.size))
+            s[i : i + 1024] = (np.exp(1j * r[0] * rows) * acc).imag
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.where(flat == 0.0, np.sqrt(2.0 / pi) * np.sum(r**2 * b) * dr, s / np.where(flat == 0.0, 1.0, flat))
         return out.reshape(p.shape).astype(complex)

@@ -362,11 +362,12 @@ def test_p0_series_at_times_matches_the_whole_grid(short_run):
         lambda run: run.occupations_at(-1.0),
         lambda run: run.occupations_at([]),  # numpy's reduction over no times once raised a raw ValueError
         lambda run: run.p0_series(np.zeros((0, 3))),  # the largest step of no times once raised a raw IndexError
+        lambda run: povm_matrix([], 0.5, T=5.0),  # once a ValueError, the exit code of a numerical failure
     ],
     ids=["config-T-below-a-step", "config-dt-negative", "config-gamma-negative", "run-gamma-infinite",
          "povm-gamma-negative",
          "povm-T-negative-at-zero-gamma", "occupations-past-T", "occupations-negative-time",
-         "occupations-no-times", "p0-no-times"],
+         "occupations-no-times", "p0-no-times", "povm-no-packets"],
 )
 def test_refused_input(short_run, call):
     # a configuration error: exit 1 from the command line
@@ -386,6 +387,26 @@ def test_a_run_constructs_or_refuses_its_inputs(gamma, dt, T):
     except DomainError:
         return
     assert 0.0 <= run.gamma < np.inf and run.dt > 0.0 and run.n >= 1 and run.t.size == run.n + 1
+
+
+@pytest.mark.parametrize("name", ["gamma", "psi", "phi", "dt", "T", "n", "L", "t", "p_fine"])
+def test_every_attribute_of_a_run_is_fixed(name):
+    run = DetectorRun(T=5.0)
+    before = getattr(run, name)
+    with pytest.raises(AttributeError, match="build a new run"):
+        setattr(run, name, before)
+    assert getattr(run, name) is before
+
+
+def test_a_solved_run_cannot_take_a_new_gamma():
+    # rebinding gamma after the solve once gave w = 0.0124163 from the cached solution, against
+    # 0.0125745 from a run built with gamma = 0.3
+    run = DetectorRun(gamma=0.5, T=5.0)
+    run.solution
+    w = run.detection_w()
+    with pytest.raises(AttributeError):
+        run.gamma = 0.3
+    assert run.gamma == 0.5 and run.detection_w() == w
 
 
 def test_p0_series_refuses_times_outside_the_run_before_allocating(short_run):
@@ -473,6 +494,20 @@ def test_povm_matrix_matches_polarized_detection_w():
     assert np.max(np.abs(S_inv_half @ raw @ S_inv_half - W)) < 1e-12
 
 
+def test_povm_refuses_a_degenerate_span_before_the_free_pass(forbid):
+    # the span was once checked after both free passes and the solve
+    forbid(DetectorRun, "free_series_multi")
+    g = default_grid()
+    with pytest.raises(DomainError, match="degenerate packet span"):
+        povm_matrix([gaussian_packet(g, 0.8), gaussian_packet(g, 0.8)], 0.5, T=60.0)
+
+
+def test_povm_refuses_a_strong_coupling():
+    # ||gamma g||_1 depends on phi alone, so any span is refused at gamma = 2 and T = 5
+    with pytest.raises(ValueError, match=r"2\.621 >= 2"):
+        povm_matrix([gaussian_packet(default_grid(), 0.8)], 2.0, T=5.0)
+
+
 def test_povm_vanishes_without_coupling():
     # the same path as at any gamma: gamma^2 = 0 multiplies the response form
     g = default_grid()
@@ -522,6 +557,18 @@ def test_long_run_constructs_and_refuses_an_oversized_occupation_table_before_an
     specfun.bessel_ratio_table(200, run.t)
     with pytest.raises(DomainError):
         run.occupations_at(60.0)
+
+
+def test_repeated_times_count_their_steps_once(held_counts):
+    # the steps of the times are counted on their own, then P_0's work at the exact number of
+    # distinct steps; a bound of min(times, steps) on them once counted 20.45 MB here, against a
+    # traced peak of 11.40 MB
+    run = DetectorRun(T=5.0)
+    run.solution
+    run.f
+    counts = held_counts(detector)
+    run.p0_series(np.full(200000, 5.0))
+    assert counts and max(counts) <= 13e6
 
 
 def test_whole_grid_p0_holds_one_phase_block_at_a_time(default_run):
