@@ -133,7 +133,7 @@ def criterion_06() -> tuple[str, list[Check]]:
     H = dense_oracle.build_flip_flop_hamiltonian(10, n_up=5)
     psi_t = dense_oracle.Propagator(H).apply(dense_oracle.basis_state([0] * 5 + [1] * 5, n_up=5), times)
     sites = np.array([4, 5, 6])
-    dense = np.array([dense_oracle.expectation(psi_t, dense_oracle.site_number_op(10, s, n_up=5)) for s in sites])
+    dense = np.array([dense_oracle.expectation(psi_t, dense_oracle.site_number_op(10, s, n_up=5)).real for s in sites])
     worst = float(np.max(np.abs(dense - xychain.occupation(4 - sites, times, 1.0))))
     return "xy 10-site dense oracle", [Check(f"max |diff| = {worst:.3e}", worst, hi=1e-3)]
 

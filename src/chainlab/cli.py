@@ -152,8 +152,7 @@ def _run_detector(args):
     gap = abs(w_time - w_spec)
     if not gap <= det.W_ROUTE_TOL:  # also catches NaN
         raise ValueError(f"detection probability routes differ by {gap:.3g} > {det.W_ROUTE_TOL:g}")
-    stride = max(1, run.n // max(args.steps - 1, 1))
-    idx = np.arange(0, run.n + 1, stride)
+    idx = np.rint(np.linspace(0, run.n, min(args.steps, run.n + 1))).astype(int)
     return (
         "detector_amplitude.csv",
         ["no-flip amplitude F(t) of the particle-detector model",

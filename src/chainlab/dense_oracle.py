@@ -45,10 +45,6 @@ class DenseOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def is_hermitian(self) -> bool:
-        """Hermitian to 1e-12 relative to the largest entry (at least 1)."""
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(self.mat))))
-
 
 def build_island_hamiltonian(N: int) -> DenseOperator:
     """Hopping Hamiltonian on the single-island basis |1>..|N>.
@@ -161,16 +157,17 @@ def check_dense_dimension(dim: int, itemsize: int = 8) -> None:
 
 
 class Propagator:
-    """exp(-itH) applied through a cached eigendecomposition.
+    """exp(-itH) applied through a cached eigendecomposition (read-only energies and modes).
 
-    An H over the memory bound raises DomainError before anything is allocated.
+    An H over the memory bound raises DomainError before anything is allocated, a non-Hermitian H ValueError.
     """
 
     def __init__(self, H: DenseOperator):
         check_dense_dimension(H.dim, H.mat.itemsize)
-        if not H.is_hermitian():
+        if not np.max(np.abs(H.mat - H.mat.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(H.mat))):
             raise ValueError("Hamiltonian must be Hermitian")
         self.energies, self.modes = np.linalg.eigh(H.mat)
+        self.energies.flags.writeable = self.modes.flags.writeable = False
 
     def apply(self, psi0: np.ndarray, t) -> np.ndarray:
         """exp(-itH) psi0; shape (dim,) for scalar t, (len(t), dim) for an array.
@@ -186,9 +183,8 @@ class Propagator:
 
 
 def expectation(psi: np.ndarray, A: DenseOperator):
-    """<psi|A|psi> for one state (dim,) or each row of a stack (k, dim); real when A is Hermitian."""
+    """<psi|A|psi> as a complex value, for one state (dim,) or each row of a stack (k, dim)."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1] != A.dim:
         raise ValueError("dimension mismatch")
-    val = np.vecdot(psi, psi @ A.mat.T)  # conjugates psi, as np.vdot does
-    return val.real if A.is_hermitian() else val
+    return np.vecdot(psi, psi @ A.mat.T)  # conjugates psi, as np.vdot does

@@ -85,6 +85,11 @@ _STEP_BYTES = 64
 W_ROUTE_TOL = 1e-6
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _trapezoid_weights(size: int, h: float) -> np.ndarray:
     """Trapezoid weights for `size` samples spaced by h."""
     w = np.full(size, h)
@@ -170,7 +175,8 @@ class DetectorRun:
     psi defaults (None) to the width-1 Gaussian on default_grid(), built for this run.  The coupling
     packet phi is the width-2 Gaussian on psi's grid, so both packets share every node.  Everything
     the run caches (grids, kernels, solutions) is a function of these four inputs alone, so every
-    attribute is fixed when the run is built: rebinding one raises AttributeError.
+    attribute is fixed when the run is built: rebinding one raises AttributeError.  Its grids and
+    cached arrays are read-only, so an in-place write raises ValueError instead of staling the run.
     """
 
     def __init__(self, gamma: float = 0.5, psi: RadialPacket | None = None, dt: float = 0.02, T: float = 200.0):
@@ -194,8 +200,8 @@ class DetectorRun:
         L = pow2_at_least(4 * (n + 1))
         _check_free_pass(n + 1, L, n_fine, 2)
         # the instance dict directly, as cached_property writes it: __setattr__ refuses every name
-        vars(self).update(gamma=gamma, psi=psi, phi=phi, dt=dt, T=T, n=n, L=L, t=dt * np.arange(n + 1),
-                          p_fine=np.linspace(0.0, phi.grid.p_max, n_fine))
+        vars(self).update(gamma=gamma, psi=psi, phi=phi, dt=dt, T=T, n=n, L=L, t=_read_only(dt * np.arange(n + 1)),
+                          p_fine=_read_only(np.linspace(0.0, phi.grid.p_max, n_fine)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a DetectorRun's {name} is fixed when it is built; build a new run")
@@ -205,7 +211,7 @@ class DetectorRun:
     @cached_property
     def _free(self) -> np.ndarray:
         """The columns F0 and g of one free pass over the pairs (phi, psi) and (phi, phi)."""
-        return self.free_series_multi([self.psi, self.phi])
+        return _read_only(self.free_series_multi([self.psi, self.phi]))
 
     def free_series(self) -> np.ndarray:
         """F0(t) on the whole grid by fine trapezoid quadrature in p.
@@ -236,7 +242,7 @@ class DetectorRun:
     @cached_property
     def f(self) -> np.ndarray:
         """The kernel f(t) = g(t) J_1(2t)/t, with the t = 0 limit g(0)."""
-        return self.g * bessel_ratio_table(1, self.t)[0]
+        return _read_only(self.g * bessel_ratio_table(1, self.t)[0])
 
     @property
     def K(self) -> np.ndarray:
@@ -290,7 +296,7 @@ class DetectorRun:
     def _denominator(self) -> np.ndarray:
         """1 + gamma^2 dt FFT(K): the discrete transform of the Volterra operator."""
         g2, dt = self.gamma**2, self.dt
-        return 1.0 + g2 * dt * np.fft.fft(self.K, self.L)
+        return _read_only(1.0 + g2 * dt * np.fft.fft(self.K, self.L))
 
     def _halved_fft(self, F0: np.ndarray) -> np.ndarray:
         """FFT along axis 0 of F0 with its t = 0 sample halved (the half-line trapezoid end)."""
@@ -314,7 +320,7 @@ class DetectorRun:
     @cached_property
     def solution(self) -> np.ndarray:
         """F by solve_fourier, solved once per run."""
-        return self.solve_fourier()
+        return _read_only(self.solve_fourier())
 
     # -- detection probability --------------------------------------------
 

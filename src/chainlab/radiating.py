@@ -94,7 +94,7 @@ def spectral_density(lam):
 
 @dataclass(frozen=True)
 class RadiatingChain:
-    """The chain of params coupled to M continuum modes; H and its eigendecomposition are built once."""
+    """The chain of params coupled to M continuum modes; H and its eigendecomposition are built once, read-only."""
 
     params: RadiatingParams
     energies: np.ndarray    # lambda_k, strictly increasing
@@ -117,6 +117,7 @@ class RadiatingChain:
         H[N + k, N + k] = -self.params.eps0 + self.energies
         H[N - 1, N + k] = self.params.v**2 * self.couplings
         H[N + k, N - 1] = self.params.v**2 * self.couplings
+        H.flags.writeable = False
         return DenseOperator(H)
 
     @cached_property

@@ -32,6 +32,16 @@ def test_domino_csv(tmp_path):
     assert float(first[0]) == 0.0 and float(first[1]) == 0.0
 
 
+def test_detector_rows_follow_steps(tmp_path):
+    # T = 5 at dt = 0.02 is 250 steps; a stride over them once gave 7 rows ending at t = 4.92 for
+    # --steps 7, 126 rows for --steps 100 and 2 for --steps 1
+    for steps, count in ((7, 7), (100, 100), (1000, 251), (1, 1)):
+        assert main(["detector", "--T", "5", "--steps", str(steps), "--out", str(tmp_path)]) == 0
+        t = [float(row.split(",")[0]) for row in _read_csv(tmp_path / "detector_amplitude.csv")[1]]
+        assert len(t) == count and t[0] == 0.0
+        assert count == 1 or t[-1] == 5.0
+
+
 def test_csv_has_descriptive_comments(tmp_path):
     assert main(["domino", "--j", "2..2", "--t", "0..1", "--steps", "2", "--out", str(tmp_path)]) == 0
     head = (tmp_path / "domino_flip.csv").read_text().splitlines()[0]

@@ -398,6 +398,22 @@ def test_every_attribute_of_a_run_is_fixed(name):
     assert getattr(run, name) is before
 
 
+@pytest.mark.parametrize("name", ["t", "p_fine", "_free", "free_series", "g", "f", "_denominator", "solution"])
+def test_every_array_of_a_run_is_read_only(name):
+    array = getattr(DetectorRun(T=5.0), name)
+    with pytest.raises(ValueError, match="read-only"):
+        (array() if callable(array) else array)[:1] *= 2
+
+
+def test_a_refused_write_leaves_the_detection_probability_unchanged():
+    # run.solution[:] *= 2 once went through and moved w from 0.0125745 to 0.0502979
+    run = DetectorRun(gamma=0.3, T=5.0)
+    w = run.detection_w()
+    with pytest.raises(ValueError):
+        run.solution[:] *= 2
+    assert run.detection_w() == w == pytest.approx(0.0125745, abs=1e-7)
+
+
 def test_a_solved_run_cannot_take_a_new_gamma():
     # rebinding gamma after the solve once gave w = 0.0124163 from the cached solution, against
     # 0.0125745 from a run built with gamma = 0.3

@@ -58,7 +58,7 @@ def test_bessel_parity(n, x):
 
 
 _FLIP_FLOP = dense_oracle.Propagator(dense_oracle.build_flip_flop_hamiltonian(4))
-# a Hermitian and a non-Hermitian observable, for the real and the complex form
+# a Hermitian and a non-Hermitian observable; expectation returns a complex value for both
 _OBSERVABLES = (dense_oracle.site_number_op(4, 1), dense_oracle.DenseOperator(dense_oracle.spin_ops(4, 1)[0]))
 
 

@@ -63,11 +63,20 @@ def test_mode_weight_equals_profile_norm(chain):
 
 def test_hamiltonian_is_hermitian_and_coupled(chain):
     H, N = chain.hamiltonian, chain.params.N
-    assert H.is_hermitian()
+    assert np.array_equal(H.mat, H.mat.T)
     assert H.dim == N + chain.energies.size
     assert np.max(np.abs(H.mat[N - 1, N:])) > 0.0
     assert np.max(np.abs(H.mat[: N - 1, N:])) == 0.0
     assert chain.hamiltonian is H and chain.propagator is chain.propagator  # built once
+
+
+def test_hamiltonian_and_eigendecomposition_are_read_only(chain):
+    # doubling H[0, 1] and H[1, 0] after the propagator was built once moved criterion 11's residual
+    # from 2.24e-15 to 3.02, while the propagator kept the old modes
+    small = build_modes(chain.params, M=20)
+    for a in (small.hamiltonian.mat, small.propagator.energies, small.propagator.modes):
+        with pytest.raises(ValueError, match="read-only"):
+            a[:1] *= 2
 
 
 def test_oversized_hamiltonian_is_refused_before_allocation(chain, forbid):
