@@ -146,6 +146,8 @@ def build_modes(params: RadiatingParams, M: int = 400) -> RadiatingChain:
     check_dense_dimension(params.N + M)
     lam, wts = gauss_legendre(_CUTOFF**2, _BAND_TOP, M)
     g = np.sqrt(wts * spectral_density(lam))
+    # read-only like the cached H they are built into, so that H0 and V cannot drift from it
+    lam.flags.writeable = g.flags.writeable = False
     return RadiatingChain(params, lam, g)
 
 
@@ -243,7 +245,7 @@ def resolvent_check(chain: RadiatingChain, xi: complex) -> tuple[complex, comple
     if xi.imag >= 0:
         raise ValueError("need Im xi < 0")
     H, e0 = chain.hamiltonian, chain.initial_state()
-    sol = np.linalg.solve(H.mat - xi * np.eye(H.dim), e0)
+    sol = np.linalg.solve(_shifted(H.mat, xi), e0)
     lhs = 1j / np.sqrt(2.0 * pi) * complex(sol[0])
     prop = chain.propagator
     T, dt = 120.0, 0.005
@@ -265,19 +267,26 @@ def resolvent_equation_residual(chain: RadiatingChain, xi: complex) -> float:
     p = chain.params
     N = p.N
     dim = N + chain.energies.size
-    # traced, the solve (H - xi, the identity and R_H) and the forming of X (R_H, X and the outer
-    # product) each peak a little over three complex (dim, dim) arrays besides H; counted as four
+    # besides H, the inverse holds H - xi, R_H and LAPACK's two work copies (which tracemalloc does not
+    # see), and forming X (R_H, X and the outer product) traces a little over three complex (dim, dim)
+    # arrays; counted as four
     check_held(4 * 16 * dim * dim, f"resolvent equation at dimension {dim}")
-    A = chain.hamiltonian.mat - xi * np.eye(dim)
-    RH = np.linalg.solve(A, np.eye(dim, dtype=complex))
-    del A
+    RH = np.linalg.inv(_shifted(chain.hamiltonian.mat, xi))
     # X = I - V R_H: row N - 1 of V R_H is c R_H[N:], row N + k is c_k R_H[N - 1], the others are zero
     c = p.v**2 * chain.couplings
     X = np.eye(dim, dtype=complex)
     X[N - 1] -= c @ RH[N:]
     X[N:] -= np.outer(c, RH[N - 1])
     # R_H0 X: the chain rows by one N x N solve, the mode rows divided by -eps0 + lambda_k - xi
-    X[:N] = np.linalg.solve(build_island_hamiltonian(N).mat - xi * np.eye(N), X[:N])
+    X[:N] = np.linalg.solve(_shifted(build_island_hamiltonian(N).mat, xi), X[:N])
     X[N:] /= (-p.eps0 + chain.energies - xi)[:, None]
     np.subtract(RH, X, out=X)
+    del RH  # before the norm's SVD allocates its work arrays
     return float(np.linalg.norm(X, 2))
+
+
+def _shifted(H: np.ndarray, xi: complex) -> np.ndarray:
+    """H - xi I as a new complex array, with no identity matrix formed."""
+    A = H.astype(complex)
+    A.flat[:: A.shape[0] + 1] -= xi
+    return A

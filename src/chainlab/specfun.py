@@ -1,7 +1,10 @@
 """Self-contained special functions for the chain models.
 
 Bessel functions of integer order (normalized backward recurrence, one
-path for scalars and arrays), the finite-chain analogue of the Bessel
+function for scalars and arrays; a table of at most _FLOAT_LOOP_MAX
+arguments runs the recurrence on Python floats and a larger one on
+numpy arrays, with the same operations in the same order and so the
+same bits), the finite-chain analogue of the Bessel
 kernel obtained by sampling the integral representation on the
 open-chain eigenphases, and phases e^{-i t x_j} on a uniform time grid:
 `phase_blocks` yields the phase matrix a block of rows at a time (P_0
@@ -46,6 +49,13 @@ _NUFFT_HALF_WIDTH = 18
 _NUFFT_OVERSAMPLE = 4
 # largest Miller start index (Python loop steps); criterion 03 needs ~2.3e3
 _MAX_START = 100_000
+# tables of at most this many arguments run the recurrence one argument at a time on Python floats
+# (_recur_floats): a step there costs 0.17-0.36 us per argument, against 4.5-6.5 us for the nine or so
+# numpy calls of a step of _recur_arrays on a small table, so the two loops break even at 25-27 arguments
+# on tables that write few rows and later on tables that write many (2-core Xeon, Python 3.11, numpy
+# 2.4).  Both loops make the same IEEE double operations on each argument in the same order, and
+# neither Python nor numpy fuses a multiply and an add here, so they give the same bits.
+_FLOAT_LOOP_MAX = 25
 # bytes a call may hold at once, counted before allocating (check_held): a Bessel table with its
 # work arrays here, and each memory gate of the detector; every count adds _FIXED_WORK_BYTES of
 # numpy work buffers that do not scale with the input (a small table peaks 56 KB over its count)
@@ -135,14 +145,56 @@ def bessel_ratio_table(m_max: int, t) -> np.ndarray:
 
 
 def _miller(n_max: int, x: np.ndarray, start: int) -> np.ndarray:
-    # start > n_max: bessel_table starts at n_max + 40 or higher
+    # start > n_max: bessel_table starts at n_max + 40 or higher; the loop is chosen here, so that a
+    # caller, and a test that replaces _miller, sees one recurrence for every size
+    sub = np.zeros((n_max + 1, x.size))
+    recur = _recur_floats if x.size <= _FLOAT_LOOP_MAX else _recur_arrays
+    jc, sq, lin = recur(sub, x, start)
+    # J_0^2 + 2 sum_k J_k^2 and J_0 + 2 sum_k J_2k formed in place; the scale is sign(lin) sqrt(sq)
+    lin *= 2.0
+    lin += jc
+    sq *= 2.0
+    sq += np.multiply(jc, jc, out=jc)
+    sub /= np.sign(lin, out=lin) * np.sqrt(sq, out=sq)
+    return sub
+
+
+def _recur_floats(sub: np.ndarray, x: np.ndarray, start: int) -> np.ndarray:
+    """_recur_arrays one argument at a time on Python floats: the same operations in the same order."""
+    n_max = sub.shape[0] - 1
+    state = np.empty((3, x.size))
+    for i, xi in enumerate(x.tolist()):
+        col = sub[:, i]
+        jp, jc, sq, lin = 0.0, 1.0, 0.0, 0.0
+        for k in range(start, 0, -1):
+            jp, jc = jc, 2.0 * k / xi * jc - jp
+            if k <= n_max + 1:
+                col[k - 1] = jc
+            sq += jp * jp
+            if k % 2 == 0:
+                lin += jp
+            if abs(jc) > 1e100:
+                jc *= 1e-100
+                jp *= 1e-100
+                sq *= 1e-200
+                lin *= 1e-100
+                col[k - 1 :] *= 1e-100  # the rows written so far, in this argument's column
+        state[:, i] = jc, sq, lin
+    return state
+
+
+def _recur_arrays(sub: np.ndarray, x: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the backward recurrence from J_start = 1, J_{start+1} = 0 over all of x at once.
+
+    Writes rows 0..n_max of sub and returns the unnormalized J_0, sum_k J_k^2 and sum_k J_2k.
+    """
+    n_max = sub.shape[0] - 1
     jp = np.zeros_like(x)
     jc = np.ones_like(x)
     free = np.empty_like(x)  # J_{k-1} is written here; afterwards the freed J_{k+1} is the scratch
     sq = np.zeros_like(x)
     lin = np.zeros_like(x)
     over = np.empty(x.shape, dtype=bool)
-    sub = np.zeros((n_max + 1, x.size))
     for k in range(start, 0, -1):
         # jc == J_k, jp == J_{k+1}; produce J_{k-1} = (2k / x) J_k - J_{k+1}
         np.divide(2.0 * k, x, out=free)
@@ -165,13 +217,7 @@ def _miller(n_max: int, x: np.ndarray, start: int) -> np.ndarray:
             # only the rows written so far hold values; rescaling them in place copies no table
             done = sub[k - 1 :]
             np.multiply(done, 1e-100, out=done, where=over)
-    # J_0^2 + 2 sum_k J_k^2 and J_0 + 2 sum_k J_2k formed in place; the scale is sign(lin) sqrt(sq)
-    sq *= 2.0
-    sq += np.multiply(jc, jc, out=free)
-    lin *= 2.0
-    lin += jc
-    sub /= np.sign(lin, out=lin) * np.sqrt(sq, out=sq)
-    return sub
+    return jc, sq, lin
 
 
 def bessel_j(n: int, x):

@@ -79,6 +79,16 @@ def test_hamiltonian_and_eigendecomposition_are_read_only(chain):
             a[:1] *= 2
 
 
+def test_mode_arrays_are_read_only(chain):
+    # doubling the couplings after H was cached moved criterion 11's residual from 2.24e-15 to 2.72: H0 and
+    # V are read from these arrays, H from the cache
+    chain.hamiltonian
+    for a in (chain.energies, chain.couplings):
+        with pytest.raises(ValueError, match="read-only"):
+            a[:] *= 2
+    assert resolvent_equation_residual(chain, 1.0 - 0.2j).hex() == "0x1.434c0d9d770abp-49"
+
+
 def test_oversized_hamiltonian_is_refused_before_allocation(chain, forbid):
     # 6 chain states and 8000 modes: 5 copies of the dense H exceed the Propagator's bound
     big = RadiatingChain(chain.params, np.linspace(1.0, 2.0, 8000), np.ones(8000))
@@ -185,10 +195,12 @@ def test_second_resolvent_equation(chain):
 
 
 def test_second_resolvent_equation_takes_one_dense_solve(chain, calls):
-    # R_H by one (dim, dim) solve, the chain rows of R_H0 X by one (N, N) solve, the mode rows by a division
+    # R_H by one (dim, dim) inverse, the chain rows of R_H0 X by one (N, N) solve, the mode rows by a division
+    inverses = calls(np.linalg, "inv", lambda a: a.shape)
     shapes = calls(np.linalg, "solve", lambda a, b: a.shape)
     resolvent_equation_residual(chain, 1.0 - 0.2j)
-    assert shapes == [(406, 406), (6, 6)]
+    assert inverses == [(406, 406)]
+    assert shapes == [(6, 6)]
 
 
 def test_criterion_11_fails_on_a_mis_assembled_chain(chain, monkeypatch):

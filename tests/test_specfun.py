@@ -83,14 +83,28 @@ def _reference_miller(n_max, x, start):
 @PROPERTY
 @given(n_max=st.integers(0, 150),
        x=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-7.0, np.log10(300.0)), st.booleans()),
-                  min_size=1, max_size=24).map(lambda v: np.array([0.0 if z else s * 10.0**e for s, e, z in v])))
+                  min_size=1, max_size=2 * specfun._FLOAT_LOOP_MAX)
+       .map(lambda v: np.array([0.0 if z else s * 10.0**e for s, e, z in v])))
 @example(n_max=150, x=np.array([1e-7, -3e-7, 0.0, 2e-3, 250.0]))  # rescales inside the written rows
 @example(n_max=40, x=np.full(6, 7.5))  # equal arguments rescale together
+# the largest table of the Python-float loop and the smallest of the array loop
+@example(n_max=150, x=np.geomspace(1e-7, 300.0, specfun._FLOAT_LOOP_MAX))
+@example(n_max=150, x=-np.geomspace(1e-7, 300.0, specfun._FLOAT_LOOP_MAX + 1))
 def test_bessel_table_matches_the_masked_recurrence_to_the_bit(n_max, x):
     # tiny |x| rescales on most steps and large |x| on few; zeros take the series branch
     with mock.patch.object(specfun, "_miller", _reference_miller):
         ref = bessel_table(n_max, x)
-    assert np.array_equal(bessel_table(n_max, x), ref)
+    assert bessel_table(n_max, x).tobytes() == ref.tobytes()
+
+
+def test_few_arguments_give_the_bits_of_one_argument_and_of_many():
+    # six arguments take the Python-float loop, one argument too, and the 150 tiled ones the array loop
+    x = np.array([1e-7, -3e-5, 0.4, -2.5, 17.0, 250.0])
+    tab = specfun._miller(60, x, 400)
+    tiled = specfun._miller(60, np.tile(x, specfun._FLOAT_LOOP_MAX), 400)
+    for i in range(x.size):
+        assert tab[:, i].tobytes() == specfun._miller(60, x[i : i + 1], 400)[:, 0].tobytes()
+        assert tab[:, i].tobytes() == tiled[:, i].tobytes()
 
 
 def test_bessel_ratio_table_against_scipy():
@@ -243,8 +257,9 @@ def test_bessel_j_takes_numpy_integer_orders():
         (10, np.linspace(1e-3, 100.0, 100_000)),
         (2000, np.full(500, 1500.0)),
         (300, np.random.default_rng(0).uniform(1.0, 400.0, 2000)),
+        (20000, 1.0),
     ],
-    ids=["orders", "arguments", "small-equal", "small-uniform"],
+    ids=["orders", "arguments", "small-equal", "small-uniform", "one-argument"],
 )
 def test_bessel_table_gate_counts_what_it_holds(gate_covers, n_max, x):
     # equal arguments rescale together, so the peak holds the output and the whole work table; few
