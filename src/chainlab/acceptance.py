@@ -6,7 +6,9 @@ parameters (`detector_run`, `radiating_chain`; most take none), and returns
 input of INPUTS on first use and drops it after its last selected user, and
 keeps the checks in a CriterionResult, which forms the verdict: `passed`
 holds when every check's value lies strictly between its bounds (NaN never
-does), and `detail` joins the checks' texts.  The checks run in seconds each.
+does), and `detail` joins the checks' texts.  A criterion folds several
+deviations into one value with numpy's max, which keeps a NaN: Python's
+`max(1e-15, nan)` returns 1e-15.  The checks run in seconds each.
 """
 
 from __future__ import annotations
@@ -107,8 +109,8 @@ def criterion_04() -> tuple[str, list[Check]]:
     for x in (1.0, 5.0, 10.0, 25.0, 50.0):
         n_max = int(2 * x) + 60
         tab = bessel_table(n_max, x)
-        worst = max(worst, abs(tab[0] ** 2 + 2.0 * np.sum(tab[1:] ** 2) - 1.0))
-        dev = max(dev, float(np.max(np.abs(tab - _bessel_integral(np.arange(n_max + 1), x)))))
+        worst = np.maximum(worst, abs(tab[0] ** 2 + 2.0 * np.sum(tab[1:] ** 2) - 1.0))
+        dev = np.maximum(dev, np.max(np.abs(tab - _bessel_integral(np.arange(n_max + 1), x))))
     return "Bessel quadratic normalization", [
         Check(f"max residual = {worst:.3e}", worst, hi=1e-12), Check(f"integral dev = {dev:.3e}", dev, hi=1e-12)]
 
@@ -148,7 +150,7 @@ def criterion_07(detector_run) -> tuple[str, list[Check]]:
     def l2(x, y):
         return float(np.sqrt(dt * np.sum(np.abs(x - y) ** 2)))
 
-    dev = max(l2(Fm, Fn), l2(Fm, Ff), l2(Fn, Ff))
+    dev = float(np.max([l2(Fm, Fn), l2(Fm, Ff), l2(Fn, Ff)]))
     return "detector solver equivalence", [
         Check(f"max L2 dev {dev:.3e}", dev, hi=1e-5), Check(f"||gamma g||_1 = {l1:.3f}", l1, hi=2.0)]
 
@@ -237,8 +239,8 @@ def criterion_14() -> tuple[str, list[Check]]:
     for st in states:
         for j in range(3):
             val = np.vdot(st.chi, meanfield.SIGMA[j] @ st.chi).real * 0.5
-            dev = max(dev, abs(val - st.F[j]))
-    radius = max(st.radius for st in states)
+            dev = np.maximum(dev, abs(val - st.F[j]))
+    radius = float(np.max([st.radius for st in states]))
     return "ground-state circle", [
         Check(f"expectation dev {dev:.2e}", dev, hi=1e-12), Check(f"radius {radius:.12f}", radius),
         Check("", abs(radius - math.sqrt(3.0) / 4.0), hi=1e-12)]

@@ -3,11 +3,13 @@
 import inspect
 import math
 import weakref
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chainlab import acceptance, cli, detector, projection, specfun, xychain
+from chainlab import acceptance, cli, detector, meanfield, projection, specfun, xychain
 from chainlab.cli import main
 
 _NUMBERS = range(1, len(acceptance.CRITERIA) + 1)
@@ -127,3 +129,50 @@ def test_shared_input_is_gone_before_the_next_criterion(monkeypatch, attr, last)
     monkeypatch.setattr(acceptance, "CRITERIA", criteria)
     results = acceptance.run_all([last - 1, last, last + 1])
     assert [r.passed for r in results] == [True, True, True], [r.line for r in results]
+
+
+# each criterion below folds several deviations into one value; Python's max(1e-15, nan) returns 1e-15,
+# so a NaN that is not the first deviation once passed
+
+
+def test_criterion_07_fails_on_a_nan_in_one_solution(monkeypatch):
+    # two solvers agree and the third holds one NaN: the fold once read "max L2 dev 0.000e+00" and passed
+    F = np.ones(11, dtype=complex)
+    bad = F.copy()
+    bad[5] = np.nan
+    stub = SimpleNamespace(dt=0.02, gamma_g_l1=lambda: 0.5, solve_marching=lambda: F, solve_neumann=lambda: F,
+                           solution=bad)
+    monkeypatch.setitem(acceptance.INPUTS, "detector_run", lambda: stub)
+    (result,) = acceptance.run_all([7])
+    assert not result.passed, result.line
+    assert "max L2 dev nan" in result.line
+
+
+def test_criterion_04_fails_on_a_nan_table_entry(monkeypatch):
+    def holed(n_max, x):
+        tab = specfun.bessel_table(n_max, x)
+        if x == 5.0:
+            tab[3] = np.nan
+        return tab
+
+    monkeypatch.setattr(acceptance, "bessel_table", holed)
+    (result,) = acceptance.run_all([4])
+    assert not result.passed, result.line
+    assert result.line.endswith("max residual = nan, integral dev = nan")
+
+
+@pytest.mark.parametrize("field", ["F", "radius"])
+def test_criterion_14_fails_on_a_nan_ground_state(monkeypatch, field):
+    # one more state on the circle, last, with a NaN coordinate or radius
+    ground_states = meanfield.ground_states
+
+    def with_nan(p):
+        states = ground_states(p)
+        last = states[-1]
+        bad = replace(last, F=np.array([np.nan, *last.F[1:]])) if field == "F" else replace(last, radius=math.nan)
+        return [*states, bad]
+
+    monkeypatch.setattr(meanfield, "ground_states", with_nan)
+    (result,) = acceptance.run_all([14])
+    assert not result.passed, result.line
+    assert ("expectation dev nan" if field == "F" else "radius nan") in result.line
