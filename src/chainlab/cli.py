@@ -28,7 +28,8 @@ from .dense_oracle import check_dense_dimension
 
 __all__ = ["main"]
 
-# largest --steps: a time grid and its CSV rows stay a few hundred MB at most
+# largest --steps, and most points of a --j range: a time grid, a site list and their CSV rows stay
+# a few hundred MB at most
 _MAX_STEPS = 10**6
 
 
@@ -82,7 +83,10 @@ def _int_points(text: str) -> list[int]:
         raise DomainError(f"range {text!r} must be integer")
     if lo > hi:
         raise DomainError(f"range {text!r} is empty")
-    return list(range(int(lo), int(hi) + 1))
+    lo, hi = int(lo), int(hi)
+    if hi - lo >= _MAX_STEPS:  # refused before the list is built
+        raise DomainError(f"range {text!r} has more than {_MAX_STEPS} points")
+    return list(range(lo, hi + 1))
 
 
 def _grid(text: str, steps: int) -> np.ndarray:

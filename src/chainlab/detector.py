@@ -131,19 +131,14 @@ def _linear_conv(a: np.ndarray, b: np.ndarray, a_hat: np.ndarray | None = None) 
     """First n samples of the linear convolution along axis 0 of equal-length series, by FFTs of length `_conv_length`.
 
     a_hat, when given, is a's transform of that length, taken once by a caller that convolves many
-    b with the same a; the product then overwrites the transform of b, else that of a, which may
-    be the wider of two series that broadcast.  Either way one length-L array outlives the product,
-    and its inverse transform is taken in place; the result is a copy, as a view would keep that
-    array alive (up to 4 n).
+    b with the same a.  The product overwrites the transform of b, which must be as wide as the
+    product, and its inverse transform is taken in place; the result is a copy, as a view would keep
+    that length-L array alive (up to 4 n).
     """
     n = a.shape[0]
     L = _conv_length(n)
-    if a_hat is None:
-        A = np.fft.fft(a, L, axis=0)
-        A *= np.fft.fft(b, L, axis=0)
-    else:
-        A = np.fft.fft(b, L, axis=0)
-        np.multiply(a_hat, A, out=A)
+    A = np.fft.fft(b, L, axis=0)
+    np.multiply(np.fft.fft(a, L, axis=0) if a_hat is None else a_hat, A, out=A)
     np.fft.ifft(A, axis=0, out=A)
     return A[:n].copy()
 
@@ -156,23 +151,17 @@ def _causal_conv(a: np.ndarray, b: np.ndarray, dt: float, a_hat: np.ndarray | No
     return c
 
 
-def _toeplitz_spectra(h: np.ndarray, blocks, dt: float, size: int):
-    """Yield (lam, A_b) for each (width, size) row block X_b of `blocks`, with T_h[i, j] = h(t_i - t_j).
+def _toeplitz_spectrum(h: np.ndarray, size: int) -> np.ndarray:
+    """The real spectrum lam, divided by L = `_conv_length(size)`, of T_h[i, j] = h(t_i - t_j) over `size` samples.
 
-    conj(X W) T_h (X W)^T is the trapezoid double integral of conj(x_i(t)) h(t - s) x_j(s) over the
-    grid's square, with h(-t) = conj(h(t)); W holds the trapezoid weights.  T_h is the leading
-    block of the Hermitian circulant of `_two_sided` h at length L >= 2 size, which the length-L
-    DFT diagonalizes with the real spectrum lam (here divided by L), so with A_b the length-L FFT
-    along the rows of the zero-padded X_b W the form is conj(A_b) diag(lam) A_b^T.  lam is taken
-    once for all blocks; `blocks` may be a generator, so that only one block of X exists at a time.
-    Each block is weighted in place, so it must be an array that no caller reads again.
+    For rows X over the grid, conj(X W) T_h (X W)^T is the trapezoid double integral of conj(x_i(t))
+    h(t - s) x_j(s) over the grid's square, with h(-t) = conj(h(t)); W holds the trapezoid weights.
+    T_h is the leading block of the Hermitian circulant of `_two_sided` h at length L, which the
+    length-L DFT diagonalizes, so with A the length-L FFT along the rows of the zero-padded X W the
+    form is conj(A) diag(lam) A^T.
     """
     L = _conv_length(size)
-    w = _trapezoid_weights(size, dt)
-    lam = np.fft.fft(_two_sided(h[:size], L)).real / L
-    for X in blocks:
-        X *= w
-        yield lam, np.fft.fft(X, L)
+    return np.fft.fft(_two_sided(h[:size], L)).real / L
 
 
 def _chain_order_cut(t: float) -> int:
@@ -375,8 +364,9 @@ class DetectorRun:
 
         Its diagonal is the detection probability of each column.
         """
-        # a copy: the helper weights its block in place, and detection_w passes the cached solution
-        ((lam, A),) = _toeplitz_spectra(self.f, [Fs.T.copy()], self.dt, Fs.shape[0])
+        size = Fs.shape[0]
+        lam = _toeplitz_spectrum(self.f, size)
+        A = np.fft.fft(Fs.T * _trapezoid_weights(size, self.dt), _conv_length(size))
         return self.gamma**2 * (np.conj(A) @ (lam[:, None] * A.T))
 
     def detection_w(self) -> float:
@@ -433,9 +423,9 @@ class DetectorRun:
         occupation of site m is the diagonal entry conj(V_m)^T W T_g W V_m,
         so the unit factor (-i)^(m-1) on V_m cancels.  The chain sites are
         taken _OCC_BLOCK at a time as the rows of V_b^T = (F f_m)^T, from a
-        slice of that table that runs along time; `_toeplitz_spectra`
-        transforms each block once along its contiguous rows, and its
-        diagonal is the spectrum of g weighted by |FFT(V_b^T W)|^2 per row.
+        slice of that table that runs along time; each block is transformed
+        once along its contiguous rows, and its diagonal is the spectrum of g
+        (`_toeplitz_spectrum`) weighted by |FFT(V_b^T W)|^2 per row.
         Each distinct grid step is computed once and copied to its times.
         """
         times, req, where = self._steps(times)
@@ -443,7 +433,7 @@ class DetectorRun:
         size = int(req[-1]) + 1
         # the real f_m table (bessel_table's rows, J_0's too, with the ratios formed in place) and
         # beside it what a block of _OCC_BLOCK sites holds: V_b (weighted in place), the (b, L)
-        # transforms of this block and the last (the consumer still holds it), and |A_b|^2, with
+        # transforms of this block and the last (the loop still holds it), and |A_b|^2, with
         # the kernel's two-sided layout, transform and spectrum; the rows of the distinct steps, and
         # over the times the times, their step indices and the output rows.
         # bessel_table's own gate counts the table's build (12 work arrays over the times beside
@@ -457,11 +447,14 @@ class DetectorRun:
         occ = np.zeros((req.size, m_max))
         for row, n in zip(occ, req):
             if n > 0:
-                # (_OCC_BLOCK, n + 1) rows of V^T, each built when its block is transformed
-                blocks = (fm[j : j + _OCC_BLOCK, n::-1] * F[None, : n + 1] for j in range(0, m_max, _OCC_BLOCK))
-                # each block's diagonal of the form, never the (m_max, m_max) form itself
-                spectra = _toeplitz_spectra(self.g, blocks, self.dt, n + 1)
-                row[:] = self.gamma**2 * np.concatenate([(A.real**2 + A.imag**2) @ lam for lam, A in spectra])
+                w, lam = _trapezoid_weights(n + 1, self.dt), _toeplitz_spectrum(self.g, n + 1)
+                for j in range(0, m_max, _OCC_BLOCK):
+                    # (_OCC_BLOCK, n + 1) rows of V^T W, and their diagonal of the form, never the
+                    # (m_max, m_max) form itself
+                    V = fm[j : j + _OCC_BLOCK, n::-1] * F[None, : n + 1]
+                    V *= w
+                    A = np.fft.fft(V, _conv_length(n + 1))
+                    row[j : j + _OCC_BLOCK] = self.gamma**2 * ((A.real**2 + A.imag**2) @ lam)
         return occ[where].reshape(times.shape + (m_max,))
 
     def p0_series(self, times) -> np.ndarray:

@@ -14,7 +14,7 @@ from math import pi
 
 import numpy as np
 
-from .specfun import gauss_legendre, phase_blocks
+from .specfun import gauss_legendre
 
 __all__ = [
     "MomentumGrid",
@@ -99,22 +99,19 @@ def bump_packet(grid: MomentumGrid) -> RadialPacket:
     phi(p) = sqrt(2/pi) (1/p) int_0^R r sin(p r) b(r) dr, then normalized.
     """
     R = 2.0
-    r = np.linspace(0.0, R, 4001)[:-1] + R / 8000.0  # cell midpoints, open at R
-    dr = R / 4000.0
-    b = np.exp(-1.0 / np.maximum(1.0 - (r / R) ** 2, 1e-300))
-    w = np.sqrt(2.0 / pi) * r * b * dr
+    # 80 Gauss-Legendre radii: against a 4000-point midpoint sine sum they agree to 5.0e-16 of the
+    # peak on the default grid's nodes and on a T = 60 run's fine momenta, and to 3.7e-16 on
+    # scattered p up to 40.  72 and 88 to 160 radii agree to 3.5e-15 to 6.7e-15; 64 miss by 1.9e-14
+    r, wr = gauss_legendre(0.0, R, 80)
+    w = np.sqrt(2.0 / pi) * r * np.exp(-1.0 / (1.0 - (r / R) ** 2)) * wr
     def prof(p):
         p = np.atleast_1d(np.asarray(p, dtype=float))
         flat = p.reshape(-1)
         s = np.empty(flat.size)
-        # sin(p r_j) = Im e^{i p r_0} e^{i p j dr}, and e^{i p j dr} are the rows of `phase_blocks` at
-        # the nodes -p and the step dr; 1024 points at a time bound each block to ~1 MB
-        for i in range(0, flat.size, 1024):
-            rows = flat[i : i + 1024]
-            acc = sum((w[j : j + len(base)] @ base) * phase for j, base, phase in phase_blocks(-rows, dr, r.size))
-            s[i : i + 1024] = (np.exp(1j * r[0] * rows) * acc).imag
+        for i in range(0, flat.size, 1024):  # 1024 points at a time bound each sine block to ~0.7 MB
+            s[i : i + 1024] = np.sin(np.multiply.outer(flat[i : i + 1024], r)) @ w
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(flat == 0.0, np.sqrt(2.0 / pi) * np.sum(r**2 * b) * dr, s / np.where(flat == 0.0, 1.0, flat))
+            out = np.where(flat == 0.0, np.sum(r * w), s / np.where(flat == 0.0, 1.0, flat))
         return out.reshape(p.shape).astype(complex)
 
     return _normalized(grid, prof(grid.nodes), profile=prof)

@@ -7,12 +7,13 @@ numpy arrays, with the same operations in the same order and so the
 same bits), the finite-chain analogue of the Bessel
 kernel obtained by sampling the integral representation on the
 open-chain eigenphases, and phases e^{-i t x_j} on a uniform time grid:
-`phase_blocks` yields the phase matrix a block of rows at a time (P_0
-streams over them), `phase_sum` the sums sum_j C_j e^{-i t x_j} directly
-from those blocks (the oracle of the fast route), and `phase_sum_nufft`
+`phase_blocks` yields the phase matrix a block of rows at a time (its
+users: P_0 streams over them, and `phase_sum` multiplies them), `phase_sum`
+the sums sum_j C_j e^{-i t x_j} directly from those blocks (the radiating
+chain's route and the oracle of the fast one), and `phase_sum_nufft`
 the sums as a type-1 non-uniform FFT in O(n log n + len(x)) work.
 `gauss_legendre` gives the composite Gauss-Legendre nodes of the
-momentum grids and the mode band.
+momentum grids, the mode band and the bump packet's radii.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import pytest
 from conftest import traced
 
 import chainlab
-from chainlab import qdomino, specfun
+from chainlab import qdomino, specfun, xychain
 from chainlab.cli import main
 
 
@@ -191,6 +191,8 @@ REFUSED = [
     ("xy-kappa-zero", "xy --kappa 0", 1, None, "kappa must be nonzero"),
     ("domino-j-from-zero", "domino --j 0..2", 1),
     ("domino-j-non-integer", "domino --j 1.5..3", 1, None, "must be integer"),
+    ("domino-j-oversized", "domino --j 1..3000000", 1, None, "has more than 1000000 points"),
+    ("xy-j-oversized", "xy --j=-3000000..3000000", 1, None, "has more than 1000000 points"),
     # at T = 0.03 the time and spectral w routes differ by about 1e-4
     ("detector-route-gap", "detector --T 0.03", 2),
     ("detector-strong-coupling", "detector --gamma 2 --T 5", 2, None, "||gamma g||_1 = 2.621 >= 2"),
@@ -284,14 +286,17 @@ def test_out_naming_a_file_is_exit_code_one(tmp_path, command):
         (["radiate", "--N", "1" + "0" * 160], (np.polynomial.legendre, "leggauss"), 2**20),
         (["radiate", "--N", "1" + "0" * 2200], (np.polynomial.legendre, "leggauss"), 2**20),
         (["domino", "--steps", "100000000"], (np, "linspace"), 2**20),
+        (["domino", "--j", "1..3000000"], (qdomino, "flip_probability"), 2**20),
+        (["xy", "--j=-3000000..3000000"], (xychain, "occupation"), 2**20),
     ],
-    ids=["radiate-M", "radiate-N", "radiate-N-1e160", "radiate-N-1e2200", "domino-steps"],
+    ids=["radiate-M", "radiate-N", "radiate-N-1e160", "radiate-N-1e2200", "domino-steps", "domino-j", "xy-j"],
 )
 def test_oversized_grid_is_refused_before_allocation(tmp_path, forbid, argv, allocating, bound):
     # leggauss would build a 3.2 GB companion matrix and the Hamiltonian would need 3.2 or 80 GB;
     # linspace would take 0.8 GB.  radiate refuses N + M before default_params's 80001-point integral,
     # also when its byte count is an integer no float can hold (N = 10^160) or of more digits than
-    # Python writes in decimal (N = 10^2200).
+    # Python writes in decimal (N = 10^2200).  A --j range is refused before its list of sites is
+    # built: 3 and 6 million sites once took 190 and 350 MiB before the Bessel gate refused them.
     forbid(*allocating)
     with traced() as trace:
         _refused(argv + ["--out", str(tmp_path)], 1)

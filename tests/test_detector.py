@@ -288,7 +288,7 @@ def test_occupations_at_solves_each_distinct_step_once(calls):
     # 2000 copies of one time: each row is the single call's row to the bit, from one Toeplitz form
     run = DetectorRun(gamma=0.5, T=5.0)
     single = run.occupations_at(5.0)
-    forms = calls(detector, "_toeplitz_spectra")
+    forms = calls(detector, "_toeplitz_spectrum")
     occ = run.occupations_at(np.full(2000, 5.0))
     assert occ.shape == (2000, single.size)
     assert np.array_equal(occ, np.broadcast_to(single, occ.shape))
@@ -357,7 +357,7 @@ def _p0_by_double_convolution(run):
     for i in range(0, grid.nodes.size, 48):
         ps = grid.nodes[i : i + 48]
         ep = np.exp(-1j * np.outer(run.t, ps**2))
-        Zp = detector._causal_conv(detector._causal_conv(ep, run.f[:, None], dt), run.solution[:, None], dt)
+        Zp = detector._causal_conv(run.solution[:, None], detector._causal_conv(run.f[:, None], ep, dt), dt)
         chi = ep * run.psi.amplitude[i : i + 48] - run.gamma**2 * run.phi.amplitude[i : i + 48] * Zp
         out += (np.abs(chi) ** 2) @ (grid.weights[i : i + 48] * 4.0 * np.pi * ps**2)
     return out

@@ -39,11 +39,12 @@ def _trees():
 
 
 def _uses(trees):
-    # a use in code counts: a name or an attribute, not a docstring, a comment or an __all__ string
+    # a use in code counts: a name read or an attribute, not an assignment, a docstring, a comment or
+    # an __all__ string
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -75,6 +76,22 @@ def test_every_oracle_is_used_by_a_test():
     tests = Path(__file__).parent
     used = _uses(ast.parse(path.read_text()) for path in tests.glob("test_*.py"))
     assert sorted(key for key in ORACLES if key.rpartition(".")[2] not in used) == []
+
+
+def test_every_private_module_name_has_a_library_use():
+    # a module-level private function, class or constant that no library code reads outlived its last caller
+    trees = _trees()
+    used = _uses(trees.values())
+    private = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:  # a constant: the names the statement assigns
+                names = [t.id for t in ast.walk(node) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+            private += [f"{file}:{name}" for name in names if name.startswith("_") and not name.startswith("__")]
+    assert private
+    assert sorted(key for key in private if key.partition(":")[2] not in used) == []
 
 
 def test_every_public_method_and_property_has_a_library_caller():
