@@ -2,9 +2,10 @@
 
 Bessel functions of integer order (normalized backward recurrence, one
 function for scalars and arrays; a table of at most _FLOAT_LOOP_MAX
-arguments runs the recurrence on Python floats and a larger one on
-numpy arrays, with the same operations in the same order and so the
-same bits), the finite-chain analogue of the Bessel
+arguments, or one of many rows against its steps, runs the recurrence
+on Python floats and any other on numpy arrays, with the same
+operations in the same order and so the same bits), the finite-chain
+analogue of the Bessel
 kernel obtained by sampling the integral representation on the
 open-chain eigenphases, and phases e^{-i t x_j} on a uniform time grid:
 `phase_blocks` yields the phase matrix a block of rows at a time (its
@@ -57,6 +58,17 @@ _MAX_START = 100_000
 # 2.4).  Both loops make the same IEEE double operations on each argument in the same order, and
 # neither Python nor numpy fuses a multiply and an add here, so they give the same bits.
 _FLOAT_LOOP_MAX = 25
+# a larger table runs the float loop too when its rows are many against its steps.  Each rescale step
+# of _recur_arrays multiplies every written row of every argument (rows written x arguments cells),
+# and over more than a few small arguments nearly every step below the top row rescales one, so a
+# tall table costs that loop about rows^2 / 2 cells per argument, against `start` float steps per
+# argument.  One float step costs about as much as this many cells.  A table takes the float loop
+# when rows^2 / 2 reaches this many cells per step: 2001 and 3000 rows over 30-200 arguments in
+# [0.5, 50] then run 1.4-3.5 times faster there, and the worst such pick measured, 3000 rows over
+# 60-200 arguments in [0, 1500], 1.2-1.4 times slower.  Tables with fewer rows, or with larger
+# arguments and so more steps above the rows, keep the array loop, which ran them up to 4 times
+# faster (best of 3 over 180 tables of 200-3000 rows and 20-200 arguments, 2-core Xeon VM)
+_FLOAT_STEP_CELLS = 750
 # bytes a call may hold at once, counted before allocating (check_held): a Bessel table with its
 # work arrays here, and each memory gate of the detector; every count adds _FIXED_WORK_BYTES of
 # numpy work buffers that do not scale with the input (a small table peaks 56 KB over its count)
@@ -149,7 +161,8 @@ def _miller(n_max: int, x: np.ndarray, start: int) -> np.ndarray:
     # start > n_max: bessel_table starts at n_max + 40 or higher; the loop is chosen here, so that a
     # caller, and a test that replaces _miller, sees one recurrence for every size
     sub = np.zeros((n_max + 1, x.size))
-    recur = _recur_floats if x.size <= _FLOAT_LOOP_MAX else _recur_arrays
+    tall = (n_max + 1) ** 2 // 2 >= _FLOAT_STEP_CELLS * start
+    recur = _recur_floats if x.size <= _FLOAT_LOOP_MAX or tall else _recur_arrays
     jc, sq, lin = recur(sub, x, start)
     # J_0^2 + 2 sum_k J_k^2 and J_0 + 2 sum_k J_2k formed in place; the scale is sign(lin) sqrt(sq)
     lin *= 2.0
@@ -292,20 +305,34 @@ def phase_sum_nufft(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarr
     46 (2004) 443: tau = pi H / (n^2 R (R - 1/2)), R = M / n).  Nodes
     are spread one kernel offset at a time, each over the window of grid
     points the nodes touch, into one complex grid row per column that is
-    then transformed in place; besides those rows the temporaries stay
-    O(len(x)) and not O(len(x) H).
+    then transformed in place.  Each offset's weights and products are
+    formed in two buffers over the nodes, so besides those rows the
+    temporaries stay O(len(x)) and not O(len(x) H), and all of them are
+    freed before the transforms run.
     """
-    x = np.asarray(x, dtype=float)
     H = _NUFFT_HALF_WIDTH
     M = nufft_length(n)
     R = M / n
     tau = math.pi * H / (n * n * R * (R - 0.5))
+    h = n // 2
+    grid = _spread(C, x, dt, h, M, tau)  # its temporaries are freed before the transforms run
+    for row in grid:
+        np.fft.fft(row, out=row)
+    k = np.arange(n) - h
+    S = grid[:, k % M]
+    S *= math.sqrt(math.pi / tau) / M * np.exp(k * k * tau)
+    return S.T
+
+
+def _spread(C: np.ndarray, x, dt: float, h: int, M: int, tau: float) -> np.ndarray:
+    """The (cols, M) grid of phase_sum_nufft before its transforms: C e^{-i h theta} spread with the Gaussian of tau."""
+    x = np.asarray(x, dtype=float)
     step = 2.0 * math.pi / M
     theta = dt * x
     theta -= 2.0 * math.pi * np.rint(theta / (2.0 * math.pi))  # in [-pi, pi]: exact for small |dt x|
     m0 = np.floor(theta / step).astype(np.int64)
-    d = theta - m0 * step  # offset from the grid point below
-    h = n // 2
+    d = theta  # offset from the grid point below, formed in theta's buffer
+    d -= m0 * step
     # h theta = 2 pi (h m0 mod M) / M + h d: the integer reduction keeps the phase below 2 pi + pi / 4
     Ch = C * np.exp(-1j * (step * ((h * m0) % M) + h * d))[:, None]
     grid = np.zeros((C.shape[1], M), dtype=complex)
@@ -318,18 +345,21 @@ def phase_sum_nufft(C: np.ndarray, x: np.ndarray, dt: float, n: int) -> np.ndarr
     lo, hi = (int(m0.min()), int(m0.max())) if m0.size else (0, -1)
     span = min(hi - lo + 1, M)
     bins = (m0 - lo) % M
-    for offset in range(1 - H, H + 1):
+    del m0
+    # one kernel offset's Gaussian weights over the nodes, and their product with one part of Ch
+    spread, part_spread = np.empty_like(d), np.empty_like(d)
+    for offset in range(1 - _NUFFT_HALF_WIDTH, _NUFFT_HALF_WIDTH + 1):
         a = (lo + offset) % M
         cut = M - a  # bins up to the end of the grid; the rest wrap to its start
-        spread = np.exp(-((d - offset * step) ** 2) / (4.0 * tau))
+        # exp(-((d - offset step)^2) / (4 tau)), one ufunc at a time
+        np.subtract(d, offset * step, out=spread)
+        np.square(spread, out=spread)
+        np.negative(spread, out=spread)
+        np.divide(spread, 4.0 * tau, out=spread)
+        np.exp(spread, out=spread)
         for part, row in rows:
-            b = np.bincount(bins, part * spread, span)
+            b = np.bincount(bins, np.multiply(part, spread, out=part_spread), span)
             row[a : a + span] += b[:cut]
             if span > cut:
                 row[: span - cut] += b[cut:]
-    for row in grid:
-        np.fft.fft(row, out=row)
-    k = np.arange(n) - h
-    S = grid[:, k % M]
-    S *= math.sqrt(math.pi / tau) / M * np.exp(k * k * tau)
-    return S.T
+    return grid
