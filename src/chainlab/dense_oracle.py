@@ -173,16 +173,13 @@ class Propagator:
         """exp(-itH) psi0; shape (dim,) for scalar t, (len(t), dim) for an array.
 
         Counted before the phases are built: three complex (len(t), dim) arrays and the complex
-        cast of the modes.  Two are held at once: the phases' argument and the phases while exp
-        runs, then the phases, scaled in place, and their product with the modes.
+        cast of the modes.
         """
         t = np.asarray(t, dtype=float)
         dim = self.energies.size
         check_held(16 * (3 * t.size * dim + dim * dim), f"propagation of {dim} states over {t.size} times")
         c = self.modes.conj().T @ np.asarray(psi0, dtype=complex)
-        ph = np.exp(-1j * np.multiply.outer(t, self.energies))
-        ph *= c
-        return ph @ self.modes.T
+        return (np.exp(-1j * np.multiply.outer(t, self.energies)) * c) @ self.modes.T
 
 
 def expectation(psi: np.ndarray, A: DenseOperator):

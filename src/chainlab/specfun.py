@@ -2,10 +2,9 @@
 
 Bessel functions of integer order (normalized backward recurrence, one
 function for scalars and arrays; a table of at most _FLOAT_LOOP_MAX
-arguments, or one of many rows against its steps, runs the recurrence
-on Python floats and any other on numpy arrays, with the same
-operations in the same order and so the same bits), the finite-chain
-analogue of the Bessel
+arguments runs the recurrence on Python floats and a larger one on
+numpy arrays, with the same operations in the same order and so the
+same bits), the finite-chain analogue of the Bessel
 kernel obtained by sampling the integral representation on the
 open-chain eigenphases, and phases e^{-i t x_j} on a uniform time grid:
 `phase_blocks` yields the phase matrix a block of rows at a time (its
@@ -58,17 +57,6 @@ _MAX_START = 100_000
 # 2.4).  Both loops make the same IEEE double operations on each argument in the same order, and
 # neither Python nor numpy fuses a multiply and an add here, so they give the same bits.
 _FLOAT_LOOP_MAX = 25
-# a larger table runs the float loop too when its rows are many against its steps.  Each rescale step
-# of _recur_arrays multiplies every written row of every argument (rows written x arguments cells),
-# and over more than a few small arguments nearly every step below the top row rescales one, so a
-# tall table costs that loop about rows^2 / 2 cells per argument, against `start` float steps per
-# argument.  One float step costs about as much as this many cells.  A table takes the float loop
-# when rows^2 / 2 reaches this many cells per step: 2001 and 3000 rows over 30-200 arguments in
-# [0.5, 50] then run 1.4-3.5 times faster there, and the worst such pick measured, 3000 rows over
-# 60-200 arguments in [0, 1500], 1.2-1.4 times slower.  Tables with fewer rows, or with larger
-# arguments and so more steps above the rows, keep the array loop, which ran them up to 4 times
-# faster (best of 3 over 180 tables of 200-3000 rows and 20-200 arguments, 2-core Xeon VM)
-_FLOAT_STEP_CELLS = 750
 # bytes a call may hold at once, counted before allocating (check_held): a Bessel table with its
 # work arrays here, and each memory gate of the detector; every count adds _FIXED_WORK_BYTES of
 # numpy work buffers that do not scale with the input (a small table peaks 56 KB over its count)
@@ -161,8 +149,7 @@ def _miller(n_max: int, x: np.ndarray, start: int) -> np.ndarray:
     # start > n_max: bessel_table starts at n_max + 40 or higher; the loop is chosen here, so that a
     # caller, and a test that replaces _miller, sees one recurrence for every size
     sub = np.zeros((n_max + 1, x.size))
-    tall = (n_max + 1) ** 2 // 2 >= _FLOAT_STEP_CELLS * start
-    recur = _recur_floats if x.size <= _FLOAT_LOOP_MAX or tall else _recur_arrays
+    recur = _recur_floats if x.size <= _FLOAT_LOOP_MAX else _recur_arrays
     jc, sq, lin = recur(sub, x, start)
     # J_0^2 + 2 sum_k J_k^2 and J_0 + 2 sum_k J_2k formed in place; the scale is sign(lin) sqrt(sq)
     lin *= 2.0

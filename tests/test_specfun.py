@@ -90,7 +90,6 @@ def _reference_miller(n_max, x, start):
 # the largest table of the Python-float loop and the smallest of the array loop
 @example(n_max=150, x=np.geomspace(1e-7, 300.0, specfun._FLOAT_LOOP_MAX))
 @example(n_max=150, x=-np.geomspace(1e-7, 300.0, specfun._FLOAT_LOOP_MAX + 1))
-@example(n_max=2000, x=np.linspace(0.5, 3.0, 40))  # a tall table of many arguments: the float loop too
 def test_bessel_table_matches_the_masked_recurrence_to_the_bit(n_max, x):
     # tiny |x| rescales on most steps and large |x| on few; zeros take the series branch
     with mock.patch.object(specfun, "_miller", _reference_miller):
@@ -106,26 +105,6 @@ def test_few_arguments_give_the_bits_of_one_argument_and_of_many():
     for i in range(x.size):
         assert tab[:, i].tobytes() == specfun._miller(60, x[i : i + 1], 400)[:, 0].tobytes()
         assert tab[:, i].tobytes() == tiled[:, i].tobytes()
-
-
-@pytest.mark.parametrize(
-    "size, n_max, xmax, loop",
-    [
-        # every table of the benchmark's workloads, by arguments, order and largest argument
-        (1, 4, 2000.0, "floats"), (1, 62, 1.0, "floats"), (1, 1043, 1000.0, "floats"), (2, 44, 2.0, "floats"),
-        (4, 80, 37.0, "floats"), (21, 3, 20.0, "floats"), (201, 5, 100.0, "arrays"), (201, 93, 50.0, "arrays"),
-        (2000, 4, 1000.0, "arrays"), (3001, 1, 120.0, "arrays"), (5001, 102, 40.0, "arrays"),
-        (10001, 1, 400.0, "arrays"),
-        # a tall table: the array loop's rescales over every written row cost 2-3 times the float loop
-        (40, 2000, 3.0, "floats"),
-        # as many rows over larger arguments: more steps above the rows, and fewer rescales below them
-        (40, 2000, 2000.0, "arrays"),
-    ],
-)
-def test_miller_loop_follows_the_cost_of_each_table(calls, size, n_max, xmax, loop):
-    floats, arrays = calls(specfun, "_recur_floats"), calls(specfun, "_recur_arrays")
-    bessel_table(n_max, xmax * (1.0 - np.arange(size) / size))
-    assert (len(floats), len(arrays)) == ((1, 0) if loop == "floats" else (0, 1))
 
 
 def test_bessel_ratio_table_against_scipy():
