@@ -158,9 +158,16 @@ def recurrence_time(chain: RadiatingChain) -> float:
 
 
 def decay_series(chain: RadiatingChain, t_grid) -> np.ndarray:
-    """Radiated-sector weight at each t for the chain started in its first state."""
-    psi_t = chain.evolve(t_grid)
-    return np.sum(np.abs(psi_t[:, chain.params.N :]) ** 2, axis=1)
+    """Radiated-sector weight at each t for the chain started in its first state.
+
+    Each block of Propagator.blocks is reduced to its weights as soon as it is formed, so the whole
+    (times x states) evolution is never held.
+    """
+    blocks = chain.propagator.blocks(chain.initial_state(), t_grid)
+    series = np.empty(np.size(t_grid))
+    for i, psi in blocks:
+        series[i : i + len(psi)] = np.sum(np.abs(psi[:, chain.params.N :]) ** 2, axis=1)
+    return series
 
 
 def continuum_decay(params: RadiatingParams, dt: float, n: int) -> np.ndarray:

@@ -53,6 +53,19 @@ def test_propagator_vectorized_over_time():
     assert np.allclose(block[1], prop.apply(psi0, 1.5))
 
 
+def test_propagator_of_a_complex_hamiltonian_matches_expm():
+    # complex modes: c takes their conjugate, which real modes do without
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    H = A + A.conj().T
+    psi0 = rng.normal(size=5) + 1j * rng.normal(size=5)
+    ts = np.array([0.0, 0.7, 2.0])
+    ref = np.array([expm(-1j * t * H) @ psi0 for t in ts])
+    assert np.max(np.abs(Propagator(DenseOperator(H)).apply(psi0, ts) - ref)) < 1e-12
+
+
 def test_spin_ops_algebra():
     a, adag = spin_ops(3, 1)
     num = adag @ a
@@ -226,7 +239,7 @@ def test_oversized_builder_is_refused_before_allocation(forbid, build):
 )
 def test_dense_gates_count_what_each_call_holds(gate_covers, make):
     # check_dense_dimension's five copies cover peaks of two (Propagator and spin_ops at 1024
-    # dimensions) and one (site_number_op); apply counts its phases and the complex cast of the modes.
+    # dimensions) and one (site_number_op); apply counts the phases of its whole time grid and the complex modes.
     # make builds the call's inputs before it is traced
     gate_covers(make())
 
