@@ -151,9 +151,9 @@ def check_dense_dimension(dim: int, itemsize: int = 8) -> None:
     """Refuse a dense dim x dim matrix whose propagation, counted as 5 copies of it, would exceed check_held's budget.
 
     Traced, a Propagator of a real H peaks at 2 copies besides H at dimension 1024, and a radiating
-    chain's H with its Propagator at 3 copies at dimension 406.  Propagating adds the complex modes (2
-    copies) and one block of times, counted by Propagator.blocks: built in the same call, the chain's
-    400-time decay_series peaks at 5.1 copies.
+    chain's H with its Propagator at 3 copies at dimension 406.  Propagating adds one block of times and
+    one span of the complex modes, counted by Propagator.blocks: built in the same call, the chain's
+    400-time decay_series peaks at 3.4 copies.
     """
     check_held(5 * itemsize * dim * dim, f"propagation at dimension {dim}")
 
@@ -172,42 +172,69 @@ class Propagator:
         self.energies.flags.writeable = self.modes.flags.writeable = False
 
     def apply(self, psi0: np.ndarray, t) -> np.ndarray:
-        """exp(-itH) psi0; shape (dim,) for scalar t, (len(t), dim) for an array, filled from `blocks`.
+        """exp(-itH) psi0; shape (dim,) for scalar t, (len(t), dim) for an array.
 
-        Holds the (len(t), dim) result, the complex modes and one block's phases and product: traced at
-        dimension 406, 6.6 MB over 400 times, 17.0 MB over 2000 and 2.7 MB at a scalar time, nearly all
-        of it the complex modes.
+        Each block's product is written straight into the (len(t), dim) result, which is held with one
+        block's phases and one span of columns of the complex modes: traced at dimension 406, 0.85 MB at a
+        scalar time, 4.0 MB over 400 times and 14.4 MB over 2000; at dimension 1024, 3.3 MB over 64 times.
         """
         t = np.asarray(t, dtype=float)
-        blocks = self.blocks(psi0, t)
         out = np.empty((t.size, self.energies.size), dtype=complex)
-        for i, rows in blocks:
-            out[i : i + len(rows)] = rows
+        for _ in self._fill(psi0, t.reshape(-1), out):
+            pass
         return out.reshape(t.shape + (self.energies.size,))
 
     def blocks(self, psi0: np.ndarray, t):
         """Iterate over (i, rows) with rows[k] = exp(-i t[i + k] H) psi0, PHASE_BLOCK times at a time, t flattened.
 
-        The gate, the complex copy of the modes and c = modes* psi0 are made when the call is made, before
-        the first block.  Blocks start at multiples of PHASE_BLOCK and a one-row tail joins the block
-        before it, so every block of two or more rows is one GEMM in which each row keeps the zgemm tile
-        it has in the one-shot product (exp(-i t E) * c) @ modes.T, and no row goes through the GEMV numpy
-        takes for a single row: each row equals that product's to the bit, at one BLAS thread.
+        Every block is written into one buffer of PHASE_BLOCK + 1 rows at most, so its rows hold only
+        until the next block.  The gate and c = modes* psi0 are made when the call is made, before the
+        first block.  Traced at dimension 406, radiating.decay_series peaks at 1.8 MB at any number of
+        times.
         """
         t = np.asarray(t, dtype=float).reshape(-1)
+        return self._fill(psi0, t, np.empty((min(t.size, PHASE_BLOCK + 1), self.energies.size), dtype=complex))
+
+    def _fill(self, psi0: np.ndarray, t: np.ndarray, out: np.ndarray):
+        """Make the gate and c now; return a generator that writes each block into out and yields (i, rows).
+
+        out has a row per time (apply's result: a block fills rows i:j) or one block's rows (a buffer each
+        block overwrites).  The times, and the rows of modes.T for c and its columns for each block, go in
+        _spans, each span of modes.T cast to a C-ordered complex copy, so the complex modes are never held
+        whole.  Each entry keeps the sums it has in the one-shot product (exp(-i t E) * c) @ mt, c = mt* psi0,
+        on one C-ordered complex copy mt of modes.T: a block of one time is a GEMV and a longer one a GEMM,
+        as there.  A plain astype of a row span keeps F order and sums c in another order, and a one-wide
+        span takes numpy's GEMV or dot.  So every row equals the one-shot product's to the bit, at one BLAS
+        thread.
+        """
         dim = self.energies.size
         # counts what the one-shot product held, three complex (len(t), dim) arrays and the complex modes; a
-        # block holds far less, so the count now bounds the run's length, which grows with len(t), as well
+        # call now holds apply's result or one block of times, with one span of the modes, so the count bounds
+        # the run's length, which grows with len(t), more than what it holds
         check_held(16 * (3 * t.size * dim + dim * dim), f"propagation of {dim} states over {t.size} times")
-        # modes.T as the C-ordered complex copy numpy casts the real modes.T to in a product (a GEMV on
-        # another layout sums in another order), made once per call for c and for every block
-        mt = self.modes.T.astype(complex, order="C")
-        c = (mt.conj() if np.iscomplexobj(self.modes) else mt) @ np.asarray(psi0, dtype=complex)
-        starts = range(0, t.size, PHASE_BLOCK)
-        if t.size > 1 and t.size % PHASE_BLOCK == 1:
-            starts = starts[:-1]
-        ends = [*starts[1:], t.size]
-        return ((i, (np.exp(-1j * np.multiply.outer(t[i:j], self.energies)) * c) @ mt) for i, j in zip(starts, ends))
+        psi0 = np.asarray(psi0, dtype=complex)
+        c = np.empty(dim, dtype=complex)
+        for a, b in _spans(dim):
+            span = self.modes.T[a:b].astype(complex, order="C")
+            np.matmul(span.conj() if np.iscomplexobj(self.modes) else span, psi0, out=c[a:b])
+
+        def run():
+            for i, j in _spans(t.size):
+                rows = out[i:j] if len(out) == t.size else out[: j - i]
+                phases = np.exp(-1j * np.multiply.outer(t[i:j], self.energies)) * c
+                for a, b in _spans(dim):
+                    np.matmul(phases, self.modes.T[:, a:b].astype(complex, order="C"), out=rows[:, a:b])
+                yield i, rows
+
+        return run()
+
+
+def _spans(n: int) -> list[tuple[int, int]]:
+    """(start, end) of 0..n in spans of PHASE_BLOCK that start at its multiples, a one-wide tail joined to the span before it."""
+    starts = range(0, n, PHASE_BLOCK)
+    if n > 1 and n % PHASE_BLOCK == 1:
+        starts = starts[:-1]
+    return list(zip(starts, [*starts[1:], n]))
 
 
 def expectation(psi: np.ndarray, A: DenseOperator):

@@ -160,8 +160,8 @@ def recurrence_time(chain: RadiatingChain) -> float:
 def decay_series(chain: RadiatingChain, t_grid) -> np.ndarray:
     """Radiated-sector weight at each t for the chain started in its first state.
 
-    Each block of Propagator.blocks is reduced to its weights as soon as it is formed, so the whole
-    (times x states) evolution is never held.
+    Each block of Propagator.blocks is reduced to its weights as soon as it is formed, in the one buffer
+    the blocks share, so neither the whole (times x states) evolution nor the complex modes are held.
     """
     blocks = chain.propagator.blocks(chain.initial_state(), t_grid)
     series = np.empty(np.size(t_grid))

@@ -1,8 +1,9 @@
 """Test harness for the memory contract and for call stubs.
 
-`traced()` measures the traced peak of a block; test modules import it
-(`from conftest import traced`).  The fixtures patch through pytest's
-monkeypatch, so every patch ends with its test:
+`traced()` measures the traced peak of a block, and `one_shot(prop, psi0, t)`
+is the reference product the propagation tests compare with; test modules
+import them (`from conftest import one_shot, traced`).  The fixtures patch
+through pytest's monkeypatch, so every patch ends with its test:
 - `gate_covers(call)`: one byte less of budget than the traced peak of
   call() refuses the call; returns the peak.
 - `held_counts(module)`: the list of check_held counts made through module.
@@ -21,6 +22,7 @@ from types import SimpleNamespace
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from chainlab import DomainError, specfun  # noqa: E402
@@ -36,6 +38,17 @@ def traced():
         trace.peak = tracemalloc.get_traced_memory()[1]  # after stop() the peak reads 0
     finally:
         tracemalloc.stop()
+
+
+def one_shot(prop, psi0, t):
+    """exp(-itH) psi0 as one product over every time, the form each block of Propagator.blocks equals to the bit.
+
+    The modes enter as one C-ordered complex copy of modes.T: for real modes it is the copy numpy casts
+    modes.T to in `modes.conj().T @ psi0` and in `@ modes.T`.
+    """
+    mt = prop.modes.T.astype(complex, order="C")
+    c = (mt.conj() if np.iscomplexobj(prop.modes) else mt) @ np.asarray(psi0, dtype=complex)
+    return (np.exp(-1j * np.multiply.outer(t, prop.energies)) * c) @ mt
 
 
 @pytest.fixture

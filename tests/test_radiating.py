@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import traced
+from conftest import one_shot, traced
 
 from chainlab import DomainError, acceptance, dense_oracle, radiating
 from chainlab.dense_oracle import Propagator, build_island_hamiltonian
@@ -111,25 +111,19 @@ def test_decay_is_nearly_complete_before_recurrence(chain):
     assert np.max(decay_series(chain, t)) > 0.99
 
 
-def _one_shot(prop, psi0, t):
-    """exp(-itH) psi0 as one product over every time, the form each block of Propagator.blocks equals to the bit."""
-    c = prop.modes.conj().T @ np.asarray(psi0, dtype=complex)
-    return (np.exp(-1j * np.multiply.outer(t, prop.energies)) * c) @ prop.modes.T
-
-
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 257, 301, 400])
 def test_propagation_in_blocks_is_the_one_shot_product_to_the_bit(chain, n):
     # blocks of 64 times, a one-row tail joined to the block before it: a lone tail row took numpy's GEMV
     # and read other bits at 65, 129 and 257 times
     t = np.linspace(0.0, 0.5 * recurrence_time(chain), n)
-    ref = _one_shot(chain.propagator, chain.initial_state(), t)
+    ref = one_shot(chain.propagator, chain.initial_state(), t)
     assert np.array_equal(chain.evolve(t), ref)
     assert np.array_equal(decay_series(chain, t), np.sum(np.abs(ref[:, chain.params.N :]) ** 2, axis=1))
     # the 8-site island of criterion 01, from each of its states
     island = Propagator(build_island_hamiltonian(8))
     t = np.linspace(0.5, 10.0, n)
     for psi0 in np.eye(8):
-        assert np.array_equal(island.apply(psi0, t), _one_shot(island, psi0, t))
+        assert np.array_equal(island.apply(psi0, t), one_shot(island, psi0, t))
 
 
 def test_propagation_at_a_scalar_time_and_over_no_times(chain):
@@ -137,23 +131,24 @@ def test_propagation_at_a_scalar_time_and_over_no_times(chain):
     t_rec = recurrence_time(chain)
     psi = chain.evolve(0.5 * t_rec)
     assert psi.shape == (chain.hamiltonian.dim,)
-    assert np.array_equal(psi, _one_shot(chain.propagator, chain.initial_state(), 0.5 * t_rec))
+    assert np.array_equal(psi, one_shot(chain.propagator, chain.initial_state(), 0.5 * t_rec))
     island = Propagator(build_island_hamiltonian(8))
-    assert np.array_equal(island.apply(np.eye(8)[2], 3.0), _one_shot(island, np.eye(8)[2], 3.0))
+    assert np.array_equal(island.apply(np.eye(8)[2], 3.0), one_shot(island, np.eye(8)[2], 3.0))
     assert decay_series(chain, []).shape == (0,)
     assert chain.evolve(np.array([])).shape == (0, chain.hamiltonian.dim)
 
 
 def test_decay_series_holds_one_block_of_times(chain):
-    # the complex modes (2.64 MB) and one block of 64 times: 4.03 and 4.04 MB traced at 301 and 2000
-    # times; the whole evolution formed at once peaked at 6.56 and 28.64 MB
+    # one block of 64 times and one span of 64 columns of the complex modes: 1.81 and 1.83 MB traced at
+    # 301 and 2000 times; with the whole complex modes held it peaked at 4.03 and 4.04 MB, and with the
+    # whole evolution formed at once at 6.56 and 28.64 MB
     chain.propagator
     for n in (301, 2000):
         t = np.linspace(0.0, 0.5 * recurrence_time(chain), n)
         decay_series(chain, t)  # untraced first, so that the traced call sees no lazy set-up
         with traced() as trace:
             decay_series(chain, t)
-        assert trace.peak < 4.5e6
+        assert trace.peak < 2.2e6
 
 
 def test_decay_stable_under_mode_doubling(chain, doubled):
