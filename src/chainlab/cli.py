@@ -17,6 +17,7 @@ subcommand), 2 numerical-invariant failure (an arithmetic error too).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -31,6 +32,8 @@ __all__ = ["main"]
 # largest --steps, and most points of a --j range: a time grid, a site list and their CSV rows stay
 # a few hundred MB at most
 _MAX_STEPS = 10**6
+# rows per % in _write_csv: one chunk's values and line text are held at a time besides the formatted text
+_CSV_CHUNK = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,19 +50,30 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None:
-    """Format every row, then write; a non-finite number raises ValueError and writes nothing."""
-    lines = []
-    for row in rows:
-        bad = [h for h, x in zip(header, row) if not isinstance(x, str) and not math.isfinite(x)]
-        if bad:
+    """Format every row, then write; a non-finite number raises ValueError and writes nothing.
+
+    _CSV_CHUNK rows at a time go through one % on a line template taken from the first row: %s for a
+    string column, %.12g otherwise, which formats any number as _fmt does.  Each chunk becomes one string,
+    so a long table holds its text and one chunk of rows.
+    """
+    rows = iter(rows)
+    text, line = [], None
+    while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+        if line is None:
+            numeric = [not isinstance(x, str) for x in chunk[0]]
+            line = ",".join("%.12g" if n else "%s" for n in numeric) + "\n"
+        flat = tuple(itertools.chain.from_iterable(chunk))
+        finite = np.isfinite(np.fromiter(itertools.compress(flat, itertools.cycle(numeric)), float))
+        if not finite.all():
+            row = chunk[np.argmin(finite) // sum(numeric)]
+            bad = [h for h, x in zip(header, row) if not isinstance(x, str) and not math.isfinite(x)]
             raise ValueError(f"non-finite {', '.join(bad)} in {path.name}")
-        lines.append(",".join(_fmt(x) for x in row))
+        text.append(line * len(chunk) % flat)
     with open(path, "w", newline="\n") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
         fh.write(",".join(header) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        fh.writelines(text)
 
 
 def _parse_range(text: str):
@@ -237,68 +251,51 @@ def _run_verify(args) -> int:
     return 0 if all_ok else 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line's parser: with only the subparser of `command` when it names a subcommand, else with all."""
+    # name: (help, default --steps, the runner, its own flags); verify writes no table, so it has no
+    # --out or --steps, and main runs it without a runner
+    commands = {
+        "domino": ("quantum domino flip probabilities", 201, _run_domino,
+                   [("--j", {"default": "2..6"}), ("--t", {"default": "0..50"})]),
+        "xy": ("x-y chain occupations", 201, _run_xy,
+               [("--j", {"default": "-3..3"}), ("--t", {"default": "0..50"}),
+                ("--kappa", {"type": float, "default": 1.0})]),
+        "detector": ("particle-detector amplitude and probability", 401, _run_detector,
+                     [("--gamma", {"type": float, "default": 0.5}), ("--dt", {"type": float, "default": 0.02}),
+                      ("--T", {"type": float, "default": 200.0})]),
+        "radiate": ("radiating finite chain decay", 301, _run_radiate,
+                    [("--N", {"type": int, "default": 6}), ("--M", {"type": int, "default": 400}),
+                     ("--v", {"type": float, "default": 0.7}), ("--t", {"default": "0..90"})]),
+        "meanfield": ("BCS phase diagram", 60, _run_meanfield,
+                      [("--eps", {"type": float, "default": 0.25}),
+                       ("--lambda", {"dest": "lam", "type": float, "default": 1.0}),
+                       ("--T", {"default": "0.01..0.6"})]),
+        "orbit": ("projected two-level phase-space circles", 253, _run_orbit,
+                  [("--re0", {"type": float, "default": 1.0}), ("--im0", {"type": float, "default": 0.5}),
+                   ("--lam", {"type": float, "default": 1.0}), ("--a", {"type": float, "default": 1.0}),
+                   ("--t", {"default": "0..12.6"})]),
+        "verify": ("run the acceptance suite", None, None,
+                   [("--only", {"default": None, "help": "comma-separated criterion numbers"})]),
+    }
     top = _Parser(prog="chainlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, steps):
+    for name in [command] if command in commands else commands:
+        text, steps, fn, flags = commands[name]
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--steps", type=int, default=steps)
-
-    p = sub.add_parser("domino", help="quantum domino flip probabilities")
-    common(p, 201)
-    p.add_argument("--j", default="2..6")
-    p.add_argument("--t", default="0..50")
-    p.set_defaults(fn=_run_domino)
-
-    p = sub.add_parser("xy", help="x-y chain occupations")
-    common(p, 201)
-    p.add_argument("--j", default="-3..3")
-    p.add_argument("--t", default="0..50")
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.set_defaults(fn=_run_xy)
-
-    p = sub.add_parser("detector", help="particle-detector amplitude and probability")
-    common(p, 401)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--dt", type=float, default=0.02)
-    p.add_argument("--T", type=float, default=200.0)
-    p.set_defaults(fn=_run_detector)
-
-    p = sub.add_parser("radiate", help="radiating finite chain decay")
-    common(p, 301)
-    p.add_argument("--N", type=int, default=6)
-    p.add_argument("--M", type=int, default=400)
-    p.add_argument("--v", type=float, default=0.7)
-    p.add_argument("--t", default="0..90")
-    p.set_defaults(fn=_run_radiate)
-
-    p = sub.add_parser("meanfield", help="BCS phase diagram")
-    common(p, 60)
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--T", default="0.01..0.6")
-    p.set_defaults(fn=_run_meanfield)
-
-    p = sub.add_parser("orbit", help="projected two-level phase-space circles")
-    common(p, 253)
-    p.add_argument("--re0", type=float, default=1.0)
-    p.add_argument("--im0", type=float, default=0.5)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--t", default="0..12.6")
-    p.set_defaults(fn=_run_orbit)
-
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--only", default=None, help="comma-separated criterion numbers")
+        if fn is not None:
+            p.add_argument("--out", default=".", help="output directory")
+            p.add_argument("--steps", type=int, default=steps)
+            p.set_defaults(fn=fn)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return top
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.config is not None:

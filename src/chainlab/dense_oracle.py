@@ -151,9 +151,9 @@ def check_dense_dimension(dim: int, itemsize: int = 8) -> None:
     """Refuse a dense dim x dim matrix whose propagation, counted as 5 copies of it, would exceed check_held's budget.
 
     Traced, a Propagator of a real H peaks at 2 copies besides H at dimension 1024, and a radiating
-    chain's H with its Propagator at 3 copies at dimension 406.  Propagating adds one block of times and
-    one span of the complex modes, counted by Propagator.blocks: built in the same call, the chain's
-    400-time decay_series peaks at 3.4 copies.
+    chain's H with its Propagator at 3 copies at dimension 406.  Propagating adds one block of times,
+    counted by Propagator.blocks: built in the same call, the chain's 400-time decay_series peaks at 3.4
+    copies.
     """
     check_held(5 * itemsize * dim * dim, f"propagation at dimension {dim}")
 
@@ -175,8 +175,8 @@ class Propagator:
         """exp(-itH) psi0; shape (dim,) for scalar t, (len(t), dim) for an array.
 
         Each block's product is written straight into the (len(t), dim) result, which is held with one
-        block's phases and one span of columns of the complex modes: traced at dimension 406, 0.85 MB at a
-        scalar time, 4.0 MB over 400 times and 14.4 MB over 2000; at dimension 1024, 3.3 MB over 64 times.
+        block's phases: traced at dimension 406, 0.03 MB at a scalar time, 4.0 MB over 400 times and 14.4 MB
+        over 2000; at dimension 1024, 3.3 MB over 64 times.
         """
         t = np.asarray(t, dtype=float)
         out = np.empty((t.size, self.energies.size), dtype=complex)
@@ -199,31 +199,36 @@ class Propagator:
         """Make the gate and c now; return a generator that writes each block into out and yields (i, rows).
 
         out has a row per time (apply's result: a block fills rows i:j) or one block's rows (a buffer each
-        block overwrites).  The times, and the rows of modes.T for c and its columns for each block, go in
-        _spans, each span of modes.T cast to a C-ordered complex copy, so the complex modes are never held
-        whole.  Each entry keeps the sums it has in the one-shot product (exp(-i t E) * c) @ mt, c = mt* psi0,
-        on one C-ordered complex copy mt of modes.T: a block of one time is a GEMV and a longer one a GEMM,
-        as there.  A plain astype of a row span keeps F order and sums c in another order, and a one-wide
-        span takes numpy's GEMV or dot.  So every row equals the one-shot product's to the bit, at one BLAS
-        thread.
+        block overwrites).  The times go in _spans.  Real modes mt = modes.T are never cast to complex: c
+        takes the real and imaginary parts of psi0 through mt apart, and each block's rows take those of
+        its phases, two real products.  Complex modes take one complex product on a C-ordered copy mt of
+        modes.T, with c = mt* psi0: on the F-ordered view, c and the row of a single time sum in other
+        orders.
         """
         dim = self.energies.size
-        # counts what the one-shot product held, three complex (len(t), dim) arrays and the complex modes; a
-        # call now holds apply's result or one block of times, with one span of the modes, so the count bounds
-        # the run's length, which grows with len(t), more than what it holds
+        # counts what the one-shot complex product held, three complex (len(t), dim) arrays and a complex
+        # copy of the modes, which only complex modes still make; a call now holds apply's result or one block
+        # of times, so the count bounds the run's length, which grows with len(t), more than what it holds
         check_held(16 * (3 * t.size * dim + dim * dim), f"propagation of {dim} states over {t.size} times")
         psi0 = np.asarray(psi0, dtype=complex)
-        c = np.empty(dim, dtype=complex)
-        for a, b in _spans(dim):
-            span = self.modes.T[a:b].astype(complex, order="C")
-            np.matmul(span.conj() if np.iscomplexobj(self.modes) else span, psi0, out=c[a:b])
+        real = not np.iscomplexobj(self.modes)
+        if real:
+            mt = self.modes.T
+            c = mt @ psi0.real + 1j * (mt @ psi0.imag)
+        else:
+            mt = self.modes.T.copy(order="C")
+            c = np.conj(mt, out=mt) @ psi0  # conjugated in place and back, so one copy is held
+            np.conj(mt, out=mt)
 
         def run():
             for i, j in _spans(t.size):
                 rows = out[i:j] if len(out) == t.size else out[: j - i]
                 phases = np.exp(-1j * np.multiply.outer(t[i:j], self.energies)) * c
-                for a, b in _spans(dim):
-                    np.matmul(phases, self.modes.T[:, a:b].astype(complex, order="C"), out=rows[:, a:b])
+                if real:
+                    np.matmul(phases.real, mt, out=rows.real)
+                    np.matmul(phases.imag, mt, out=rows.imag)
+                else:
+                    np.matmul(phases, mt, out=rows)
                 yield i, rows
 
         return run()

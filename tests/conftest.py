@@ -1,8 +1,9 @@
 """Test harness for the memory contract and for call stubs.
 
-`traced()` measures the traced peak of a block, and `one_shot(prop, psi0, t)`
-is the reference product the propagation tests compare with; test modules
-import them (`from conftest import one_shot, traced`).  The fixtures patch
+`traced()` measures the traced peak of a block.  `one_shot(prop, psi0, t)` and
+`per_block(prop, psi0, t)` are the reference products the propagation tests
+compare with; test modules import them (`from conftest import one_shot,
+per_block, traced`).  The fixtures patch
 through pytest's monkeypatch, so every patch ends with its test:
 - `gate_covers(call)`: one byte less of budget than the traced peak of
   call() refuses the call; returns the peak.
@@ -26,6 +27,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from chainlab import DomainError, specfun  # noqa: E402
+from chainlab.dense_oracle import _spans  # noqa: E402
 
 
 @contextlib.contextmanager
@@ -41,14 +43,34 @@ def traced():
 
 
 def one_shot(prop, psi0, t):
-    """exp(-itH) psi0 as one product over every time, the form each block of Propagator.blocks equals to the bit.
+    """exp(-itH) psi0 as one complex product over every time, on one C-ordered complex copy mt of modes.T.
 
-    The modes enter as one C-ordered complex copy of modes.T: for real modes it is the copy numpy casts
-    modes.T to in `modes.conj().T @ psi0` and in `@ modes.T`.
+    Complex modes take this form in each block of Propagator.blocks, and equal it to the bit.  Real modes
+    take two real products per block (per_block), which sum in other orders: they stay within a few eps
+    of it.
     """
     mt = prop.modes.T.astype(complex, order="C")
     c = (mt.conj() if np.iscomplexobj(prop.modes) else mt) @ np.asarray(psi0, dtype=complex)
     return (np.exp(-1j * np.multiply.outer(t, prop.energies)) * c) @ mt
+
+
+def per_block(prop, psi0, t):
+    """exp(-itH) psi0 of real modes mt = modes.T as Propagator.blocks forms it, rows (len(t), dim).
+
+    c = mt psi0 takes psi0's real and imaginary parts apart, and each block of times of dense_oracle._spans
+    takes its phases' parts through mt apart.  The bits depend on the block: OpenBLAS sums a product of
+    more rows in another order, so the same form over every time at once reads other bits past one block
+    (from 66 times on, on the default radiating chain and on a random real H of dimension 300).
+    """
+    t = np.asarray(t, dtype=float).reshape(-1)
+    mt, psi0 = prop.modes.T, np.asarray(psi0, dtype=complex)
+    c = mt @ psi0.real + 1j * (mt @ psi0.imag)
+    out = np.empty((t.size, mt.shape[1]), dtype=complex)
+    for i, j in _spans(t.size):
+        phases = np.exp(-1j * np.multiply.outer(t[i:j], prop.energies)) * c
+        out[i:j].real = phases.real @ mt
+        out[i:j].imag = phases.imag @ mt
+    return out
 
 
 @pytest.fixture

@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import traced
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chainlab
-from chainlab import qdomino, specfun, xychain
+from chainlab import cli, qdomino, specfun, xychain
 from chainlab.cli import main
 
 
@@ -337,3 +339,132 @@ def test_nonfinite_result_is_exit_code_two_without_a_file(tmp_path, monkeypatch)
     monkeypatch.setattr(qdomino, "flip_probability", flip_with_nan)
     _refused(["domino", "--j", "2..3", "--t", "0..5", "--steps", "11", "--out", str(tmp_path)], 2,
              match=": domino: ValueError: non-finite flip_j3 in domino_flip.csv")
+
+
+def _csv_by_row(comments, header, rows):
+    """The CSV text as each value formatted on its own: a string as it is, any number as %.12g of float(x)."""
+    text = "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
+    return text + "".join(",".join(x if isinstance(x, str) else "%.12g" % float(x) for x in row) + "\n" for row in rows)
+
+
+def _column(kind, n, rng, floats, words):
+    """n cells of a column: wide-ranged random numbers, half of the float ones drawn from floats."""
+    if kind == "str":
+        return [words[k] for k in rng.integers(len(words), size=n)]
+    if kind in ("int", "int64"):
+        ints = rng.integers(-(10**15), 10**15, size=n)
+        return list(ints) if kind == "int64" else [int(x) for x in ints]
+    if kind == "float32":
+        return list((rng.standard_normal(n) * 10.0 ** rng.integers(-45, 37, size=n)).astype(np.float32))
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, size=n)
+    pick = rng.random(n) < 0.5
+    x[pick] = np.array(floats)[rng.integers(len(floats), size=pick.sum())]
+    return list(x) if kind == "float64" else [float(v) for v in x]
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    n=st.integers(1, 3000),
+    kinds=st.lists(st.sampled_from(["float", "float64", "float32", "int", "int64", "str"]), min_size=1, max_size=6),
+    floats=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS), min_size=1),
+    words=st.lists(st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8), min_size=1, max_size=5),
+    bad=st.tuples(st.integers(0, 2999), st.integers(0, 5), st.sampled_from([np.nan, np.inf, -np.inf])),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one row, and the edges of the writer's chunks of 1024 rows
+@example(n=1, kinds=["float", "str"], floats=[-0.0], words=["%s"], bad=(0, 0, np.nan), seed=0)
+@example(n=1024, kinds=["float64"] * 6, floats=[5e-324], words=[""], bad=(1023, 5, np.inf), seed=1)
+@example(n=1025, kinds=["str", "int"], floats=[1e300], words=["a"], bad=(1024, 1, -np.inf), seed=2)
+@example(n=2049, kinds=["float32", "float", "int64"], floats=[-1e-300], words=["b"], bad=(2048, 1, np.nan), seed=3)
+def test_csv_writer_formats_each_value_as_on_its_own(n, kinds, floats, words, bad, seed):
+    # the bytes of %.12g of float(x) for every number (-0.0, subnormals, +-1e+-300, numpy scalars, ints) and
+    # the string as it is; a NaN or an inf in any row raises the message that names its column and no file
+    rng = np.random.default_rng(seed)
+    header = [f"c{k}" for k in range(len(kinds))]
+    rows = list(zip(*(_column(kind, n, rng, floats, words) for kind in kinds)))
+    comments = ["a table", "columns: c0, ..."]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "table.csv"
+        cli._write_csv(path, comments, header, iter(rows))
+        assert path.read_bytes() == _csv_by_row(comments, header, rows).encode()
+        numeric = [k for k, kind in enumerate(kinds) if kind != "str"]
+        if numeric:
+            row, col = bad[0] % n, numeric[bad[1] % len(numeric)]
+            rows[row] = rows[row][:col] + (bad[2],) + rows[row][col + 1 :]
+            path = Path(d) / "poisoned.csv"
+            with pytest.raises(ValueError, match=f"^non-finite c{col} in poisoned.csv$"):
+                cli._write_csv(path, comments, header, iter(rows))
+            assert not path.exists()
+
+
+def test_csv_writer_holds_one_chunk_of_rows_besides_its_text(tmp_path):
+    # 50 000 rows x 6 columns, the rows built before the trace: 5.87 MB traced.  Formatting each value with
+    # its own % and holding a line per row peaked at 8.561 MB
+    rng = np.random.default_rng(0)
+    rows = list(zip(*rng.normal(size=(6, 50000)) * 10.0 ** rng.integers(-300, 300, size=(6, 50000))))
+    with traced() as trace:
+        cli._write_csv(tmp_path / "big.csv", [], [f"c{k}" for k in range(6)], rows)
+    assert trace.peak <= 8.56e6
+
+
+# each subcommand's flags, in the order its usage line gives them
+_TABLE = "[-h] [--config CONFIG] [--out OUT] [--steps STEPS]"
+_USAGE = {
+    "domino": f"{_TABLE} [--j J] [--t T]",
+    "xy": f"{_TABLE} [--j J] [--t T] [--kappa KAPPA]",
+    "detector": f"{_TABLE} [--gamma GAMMA] [--dt DT] [--T T]",
+    "radiate": f"{_TABLE} [--N N] [--M M] [--v V] [--t T]",
+    "meanfield": f"{_TABLE} [--eps EPS] [--lambda LAM] [--T T]",
+    "orbit": f"{_TABLE} [--re0 RE0] [--im0 IM0] [--lam LAM] [--a A] [--t T]",
+    "verify": "[-h] [--config CONFIG] [--only ONLY]",
+}
+_COMMANDS = list(_USAGE)
+
+
+def _subparsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize("name", _COMMANDS)
+def test_a_subcommand_alone_reads_as_in_the_full_parser(monkeypatch, name):
+    # main builds only the subparser its first argument names: the same help, usage and defaults
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line
+    own, full = _subparsers(cli._build_parser(name)), _subparsers(cli._build_parser())
+    assert list(own) == [name] and list(full) == _COMMANDS
+    assert own[name].format_help() == full[name].format_help()
+    assert own[name].format_usage() == full[name].format_usage() == f"usage: chainlab {name} {_USAGE[name]}\n"
+    assert cli._build_parser(name).parse_args([name]) == cli._build_parser().parse_args([name])
+
+
+@pytest.mark.parametrize("argv", [[], ["radiat"], ["radiate", "--bogus", "1"]],
+                         ids=["no-command", "unknown-command", "unknown-flag"])
+def test_a_malformed_command_line_reads_as_with_the_full_parser(monkeypatch, tmp_path, argv):
+    # no subcommand, or one no subparser has, builds all seven; a subcommand's own parser refuses an
+    # unknown flag in the same words
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)  # the default --out
+    full = cli._build_parser
+    texts = []
+    for build in (full, lambda command=None: full()):
+        monkeypatch.setattr(cli, "_build_parser", build)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            texts.append((_refused(argv, 1), out.getvalue()))
+    assert texts[0] == texts[1]
+    assert all(name in texts[0][0] for name in _COMMANDS) == (argv == ["radiat"])
+
+
+def test_top_level_help_reads_as_with_the_full_parser(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["chainlab", "--help"])
+    full, seen = cli._build_parser, []
+    for build in (full, lambda command=None: full()):
+        monkeypatch.setattr(cli, "_build_parser", build)
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("chainlab", run_name="__main__")
+        seen.append((exit_info.value.code, *capsys.readouterr()))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 0 and all(name in seen[0][1] for name in _COMMANDS) and seen[0][2] == ""
